@@ -24,7 +24,6 @@ from .drm import (
     MaterializeBudgetError,
     drm_storage_cost,
     make_drm,
-    ssrft_apply,
 )
 from .sketch import (
     ParamsMismatchError,
@@ -78,7 +77,6 @@ __all__ = [
     "tucker_to_dense",
     "DrmSpec",
     "make_drm",
-    "ssrft_apply",
     "drm_storage_cost",
     "MaterializeBudgetError",
     "SketchParams",

@@ -15,6 +15,7 @@ import time
 import numpy as np
 
 from . import io as tkio
+from .drm import CORE_KINDS, FACTOR_KINDS
 from .harness import SyntheticSpec, run_experiment
 from .recovery import (
     RankDeficientCoreError,
@@ -31,9 +32,6 @@ from .sketch import (
     sketch_merge,
 )
 from .tensor import fro_norm, tucker_to_dense
-
-_DRM_CHOICES = ("gaussian", "sparse_sign", "ssrft", "trp")
-_CORE_DRM_CHOICES = ("gaussian", "sparse_sign", "ssrft")
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -74,9 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
     size.add_argument("--rank", type=_int_list, help="target Tucker rank r (k=2r+1, s=2k+1)")
     size.add_argument("--k", type=_int_list, dest="k", help="factor sketch sizes")
     ps.add_argument("--s", type=_int_list, help="core sketch sizes (default 2k+1)")
-    ps.add_argument("--drm", choices=_DRM_CHOICES, default="gaussian",
+    ps.add_argument("--drm", choices=FACTOR_KINDS, default="gaussian",
                     help="factor map kind")
-    ps.add_argument("--core-drm", choices=_CORE_DRM_CHOICES, default=None,
+    ps.add_argument("--core-drm", choices=CORE_KINDS, default=None,
                     help="core map kind (default: same as --drm, or gaussian for trp)")
     ps.add_argument("--density", type=float, default=0.1,
                     help="nonzero fraction for sparse_sign maps")
@@ -117,8 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="factor sketch sizes to sweep (default 2r+1)")
     pb.add_argument("--s", type=_int_list, default=None,
                     help="core sketch size (default 2k+1, applied per k)")
-    pb.add_argument("--drm", choices=_DRM_CHOICES, default="gaussian")
-    pb.add_argument("--core-drm", choices=_CORE_DRM_CHOICES, default=None)
+    pb.add_argument("--drm", choices=FACTOR_KINDS, default="gaussian")
+    pb.add_argument("--core-drm", choices=CORE_KINDS, default=None)
     pb.add_argument("--density", type=float, default=0.1)
     pb.add_argument("--trials", type=int, default=3)
     pb.add_argument("--seed", type=int, default=0)
@@ -132,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _core_kind(drm: str, core_drm: str | None) -> str:
     if core_drm is not None:
         return core_drm
-    return drm if drm in _CORE_DRM_CHOICES else "gaussian"
+    return drm if drm in CORE_KINDS else "gaussian"
 
 
 def _params_for(args, order: int) -> SketchParams:

@@ -4,9 +4,11 @@ projection (TRP).
 A map is described by a :class:`DrmSpec` and realized by :func:`make_drm`.
 Realizations are deterministic functions of the ``DrmSpec``, so two workers
 holding the same one apply the same map without ever exchanging it.  Every kind
-supports right application ``m @ Omega`` on an ``(q, in_dim)`` operand;
-structured kinds (SSRFT, TRP) apply implicitly and only materialize their
-dense equivalent on request, under an entry budget.
+supports right application ``m @ Omega`` on an ``(q, in_dim)`` operand, and
+``m @ Omega[rows]`` on the rows whose position in an input grid lies in one
+block along one axis (what a slab update needs).  Structured kinds (SSRFT,
+TRP) apply implicitly and only materialize their dense equivalent on
+request, under an entry budget.
 
 TRP column convention: the map acts on a flattened multi-index over
 ``mode_dims`` with *lower* modes varying fastest (the same order the
@@ -25,7 +27,10 @@ import scipy.fft
 from . import rng
 from .tensor import khatri_rao
 
-_KINDS = ("gaussian", "sparse_sign", "ssrft", "trp")
+FACTOR_KINDS = ("gaussian", "sparse_sign", "ssrft", "trp")
+"""Every map kind; all of them can serve as factor maps."""
+CORE_KINDS = ("gaussian", "sparse_sign", "ssrft")
+"""Kinds that can serve as core maps (a single-mode trp is just its factor)."""
 
 # Sub-stream labels inside one map's seed, so the draws for distinct pieces
 # of state never overlap.
@@ -56,7 +61,7 @@ class DrmSpec:
     mode_dims: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in FACTOR_KINDS:
             raise ValueError(f"unknown drm kind {self.kind!r}")
         if self.in_dim < 1 or self.out_dim < 1:
             raise ValueError("map dimensions must be positive")
@@ -116,6 +121,16 @@ class _Drm:
         """Compute ``m @ Omega`` for an ``(q, in_dim)`` operand."""
         raise NotImplementedError
 
+    def apply_right_rows(self, m, dims, axis: int, rows: slice) -> np.ndarray:
+        """Compute ``m @ Omega[R]`` without touching the other rows.
+
+        The input index is read as a multi-index over the grid ``dims``
+        (lowest axis fastest, ``prod(dims) == in_dim``), and ``R`` is every
+        flat index whose ``axis`` component lies in ``rows``, in the same
+        order.  The operand is ``(q, len(R))``.
+        """
+        raise NotImplementedError
+
     def materialize(self, max_entries: int = DEFAULT_MATERIALIZE_BUDGET) -> np.ndarray:
         """Dense ``(in_dim, out_dim)`` equivalent, guarded by an entry budget."""
         needed = self.spec.in_dim * self.spec.out_dim
@@ -129,6 +144,20 @@ class _Drm:
     def _materialize(self) -> np.ndarray:
         raise NotImplementedError
 
+    def _check_block(self, m, dims, axis: int, rows: slice):
+        """Validate a row-restricted operand; returns it with ``rows`` resolved."""
+        dims = tuple(int(d) for d in dims)
+        if int(np.prod(dims, dtype=np.int64)) != self.spec.in_dim:
+            raise ValueError(f"grid {dims} does not cover in_dim={self.spec.in_dim}")
+        if not 0 <= axis < len(dims):
+            raise ValueError(f"axis {axis} out of range for grid {dims}")
+        start, stop, step = rows.indices(dims[axis])
+        if step != 1 or stop <= start:
+            raise ValueError(f"rows {rows} is not a non-empty block of {dims[axis]}")
+        block = dims[:axis] + (stop - start,) + dims[axis + 1 :]
+        a = _check_operand(m, int(np.prod(block, dtype=np.int64)))
+        return a, dims, slice(start, stop)
+
 
 def _check_operand(m, in_dim: int) -> np.ndarray:
     a = np.asarray(m, dtype=np.float64)
@@ -139,38 +168,37 @@ def _check_operand(m, in_dim: int) -> np.ndarray:
     return a
 
 
-class _GaussianDrm(_Drm):
-    def __init__(self, spec: DrmSpec):
-        super().__init__(spec)
-        self.entries = rng.gaussians(
-            spec.seed, _STREAM_ENTRIES, (spec.in_dim, spec.out_dim)
-        )
+class _DenseDrm(_Drm):
+    """A map held as its ``(in_dim, out_dim)`` entries: Gaussian or sparse sign.
 
-    def apply_right(self, m):
-        return _check_operand(m, self.spec.in_dim) @ self.entries
-
-    def _materialize(self):
-        return self.entries.copy()
-
-
-class _SparseSignDrm(_Drm):
-    """Entries +-1/sqrt(density) with probability density, else zero.
-
-    One raw word decides each entry: the top bits drive the keep/drop draw,
-    the low bit the sign.  Realized dense (the point of the kind is variance
-    control, not storage).
+    Sparse sign entries are +-1/sqrt(density) with probability density, else
+    zero.  One raw word decides each entry: the top bits drive the keep/drop
+    draw, the low bit the sign.  Realized dense (the point of the kind is
+    variance control, not storage).
     """
 
     def __init__(self, spec: DrmSpec):
         super().__init__(spec)
-        words = rng.raw(spec.seed, _STREAM_ENTRIES, spec.in_dim * spec.out_dim)
-        u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-        sign = np.where(words & np.uint64(1), 1.0, -1.0)
-        vals = np.where(u < spec.density, sign / np.sqrt(spec.density), 0.0)
-        self.entries = vals.reshape(spec.in_dim, spec.out_dim)
+        shape = (spec.in_dim, spec.out_dim)
+        if spec.kind == "gaussian":
+            self.entries = rng.gaussians(spec.seed, _STREAM_ENTRIES, shape)
+        else:
+            words = rng.raw(spec.seed, _STREAM_ENTRIES, spec.in_dim * spec.out_dim)
+            u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+            sign = np.where(words & np.uint64(1), 1.0, -1.0)
+            vals = np.where(u < spec.density, sign / np.sqrt(spec.density), 0.0)
+            self.entries = vals.reshape(shape)
 
     def apply_right(self, m):
         return _check_operand(m, self.spec.in_dim) @ self.entries
+
+    def apply_right_rows(self, m, dims, axis, rows):
+        a, dims, rows = self._check_block(m, dims, axis, rows)
+        # A view with the grid axes reversed (C order, so axis 0 of the grid
+        # varies fastest); only the selected block is copied.
+        grid = self.entries.reshape((*dims[::-1], self.spec.out_dim))
+        block = grid[(slice(None),) * (len(dims) - 1 - axis) + (rows,)]
+        return a @ block.reshape((-1, self.spec.out_dim))
 
     def _materialize(self):
         return self.entries.copy()
@@ -203,8 +231,26 @@ class _SsrftDrm(_Drm):
         a = _check_operand(m, self.spec.in_dim)
         return self.transform_rows(a.T).T
 
+    def apply_right_rows(self, m, dims, axis, rows):
+        # No input-side restriction exists: zero-pad this operand to the
+        # full grid and transform that.
+        a, dims, rows = self._check_block(m, dims, axis, rows)
+        full = np.zeros((a.shape[0], *dims), order="F")
+        block = full[(slice(None),) * (axis + 1) + (rows,)]
+        block[...] = a.reshape(block.shape, order="F")
+        return self.apply_right(full.reshape((a.shape[0], -1), order="F"))
+
     def _materialize(self):
-        return self.transform_rows(np.eye(self.spec.in_dim)).T
+        # The adjoint of the transform applied to the out_dim unit vectors at
+        # ``coords``: O(out * in * log(in)) work and a few (in, out) arrays.
+        out_dim = self.spec.out_dim
+        z = np.zeros((self.spec.in_dim, out_dim))
+        z[self.coords, np.arange(out_dim)] = 1.0
+        for perm, sgn in ((self.perm2, self.sgn2), (self.perm1, self.sgn1)):
+            z = scipy.fft.idct(z, type=2, axis=0, norm="ortho", overwrite_x=True)
+            z *= sgn[:, None]
+            z = z[np.argsort(perm)]
+        return z
 
 
 def apply_trp_factors(m: np.ndarray, factors: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -240,14 +286,22 @@ class _TrpDrm(_Drm):
         a = _check_operand(m, self.spec.in_dim)
         return apply_trp_factors(a, self.factors)
 
+    def apply_right_rows(self, m, dims, axis, rows):
+        a, dims, rows = self._check_block(m, dims, axis, rows)
+        if dims != self.spec.mode_dims:
+            raise ValueError(f"grid {dims} is not the trp grid {self.spec.mode_dims}")
+        factors = list(self.factors)
+        factors[axis] = factors[axis][rows]
+        return apply_trp_factors(a, tuple(factors))
+
     def _materialize(self):
         cols = np.ones((1, self.spec.out_dim))
         return functools.reduce(khatri_rao, reversed(self.factors), cols)
 
 
 _REALIZERS = {
-    "gaussian": _GaussianDrm,
-    "sparse_sign": _SparseSignDrm,
+    "gaussian": _DenseDrm,
+    "sparse_sign": _DenseDrm,
     "ssrft": _SsrftDrm,
     "trp": _TrpDrm,
 }
@@ -256,25 +310,3 @@ _REALIZERS = {
 def make_drm(spec: DrmSpec) -> _Drm:
     """Realize the map described by ``spec``; same spec, same map, always."""
     return _REALIZERS[spec.kind](spec)
-
-
-def ssrft_apply(drm: _Drm, m: np.ndarray, side: str) -> np.ndarray:
-    """Apply an SSRFT along the chosen side of ``m``.
-
-    ``side="rows"`` maps an ``(in_dim, q)`` operand to ``(out_dim, q)``;
-    ``side="cols"`` maps ``(q, in_dim)`` to ``(q, out_dim)``.
-    """
-    if not isinstance(drm, _SsrftDrm):
-        raise ValueError("ssrft_apply needs an ssrft realization")
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError("operand must be a matrix")
-    if side == "rows":
-        if a.shape[0] != drm.spec.in_dim:
-            raise ValueError(
-                f"operand has {a.shape[0]} rows, map expects {drm.spec.in_dim}"
-            )
-        return drm.transform_rows(a)
-    if side == "cols":
-        return drm.apply_right(a)
-    raise ValueError(f"side must be 'rows' or 'cols', got {side!r}")

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .drm import make_drm
 from .sketch import TuckerSketch
 from .tensor import (
     TuckerFactorization,
@@ -114,8 +113,7 @@ def one_pass_recover(sk: TuckerSketch) -> RecoveryReport:
     core = sk.core_sketch
     residuals = []
     for n, q in enumerate(bases.matrices):
-        phi = make_drm(sk.params.phi_spec(sk.shape, n))
-        z = phi.apply_right(q.T).T  # (s_n, k_n)
+        z = sk.params.phi_matrix(sk.shape, n).T @ q  # (s_n, k_n)
         rhs = unfold(core, n)
         sol, _, rank, sv = scipy.linalg.lstsq(z, rhs, lapack_driver="gelsd")
         k_n = sk.params.k[n]

@@ -7,11 +7,11 @@ sketch ``H = X`` contracted on every mode ``n`` by ``Phi_n^T`` with shape
 mode)``, so the sketch is a pure linear function of ``X`` and sketches of
 shards simply add.
 
-Updates never densify structured maps: slab updates restrict realized dense
-maps by row blocks and TRP maps by factor slices.  The one exception is an
-SSRFT map, which has no input-side row restriction; slab updates under
-ssrft zero-pad the slab into a full tensor first (correct, but the update
-then costs full-tensor memory).
+The core maps ``Phi_n`` are small (``I_n x s_n``, the size of the factor
+sketches), so every kind is realized once as a dense matrix.  Factor maps
+stay in their own form, and a slab update asks each one for the row block
+its slab touches; only an SSRFT factor map, which has no input-side row
+restriction, zero-pads that one operand to full width.
 """
 
 from __future__ import annotations
@@ -22,15 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .drm import DrmSpec, apply_trp_factors, make_drm
-from .tensor import fold, mode_product, unfold
+from .drm import CORE_KINDS, FACTOR_KINDS, DrmSpec, make_drm
+from .tensor import multi_mode_product, unfold
 
 _ROLE_OMEGA = 101
 _ROLE_PHI = 202
-
-_FACTOR_KINDS = ("gaussian", "sparse_sign", "ssrft", "trp")
-_CORE_KINDS = ("gaussian", "sparse_sign", "ssrft")
-_DENSE_KINDS = ("gaussian", "sparse_sign")
 
 
 class ParamsMismatchError(ValueError):
@@ -64,11 +60,11 @@ class SketchParams:
             raise ValueError("all k_n must be >= 1")
         if any(sv < kv for kv, sv in zip(k, s)):
             raise ValueError("core sketch needs s_n >= k_n in every mode")
-        if self.omega_kind not in _FACTOR_KINDS:
+        if self.omega_kind not in FACTOR_KINDS:
             raise ValueError(f"unknown factor map kind {self.omega_kind!r}")
-        if self.phi_kind not in _CORE_KINDS:
+        if self.phi_kind not in CORE_KINDS:
             raise ValueError(
-                f"core map kind must be one of {_CORE_KINDS}, got {self.phi_kind!r}"
+                f"core map kind must be one of {CORE_KINDS}, got {self.phi_kind!r}"
                 " (a single-mode trp degenerates to its lone factor)"
             )
         if not 0.0 < self.density <= 1.0:
@@ -129,6 +125,16 @@ class SketchParams:
             density=self._density_for(self.phi_kind),
         )
 
+    def phi_matrix(self, shape: tuple[int, ...], mode: int) -> np.ndarray:
+        """The core-sketch map for one mode as a dense ``(I_mode, s_mode)`` matrix.
+
+        It is the size of the factor sketch times ``s_mode / k_mode`` (about
+        2), so the materialize budget, meant for maps far larger than the
+        sketch, does not apply.
+        """
+        spec = self.phi_spec(shape, mode)
+        return make_drm(spec).materialize(max_entries=spec.in_dim * spec.out_dim)
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
@@ -167,10 +173,10 @@ class TuckerSketch:
 class StreamingSketcher:
     """Accumulates a sketch from a stream of linear updates in one pass.
 
-    Working state is just the sketch arrays and the realized maps; the
-    tensor itself is never stored.  ``peak_aux_scalars`` reports (an
-    estimate of) the largest temporary allocated by any single update, for
-    memory-contract checks.
+    Working state is just the sketch arrays, the realized factor maps and
+    the dense core maps; the tensor itself is never stored.
+    ``peak_aux_scalars`` reports (an estimate of) the largest temporary
+    allocated by any single update, for memory-contract checks.
     """
 
     def __init__(self, shape, params: SketchParams, *, init: TuckerSketch | None = None):
@@ -189,7 +195,7 @@ class StreamingSketcher:
         self.shape = shape
         self.params = params
         self._omegas = [make_drm(params.omega_spec(shape, n)) for n in range(len(shape))]
-        self._phis = [make_drm(params.phi_spec(shape, n)) for n in range(len(shape))]
+        self._phis = [params.phi_matrix(shape, n) for n in range(len(shape))]
         if init is not None:
             if init.params != params or init.shape != shape:
                 raise ParamsMismatchError(
@@ -212,13 +218,6 @@ class StreamingSketcher:
                 v *= theta1
             self._h *= theta1
 
-    def _contract_phi_mode(self, t: np.ndarray, mode: int, phi) -> np.ndarray:
-        """Contract ``Phi_mode^T`` against mode ``mode`` of ``t``."""
-        m = unfold(t, mode)
-        out = phi.apply_right(m.T).T
-        new_shape = t.shape[:mode] + (out.shape[0],) + t.shape[mode + 1 :]
-        return fold(out, mode, new_shape)
-
     def update_dense(self, f, theta1: float = 1.0, theta2: float = 1.0) -> None:
         """Fold the linear update ``X <- theta1 * X + theta2 * f`` into the sketch."""
         a = np.asarray(f, dtype=np.float64)
@@ -227,10 +226,7 @@ class StreamingSketcher:
         self._scale(theta1)
         for n, om in enumerate(self._omegas):
             self._v[n] += theta2 * om.apply_right(unfold(a, n))
-        t = a
-        for n, phi in enumerate(self._phis):
-            t = self._contract_phi_mode(t, n, phi)
-        self._h += theta2 * t
+        self._h += theta2 * multi_mode_product(a, [(n, p.T) for n, p in enumerate(self._phis)])
         self._note_aux(2 * a.size)
 
     def update_slab(
@@ -239,8 +235,8 @@ class StreamingSketcher:
         """Fold in an update supported on ``offset:offset+c`` along one mode.
 
         ``slab`` carries full extents on every other mode.  Equivalent to
-        ``update_dense`` on the zero-padded tensor, at slab cost (except
-        under ssrft maps, which force the zero-padded path).
+        ``update_dense`` on the zero-padded tensor, at slab cost; an ssrft
+        factor map zero-pads the operand of each other mode, one at a time.
         """
         a = np.asarray(slab, dtype=np.float64)
         n_modes = len(self.shape)
@@ -259,63 +255,29 @@ class StreamingSketcher:
                 f"rows {offset}:{offset + c} fall outside extent {self.shape[mode]}"
             )
 
-        if self.params.omega_kind == "ssrft" or self.params.phi_kind == "ssrft":
-            full = np.zeros(self.shape)
-            sel = tuple(
-                slice(offset, offset + c) if m == mode else slice(None)
-                for m in range(n_modes)
-            )
-            full[sel] = a
-            self.update_dense(full, theta1, theta2)
-            return
-
         self._scale(theta1)
+        rows = slice(offset, offset + c)
 
         # Factor sketch of the slab's own mode: the map acts on the other
-        # modes, which the slab covers in full.
-        self._v[mode][offset : offset + c] += theta2 * self._omegas[mode].apply_right(
-            unfold(a, mode)
-        )
-
-        # Other modes: restrict the map to the rows whose multi-index hits
-        # the slab along `mode`.
-        for n in range(n_modes):
+        # modes, which the slab covers in full.  Other modes: the map rows
+        # whose multi-index hits the slab along `mode`.
+        for n, om in enumerate(self._omegas):
+            m = unfold(a, n)
             if n == mode:
-                continue
-            self._v[n] += theta2 * self._apply_omega_restricted(n, mode, offset, c, a)
+                self._v[n][rows] += theta2 * om.apply_right(m)
+            else:
+                rest = [d for j, d in enumerate(self.shape) if j != n]
+                axis = mode if mode < n else mode - 1
+                self._v[n] += theta2 * om.apply_right_rows(m, rest, axis, rows)
 
-        # Core sketch: full maps on every mode except `mode`, then the row
-        # block of Phi_mode.
-        t = a
-        for m in range(n_modes):
-            if m != mode:
-                t = self._contract_phi_mode(t, m, self._phis[m])
-        block = self._phis[mode].entries[offset : offset + c]
-        self._h += theta2 * mode_product(t, mode, block.T)
+        # Core sketch: full maps on every mode except `mode`, where only the
+        # slab's row block of Phi_mode contributes.  That block goes last:
+        # it maps c <= s_mode rows to s_mode, so contracting it first would
+        # grow every later product.
+        blocks = [(n, p.T) for n, p in enumerate(self._phis) if n != mode]
+        blocks.append((mode, self._phis[mode][rows].T))
+        self._h += theta2 * multi_mode_product(a, blocks)
         self._note_aux(2 * a.size)
-
-    def _apply_omega_restricted(
-        self, n: int, mode: int, offset: int, c: int, slab: np.ndarray
-    ) -> np.ndarray:
-        """``unfold(slab, n) @ Omega_n[rows]`` where rows are the flat indices
-        whose ``mode`` component lies in ``offset:offset+c``."""
-        om = self._omegas[n]
-        rest = tuple(m for m in range(len(self.shape)) if m != n)
-        axis_pos = rest.index(mode)
-        rows = unfold(slab, n)
-        if self.params.omega_kind in _DENSE_KINDS:
-            dims = tuple(self.shape[m] for m in rest)
-            grid = om.entries.reshape((*dims, self.params.k[n]), order="F")
-            sel = tuple(
-                slice(offset, offset + c) if j == axis_pos else slice(None)
-                for j in range(len(dims))
-            )
-            restricted = grid[sel].reshape((-1, self.params.k[n]), order="F")
-            return rows @ restricted
-        # trp: slice the one factor that lives on `mode`
-        factors = list(om.factors)
-        factors[axis_pos] = factors[axis_pos][offset : offset + c]
-        return apply_trp_factors(rows, tuple(factors))
 
     def sketch(self) -> TuckerSketch:
         """Snapshot the accumulated state as an immutable sketch."""

@@ -1,6 +1,8 @@
 """Dimension-reduction map tests: determinism, oracles, and the Monte-Carlo
 checks behind the error analysis."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from tuckersketch.drm import (
     apply_trp_factors,
     drm_storage_cost,
     make_drm,
-    ssrft_apply,
 )
 
 ALL_SPECS = [
@@ -83,6 +84,33 @@ def test_apply_matches_materialize(spec):
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * max(1.0, np.abs(ref).max()))
 
 
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
+@pytest.mark.parametrize("axis,rows", [(0, slice(1, 3)), (1, slice(0, 6)), (1, slice(5, 6))])
+def test_apply_rows_matches_materialized_rows(spec, axis, rows):
+    # flat index i0 + 4 * i1 over the (4, 6) grid; keep those with i_axis in rows
+    dims = (4, 6)
+    grid = np.arange(24).reshape(dims, order="F")
+    keep = grid[(slice(None),) * axis + (rows,)].ravel(order="F")
+    m = np.random.default_rng(2).normal(size=(3, keep.size))
+    d = make_drm(spec)
+    got = d.apply_right_rows(m, dims, axis, rows)
+    ref = m @ d.materialize()[keep]
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * max(1.0, np.abs(ref).max()))
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
+def test_apply_rows_rejects_bad_blocks(spec):
+    d = make_drm(spec)
+    with pytest.raises(ValueError):
+        d.apply_right_rows(np.zeros((2, 8)), (4, 6), 1, slice(0, 3))  # needs 12 columns
+    with pytest.raises(ValueError):
+        d.apply_right_rows(np.zeros((2, 8)), (4, 5), 1, slice(0, 2))  # grid misses in_dim
+    with pytest.raises(ValueError):
+        d.apply_right_rows(np.zeros((2, 8)), (4, 6), 2, slice(0, 2))
+    with pytest.raises(ValueError):
+        d.apply_right_rows(np.zeros((2, 0)), (4, 6), 1, slice(3, 3))
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         DrmSpec("fourier", 8, 4, seed=0)
@@ -142,7 +170,7 @@ class TestSsrft:
         omega = d.materialize()
         np.testing.assert_allclose(omega @ omega.T, np.eye(32), atol=1e-10)
         x = np.random.default_rng(2).normal(size=(32, 3))
-        y = ssrft_apply(d, x, side="rows")
+        y = d.transform_rows(x)
         np.testing.assert_allclose(
             np.linalg.norm(y, axis=0), np.linalg.norm(x, axis=0), rtol=1e-12
         )
@@ -150,16 +178,23 @@ class TestSsrft:
     def test_sides_are_transposes(self):
         d = make_drm(DrmSpec("ssrft", 20, 7, seed=7))
         m = np.random.default_rng(3).normal(size=(20, 4))
-        rows = ssrft_apply(d, m, side="rows")
-        cols = ssrft_apply(d, m.T, side="cols")
+        rows = d.transform_rows(m)
+        cols = d.apply_right(m.T)
         np.testing.assert_allclose(rows, cols.T, atol=1e-12)
-        with pytest.raises(ValueError):
-            ssrft_apply(d, m, side="diag")
 
-    def test_rows_side_checks_shape(self):
-        d = make_drm(DrmSpec("ssrft", 20, 7, seed=7))
-        with pytest.raises(ValueError):
-            ssrft_apply(d, np.zeros((19, 2)), side="rows")
+    def test_materialize_memory_is_linear_in_input(self):
+        # the dense map is 20000 x 43 (6.9 MB); transforming an identity of
+        # the input size would need 3.2 GB
+        d = make_drm(DrmSpec("ssrft", 20000, 43, seed=8))
+        tracemalloc.start()
+        try:
+            omega = d.materialize()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * omega.nbytes
+        x = np.random.default_rng(4).normal(size=(20000, 2))
+        np.testing.assert_allclose(omega.T @ x, d.transform_rows(x), atol=1e-10)
 
     def test_subsample_energy_monte_carlo(self):
         # E ||Xi x||^2 = (out/in) ||x||^2; 2000 fresh seeds, 10% band

@@ -31,7 +31,7 @@ from .sketch import (
     StreamingSketcher,
     sketch_merge,
 )
-from .tensor import fro_norm, tucker_to_dense
+from .tensor import fro_norm, tucker_residual_norm
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -205,7 +205,7 @@ def _cmd_recover(args) -> int:
 
     normalized_error = None
     if x is not None:
-        err = fro_norm(x - tucker_to_dense(fact))
+        err = tucker_residual_norm(x, fact)
         norm = fro_norm(x)
         normalized_error = err / norm if norm > 0 else None
     summary = {

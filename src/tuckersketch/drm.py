@@ -5,10 +5,14 @@ A map is described by a :class:`DrmSpec` and realized by :func:`make_drm`.
 Realizations are deterministic functions of the ``DrmSpec``, so two workers
 holding the same one apply the same map without ever exchanging it.  Every kind
 supports right application ``m @ Omega`` on an ``(q, in_dim)`` operand, and
-``m @ Omega[rows]`` on the rows whose position in an input grid lies in one
-block along one axis (what a slab update needs).  Structured kinds (SSRFT,
-TRP) apply implicitly and only materialize their dense equivalent on
-request, under an entry budget.
+the unfolding product ``unfold(x, mode) @ Omega`` read straight from a tensor,
+optionally restricted to the rows of ``Omega`` whose position in the input
+grid lies in one block along one axis (what a slab update needs).  The dense
+kinds and TRP contract the tensor where it lies; SSRFT alone unfolds it,
+because its DCT needs the flattened operand.  Structured kinds (SSRFT, TRP)
+apply implicitly and only materialize their dense equivalent on request,
+under an entry budget.  A realization's arrays are read-only, so one can be
+shared.
 
 TRP column convention: the map acts on a flattened multi-index over
 ``mode_dims`` with *lower* modes varying fastest (the same order the
@@ -25,7 +29,7 @@ import numpy as np
 import scipy.fft
 
 from . import rng
-from .tensor import khatri_rao
+from .tensor import contract, khatri_rao, unfold
 
 FACTOR_KINDS = ("gaussian", "sparse_sign", "ssrft", "trp")
 """Every map kind; all of them can serve as factor maps."""
@@ -121,13 +125,14 @@ class _Drm:
         """Compute ``m @ Omega`` for an ``(q, in_dim)`` operand."""
         raise NotImplementedError
 
-    def apply_right_rows(self, m, dims, axis: int, rows: slice) -> np.ndarray:
-        """Compute ``m @ Omega[R]`` without touching the other rows.
+    def apply_tensor(self, x, mode: int, axis: int | None = None, rows: slice | None = None):
+        """Compute ``unfold(x, mode) @ Omega`` straight from the tensor.
 
-        The input index is read as a multi-index over the grid ``dims``
-        (lowest axis fastest, ``prod(dims) == in_dim``), and ``R`` is every
-        flat index whose ``axis`` component lies in ``rows``, in the same
-        order.  The operand is ``(q, len(R))``.
+        The input grid is the extents of ``x`` other than ``mode`` (lowest
+        axis fastest, as in the unfolding).  With ``axis`` and ``rows``,
+        ``x`` covers only the block ``rows`` of the grid along its axis
+        ``axis`` (the full extent there is what ``in_dim`` leaves), and the
+        product is with the rows of ``Omega`` in that block, in order.
         """
         raise NotImplementedError
 
@@ -144,19 +149,30 @@ class _Drm:
     def _materialize(self) -> np.ndarray:
         raise NotImplementedError
 
-    def _check_block(self, m, dims, axis: int, rows: slice):
-        """Validate a row-restricted operand; returns it with ``rows`` resolved."""
-        dims = tuple(int(d) for d in dims)
-        if int(np.prod(dims, dtype=np.int64)) != self.spec.in_dim:
-            raise ValueError(f"grid {dims} does not cover in_dim={self.spec.in_dim}")
-        if not 0 <= axis < len(dims):
-            raise ValueError(f"axis {axis} out of range for grid {dims}")
-        start, stop, step = rows.indices(dims[axis])
-        if step != 1 or stop <= start:
-            raise ValueError(f"rows {rows} is not a non-empty block of {dims[axis]}")
-        block = dims[:axis] + (stop - start,) + dims[axis + 1 :]
-        a = _check_operand(m, int(np.prod(block, dtype=np.int64)))
-        return a, dims, slice(start, stop)
+    def _grid(self, x, mode: int, axis: int | None, rows: slice | None):
+        """Validate a tensor operand; returns it, the full input grid, the
+        grid axis of the block (or None) and ``rows`` resolved."""
+        a = np.asarray(x, dtype=np.float64)
+        if not 0 <= mode < a.ndim:
+            raise ValueError(f"mode {mode} out of range for an order-{a.ndim} tensor")
+        dims = a.shape[:mode] + a.shape[mode + 1 :]
+        if min(dims, default=1) < 1:
+            raise ValueError(f"tensor grid {dims} has an empty axis")
+        if axis is None:
+            if int(np.prod(dims, dtype=np.int64)) != self.spec.in_dim:
+                raise ValueError(f"tensor grid {dims} does not cover in_dim={self.spec.in_dim}")
+            return a, dims, None, None
+        if axis == mode or not 0 <= axis < a.ndim:
+            raise ValueError(f"axis {axis} is not a grid axis of mode {mode} in order {a.ndim}")
+        g = axis - (axis > mode)
+        full, rem = divmod(self.spec.in_dim, int(np.prod(dims, dtype=np.int64)) // dims[g])
+        start, stop, step = rows.indices(full)
+        if rem or step != 1 or stop - start != dims[g]:
+            raise ValueError(
+                f"rows {rows} of the grid axis {g} do not match the tensor's "
+                f"extent {dims[g]} on axis {axis} (grid {dims}, in_dim={self.spec.in_dim})"
+            )
+        return a, dims[:g] + (full,) + dims[g + 1 :], g, slice(start, stop)
 
 
 def _check_operand(m, in_dim: int) -> np.ndarray:
@@ -188,17 +204,21 @@ class _DenseDrm(_Drm):
             sign = np.where(words & np.uint64(1), 1.0, -1.0)
             vals = np.where(u < spec.density, sign / np.sqrt(spec.density), 0.0)
             self.entries = vals.reshape(shape)
+        self.entries.flags.writeable = False
 
     def apply_right(self, m):
         return _check_operand(m, self.spec.in_dim) @ self.entries
 
-    def apply_right_rows(self, m, dims, axis, rows):
-        a, dims, rows = self._check_block(m, dims, axis, rows)
-        # A view with the grid axes reversed (C order, so axis 0 of the grid
-        # varies fastest); only the selected block is copied.
-        grid = self.entries.reshape((*dims[::-1], self.spec.out_dim))
-        block = grid[(slice(None),) * (len(dims) - 1 - axis) + (rows,)]
-        return a @ block.reshape((-1, self.spec.out_dim))
+    def apply_tensor(self, x, mode, axis=None, rows=None):
+        a, dims, g, rows = self._grid(x, mode, axis, rows)
+        w = self.entries
+        if g is not None:
+            # A view with the grid axes reversed (C order, so axis 0 of the
+            # grid varies fastest); only the selected block is copied.
+            grid = w.reshape((*dims[::-1], self.spec.out_dim))
+            block = grid[(slice(None),) * (len(dims) - 1 - g) + (rows,)]
+            w = block.reshape((-1, self.spec.out_dim))
+        return contract(a, mode, w)
 
     def _materialize(self):
         return self.entries.copy()
@@ -220,25 +240,36 @@ class _SsrftDrm(_Drm):
         self.sgn1 = rng.signs(spec.seed, _STREAM_SIGN1, n)
         self.sgn2 = rng.signs(spec.seed, _STREAM_SIGN2, n)
         self.coords = rng.index_subset(spec.seed, _STREAM_COORDS, n, spec.out_dim)
+        for a in (self.perm1, self.perm2, self.sgn1, self.sgn2, self.coords):
+            a.flags.writeable = False
 
     def transform_rows(self, b: np.ndarray) -> np.ndarray:
-        """Apply the (out_dim, in_dim) transform to the rows of ``b``."""
-        y = scipy.fft.dct(self.sgn1[:, None] * b[self.perm1], type=2, axis=0, norm="ortho")
-        y = scipy.fft.dct(self.sgn2[:, None] * y[self.perm2], type=2, axis=0, norm="ortho")
+        """Apply the (out_dim, in_dim) transform to the rows of ``b``.
+
+        Each round gathers into a new array and transforms it in place, so
+        at most two operand-sized arrays are alive at once.
+        """
+        y = b[self.perm1]
+        y *= self.sgn1[:, None]
+        y = scipy.fft.dct(y, type=2, axis=0, norm="ortho", overwrite_x=True)
+        y = y[self.perm2]
+        y *= self.sgn2[:, None]
+        y = scipy.fft.dct(y, type=2, axis=0, norm="ortho", overwrite_x=True)
         return y[self.coords]
 
     def apply_right(self, m):
         a = _check_operand(m, self.spec.in_dim)
         return self.transform_rows(a.T).T
 
-    def apply_right_rows(self, m, dims, axis, rows):
-        # No input-side restriction exists: zero-pad this operand to the
-        # full grid and transform that.
-        a, dims, rows = self._check_block(m, dims, axis, rows)
-        full = np.zeros((a.shape[0], *dims), order="F")
-        block = full[(slice(None),) * (axis + 1) + (rows,)]
-        block[...] = a.reshape(block.shape, order="F")
-        return self.apply_right(full.reshape((a.shape[0], -1), order="F"))
+    def apply_tensor(self, x, mode, axis=None, rows=None):
+        # The DCT needs the flattened operand, so this kind alone unfolds the
+        # tensor; a block is zero-padded to the full grid in that layout.
+        a, dims, g, rows = self._grid(x, mode, axis, rows)
+        if g is None:
+            return self.apply_right(unfold(a, mode))
+        full = np.zeros((a.shape[mode], *dims), order="F")
+        full[(slice(None),) * (g + 1) + (rows,)] = np.moveaxis(a, mode, 0)
+        return self.apply_right(full.reshape((a.shape[mode], -1), order="F"))
 
     def _materialize(self):
         # The adjoint of the transform applied to the out_dim unit vectors at
@@ -253,20 +284,42 @@ class _SsrftDrm(_Drm):
         return z
 
 
-def apply_trp_factors(m: np.ndarray, factors: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Contract an ``(q, prod(dims))`` operand against TRP factors.
+def apply_trp_factors(x, mode: int, factors: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Contract every axis of the tensor ``x`` but ``mode`` against TRP factors.
 
-    ``factors[j]`` has shape ``(dims[j], out_dim)``; column ``c`` of the
-    implicit map is the Kronecker product (lowest mode fastest) of the
-    ``c``-th columns.  Never forms the dense map.
+    ``factors[j]`` has shape ``(extent, out_dim)`` and belongs to the
+    ``j``-th axis other than ``mode``; column ``c`` of the implicit map is
+    the Kronecker product (lowest mode fastest) of the ``c``-th columns.
+    Returns ``(x.shape[mode], out_dim)``, which is ``unfold(x, mode)`` times
+    that map.  The first contraction, on the last axis (axis 0 when ``mode``
+    is last), is one GEMM on a view of the F-contiguous tensor; the others
+    shrink its ``(out_dim, rest)`` result one axis at a time.  Never forms
+    the dense map.
     """
-    dims = tuple(f.shape[0] for f in factors)
-    a = np.asarray(m, dtype=np.float64)
-    t = np.reshape(a, (a.shape[0], *dims), order="F")
-    t = np.tensordot(t, factors[-1], axes=([len(dims)], [0]))
-    for j in range(len(dims) - 2, -1, -1):
-        t = np.einsum("...ac,ac->...c", t, factors[j])
-    return t
+    a = np.asfortranarray(np.asarray(x, dtype=np.float64))
+    others = [j for j in range(a.ndim) if j != mode]
+    if len(factors) != len(others):
+        raise ValueError(f"{len(factors)} factors for {len(others)} axes")
+    by_axis = dict(zip(others, factors))
+    # One GEMM with the tensor as the right operand: (out_dim, rest).
+    if mode != a.ndim - 1:
+        t = by_axis[a.ndim - 1].T @ a.reshape((-1, a.shape[-1]), order="F").T
+        rest = list(range(a.ndim - 1))
+    else:
+        t = by_axis[0].T @ a.reshape((a.shape[0], -1), order="F")
+        rest = list(range(1, a.ndim))
+    # t's columns enumerate the remaining axes lowest fastest: as a C array,
+    # the column index z, then those axes reversed.
+    t = t.reshape((t.shape[0], *[a.shape[j] for j in reversed(rest)]))
+    subs = [chr(ord("a") + j) for j in reversed(rest)]
+    for j in rest:
+        if j == mode:
+            continue
+        letter = chr(ord("a") + j)
+        kept = [c for c in subs if c != letter]
+        t = np.einsum(f"z{''.join(subs)},{letter}z->z{''.join(kept)}", t, by_axis[j])
+        subs = kept
+    return t.T
 
 
 class _TrpDrm(_Drm):
@@ -281,18 +334,22 @@ class _TrpDrm(_Drm):
             )
             for j, d in enumerate(spec.mode_dims)
         )
+        for f in self.factors:
+            f.flags.writeable = False
 
     def apply_right(self, m):
         a = _check_operand(m, self.spec.in_dim)
-        return apply_trp_factors(a, self.factors)
+        x = np.reshape(a, (a.shape[0], *self.spec.mode_dims), order="F")
+        return apply_trp_factors(x, 0, self.factors)
 
-    def apply_right_rows(self, m, dims, axis, rows):
-        a, dims, rows = self._check_block(m, dims, axis, rows)
+    def apply_tensor(self, x, mode, axis=None, rows=None):
+        a, dims, g, rows = self._grid(x, mode, axis, rows)
         if dims != self.spec.mode_dims:
             raise ValueError(f"grid {dims} is not the trp grid {self.spec.mode_dims}")
         factors = list(self.factors)
-        factors[axis] = factors[axis][rows]
-        return apply_trp_factors(a, tuple(factors))
+        if g is not None:
+            factors[g] = factors[g][rows]
+        return apply_trp_factors(a, mode, tuple(factors))
 
     def _materialize(self):
         cols = np.ones((1, self.spec.out_dim))

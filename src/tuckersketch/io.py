@@ -131,19 +131,43 @@ def _tensor_bytes(x: np.ndarray) -> bytes:
     return head + _payload_bytes(a)
 
 
-def _parse_tensor(data: bytes, what: str) -> np.ndarray:
-    r = _Reader(data, what)
-    r.expect_magic(MAGIC_TENSOR)
-    scalar, order = r.unpack("BB")
+def _read_array(fh, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """Read a payload of ``shape`` from ``fh`` straight into an F-order array."""
+    out = np.empty(shape, dtype="<f8", order="F")
+    pos = fh.tell()
+    got = fh.readinto(out.reshape(-1, order="F"))
+    if got != out.nbytes:
+        raise FileFormatError(
+            f"{what}: truncated at byte {pos} (needed {out.nbytes} more, have {got})"
+        )
+    return out.astype(np.float64, copy=False)
+
+
+def _load_tensor(fh, what: str) -> np.ndarray:
+    """Parse a TKTN1 tensor from the start of ``fh`` to its end."""
+    head = fh.read(len(MAGIC_TENSOR) + 2)
+    if len(head) < len(MAGIC_TENSOR) + 2:
+        raise FileFormatError(f"{what}: truncated at byte {len(head)} (header)")
+    if head[: len(MAGIC_TENSOR)] != MAGIC_TENSOR:
+        raise FileFormatError(
+            f"{what}: bad magic {head[:len(MAGIC_TENSOR)]!r} at byte 0, expected {MAGIC_TENSOR!r}"
+        )
+    scalar, order = head[-2], head[-1]
     if scalar != _SCALAR_F64:
         raise FileFormatError(f"{what}: unknown scalar code {scalar} at byte 5")
     if order < 1:
         raise FileFormatError(f"{what}: order must be >= 1, got {order}")
-    shape = r.unpack(f"{order}Q")
+    raw = fh.read(8 * order)
+    if len(raw) < 8 * order:
+        raise FileFormatError(f"{what}: truncated at byte {len(head) + len(raw)} (shape)")
+    shape = tuple(int(d) for d in struct.unpack(f"<{order}Q", raw))
     if any(d < 1 for d in shape):
         raise FileFormatError(f"{what}: nonpositive extent in {shape}")
-    out = _read_payload(r, tuple(int(d) for d in shape))
-    r.done()
+    out = _read_array(fh, shape, what)
+    pos = fh.tell()
+    extra = len(fh.read())
+    if extra:
+        raise FileFormatError(f"{what}: {extra} trailing bytes at byte {pos}")
     return out
 
 
@@ -153,10 +177,14 @@ def write_tensor(path, x) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
-    """Read a TKTN1 file back into a float64 array."""
+    """Read a TKTN1 file back into a float64 array.
+
+    The payload is read straight into an F-contiguous array (Fortran order
+    is the payload's own layout), so the file is never held twice; the
+    package's kernels contract that layout in place.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
-    return _parse_tensor(data, os.fspath(path))
+        return _load_tensor(fh, os.fspath(path))
 
 
 def write_sketch(path, sk: TuckerSketch) -> None:
@@ -283,7 +311,8 @@ def read_update_stream(path) -> tuple[tuple[int, ...], Iterator[UpdateRecord]]:
 
     Records are parsed one at a time, so a stream much larger than memory
     can be consumed; the file handle closes when the iterator is exhausted
-    or dropped.
+    or dropped.  Each payload is read straight into an F-contiguous array
+    (its on-disk layout), which the sketcher contracts in place.
     """
     what = os.fspath(path)
     fh = open(path, "rb")
@@ -328,9 +357,7 @@ def _iter_records(fh, shape: tuple[int, ...], what: str) -> Iterator[UpdateRecor
             kind = tag[0]
             theta1, theta2 = struct.unpack("<dd", _read_exact(fh, 16, what))
             if kind == _REC_FULL:
-                count = int(np.prod(shape, dtype=np.int64))
-                raw = _read_exact(fh, count * 8, what)
-                tensor = np.frombuffer(raw, dtype="<f8").reshape(shape, order="F").copy()
+                tensor = _read_array(fh, shape, what)
                 yield FullUpdate(theta1=theta1, theta2=theta2, tensor=tensor)
             elif kind == _REC_SLAB:
                 mode, offset, extent = struct.unpack("<BQQ", _read_exact(fh, 17, what))
@@ -342,9 +369,7 @@ def _iter_records(fh, shape: tuple[int, ...], what: str) -> Iterator[UpdateRecor
                         f"extent {shape[mode]}"
                     )
                 sl_shape = shape[:mode] + (int(extent),) + shape[mode + 1 :]
-                count = int(np.prod(sl_shape, dtype=np.int64))
-                raw = _read_exact(fh, count * 8, what)
-                slab = np.frombuffer(raw, dtype="<f8").reshape(sl_shape, order="F").copy()
+                slab = _read_array(fh, sl_shape, what)
                 yield SlabUpdate(
                     theta1=theta1,
                     theta2=theta2,
@@ -402,9 +427,9 @@ def read_tucker(path) -> TuckerFactorization:
         if not isinstance(order, int) or order < 1:
             raise FileFormatError(f"{what}: bad order in manifest")
         try:
-            core = _parse_tensor(zf.read("core.tktn"), f"{what}:core.tktn")
+            core = _load_tensor(BytesIO(zf.read("core.tktn")), f"{what}:core.tktn")
             factors = tuple(
-                _parse_tensor(zf.read(f"factor_{i}.tktn"), f"{what}:factor_{i}.tktn")
+                _load_tensor(BytesIO(zf.read(f"factor_{i}.tktn")), f"{what}:factor_{i}.tktn")
                 for i in range(order)
             )
         except KeyError as exc:

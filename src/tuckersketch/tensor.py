@@ -8,6 +8,12 @@ Conventions used throughout the package:
   remaining modes with *lower* modes varying fastest, i.e. column index
   ``j = i_0 + i_1 * I_0 + ...`` over the modes other than ``n`` in
   ascending order.  ``fold`` is the exact inverse.
+* Fortran order (first index fastest) is the canonical memory layout: it
+  is the layout of every payload on disk, so a tensor read from a file is
+  contracted where it lies.  :func:`contract` and :func:`mode_product` read
+  an F-contiguous tensor in place and copy any other layout to F once, so
+  their results do not depend on the input layout; ``mode_product``
+  returns F-contiguous tensors, so chained products never copy.
 """
 
 from __future__ import annotations
@@ -56,13 +62,81 @@ def fold(m, mode: int, shape: Sequence[int]) -> np.ndarray:
     return np.moveaxis(full, 0, mode)
 
 
+def _fortran(x) -> np.ndarray:
+    """``x`` as an F-contiguous float64 array: itself if it is one, else a copy."""
+    return np.asfortranarray(_as_tensor(x))
+
+
+def _split(shape: tuple[int, ...], mode: int) -> tuple[int, int, int]:
+    """``(L, I_mode, R)``: the products of the extents before and after ``mode``."""
+    lead = int(np.prod(shape[:mode], dtype=np.int64))
+    trail = int(np.prod(shape[mode + 1 :], dtype=np.int64))
+    return lead, shape[mode], trail
+
+
+# A middle-mode contraction runs as a batch of GEMMs whose products are
+# summed; batches hold at most this many scalars of products.
+_BATCH_SCALARS = 1 << 20
+
+
+def _batch_len(shape: tuple[int, ...], mode: int, k: int) -> int:
+    """Trailing slices per batch of :func:`contract` (0 on an end mode)."""
+    lead, extent, trail = _split(shape, mode)
+    if lead == 1 or trail == 1:
+        return 0
+    return max(1, min(trail, _BATCH_SCALARS // (extent * k)))
+
+
+def contract_scratch(shape, mode: int, k: int) -> int:
+    """Scalars in the largest temporary :func:`contract` allocates for a
+    tensor of ``shape`` and a ``k``-column ``w``: its batch product."""
+    shape = tuple(int(d) for d in shape)
+    return _batch_len(shape, mode, k) * shape[mode] * k
+
+
+def contract(x, mode: int, w) -> np.ndarray:
+    """``unfold(x, mode) @ w``, read straight from the tensor's memory.
+
+    ``w`` has one row per column of the unfolding.  With ``x`` viewed as
+    ``(L, I_mode, R)`` (the products of the extents before and after
+    ``mode``, F order) and ``w`` as ``(R, L, k)``, mode 0 is one GEMM on a
+    view, the last mode one GEMM on a transposed view, and a middle mode a
+    batch of ``R`` GEMMs, summed.  No copy of ``x`` is made when it is
+    F-contiguous.
+    """
+    a = _fortran(x)
+    _check_mode(a.ndim, mode)
+    lead, extent, trail = _split(a.shape, mode)
+    m = np.asarray(w, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != lead * trail:
+        raise ValueError(
+            f"w has shape {m.shape}, expected {lead * trail} rows for mode {mode} "
+            f"of shape {a.shape}"
+        )
+    k = m.shape[1]
+    x3 = a.reshape((lead, extent, trail), order="F")
+    w3 = m.reshape((trail, lead, k))
+    if trail == 1:
+        return x3[:, :, 0].T @ w3[0]
+    if lead == 1:
+        return x3[0] @ w3[:, 0]
+    out = np.zeros((extent, k))
+    step = _batch_len(a.shape, mode, k)
+    for r0 in range(0, trail, step):
+        batch = np.matmul(x3[:, :, r0 : r0 + step].transpose(2, 1, 0), w3[r0 : r0 + step])
+        out += batch.sum(axis=0)
+    return out
+
+
 def mode_product(x, mode: int, matrix) -> np.ndarray:
     """Contract ``matrix`` (``J x I_mode``) against mode ``mode`` of ``x``.
 
-    Equivalent to ``fold(matrix @ unfold(x, mode), mode, new_shape)`` but
-    runs as a single tensordot.
+    Equivalent to ``fold(matrix @ unfold(x, mode), mode, new_shape)``.  The
+    result is F-contiguous, and an F-contiguous ``x`` is read in place:
+    mode 0 and the last mode are one GEMM each, a middle mode a batch of
+    GEMMs over the trailing modes.
     """
-    a = _as_tensor(x)
+    a = _fortran(x)
     _check_mode(a.ndim, mode)
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2:
@@ -71,20 +145,40 @@ def mode_product(x, mode: int, matrix) -> np.ndarray:
         raise ValueError(
             f"matrix has {m.shape[1]} columns but mode {mode} has extent {a.shape[mode]}"
         )
-    return np.moveaxis(np.tensordot(m, a, axes=(1, mode)), 0, mode)
+    lead, extent, trail = _split(a.shape, mode)
+    x3 = a.reshape((lead, extent, trail), order="F")
+    if lead == 1:
+        y = (x3[0].T @ m.T).T
+    elif trail == 1:
+        y = (m @ x3[:, :, 0].T).T
+    else:
+        y = np.matmul(m, x3.transpose(2, 1, 0)).transpose(2, 1, 0)
+    new_shape = a.shape[:mode] + (m.shape[0],) + a.shape[mode + 1 :]
+    return y.reshape(new_shape, order="F")
 
 
 def multi_mode_product(x, matrices: Iterable[tuple[int, np.ndarray]]) -> np.ndarray:
-    """Apply several mode products ``(mode, matrix)`` in sequence.
+    """Apply several mode products ``(mode, matrix)``.
 
     Modes must be distinct; the result does not depend on the order given.
+    The products run from the one that shrinks the tensor most to the one
+    that grows it most, so the first, full-size contraction produces the
+    smallest intermediate.  Ties go from the highest mode down: the product
+    on the last (contiguous) end is one GEMM that reads the F-ordered tensor
+    as its right operand, which BLAS handles with the least working memory.
     """
     a = _as_tensor(x)
+    pairs = [(mode, np.asarray(m, dtype=np.float64)) for mode, m in matrices]
     seen: set[int] = set()
-    for mode, m in matrices:
+    for mode, m in pairs:
         if mode in seen:
             raise ValueError(f"mode {mode} given twice")
         seen.add(mode)
+        _check_mode(a.ndim, mode)
+        if m.ndim != 2:
+            raise ValueError("mode_product expects a matrix")
+    pairs.sort(key=lambda p: (p[1].shape[0] / a.shape[p[0]], -p[0]))
+    for mode, m in pairs:
         a = mode_product(a, mode, m)
     return a
 
@@ -99,8 +193,8 @@ def inner(x, y) -> float:
 
 
 def fro_norm(x) -> float:
-    """Frobenius norm, any order."""
-    return float(np.linalg.norm(np.asarray(x, dtype=np.float64).ravel()))
+    """Frobenius norm, any order; a contiguous ``x`` is not copied."""
+    return float(np.linalg.norm(np.asarray(x, dtype=np.float64).ravel(order="K")))
 
 
 def kronecker(a, b) -> np.ndarray:
@@ -181,3 +275,28 @@ class TuckerFactorization:
 def tucker_to_dense(t: TuckerFactorization) -> np.ndarray:
     """Expand a Tucker factorization to a dense tensor."""
     return multi_mode_product(t.core, list(enumerate(t.factors)))
+
+
+def tucker_residual_norm(x, t: TuckerFactorization) -> float:
+    """``fro_norm(x - tucker_to_dense(t))`` without a full-size temporary.
+
+    Sums the squared error over blocks of the last mode, which are
+    F-contiguous views of ``x``.  Each block expands the Tucker with only its
+    rows of the last factor, so the working memory is the core contracted
+    with every other factor plus two blocks of about 1/16 of ``x`` each.
+    """
+    a = _fortran(x)
+    if a.shape != t.shape:
+        raise ValueError(f"tensor has shape {a.shape} but the factorization {t.shape}")
+    head = multi_mode_product(t.core, list(enumerate(t.factors[:-1])))
+    head = head.reshape((-1, t.rank[-1]), order="F")
+    last = t.factors[-1]
+    rows = head.shape[0]
+    x2 = a.reshape((rows, a.shape[-1]), order="F")
+    step = max(1, a.shape[-1] // 16)
+    total = 0.0
+    for c0 in range(0, a.shape[-1], step):
+        err = (last[c0 : c0 + step] @ head.T).T
+        err -= x2[:, c0 : c0 + step]
+        total += float(np.vdot(err.T, err.T))
+    return float(np.sqrt(total))

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from tuckersketch import rng
 from tuckersketch.drm import (
@@ -90,11 +91,13 @@ def test_apply_rows_matches_materialized_rows(spec, axis, rows):
     # flat index i0 + 4 * i1 over the (4, 6) grid; keep those with i_axis in rows
     dims = (4, 6)
     grid = np.arange(24).reshape(dims, order="F")
-    keep = grid[(slice(None),) * axis + (rows,)].ravel(order="F")
-    m = np.random.default_rng(2).normal(size=(3, keep.size))
+    block = grid[(slice(None),) * axis + (rows,)]
+    keep = block.ravel(order="F")
+    # mode 0 of x is the operand's row index; axes 1 and 2 are the grid block
+    x = np.random.default_rng(2).normal(size=(3, *block.shape))
     d = make_drm(spec)
-    got = d.apply_right_rows(m, dims, axis, rows)
-    ref = m @ d.materialize()[keep]
+    got = d.apply_tensor(x, 0, axis=axis + 1, rows=rows)
+    ref = x.reshape((3, -1), order="F") @ d.materialize()[keep]
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * max(1.0, np.abs(ref).max()))
 
 
@@ -102,13 +105,13 @@ def test_apply_rows_matches_materialized_rows(spec, axis, rows):
 def test_apply_rows_rejects_bad_blocks(spec):
     d = make_drm(spec)
     with pytest.raises(ValueError):
-        d.apply_right_rows(np.zeros((2, 8)), (4, 6), 1, slice(0, 3))  # needs 12 columns
+        d.apply_tensor(np.zeros((2, 4, 2)), 0, axis=2, rows=slice(0, 3))  # needs 3 rows
     with pytest.raises(ValueError):
-        d.apply_right_rows(np.zeros((2, 8)), (4, 5), 1, slice(0, 2))  # grid misses in_dim
+        d.apply_tensor(np.zeros((2, 5, 2)), 0, axis=2, rows=slice(0, 2))  # grid misses in_dim
     with pytest.raises(ValueError):
-        d.apply_right_rows(np.zeros((2, 8)), (4, 6), 2, slice(0, 2))
+        d.apply_tensor(np.zeros((2, 4, 2)), 0, axis=3, rows=slice(0, 2))
     with pytest.raises(ValueError):
-        d.apply_right_rows(np.zeros((2, 0)), (4, 6), 1, slice(3, 3))
+        d.apply_tensor(np.zeros((2, 4, 0)), 0, axis=2, rows=slice(3, 3))
 
 
 def test_spec_validation():
@@ -196,6 +199,26 @@ class TestSsrft:
         x = np.random.default_rng(4).normal(size=(20000, 2))
         np.testing.assert_allclose(omega.T @ x, d.transform_rows(x), atol=1e-10)
 
+    def test_transform_matches_out_of_place_rounds(self):
+        d = make_drm(DrmSpec("ssrft", 50, 9, seed=9))
+        b = np.random.default_rng(5).normal(size=(50, 6))
+        y = scipy.fft.dct(d.sgn1[:, None] * b[d.perm1], type=2, axis=0, norm="ortho")
+        y = scipy.fft.dct(d.sgn2[:, None] * y[d.perm2], type=2, axis=0, norm="ortho")
+        before = b.copy()
+        np.testing.assert_array_equal(d.transform_rows(b), y[d.coords])
+        np.testing.assert_array_equal(b, before)  # the operand is left alone
+
+    def test_transform_memory_is_two_operands(self):
+        d = make_drm(DrmSpec("ssrft", 20000, 43, seed=8))
+        b = np.random.default_rng(6).normal(size=(20000, 30))
+        tracemalloc.start()
+        try:
+            d.transform_rows(b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * b.nbytes
+
     def test_subsample_energy_monte_carlo(self):
         # E ||Xi x||^2 = (out/in) ||x||^2; 2000 fresh seeds, 10% band
         x = rng.gaussians(55, 0, 64)
@@ -231,7 +254,7 @@ class TestTrp:
         a0 = np.random.default_rng(5).normal(size=(3, 4))
         a1 = np.random.default_rng(6).normal(size=(5, 4))
         m = np.random.default_rng(7).normal(size=(2, 15))
-        got = apply_trp_factors(m, (a0, a1))
+        got = apply_trp_factors(m.reshape((2, 3, 5), order="F"), 0, (a0, a1))
         ref = np.zeros((2, 4))
         for c in range(4):
             ref[:, c] = m @ np.kron(a1[:, c], a0[:, c])

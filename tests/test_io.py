@@ -79,6 +79,34 @@ class TestTensorFile:
         with pytest.raises(FileFormatError, match="trailing"):
             read_tensor(path)
 
+    def test_read_is_fortran_contiguous(self, tmp_path):
+        x = _tensor((3, 4, 5))
+        path = tmp_path / "x.tktn"
+        write_tensor(path, x)
+        got = read_tensor(path)
+        assert got.flags.f_contiguous and got.flags.writeable and got.dtype == np.float64
+
+    @pytest.mark.parametrize("cut", [3, 6, 15, 23, 24])
+    def test_truncated_anywhere(self, tmp_path, cut):
+        # inside the magic, the order byte, the extents, and the payload
+        path = tmp_path / "x.tktn"
+        write_tensor(path, _tensor((2, 2)))
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(FileFormatError):
+            read_tensor(path)
+
+    @pytest.mark.parametrize(
+        "offset,patch", [(5, b"\x01"), (6, b"\x00"), (7, bytes(8))], ids=["scalar", "order", "extent"]
+    )
+    def test_bad_header_fields(self, tmp_path, offset, patch):
+        path = tmp_path / "x.tktn"
+        write_tensor(path, _tensor((2, 2)))
+        raw = bytearray(path.read_bytes())
+        raw[offset : offset + len(patch)] = patch
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FileFormatError):
+            read_tensor(path)
+
 
 class TestSketchFile:
     def _sketch(self, seed=3):
@@ -172,6 +200,26 @@ class TestUpdateStream:
         _, it = read_update_stream(path)
         with pytest.raises(FileFormatError, match="truncated"):
             list(it)
+
+    def test_partial_slab_payload_raises(self, tmp_path):
+        shape = (3, 4)
+        path = tmp_path / "u.tkus"
+        write_update_stream(path, shape, [SlabUpdate(1.0, 1.0, 1, 1, _tensor((3, 2)))])
+        path.write_bytes(path.read_bytes()[:-1])
+        _, it = read_update_stream(path)
+        with pytest.raises(FileFormatError, match="truncated"):
+            list(it)
+
+    def test_payloads_are_fortran_contiguous(self, tmp_path):
+        shape = (3, 4, 2)
+        path = tmp_path / "u.tkus"
+        write_update_stream(path, shape, [
+            FullUpdate(1.0, 1.0, _tensor(shape)),
+            SlabUpdate(1.0, 1.0, 1, 1, _tensor((3, 2, 2))),
+        ])
+        _, it = read_update_stream(path)
+        full, slab = list(it)
+        assert full.tensor.flags.f_contiguous and slab.slab.flags.f_contiguous
 
     def test_slab_outside_shape_rejected_on_write(self, tmp_path):
         with pytest.raises(ValueError):

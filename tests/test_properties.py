@@ -5,7 +5,8 @@ orders 2-4, extents, slab positions and update weights:
 
 * a slab update equals the dense update of the zero-padded slab;
 * the sketch is linear in the data;
-* sketches of slab shards merge to the sketch of the whole, in any grouping.
+* sketches of slab shards merge to the sketch of the whole, in any grouping;
+* the sketch does not depend on the input's memory layout, bit for bit.
 """
 
 import tracemalloc
@@ -126,6 +127,21 @@ def test_slab_shards_merge_in_any_grouping(om, phi, data):
     right = sketch_merge(a, sketch_merge(b, c))
     _assert_sketch_close(left, right)
     _assert_sketch_close(right, tucker_sketch(x, params))
+
+
+@KIND_PAIRS
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_sketch_does_not_depend_on_layout(om, phi, data):
+    shape, params, seed = data.draw(cases(om, phi))
+    x = np.random.default_rng(seed).normal(size=tuple(2 * d for d in shape))
+    sliced = x[(slice(None, None, 2),) * len(shape)]
+    want = tucker_sketch(np.asfortranarray(sliced), params)
+    for layout in (np.ascontiguousarray(sliced), sliced):
+        got = tucker_sketch(layout, params)
+        for a, b in zip(got.factor_sketches, want.factor_sketches):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(got.core_sketch, want.core_sketch)
 
 
 @pytest.mark.parametrize("om", [k for k in FACTOR_KINDS if k != "ssrft"])

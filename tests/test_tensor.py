@@ -4,9 +4,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tuckersketch.tensor as tensor_mod
 from tuckersketch.tensor import (
     TuckerFactorization,
+    contract,
     fold,
     fro_norm,
     inner,
@@ -15,6 +19,7 @@ from tuckersketch.tensor import (
     mode_product,
     multi_mode_product,
     superdiag,
+    tucker_residual_norm,
     tucker_to_dense,
     unfold,
 )
@@ -197,3 +202,72 @@ class TestTuckerFactorization:
         )
         by_products = multi_mode_product(t.core, list(enumerate(t.factors)))
         np.testing.assert_allclose(tucker_to_dense(t), by_products, atol=1e-13)
+
+
+@st.composite
+def laid_out(draw):
+    """A tensor of order 1-5 in C order, F order or as a strided slice, plus a mode."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=5)))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["C", "F", "sliced"]))
+    if layout == "sliced":
+        x = gen.normal(size=tuple(2 * d for d in shape))[(slice(None, None, 2),) * len(shape)]
+    else:
+        x = np.asarray(gen.normal(size=shape), order=layout)
+    return x, draw(st.integers(0, len(shape) - 1)), gen
+
+
+class TestContractionKernel:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(case=laid_out(), k=st.integers(1, 3))
+    def test_contract_equals_unfold_product(self, case, k):
+        x, mode, gen = case
+        u = unfold(x, mode)
+        w = gen.normal(size=(u.shape[1], k))
+        want = u @ w
+        got = contract(x, mode, w)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(case=laid_out(), j=st.integers(1, 3))
+    def test_mode_product_equals_folded_product_in_f_order(self, case, j):
+        x, mode, gen = case
+        m = gen.normal(size=(j, x.shape[mode]))
+        new_shape = x.shape[:mode] + (j,) + x.shape[mode + 1 :]
+        want = fold(m @ unfold(x, mode), mode, new_shape)
+        got = mode_product(x, mode, m)
+        assert got.flags.f_contiguous
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
+
+    def test_middle_mode_batches_sum_to_one_product(self, monkeypatch):
+        monkeypatch.setattr(tensor_mod, "_BATCH_SCALARS", 7)  # many small batches
+        x = np.asfortranarray(_filled((3, 4, 5, 6), seed=3))
+        w = _filled((3 * 5 * 6, 2), seed=4)
+        np.testing.assert_allclose(contract(x, 1, w), unfold(x, 1) @ w, rtol=0, atol=1e-12)
+
+    def test_f_order_input_is_not_copied(self):
+        x = np.asfortranarray(_filled((4, 5, 6), seed=5))
+        assert tensor_mod._fortran(x) is x
+
+    def test_rejects_wrong_map_height(self):
+        with pytest.raises(ValueError):
+            contract(_filled((3, 4, 5)), 1, np.zeros((19, 2)))
+
+
+class TestResidualNorm:
+    @pytest.mark.parametrize("shape", [(7,), (5, 40), (9, 8, 35), (4, 3, 5, 20)])
+    def test_equals_dense_residual(self, shape):
+        rank = tuple(min(2, d) for d in shape)
+        t = TuckerFactorization(
+            core=_filled(rank, seed=30),
+            factors=tuple(_filled((d, r), seed=31 + n) for n, (d, r) in enumerate(zip(shape, rank))),
+        )
+        x = tucker_to_dense(t) + 0.3 * _filled(shape, seed=40)
+        want = fro_norm(x - tucker_to_dense(t))
+        assert tucker_residual_norm(x, t) == pytest.approx(want, rel=1e-12)
+        assert tucker_residual_norm(np.ascontiguousarray(x), t) == pytest.approx(want, rel=1e-12)
+
+    def test_rejects_shape_mismatch(self):
+        t = TuckerFactorization(core=_filled((2, 2)), factors=(_filled((5, 2)), _filled((6, 2))))
+        with pytest.raises(ValueError):
+            tucker_residual_norm(_filled((5, 7)), t)

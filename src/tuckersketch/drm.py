@@ -11,8 +11,7 @@ grid lies in one block along one axis (what a slab update needs).  The dense
 kinds and TRP contract the tensor where it lies; SSRFT alone unfolds it,
 because its DCT needs the flattened operand.  Structured kinds (SSRFT, TRP)
 apply implicitly and only materialize their dense equivalent on request,
-under an entry budget.  A realization's arrays are read-only, so one can be
-shared.
+under an entry budget.
 
 TRP column convention: the map acts on a flattened multi-index over
 ``mode_dims`` with *lower* modes varying fastest (the same order the
@@ -29,7 +28,7 @@ import numpy as np
 import scipy.fft
 
 from . import rng
-from .tensor import contract, khatri_rao, unfold
+from .tensor import contract, contract_scratch, khatri_rao, unfold
 
 FACTOR_KINDS = ("gaussian", "sparse_sign", "ssrft", "trp")
 """Every map kind; all of them can serve as factor maps."""
@@ -136,6 +135,11 @@ class _Drm:
         """
         raise NotImplementedError
 
+    def tensor_scratch(self, shape, mode: int) -> int:
+        """Scalars of working memory :meth:`apply_tensor` holds at its peak
+        for an F-contiguous tensor (or slab) of ``shape``."""
+        raise NotImplementedError
+
     def materialize(self, max_entries: int = DEFAULT_MATERIALIZE_BUDGET) -> np.ndarray:
         """Dense ``(in_dim, out_dim)`` equivalent, guarded by an entry budget."""
         needed = self.spec.in_dim * self.spec.out_dim
@@ -204,7 +208,6 @@ class _DenseDrm(_Drm):
             sign = np.where(words & np.uint64(1), 1.0, -1.0)
             vals = np.where(u < spec.density, sign / np.sqrt(spec.density), 0.0)
             self.entries = vals.reshape(shape)
-        self.entries.flags.writeable = False
 
     def apply_right(self, m):
         return _check_operand(m, self.spec.in_dim) @ self.entries
@@ -219,6 +222,9 @@ class _DenseDrm(_Drm):
             block = grid[(slice(None),) * (len(dims) - 1 - g) + (rows,)]
             w = block.reshape((-1, self.spec.out_dim))
         return contract(a, mode, w)
+
+    def tensor_scratch(self, shape, mode):
+        return contract_scratch(shape, mode, self.spec.out_dim)
 
     def _materialize(self):
         return self.entries.copy()
@@ -240,8 +246,6 @@ class _SsrftDrm(_Drm):
         self.sgn1 = rng.signs(spec.seed, _STREAM_SIGN1, n)
         self.sgn2 = rng.signs(spec.seed, _STREAM_SIGN2, n)
         self.coords = rng.index_subset(spec.seed, _STREAM_COORDS, n, spec.out_dim)
-        for a in (self.perm1, self.perm2, self.sgn1, self.sgn2, self.coords):
-            a.flags.writeable = False
 
     def transform_rows(self, b: np.ndarray) -> np.ndarray:
         """Apply the (out_dim, in_dim) transform to the rows of ``b``.
@@ -270,6 +274,11 @@ class _SsrftDrm(_Drm):
         full = np.zeros((a.shape[mode], *dims), order="F")
         full[(slice(None),) * (g + 1) + (rows,)] = np.moveaxis(a, mode, 0)
         return self.apply_right(full.reshape((a.shape[mode], -1), order="F"))
+
+    def tensor_scratch(self, shape, mode):
+        # The (padded) unfolding and the two arrays of transform_rows, each
+        # I_mode x in_dim.
+        return 3 * int(shape[mode]) * self.spec.in_dim
 
     def _materialize(self):
         # The adjoint of the transform applied to the out_dim unit vectors at
@@ -334,8 +343,6 @@ class _TrpDrm(_Drm):
             )
             for j, d in enumerate(spec.mode_dims)
         )
-        for f in self.factors:
-            f.flags.writeable = False
 
     def apply_right(self, m):
         a = _check_operand(m, self.spec.in_dim)
@@ -350,6 +357,13 @@ class _TrpDrm(_Drm):
         if g is not None:
             factors[g] = factors[g][rows]
         return apply_trp_factors(a, mode, tuple(factors))
+
+    def tensor_scratch(self, shape, mode):
+        # apply_trp_factors' first product: out_dim x (the tensor without
+        # its last axis, or without axis 0 when ``mode`` is last).
+        shape = tuple(int(d) for d in shape)
+        first = 0 if mode == len(shape) - 1 else len(shape) - 1
+        return self.spec.out_dim * int(np.prod(shape, dtype=np.int64)) // shape[first]
 
     def _materialize(self):
         cols = np.ones((1, self.spec.out_dim))

@@ -30,6 +30,7 @@ inputs give equal bytes) holding ``manifest.json``, ``core.tktn``, and one
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -117,8 +118,7 @@ def _payload_bytes(a: np.ndarray) -> bytes:
 
 
 def _read_payload(r: _Reader, shape: tuple[int, ...]) -> np.ndarray:
-    count = int(np.prod(shape, dtype=np.int64))
-    raw = r.take(count * 8)
+    raw = r.take(8 * math.prod(shape))
     return np.frombuffer(raw, dtype="<f8").reshape(shape, order="F").copy()
 
 
@@ -131,43 +131,69 @@ def _tensor_bytes(x: np.ndarray) -> bytes:
     return head + _payload_bytes(a)
 
 
-def _read_array(fh, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """Read a payload of ``shape`` from ``fh`` straight into an F-order array."""
-    out = np.empty(shape, dtype="<f8", order="F")
+def _read_exact(fh, count: int, what: str) -> bytes:
     pos = fh.tell()
-    got = fh.readinto(out.reshape(-1, order="F"))
-    if got != out.nbytes:
+    data = fh.read(count)
+    if len(data) != count:
         raise FileFormatError(
-            f"{what}: truncated at byte {pos} (needed {out.nbytes} more, have {got})"
+            f"{what}: truncated at byte {pos} (needed {count} more, have {len(data)})"
         )
+    return data
+
+
+def _read_header(fh, magic: bytes, what: str, fields: int = 0):
+    """Parse ``magic | fields x u8 | u8 order N | N x u64 extents`` from ``fh``.
+
+    Returns the ``fields`` bytes and the shape (``N >= 1`` positive extents).
+    """
+    got = _read_exact(fh, len(magic), what)
+    if got != magic:
+        raise FileFormatError(f"{what}: bad magic {got!r} at byte 0, expected {magic!r}")
+    *head, order = _read_exact(fh, fields + 1, what)
+    if order < 1:
+        raise FileFormatError(f"{what}: order must be >= 1, got {order}")
+    raw = _read_exact(fh, 8 * order, what)
+    shape = tuple(int(d) for d in struct.unpack(f"<{order}Q", raw))
+    if any(d < 1 for d in shape):
+        raise FileFormatError(f"{what}: nonpositive extent in {shape}")
+    return tuple(head), shape
+
+
+def _bytes_left(fh) -> int:
+    pos = fh.tell()
+    end = fh.seek(0, os.SEEK_END)
+    fh.seek(pos)
+    return end - pos
+
+
+def _read_array(fh, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """Read a payload of ``shape`` from ``fh`` straight into an F-order array.
+
+    The file must hold the whole payload before anything is allocated, so a
+    corrupt extent fails as a truncated file, not as a huge allocation.
+    """
+    nbytes = 8 * math.prod(shape)
+    pos = fh.tell()
+    have = _bytes_left(fh)
+    if have < nbytes:
+        raise FileFormatError(
+            f"{what}: truncated at byte {pos} (needed {nbytes} more, have {have})"
+        )
+    out = np.empty(shape, dtype="<f8", order="F")
+    if fh.readinto(out.reshape(-1, order="F")) != nbytes:
+        raise FileFormatError(f"{what}: short read of the payload at byte {pos}")
     return out.astype(np.float64, copy=False)
 
 
 def _load_tensor(fh, what: str) -> np.ndarray:
     """Parse a TKTN1 tensor from the start of ``fh`` to its end."""
-    head = fh.read(len(MAGIC_TENSOR) + 2)
-    if len(head) < len(MAGIC_TENSOR) + 2:
-        raise FileFormatError(f"{what}: truncated at byte {len(head)} (header)")
-    if head[: len(MAGIC_TENSOR)] != MAGIC_TENSOR:
-        raise FileFormatError(
-            f"{what}: bad magic {head[:len(MAGIC_TENSOR)]!r} at byte 0, expected {MAGIC_TENSOR!r}"
-        )
-    scalar, order = head[-2], head[-1]
+    (scalar,), shape = _read_header(fh, MAGIC_TENSOR, what, fields=1)
     if scalar != _SCALAR_F64:
         raise FileFormatError(f"{what}: unknown scalar code {scalar} at byte 5")
-    if order < 1:
-        raise FileFormatError(f"{what}: order must be >= 1, got {order}")
-    raw = fh.read(8 * order)
-    if len(raw) < 8 * order:
-        raise FileFormatError(f"{what}: truncated at byte {len(head) + len(raw)} (shape)")
-    shape = tuple(int(d) for d in struct.unpack(f"<{order}Q", raw))
-    if any(d < 1 for d in shape):
-        raise FileFormatError(f"{what}: nonpositive extent in {shape}")
     out = _read_array(fh, shape, what)
-    pos = fh.tell()
-    extra = len(fh.read())
+    extra = _bytes_left(fh)
     if extra:
-        raise FileFormatError(f"{what}: {extra} trailing bytes at byte {pos}")
+        raise FileFormatError(f"{what}: {extra} trailing bytes at byte {fh.tell()}")
     return out
 
 
@@ -317,35 +343,11 @@ def read_update_stream(path) -> tuple[tuple[int, ...], Iterator[UpdateRecord]]:
     what = os.fspath(path)
     fh = open(path, "rb")
     try:
-        head = fh.read(len(MAGIC_STREAM) + 1)
-        if len(head) < len(MAGIC_STREAM) + 1:
-            raise FileFormatError(f"{what}: truncated header")
-        if head[: len(MAGIC_STREAM)] != MAGIC_STREAM:
-            raise FileFormatError(
-                f"{what}: bad magic {head[:len(MAGIC_STREAM)]!r}, expected {MAGIC_STREAM!r}"
-            )
-        n = head[-1]
-        if n < 1:
-            raise FileFormatError(f"{what}: order must be >= 1")
-        raw = fh.read(8 * n)
-        if len(raw) < 8 * n:
-            raise FileFormatError(f"{what}: truncated shape header")
-        shape = tuple(int(d) for d in struct.unpack(f"<{n}Q", raw))
-        if any(d < 1 for d in shape):
-            raise FileFormatError(f"{what}: nonpositive extent in {shape}")
+        _, shape = _read_header(fh, MAGIC_STREAM, what)
     except BaseException:
         fh.close()
         raise
     return shape, _iter_records(fh, shape, what)
-
-
-def _read_exact(fh, count: int, what: str) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
-        raise FileFormatError(
-            f"{what}: truncated record at byte {fh.tell() - len(data)}"
-        )
-    return data
 
 
 def _iter_records(fh, shape: tuple[int, ...], what: str) -> Iterator[UpdateRecord]:

@@ -11,13 +11,10 @@ The core maps ``Phi_n`` are small (``I_n x s_n``, the size of the factor
 sketches), so every kind is realized once as a dense matrix.  Factor maps
 stay in their own form and contract the tensor where it lies (see
 ``drm``); a slab update asks each one for the row block its slab touches.
-Realized maps are cached per ``DrmSpec`` in small fixed-size caches, so
-repeated updates under the same parameters realize nothing new.
 """
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 
@@ -25,25 +22,10 @@ import numpy as np
 
 from . import rng
 from .drm import CORE_KINDS, FACTOR_KINDS, DrmSpec, make_drm
-from .tensor import contract_scratch, multi_mode_product
+from .tensor import multi_mode_product
 
 _ROLE_OMEGA = 101
 _ROLE_PHI = 202
-_MAP_CACHE_SIZE = 8  # per cache: the maps of an order-8 sketch, or two order-4 ones
-
-
-@functools.lru_cache(maxsize=_MAP_CACHE_SIZE)
-def _factor_map(spec: DrmSpec):
-    """The realized factor map of ``spec`` (its arrays are read-only)."""
-    return make_drm(spec)
-
-
-@functools.lru_cache(maxsize=_MAP_CACHE_SIZE)
-def _core_matrix(spec: DrmSpec) -> np.ndarray:
-    """The core map of ``spec`` as a read-only dense ``(in_dim, out_dim)`` matrix."""
-    m = make_drm(spec).materialize(max_entries=spec.in_dim * spec.out_dim)
-    m.flags.writeable = False
-    return m
 
 
 class ParamsMismatchError(ValueError):
@@ -147,9 +129,10 @@ class SketchParams:
 
         It is the size of the factor sketch times ``s_mode / k_mode`` (about
         2), so the materialize budget, meant for maps far larger than the
-        sketch, does not apply.  The matrix is cached and read-only.
+        sketch, does not apply.
         """
-        return _core_matrix(self.phi_spec(shape, mode))
+        spec = self.phi_spec(shape, mode)
+        return make_drm(spec).materialize(max_entries=spec.in_dim * spec.out_dim)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -194,10 +177,11 @@ class StreamingSketcher:
     contracted in Fortran order, the layout of every file payload: an
     F-contiguous update is read in place, any other layout is copied to F
     once per update, and the sketch does not depend on the input layout.
-    ``peak_aux_scalars`` is the largest array any single update allocated:
-    that F copy, the contraction kernel's batch product, or the first
-    (full-size) core contraction.  An SSRFT factor map's transform, about
-    three times the unfolded operand, is not counted.
+    ``peak_aux_scalars`` is the most working memory any single update held
+    at once: that F copy, if one was made, plus the largest step's scratch,
+    which is a factor map's (the kernel's batch product, TRP's first
+    contraction, or an SSRFT map's unfolding and transform) or the core
+    sketch's (its first, full-size contraction, or the core itself).
     """
 
     def __init__(self, shape, params: SketchParams, *, init: TuckerSketch | None = None):
@@ -215,7 +199,7 @@ class StreamingSketcher:
                 )
         self.shape = shape
         self.params = params
-        self._omegas = [_factor_map(params.omega_spec(shape, n)) for n in range(len(shape))]
+        self._omegas = [make_drm(params.omega_spec(shape, n)) for n in range(len(shape))]
         self._phis = [params.phi_matrix(shape, n) for n in range(len(shape))]
         if init is not None:
             if init.params != params or init.shape != shape:
@@ -239,29 +223,32 @@ class StreamingSketcher:
                 v *= theta1
             self._h *= theta1
 
-    def _fortran(self, a: np.ndarray) -> np.ndarray:
-        """``a`` in F order, copied (and counted) only if it is not already."""
-        f = np.asfortranarray(a)
-        if f is not a:
-            self._note_aux(f.size)
-        return f
+    @staticmethod
+    def _fortran(f) -> tuple[np.ndarray, int]:
+        """``f`` as an F-contiguous float64 array, and the scalars of the one
+        copy made to get it (0 if ``f`` already is one)."""
+        a = np.asarray(f, dtype=np.float64, order="F")
+        copied = not (isinstance(f, np.ndarray) and np.may_share_memory(a, f))
+        return a, a.size if copied else 0
 
-    def _fold_core(self, a: np.ndarray, blocks: list, theta2: float) -> None:
+    def _fold_core(self, a: np.ndarray, blocks: list, theta2: float, held: int) -> None:
         """Add ``theta2 * a`` contracted with every ``(mode, matrix)`` block."""
-        self._note_aux(a.size * min(m.shape[0] / a.shape[n] for n, m in blocks))
-        self._h += theta2 * multi_mode_product(a, blocks)
+        first = a.size * min(m.shape[0] / a.shape[n] for n, m in blocks)
+        self._note_aux(held + max(first, self._h.size))
+        core = multi_mode_product(a, blocks)
+        core *= theta2
+        self._h += core
 
     def update_dense(self, f, theta1: float = 1.0, theta2: float = 1.0) -> None:
         """Fold the linear update ``X <- theta1 * X + theta2 * f`` into the sketch."""
-        a = np.asarray(f, dtype=np.float64)
+        a, held = self._fortran(f)
         if a.shape != self.shape:
             raise ValueError(f"update has shape {a.shape}, expected {self.shape}")
         self._scale(theta1)
-        a = self._fortran(a)
         for n, om in enumerate(self._omegas):
-            self._note_aux(contract_scratch(a.shape, n, self.params.k[n]))
+            self._note_aux(held + om.tensor_scratch(a.shape, n))
             self._v[n] += theta2 * om.apply_tensor(a, n)
-        self._fold_core(a, [(n, p.T) for n, p in enumerate(self._phis)], theta2)
+        self._fold_core(a, [(n, p.T) for n, p in enumerate(self._phis)], theta2, held)
 
     def update_slab(
         self, mode: int, offset: int, slab, theta1: float = 1.0, theta2: float = 1.0
@@ -272,7 +259,7 @@ class StreamingSketcher:
         ``update_dense`` on the zero-padded tensor, at slab cost; an ssrft
         factor map zero-pads the slab for each other mode, one at a time.
         """
-        a = np.asarray(slab, dtype=np.float64)
+        a, held = self._fortran(slab)
         n_modes = len(self.shape)
         if not 0 <= mode < n_modes:
             raise ValueError(f"mode {mode} out of range")
@@ -290,14 +277,13 @@ class StreamingSketcher:
             )
 
         self._scale(theta1)
-        a = self._fortran(a)
         rows = slice(offset, offset + c)
 
         # Factor sketch of the slab's own mode: the map acts on the other
         # modes, which the slab covers in full.  Other modes: the map rows
         # whose multi-index hits the slab along `mode`.
         for n, om in enumerate(self._omegas):
-            self._note_aux(contract_scratch(a.shape, n, self.params.k[n]))
+            self._note_aux(held + om.tensor_scratch(a.shape, n))
             if n == mode:
                 self._v[n][rows] += theta2 * om.apply_tensor(a, n)
             else:
@@ -308,7 +294,7 @@ class StreamingSketcher:
         # rows to s, so multi_mode_product applies it last.
         blocks = [(n, p.T) for n, p in enumerate(self._phis) if n != mode]
         blocks.append((mode, self._phis[mode][rows].T))
-        self._fold_core(a, blocks, theta2)
+        self._fold_core(a, blocks, theta2, held)
 
     def sketch(self) -> TuckerSketch:
         """Snapshot the accumulated state as an immutable sketch."""

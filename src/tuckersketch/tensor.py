@@ -280,23 +280,31 @@ def tucker_to_dense(t: TuckerFactorization) -> np.ndarray:
 def tucker_residual_norm(x, t: TuckerFactorization) -> float:
     """``fro_norm(x - tucker_to_dense(t))`` without a full-size temporary.
 
-    Sums the squared error over blocks of the last mode, which are
-    F-contiguous views of ``x``.  Each block expands the Tucker with only its
-    rows of the last factor, so the working memory is the core contracted
-    with every other factor plus two blocks of about 1/16 of ``x`` each.
+    Sums the squared error over blocks of at most 1/16 of ``x`` each.  A
+    block is a range of mode ``m`` at fixed indices of every mode after it,
+    where ``m`` is the highest mode whose leading slices (all modes before
+    it) fit that budget; so each block is an F-contiguous view of ``x``, and
+    its part of the Tucker expansion uses only its rows of the factors of
+    modes ``m`` and up.
     """
     a = _fortran(x)
     if a.shape != t.shape:
         raise ValueError(f"tensor has shape {a.shape} but the factorization {t.shape}")
-    head = multi_mode_product(t.core, list(enumerate(t.factors[:-1])))
-    head = head.reshape((-1, t.rank[-1]), order="F")
-    last = t.factors[-1]
-    rows = head.shape[0]
-    x2 = a.reshape((rows, a.shape[-1]), order="F")
-    step = max(1, a.shape[-1] // 16)
+    budget = max(1, a.size // 16)
+    m, lead = 0, 1
+    while m < a.ndim - 1 and lead * a.shape[m] <= budget:
+        lead *= a.shape[m]
+        m += 1
+    step = max(1, min(a.shape[m], budget // lead))
+    full = list(enumerate(t.factors[:m]))
     total = 0.0
-    for c0 in range(0, a.shape[-1], step):
-        err = (last[c0 : c0 + step] @ head.T).T
-        err -= x2[:, c0 : c0 + step]
-        total += float(np.vdot(err.T, err.T))
+    for idx in np.ndindex(a.shape[m + 1 :]):
+        tail = [slice(i, i + 1) for i in idx]
+        for c0 in range(0, a.shape[m], step):
+            sel = [slice(c0, c0 + step)] + tail
+            rows = [(m + j, t.factors[m + j][r]) for j, r in enumerate(sel)]
+            err = multi_mode_product(t.core, full + rows)
+            err -= a[(Ellipsis, *sel)]
+            flat = err.ravel(order="K")
+            total += float(flat @ flat)
     return float(np.sqrt(total))

@@ -107,6 +107,17 @@ class TestTensorFile:
         with pytest.raises(FileFormatError):
             read_tensor(path)
 
+    def test_huge_extent_fails_before_allocating(self, tmp_path):
+        # A corrupt header declaring 2^40 x 2 scalars (16 TiB) is a truncated
+        # file, not an allocation.
+        path = tmp_path / "x.tktn"
+        write_tensor(path, _tensor((2, 2)))
+        raw = bytearray(path.read_bytes())
+        raw[7:15] = struct.pack("<Q", 2**40)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FileFormatError, match="truncated"):
+            read_tensor(path)
+
 
 class TestSketchFile:
     def _sketch(self, seed=3):
@@ -210,6 +221,25 @@ class TestUpdateStream:
         with pytest.raises(FileFormatError, match="truncated"):
             list(it)
 
+    def test_zero_extent_in_header(self, tmp_path):
+        path = tmp_path / "u.tkus"
+        write_update_stream(path, (3, 3), [FullUpdate(1.0, 1.0, _tensor((3, 3)))])
+        raw = bytearray(path.read_bytes())
+        raw[6:14] = bytes(8)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FileFormatError, match="nonpositive"):
+            read_update_stream(path)
+
+    def test_huge_extent_fails_before_allocating(self, tmp_path):
+        path = tmp_path / "u.tkus"
+        write_update_stream(path, (3, 3), [FullUpdate(1.0, 1.0, _tensor((3, 3)))])
+        raw = bytearray(path.read_bytes())
+        raw[6:14] = struct.pack("<Q", 2**40)
+        path.write_bytes(bytes(raw))
+        _, it = read_update_stream(path)
+        with pytest.raises(FileFormatError, match="truncated"):
+            list(it)
+
     def test_payloads_are_fortran_contiguous(self, tmp_path):
         shape = (3, 4, 2)
         path = tmp_path / "u.tkus"
@@ -287,6 +317,19 @@ class TestTuckerArchive:
                 if name != "factor_1.tktn":
                     zout.writestr(name, zin.read(name))
         with pytest.raises(FileFormatError, match="missing"):
+            read_tucker(dst)
+
+    def test_huge_member_extent(self, tmp_path):
+        src = tmp_path / "f.tkz"
+        write_tucker(src, self._fact())
+        dst = tmp_path / "g.tkz"
+        with zipfile.ZipFile(src) as zin, zipfile.ZipFile(dst, "w") as zout:
+            for name in zin.namelist():
+                data = bytearray(zin.read(name))
+                if name == "core.tktn":
+                    data[7:15] = struct.pack("<Q", 2**40)
+                zout.writestr(name, bytes(data))
+        with pytest.raises(FileFormatError, match="truncated"):
             read_tucker(dst)
 
 

@@ -17,8 +17,14 @@ import pytest
 
 from tuckersketch.io import read_tensor, write_tensor
 from tuckersketch.recovery import two_pass_recover
+from tuckersketch.drm import FACTOR_KINDS
 from tuckersketch.sketch import SketchParams, StreamingSketcher, tucker_sketch
-from tuckersketch.tensor import fro_norm, tucker_residual_norm, tucker_to_dense
+from tuckersketch.tensor import (
+    TuckerFactorization,
+    fro_norm,
+    tucker_residual_norm,
+    tucker_to_dense,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 SHAPE = (200, 200, 200)
@@ -61,6 +67,25 @@ def test_peak_aux_scalars_tracks_tracemalloc(tensor, layout):
     assert peak / 2 <= reported <= 2 * peak
 
 
+@pytest.mark.parametrize("om", FACTOR_KINDS)
+@pytest.mark.parametrize("layout", ["F", "C32"])
+@pytest.mark.parametrize("step", ["dense", "slab"])
+@pytest.mark.parametrize("shape", [(80, 90, 100), (150, 120, 8)])
+def test_peak_aux_scalars_tracks_every_map_kind(om, layout, step, shape):
+    # C-order float32 input is converted to F float64 in one copy; the slab
+    # is a non-contiguous view of it.  With a short last mode, TRP's first
+    # contraction outgrows the core sketch's.
+    x = np.random.default_rng(4).normal(size=shape)
+    x = np.asfortranarray(x) if layout == "F" else x.astype(np.float32)
+    acc = StreamingSketcher(x.shape, SketchParams.for_rank(3, 7, order=3, omega_kind=om))
+    if step == "dense":
+        _, peak = _peak(lambda: acc.update_dense(x))
+    else:
+        _, peak = _peak(lambda: acc.update_slab(1, 10, x[:, 10:14, :]))
+    reported = 8 * acc.peak_aux_scalars
+    assert peak / 2 <= reported <= 2 * peak
+
+
 def test_read_tensor_holds_the_payload_once(tmp_path, tensor):
     path = tmp_path / "x.tktn"
     write_tensor(path, tensor)
@@ -79,6 +104,19 @@ def test_residual_norm_is_bounded_and_exact(tensor, sketch):
     err, peak = _peak(lambda: tucker_residual_norm(tensor, fact))
     assert peak <= 0.25 * tensor.nbytes
     assert err == pytest.approx(fro_norm(tensor - tucker_to_dense(fact)), rel=1e-12)
+
+
+def test_residual_norm_small_last_mode():
+    # One last-mode column is half the tensor, so blocks split mode 1 too.
+    rng = np.random.default_rng(3)
+    x = np.asfortranarray(rng.normal(size=(400, 400, 2)))
+    fact = TuckerFactorization(
+        core=rng.normal(size=(2, 2, 2)),
+        factors=tuple(rng.normal(size=(d, 2)) for d in x.shape),
+    )
+    err, peak = _peak(lambda: tucker_residual_norm(x, fact))
+    assert peak <= 0.25 * x.nbytes
+    assert err == pytest.approx(fro_norm(x - tucker_to_dense(fact)), rel=1e-12)
 
 
 def test_ssrft_factor_map_slab_update():

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 import tuckersketch.drm as drm_mod
-import tuckersketch.sketch as sketch_mod
-from tuckersketch.drm import FACTOR_KINDS, make_drm
+from tuckersketch.drm import make_drm
 from tuckersketch.sketch import (
     ParamsMismatchError,
     SketchParams,
@@ -234,38 +233,3 @@ def test_init_resumes_from_existing_sketch():
 def test_init_requires_matching_params():
     with pytest.raises(ParamsMismatchError):
         StreamingSketcher(SHAPE, _params(seed=1), init=tucker_sketch(_tensor(22), _params(seed=2)))
-
-
-class TestMapCache:
-    @pytest.fixture(autouse=True)
-    def empty_caches(self):
-        sketch_mod._factor_map.cache_clear()
-        sketch_mod._core_matrix.cache_clear()
-
-    def test_repeated_updates_realize_nothing_new(self, monkeypatch):
-        realized = []
-        real = sketch_mod.make_drm
-        monkeypatch.setattr(sketch_mod, "make_drm", lambda spec: realized.append(spec) or real(spec))
-        sk = zero_sketch(SHAPE, _params())
-        assert len(realized) == 6  # three factor maps, three core maps
-        x = _tensor(1)
-        once = sketch_linear_update(sk, x)
-        sketch_slab_update(once, 1, 2, x[:, 2:5, :])
-        tucker_sketch(x, _params())
-        assert len(realized) == 6
-        vs, core = _oracle_sketch(x, _params())
-        _assert_sketch_close(once, vs, core)
-
-    @pytest.mark.parametrize("om", FACTOR_KINDS)
-    def test_cached_arrays_are_read_only(self, om):
-        params = _params(om, "gaussian")
-        StreamingSketcher(SHAPE, params)
-        omega = sketch_mod._factor_map(params.omega_spec(SHAPE, 0))
-        arrays = [v for v in vars(omega).values() if isinstance(v, np.ndarray)]
-        arrays += list(getattr(omega, "factors", ()))
-        arrays.append(params.phi_matrix(SHAPE, 0))
-        assert arrays
-        for a in arrays:
-            assert not a.flags.writeable
-            with pytest.raises(ValueError):
-                a[(0,) * a.ndim] = 1

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.fft
 
 from . import rng
-from .tensor import contract, contract_scratch, khatri_rao, unfold
+from .tensor import contract, contract_scratch, khatri_rao, matmul, unfold
 
 FACTOR_KINDS = ("gaussian", "sparse_sign", "ssrft", "trp")
 """Every map kind; all of them can serve as factor maps."""
@@ -312,10 +312,10 @@ def apply_trp_factors(x, mode: int, factors: tuple[np.ndarray, ...]) -> np.ndarr
     by_axis = dict(zip(others, factors))
     # One GEMM with the tensor as the right operand: (out_dim, rest).
     if mode != a.ndim - 1:
-        t = by_axis[a.ndim - 1].T @ a.reshape((-1, a.shape[-1]), order="F").T
+        t = matmul(by_axis[a.ndim - 1].T, a.reshape((-1, a.shape[-1]), order="F").T)
         rest = list(range(a.ndim - 1))
     else:
-        t = by_axis[0].T @ a.reshape((a.shape[0], -1), order="F")
+        t = matmul(by_axis[0].T, a.reshape((a.shape[0], -1), order="F"))
         rest = list(range(1, a.ndim))
     # t's columns enumerate the remaining axes lowest fastest: as a C array,
     # the column index z, then those axes reversed.

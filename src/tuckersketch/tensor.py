@@ -74,6 +74,42 @@ def _split(shape: tuple[int, ...], mode: int) -> tuple[int, int, int]:
     return lead, shape[mode], trail
 
 
+# OpenBLAS keeps a GEMM of up to 2**19 multiply-adds on the calling thread
+# and splits a larger one over its threads.  A split GEMM waits for its
+# slowest thread, which on a busy machine may be a scheduler time slice
+# (milliseconds) away, so a product that threads barely speed up (up to
+# 2**24 multiply-adds, a few ms on one core) runs as one-thread blocks
+# instead.  A slab update is made of such products.
+_ONE_THREAD_MACS = 1 << 19
+_SPLIT_MACS = 1 << 24
+
+
+def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ b`` for two matrices, into ``out`` if given.  A product of
+    2**19 to 2**24 multiply-adds runs in blocks along its longest side, each
+    small enough for BLAS to keep on the calling thread."""
+    m, inner = a.shape
+    n = b.shape[1]
+    macs = m * inner * n
+    if not _ONE_THREAD_MACS < macs <= _SPLIT_MACS:
+        return np.matmul(a, b, out=out)
+    if out is None:
+        out = np.empty((m, n))
+    side = max(m, inner, n)
+    step = max(1, _ONE_THREAD_MACS * side // macs)
+    if side == m:
+        for r in range(0, m, step):
+            np.matmul(a[r : r + step], b, out=out[r : r + step])
+    elif side == n:
+        for c in range(0, n, step):
+            np.matmul(a, b[:, c : c + step], out=out[:, c : c + step])
+    else:
+        np.matmul(a[:, :step], b[:step], out=out)
+        for i in range(step, inner, step):
+            out += a[:, i : i + step] @ b[i : i + step]
+    return out
+
+
 # A middle-mode contraction runs as a batch of GEMMs whose products are
 # summed; batches hold at most this many scalars of products.
 _BATCH_SCALARS = 1 << 20
@@ -117,9 +153,9 @@ def contract(x, mode: int, w) -> np.ndarray:
     x3 = a.reshape((lead, extent, trail), order="F")
     w3 = m.reshape((trail, lead, k))
     if trail == 1:
-        return x3[:, :, 0].T @ w3[0]
+        return matmul(x3[:, :, 0].T, w3[0])
     if lead == 1:
-        return x3[0] @ w3[:, 0]
+        return matmul(x3[0], w3[:, 0])
     out = np.zeros((extent, k))
     step = _batch_len(a.shape, mode, k)
     for r0 in range(0, trail, step):
@@ -148,11 +184,19 @@ def mode_product(x, mode: int, matrix) -> np.ndarray:
     lead, extent, trail = _split(a.shape, mode)
     x3 = a.reshape((lead, extent, trail), order="F")
     if lead == 1:
-        y = (x3[0].T @ m.T).T
+        y = matmul(x3[0].T, m.T).T
     elif trail == 1:
-        y = (m @ x3[:, :, 0].T).T
+        y = matmul(m, x3[:, :, 0].T).T
     else:
-        y = np.matmul(m, x3.transpose(2, 1, 0)).transpose(2, 1, 0)
+        # One GEMM per trailing index; see matmul for when they are split.
+        item = m.shape[0] * extent * lead
+        if _ONE_THREAD_MACS < item and item * trail <= _SPLIT_MACS:
+            y = np.empty((trail, m.shape[0], lead))
+            for t in range(trail):
+                matmul(m, x3[:, :, t].T, out=y[t])
+        else:
+            y = np.matmul(m, x3.transpose(2, 1, 0))
+        y = y.transpose(2, 1, 0)
     new_shape = a.shape[:mode] + (m.shape[0],) + a.shape[mode + 1 :]
     return y.reshape(new_shape, order="F")
 

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 import scipy.fft
 
+import tuckersketch.tensor as tensor_mod
 from tuckersketch import rng
+from tuckersketch.tensor import unfold
 from tuckersketch.drm import (
     DrmSpec,
     MaterializeBudgetError,
@@ -259,6 +261,15 @@ class TestTrp:
         for c in range(4):
             ref[:, c] = m @ np.kron(a1[:, c], a0[:, c])
         np.testing.assert_allclose(got, ref, atol=1e-12)
+
+    def test_split_first_product_matches_materialized(self, monkeypatch):
+        monkeypatch.setattr(tensor_mod, "_ONE_THREAD_MACS", 8)  # split every product
+        x = np.asfortranarray(np.random.default_rng(8).normal(size=(2, 3, 4, 5)))
+        for mode in range(x.ndim):
+            dims = tuple(d for j, d in enumerate(x.shape) if j != mode)
+            d = make_drm(DrmSpec("trp", int(np.prod(dims)), 4, seed=3, mode_dims=dims))
+            got = apply_trp_factors(x, mode, d.factors)
+            np.testing.assert_allclose(got, unfold(x, mode) @ d.materialize(), atol=1e-12)
 
 
 def test_storage_cost():

@@ -16,6 +16,7 @@ from tuckersketch.tensor import (
     inner,
     khatri_rao,
     kronecker,
+    matmul,
     mode_product,
     multi_mode_product,
     superdiag,
@@ -244,6 +245,32 @@ class TestContractionKernel:
         x = np.asfortranarray(_filled((3, 4, 5, 6), seed=3))
         w = _filled((3 * 5 * 6, 2), seed=4)
         np.testing.assert_allclose(contract(x, 1, w), unfold(x, 1) @ w, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dims", [(40, 3, 5), (3, 40, 5), (3, 5, 40), (6, 6, 6)])
+    @pytest.mark.parametrize("layout", ["C", "F", "sliced"])
+    def test_matmul_blocks_equal_one_product(self, monkeypatch, dims, layout):
+        monkeypatch.setattr(tensor_mod, "_ONE_THREAD_MACS", 64)  # blocks of 1 to 4 rows or columns
+        m, inner, n = dims
+        a, b = _filled((m, 2 * inner), seed=1), _filled((2 * inner, n), seed=2)
+        if layout == "sliced":
+            a, b = a[:, ::2], b[::2]
+        else:
+            a, b = np.asarray(a[:, :inner], order=layout), np.asarray(b[:inner], order=layout)
+        np.testing.assert_allclose(matmul(a, b), a @ b, rtol=0, atol=1e-12)
+        out = np.empty((m, n))
+        assert matmul(a, b, out=out) is out
+        np.testing.assert_allclose(out, a @ b, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", [0, 1, 2, 3])
+    def test_split_contractions_equal_unfold_products(self, monkeypatch, mode):
+        monkeypatch.setattr(tensor_mod, "_ONE_THREAD_MACS", 16)
+        x = np.asfortranarray(_filled((3, 4, 5, 6), seed=6))
+        m = _filled((2, x.shape[mode]), seed=7)
+        w = _filled((x.size // x.shape[mode], 3), seed=8)
+        new_shape = x.shape[:mode] + (2,) + x.shape[mode + 1 :]
+        want = fold(m @ unfold(x, mode), mode, new_shape)
+        np.testing.assert_allclose(mode_product(x, mode, m), want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(contract(x, mode, w), unfold(x, mode) @ w, rtol=0, atol=1e-12)
 
     def test_f_order_input_is_not_copied(self):
         x = np.asfortranarray(_filled((4, 5, 6), seed=5))

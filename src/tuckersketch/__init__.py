@@ -12,7 +12,6 @@ from .tensor import (
     fro_norm,
     inner,
     khatri_rao,
-    kronecker,
     mode_product,
     multi_mode_product,
     superdiag,
@@ -71,7 +70,6 @@ __all__ = [
     "multi_mode_product",
     "inner",
     "fro_norm",
-    "kronecker",
     "khatri_rao",
     "superdiag",
     "tucker_to_dense",

@@ -221,9 +221,8 @@ def _cmd_recover(args) -> int:
         "elapsed_seconds": elapsed,
     }
     if args.report:
-        tkio._atomic_write_bytes(
-            args.report, (json.dumps(summary, sort_keys=True, indent=2) + "\n").encode()
-        )
+        with tkio._atomic_write(args.report) as fh:
+            fh.write((json.dumps(summary, sort_keys=True, indent=2) + "\n").encode())
     print(f"recovered rank {fact.rank} factorization -> {args.out}"
           + (f" (normalized error {normalized_error:.3e})" if normalized_error is not None else ""),
           file=sys.stderr)

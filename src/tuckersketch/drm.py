@@ -204,7 +204,7 @@ class _DenseDrm(_Drm):
             self.entries = rng.gaussians(spec.seed, _STREAM_ENTRIES, shape)
         else:
             words = rng.raw(spec.seed, _STREAM_ENTRIES, spec.in_dim * spec.out_dim)
-            u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+            u = rng.unit_doubles(words)
             sign = np.where(words & np.uint64(1), 1.0, -1.0)
             vals = np.where(u < spec.density, sign / np.sqrt(spec.density), 0.0)
             self.entries = vals.reshape(shape)

@@ -1,9 +1,11 @@
 """On-disk formats for tensors, sketches, update streams, and factorizations.
 
 All integers are little-endian; all payloads are float64 little-endian with
-the first index varying fastest (column-major).  Writes go through a
-temporary file and an atomic rename, so a crashed write never leaves a
-half-written file at the target path.
+the first index varying fastest (column-major).  Writers stream headers
+and payloads straight into a temporary file, which an atomic rename puts at
+the target path, so no file is built in memory and a crashed write never
+leaves a half-written file behind.  Every payload goes out through
+``_write_array`` and comes back through ``_read_array``.
 
 ``TKTN1`` tensor file::
 
@@ -29,6 +31,7 @@ inputs give equal bytes) holding ``manifest.json``, ``core.tktn``, and one
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -61,74 +64,48 @@ class FileFormatError(Exception):
     """A file failed structural validation; the message says where."""
 
 
-def _atomic_write_bytes(path, data: bytes) -> None:
+@contextlib.contextmanager
+def _atomic_write(path):
+    """Yield a binary handle on a temporary file beside ``path``.
+
+    The file is renamed onto ``path`` when the block finishes, and removed
+    if it raises.
+    """
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
+    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=os.path.dirname(path) or ".")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
 
 
-class _Reader:
-    """Cursor over bytes with offset-aware error reporting."""
-
-    def __init__(self, data: bytes, what: str):
-        self.data = data
-        self.pos = 0
-        self.what = what
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise FileFormatError(
-                f"{self.what}: truncated at byte {self.pos} "
-                f"(needed {n} more, have {len(self.data) - self.pos})"
-            )
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack("<" + fmt, self.take(struct.calcsize("<" + fmt)))
-
-    def expect_magic(self, magic: bytes) -> None:
-        got = self.take(len(magic))
-        if got != magic:
-            raise FileFormatError(
-                f"{self.what}: bad magic {got!r} at byte 0, expected {magic!r}"
-            )
-
-    def done(self) -> None:
-        if self.pos != len(self.data):
-            raise FileFormatError(
-                f"{self.what}: {len(self.data) - self.pos} trailing bytes at "
-                f"byte {self.pos}"
-            )
+_WRITE_BLOCK_BYTES = 1 << 22
 
 
-def _payload_bytes(a: np.ndarray) -> bytes:
-    return np.asarray(a, dtype="<f8").tobytes(order="F")
+def _write_array(fh, a: np.ndarray) -> None:
+    """Write ``a`` to ``fh`` as a float64 payload, first index fastest.
+
+    An F-contiguous float64 array goes out from its own memory.  Any other
+    array is converted one range of its last index at a time: each range is
+    one contiguous piece of the payload, so the copy stays near
+    ``_WRITE_BLOCK_BYTES``.
+    """
+    if a.dtype == "<f8" and a.flags.f_contiguous:
+        fh.write(memoryview(a.reshape(-1, order="F")).cast("B"))
+        return
+    step = max(1, _WRITE_BLOCK_BYTES // (8 * math.prod(a.shape[:-1]) or 1))
+    for j in range(0, a.shape[-1], step):
+        _write_array(fh, np.asarray(a[..., j : j + step], dtype="<f8", order="F"))
 
 
-def _read_payload(r: _Reader, shape: tuple[int, ...]) -> np.ndarray:
-    raw = r.take(8 * math.prod(shape))
-    return np.frombuffer(raw, dtype="<f8").reshape(shape, order="F").copy()
-
-
-def _tensor_bytes(x: np.ndarray) -> bytes:
-    a = np.asarray(x, dtype=np.float64)
+def _tensor_header(a: np.ndarray) -> bytes:
     if a.ndim < 1:
         raise ValueError("cannot serialize a scalar as a tensor file")
-    head = MAGIC_TENSOR + struct.pack("<BB", _SCALAR_F64, a.ndim)
-    head += struct.pack(f"<{a.ndim}Q", *a.shape)
-    return head + _payload_bytes(a)
+    return MAGIC_TENSOR + struct.pack(f"<BB{a.ndim}Q", _SCALAR_F64, a.ndim, *a.shape)
 
 
 def _read_exact(fh, count: int, what: str) -> bytes:
@@ -141,14 +118,18 @@ def _read_exact(fh, count: int, what: str) -> bytes:
     return data
 
 
+def _read_magic(fh, magic: bytes, what: str) -> None:
+    got = _read_exact(fh, len(magic), what)
+    if got != magic:
+        raise FileFormatError(f"{what}: bad magic {got!r} at byte 0, expected {magic!r}")
+
+
 def _read_header(fh, magic: bytes, what: str, fields: int = 0):
     """Parse ``magic | fields x u8 | u8 order N | N x u64 extents`` from ``fh``.
 
     Returns the ``fields`` bytes and the shape (``N >= 1`` positive extents).
     """
-    got = _read_exact(fh, len(magic), what)
-    if got != magic:
-        raise FileFormatError(f"{what}: bad magic {got!r} at byte 0, expected {magic!r}")
+    _read_magic(fh, magic, what)
     *head, order = _read_exact(fh, fields + 1, what)
     if order < 1:
         raise FileFormatError(f"{what}: order must be >= 1, got {order}")
@@ -164,6 +145,12 @@ def _bytes_left(fh) -> int:
     end = fh.seek(0, os.SEEK_END)
     fh.seek(pos)
     return end - pos
+
+
+def _read_end(fh, what: str) -> None:
+    extra = _bytes_left(fh)
+    if extra:
+        raise FileFormatError(f"{what}: {extra} trailing bytes at byte {fh.tell()}")
 
 
 def _read_array(fh, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -191,15 +178,17 @@ def _load_tensor(fh, what: str) -> np.ndarray:
     if scalar != _SCALAR_F64:
         raise FileFormatError(f"{what}: unknown scalar code {scalar} at byte 5")
     out = _read_array(fh, shape, what)
-    extra = _bytes_left(fh)
-    if extra:
-        raise FileFormatError(f"{what}: {extra} trailing bytes at byte {fh.tell()}")
+    _read_end(fh, what)
     return out
 
 
 def write_tensor(path, x) -> None:
     """Write a dense tensor as a TKTN1 file (atomic)."""
-    _atomic_write_bytes(path, _tensor_bytes(np.asarray(x, dtype=np.float64)))
+    a = np.asarray(x)
+    head = _tensor_header(a)
+    with _atomic_write(path) as fh:
+        fh.write(head)
+        _write_array(fh, a)
 
 
 def read_tensor(path) -> np.ndarray:
@@ -213,65 +202,68 @@ def read_tensor(path) -> np.ndarray:
         return _load_tensor(fh, os.fspath(path))
 
 
+class _Crc32Writer:
+    """Writes through to ``fh``, keeping the CRC-32 of everything written."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.crc = 0
+
+    def write(self, data) -> None:
+        self.crc = zlib.crc32(data, self.crc)
+        self.fh.write(data)
+
+
 def write_sketch(path, sk: TuckerSketch) -> None:
     """Write a sketch with its parameters as a TKSK1 file (atomic)."""
     p = sk.params
     n = p.order
-    body = MAGIC_SKETCH + struct.pack(
-        "<BBBB", n, _KIND_CODES[p.omega_kind], _KIND_CODES[p.phi_kind], 0
-    )
-    body += struct.pack("<Q", p.master_seed & (2**64 - 1))
-    body += struct.pack("<d", p.density)
-    body += struct.pack(f"<{n}Q", *sk.shape)
-    body += struct.pack(f"<{n}Q", *p.k)
-    body += struct.pack(f"<{n}Q", *p.s)
-    for v in sk.factor_sketches:
-        body += _payload_bytes(v)
-    body += _payload_bytes(sk.core_sketch)
-    body += struct.pack("<I", zlib.crc32(body))
-    _atomic_write_bytes(path, body)
+    with _atomic_write(path) as fh:
+        out = _Crc32Writer(fh)
+        out.write(MAGIC_SKETCH + struct.pack(
+            f"<BBBBQd{3 * n}Q", n, _KIND_CODES[p.omega_kind], _KIND_CODES[p.phi_kind],
+            0, p.master_seed & (2**64 - 1), p.density, *sk.shape, *p.k, *p.s,
+        ))
+        for v in sk.factor_sketches:
+            _write_array(out, v)
+        _write_array(out, sk.core_sketch)
+        fh.write(struct.pack("<I", out.crc))
 
 
 def read_sketch(path) -> TuckerSketch:
-    """Read and validate a TKSK1 file (including its checksum)."""
+    """Read and validate a TKSK1 file (including its checksum).
+
+    The body (all but the checksum) is read once and parsed from memory, so
+    it ends exactly where the checksum starts; a sketch is small by design.
+    """
     what = os.fspath(path)
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 4:
+        body = fh.read(max(os.fstat(fh.fileno()).st_size - 4, 0))
+        tail = fh.read()
+    if len(tail) != 4:
         raise FileFormatError(f"{what}: too short to hold a checksum")
-    body, (crc,) = data[:-4], struct.unpack("<I", data[-4:])
-    if zlib.crc32(body) != crc:
+    if zlib.crc32(body) != struct.unpack("<I", tail)[0]:
         raise FileFormatError(f"{what}: checksum mismatch, file is corrupt")
-    r = _Reader(body, what)
-    r.expect_magic(MAGIC_SKETCH)
-    n, om_code, phi_code, _pad = r.unpack("BBBB")
+    fh = BytesIO(body)
+    _read_magic(fh, MAGIC_SKETCH, what)
+    n, om_code, phi_code, _pad = _read_exact(fh, 4, what)
     if n < 1:
         raise FileFormatError(f"{what}: order must be >= 1")
     if om_code not in _KIND_NAMES or phi_code not in _KIND_NAMES:
         raise FileFormatError(f"{what}: unknown map kind code at byte 6")
-    (seed,) = r.unpack("Q")
-    (density,) = r.unpack("d")
-    shape = tuple(int(d) for d in r.unpack(f"{n}Q"))
-    k = tuple(int(d) for d in r.unpack(f"{n}Q"))
-    s = tuple(int(d) for d in r.unpack(f"{n}Q"))
+    (seed,) = struct.unpack("<Q", _read_exact(fh, 8, what))
+    (density,) = struct.unpack("<d", _read_exact(fh, 8, what))
+    shape, k, s = (struct.unpack(f"<{n}Q", _read_exact(fh, 8 * n, what)) for _ in range(3))
     try:
-        params = SketchParams(
-            k=k,
-            s=s,
-            master_seed=seed,
-            omega_kind=_KIND_NAMES[om_code],
-            phi_kind=_KIND_NAMES[phi_code],
-            density=density,
-        )
+        params = SketchParams(k=k, s=s, master_seed=seed, omega_kind=_KIND_NAMES[om_code],
+                              phi_kind=_KIND_NAMES[phi_code], density=density)
     except ValueError as exc:
         raise FileFormatError(f"{what}: invalid parameters ({exc})") from exc
-    vs = tuple(_read_payload(r, (shape[i], k[i])) for i in range(n))
-    core = _read_payload(r, s)
-    r.done()
+    vs = tuple(_read_array(fh, (shape[i], k[i]), what) for i in range(n))
+    core = _read_array(fh, s, what)
+    _read_end(fh, what)
     try:
-        return TuckerSketch(
-            params=params, shape=shape, factor_sketches=vs, core_sketch=core
-        )
+        return TuckerSketch(params=params, shape=shape, factor_sketches=vs, core_sketch=core)
     except ValueError as exc:
         raise FileFormatError(f"{what}: inconsistent sketch ({exc})") from exc
 
@@ -303,33 +295,31 @@ _REC_SLAB = 1
 
 
 def write_update_stream(path, shape, updates: Iterable[UpdateRecord]) -> None:
-    """Write a TKUS1 update stream (atomic)."""
+    """Write a TKUS1 update stream (atomic), one record at a time."""
     shape = tuple(int(d) for d in shape)
     n = len(shape)
-    out = bytearray()
-    out += MAGIC_STREAM + struct.pack("<B", n) + struct.pack(f"<{n}Q", *shape)
-    for rec in updates:
-        if isinstance(rec, FullUpdate):
-            a = np.asarray(rec.tensor, dtype=np.float64)
-            if a.shape != shape:
-                raise ValueError(f"full update has shape {a.shape}, expected {shape}")
-            out += struct.pack("<Bdd", _REC_FULL, rec.theta1, rec.theta2)
-            out += _payload_bytes(a)
-        elif isinstance(rec, SlabUpdate):
-            a = np.asarray(rec.slab, dtype=np.float64)
-            if not 0 <= rec.mode < n:
-                raise ValueError(f"slab mode {rec.mode} out of range")
-            want = shape[: rec.mode] + (a.shape[rec.mode],) + shape[rec.mode + 1 :]
-            if a.shape != want or a.shape[rec.mode] < 1:
-                raise ValueError(f"slab has shape {a.shape}, expected {want}")
-            if rec.offset < 0 or rec.offset + a.shape[rec.mode] > shape[rec.mode]:
-                raise ValueError("slab falls outside the tensor")
-            out += struct.pack("<Bdd", _REC_SLAB, rec.theta1, rec.theta2)
-            out += struct.pack("<BQQ", rec.mode, rec.offset, a.shape[rec.mode])
-            out += _payload_bytes(a)
-        else:
-            raise TypeError(f"unsupported update record {type(rec).__name__}")
-    _atomic_write_bytes(path, bytes(out))
+    with _atomic_write(path) as fh:
+        fh.write(MAGIC_STREAM + struct.pack(f"<B{n}Q", n, *shape))
+        for rec in updates:
+            if isinstance(rec, FullUpdate):
+                a = np.asarray(rec.tensor)
+                if a.shape != shape:
+                    raise ValueError(f"full update has shape {a.shape}, expected {shape}")
+                fh.write(struct.pack("<Bdd", _REC_FULL, rec.theta1, rec.theta2))
+            elif isinstance(rec, SlabUpdate):
+                a = np.asarray(rec.slab)
+                if not 0 <= rec.mode < n:
+                    raise ValueError(f"slab mode {rec.mode} out of range")
+                want = shape[: rec.mode] + (a.shape[rec.mode],) + shape[rec.mode + 1 :]
+                if a.shape != want or a.shape[rec.mode] < 1:
+                    raise ValueError(f"slab has shape {a.shape}, expected {want}")
+                if rec.offset < 0 or rec.offset + a.shape[rec.mode] > shape[rec.mode]:
+                    raise ValueError("slab falls outside the tensor")
+                fh.write(struct.pack("<BddBQQ", _REC_SLAB, rec.theta1, rec.theta2,
+                                     rec.mode, rec.offset, a.shape[rec.mode]))
+            else:
+                raise TypeError(f"unsupported update record {type(rec).__name__}")
+            _write_array(fh, a)
 
 
 def read_update_stream(path) -> tuple[tuple[int, ...], Iterator[UpdateRecord]]:
@@ -370,15 +360,8 @@ def _iter_records(fh, shape: tuple[int, ...], what: str) -> Iterator[UpdateRecor
                         f"{what}: slab rows {offset}:{offset + extent} outside "
                         f"extent {shape[mode]}"
                     )
-                sl_shape = shape[:mode] + (int(extent),) + shape[mode + 1 :]
-                slab = _read_array(fh, sl_shape, what)
-                yield SlabUpdate(
-                    theta1=theta1,
-                    theta2=theta2,
-                    mode=int(mode),
-                    offset=int(offset),
-                    slab=slab,
-                )
+                slab = _read_array(fh, shape[:mode] + (int(extent),) + shape[mode + 1 :], what)
+                yield SlabUpdate(theta1, theta2, int(mode), int(offset), slab)
             else:
                 raise FileFormatError(
                     f"{what}: unknown record type {kind} at byte {fh.tell() - 17}"
@@ -388,23 +371,29 @@ def _iter_records(fh, shape: tuple[int, ...], what: str) -> Iterator[UpdateRecor
 
 
 def write_tucker(path, fact: TuckerFactorization) -> None:
-    """Write a factorization as a deterministic ZIP archive (atomic)."""
+    """Write a factorization as a deterministic ZIP archive (atomic).
+
+    Each member streams into the archive; its size is set before it is
+    opened, so the archive holds the same bytes as one built in memory.
+    """
     manifest = {
         "format": _ARCHIVE_FORMAT,
         "order": fact.core.ndim,
         "shape": list(fact.shape),
         "rank": list(fact.rank),
     }
-    buf = BytesIO()
-    with zipfile.ZipFile(buf, "w", compression=zipfile.ZIP_STORED) as zf:
-        entries = [("manifest.json", json.dumps(manifest, sort_keys=True).encode())]
-        entries.append(("core.tktn", _tensor_bytes(fact.core)))
-        for i, f in enumerate(fact.factors):
-            entries.append((f"factor_{i}.tktn", _tensor_bytes(f)))
-        for name, data in entries:
+    members = [("core.tktn", fact.core)]
+    members += [(f"factor_{i}.tktn", f) for i, f in enumerate(fact.factors)]
+    with _atomic_write(path) as fh, zipfile.ZipFile(fh, "w") as zf:
+        info = zipfile.ZipInfo("manifest.json", date_time=_ZIP_EPOCH)
+        zf.writestr(info, json.dumps(manifest, sort_keys=True).encode())
+        for name, a in members:
+            head = _tensor_header(a)
             info = zipfile.ZipInfo(name, date_time=_ZIP_EPOCH)
-            zf.writestr(info, data)
-    _atomic_write_bytes(path, buf.getvalue())
+            info.file_size = len(head) + 8 * a.size
+            with zf.open(info, "w") as member:
+                member.write(head)
+                _write_array(member, a)
 
 
 def read_tucker(path) -> TuckerFactorization:

@@ -6,10 +6,9 @@ Two routes from a sketch:
   come from QR of the factor sketches, the core is ``X`` contracted by
   ``Q_n^T`` on every mode (so the reconstruction is the orthogonal
   projection of ``X`` onto the tensor product of the spans).
-* ``one_pass_recover`` touches only the sketch: it solves one small least
-  squares problem per mode to undo the core maps,
-  ``W = H x_n pinv(Phi_n^T Q_n)``, without ever materializing a
-  pseudoinverse.
+* ``one_pass_recover`` touches only the sketch: it undoes the core map of
+  each mode in the least squares sense, ``W = H x_n pinv(Phi_n^T Q_n)``,
+  from one SVD of the small ``s_n x k_n`` system.
 
 Both return a rank-``k`` factorization; ``fixed_rank_truncate`` compresses
 that to a target rank ``r`` by running HOOI (or ST-HOSVD) on the small core
@@ -24,12 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .sketch import TuckerSketch
 from .tensor import (
     TuckerFactorization,
-    fold,
     fro_norm,
     mode_product,
     multi_mode_product,
@@ -105,26 +102,26 @@ def one_pass_recover(sk: TuckerSketch) -> RecoveryReport:
     """Rank-``k`` recovery from the sketch alone.
 
     Regenerates the core maps from the sketch parameters, then for each mode
-    solves ``(Phi_n^T Q_n) W = H`` in the least squares sense on the
-    unfolded core.  Raises :class:`RankDeficientCoreError` when a system is
-    numerically singular (condition number past 1e12).
+    solves ``(Phi_n^T Q_n) W = H`` in the least squares sense: one SVD of
+    the small system gives its pseudo-inverse, which ``mode_product``
+    applies to the core.  Raises :class:`RankDeficientCoreError` when a
+    system is numerically singular (condition number past 1e12, or zero).
     """
     bases = factor_bases(sk)
     core = sk.core_sketch
     residuals = []
     for n, q in enumerate(bases.matrices):
-        z = sk.params.phi_matrix(sk.shape, n).T @ q  # (s_n, k_n)
-        rhs = unfold(core, n)
-        sol, _, rank, sv = scipy.linalg.lstsq(z, rhs, lapack_driver="gelsd")
-        k_n = sk.params.k[n]
-        if rank < k_n or sv[k_n - 1] * _COND_LIMIT < sv[0]:
+        z = sk.params.phi_matrix(sk.shape, n).T @ q  # (s_n, k_n), s_n >= k_n
+        u, sv, vt = np.linalg.svd(z, full_matrices=False)
+        if sv[-1] == 0.0 or sv[-1] * _COND_LIMIT < sv[0]:
+            rank = int(np.count_nonzero(sv > np.finfo(np.float64).eps * sv[0]))
             raise RankDeficientCoreError(
                 f"core solve in mode {n} is rank deficient "
-                f"(rank {rank} of {k_n}); enlarge s_{n} or reseed"
+                f"(rank {rank} of {sv.size}); enlarge s_{n} or reseed"
             )
-        residuals.append(float(np.linalg.norm(z @ sol - rhs)))
-        new_shape = core.shape[:n] + (k_n,) + core.shape[n + 1 :]
-        core = fold(sol, n, new_shape)
+        new = mode_product(core, n, vt.T @ (u.T / sv[:, None]))
+        residuals.append(fro_norm(mode_product(new, n, z) - core))
+        core = new
     fact = TuckerFactorization(core=core, factors=bases.matrices)
     return RecoveryReport(
         factorization=fact,

@@ -35,10 +35,20 @@ def raw(seed: int, stream: int, count: int) -> np.ndarray:
     return np.random.Philox(key=key).random_raw(int(count))
 
 
+def unit_doubles(words: np.ndarray) -> np.ndarray:
+    """Doubles in (0, 1) from raw words: ``(top 53 bits + 0.5) * 2**-53``.
+
+    The top 2**11 words would round to exactly 1.0 (an infinite normal), so
+    that one value is clamped to the largest double below 1.0; every other
+    word keeps its value.
+    """
+    u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return np.minimum(u, 1.0 - 2.0**-53, out=u)
+
+
 def uniforms(seed: int, stream: int, count: int) -> np.ndarray:
     """Doubles in (0, 1), one per raw word."""
-    bits = raw(seed, stream, count)
-    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return unit_doubles(raw(seed, stream, count))
 
 
 def gaussians(seed: int, stream: int, shape) -> np.ndarray:

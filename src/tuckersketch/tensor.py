@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 
 def _as_tensor(x) -> np.ndarray:
@@ -241,15 +240,6 @@ def fro_norm(x) -> float:
     return float(np.linalg.norm(np.asarray(x, dtype=np.float64).ravel(order="K")))
 
 
-def kronecker(a, b) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    am = np.asarray(a, dtype=np.float64)
-    bm = np.asarray(b, dtype=np.float64)
-    if am.ndim != 2 or bm.ndim != 2:
-        raise ValueError("kronecker expects two matrices")
-    return np.kron(am, bm)
-
-
 def khatri_rao(a, b) -> np.ndarray:
     """Column-wise Kronecker product; operands must agree in column count."""
     am = np.asarray(a, dtype=np.float64)
@@ -260,7 +250,7 @@ def khatri_rao(a, b) -> np.ndarray:
         raise ValueError(
             f"column counts differ: {am.shape[1]} vs {bm.shape[1]}"
         )
-    return scipy.linalg.khatri_rao(am, bm)
+    return (am[:, None, :] * bm[None, :, :]).reshape((-1, am.shape[1]))
 
 
 def superdiag(values, order: int) -> np.ndarray:

@@ -1,6 +1,10 @@
 """End-to-end command line tests: files in, files out, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,3 +211,15 @@ class TestBenchCommand:
         rc = main(["bench", "--side", "8", "--rank", "2", "--trials", "0",
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+
+def test_cli_import_leaves_scipy_linalg_out():
+    # Every command pays for what `import tuckersketch.cli` loads.
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tuckersketch.cli; print('scipy.linalg' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "False"

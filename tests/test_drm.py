@@ -44,6 +44,35 @@ def test_rng_streams_are_frozen():
     assert rng.permutation(9, 0, 6).tolist() == [0, 2, 4, 5, 1, 3]
 
 
+def _old_unit_doubles(words):
+    return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+
+def test_unit_doubles_keep_every_value_below_the_top():
+    edges = np.array(
+        [0, 1, 2**11 - 1, 2**11, 2**52, 2**63, 2**64 - 2**12, 2**64 - 2**11 - 1],
+        dtype=np.uint64,
+    )
+    words = np.concatenate([rng.raw(3, 4, 100_000), edges])
+    words = words[words < np.uint64(2**64 - 2**11)]
+    got = rng.unit_doubles(words)
+    assert np.array_equal(got.view(np.uint64), _old_unit_doubles(words).view(np.uint64))
+    assert got.max() < 1.0 and got.min() > 0.0
+
+
+def test_top_raw_word_stays_below_one(monkeypatch):
+    top = np.array([2**64 - 2**11, 2**64 - 1], dtype=np.uint64)
+    assert np.all(_old_unit_doubles(top) == 1.0)  # the formula alone rounds up
+    assert np.all(rng.unit_doubles(top) == 1.0 - 2.0**-53)
+    monkeypatch.setattr(rng, "raw", lambda seed, stream, count: np.full(count, top[1]))
+    assert np.all(rng.uniforms(0, 0, 3) < 1.0)
+    assert np.all(np.isfinite(rng.gaussians(0, 0, (2, 2))))
+    # The sparse sign kind reads the same words: at density 1 the top word
+    # is kept too (as 1.0 it failed the u < density draw).
+    e = make_drm(DrmSpec("sparse_sign", 3, 2, seed=1, density=1.0)).entries
+    assert np.all(e == 1.0)
+
+
 def test_rng_distinct_streams_differ():
     a = rng.raw(5, 0, 8)
     b = rng.raw(5, 1, 8)

@@ -1,5 +1,6 @@
 """File format round trips, byte determinism, and corruption handling."""
 
+import hashlib
 import json
 import struct
 import zipfile
@@ -21,7 +22,8 @@ from tuckersketch.io import (
     write_update_stream,
 )
 from tuckersketch.recovery import two_pass_recover
-from tuckersketch.sketch import SketchParams, sketch_storage, tucker_sketch
+from tuckersketch.sketch import SketchParams, TuckerSketch, sketch_storage, tucker_sketch
+from tuckersketch.tensor import TuckerFactorization
 
 
 def _tensor(shape, seed=0):
@@ -258,6 +260,19 @@ class TestUpdateStream:
                 (3, 3),
                 [SlabUpdate(1.0, 1.0, mode=0, offset=2, slab=np.zeros((2, 3)))],
             )
+        # A record rejected after others were written leaves no target and
+        # no temporary file behind.
+        with pytest.raises(ValueError):
+            write_update_stream(
+                tmp_path / "u.tkus",
+                (3, 3),
+                [
+                    FullUpdate(1.0, 1.0, _tensor((3, 3))),
+                    SlabUpdate(1.0, 1.0, mode=1, offset=0, slab=np.zeros((3, 1))),
+                    SlabUpdate(1.0, 1.0, mode=0, offset=2, slab=np.zeros((2, 3))),
+                ],
+            )
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_record_type(self, tmp_path):
         shape = (2, 2)
@@ -339,3 +354,73 @@ def test_atomic_write_leaves_no_partial_file(tmp_path):
         write_tensor(target, _tensor((2, 2)))
     assert not target.exists()
     assert list(tmp_path.iterdir()) == []
+
+
+def _ar(shape, start=0.0, dtype=np.float64):
+    """``arange`` values in C order: no random numbers and no BLAS."""
+    return (start + np.arange(np.prod(shape), dtype=dtype)).reshape(shape)
+
+
+def _golden_sketch():
+    params = SketchParams(
+        k=(2, 3, 2), s=(5, 7, 5), master_seed=2**64 - 3,
+        omega_kind="trp", phi_kind="sparse_sign", density=0.25,
+    )
+    shape = (4, 6, 3)
+    vs = [_ar((d, k), 0.5 * n) for n, (d, k) in enumerate(zip(shape, params.k))]
+    return TuckerSketch(params=params, shape=shape, factor_sketches=vs,
+                        core_sketch=_ar(params.s, -1.25))
+
+
+def _golden_tucker():
+    core = _ar((2, 3, 2), -3.0)
+    factors = (_ar((4, 2)), np.asfortranarray(_ar((5, 3), 1.0)), _ar((3, 2), 0.125))
+    return TuckerFactorization(core=core, factors=factors)
+
+
+_GOLDEN = {
+    "tensor-c": (
+        lambda p: write_tensor(p, _ar((2, 3, 4))),
+        "32fcd35f4ba056d51d3529c9a4c8b4bd9ef86d3922dac2740158f1afbf3d6cc2",
+    ),
+    "tensor-f": (
+        lambda p: write_tensor(p, np.asfortranarray(_ar((3, 5, 2), 7.0))),
+        "534c6d607cd833e84bc6de9f07af029eb2fa27eee5ffe73c4444df0096439822",
+    ),
+    "tensor-strided": (
+        lambda p: write_tensor(p, _ar((6, 8, 5))[::2, 1::3, ::-2]),
+        "b69a965bc1d4a24149536129cfa730e56dfc84358853a08549e6e207905c8c7b",
+    ),
+    "tensor-float32": (
+        lambda p: write_tensor(p, _ar((3, 4), 0.5, np.float32)),
+        "fb2e3084fd050be2e0cf55e71d2fcc9c2cc3f88ef79e8786036f7342dcdef3c7",
+    ),
+    "stream": (
+        lambda p: write_update_stream(p, (3, 4, 2), [
+            FullUpdate(theta1=1.0, theta2=-0.5, tensor=_ar((3, 4, 2))),
+            SlabUpdate(theta1=0.25, theta2=2.0, mode=1, offset=1,
+                       slab=np.asfortranarray(_ar((3, 2, 2), 100.0))),
+            SlabUpdate(theta1=1.0, theta2=1.0, mode=2, offset=1,
+                       slab=_ar((3, 4, 3), 0.0, np.float32)[:, :, ::2][:, :, 1:]),
+        ]),
+        "b99b0dbeedb15b1269b73f7866d5f9cb518e679f7320ae5dc54dc034cb5fa436",
+    ),
+    "sketch": (
+        lambda p: write_sketch(p, _golden_sketch()),
+        "6f946f67136c967d7c066e758b4b9d0883fca5d00fab5eea396d3d8a31bd6e81",
+    ),
+    "tucker": (
+        lambda p: write_tucker(p, _golden_tucker()),
+        "3c95be49b100c48711c8bf3192f99937a8ab7bcabf785a31d627d6555be92a20",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN))
+def test_golden_bytes(tmp_path, case):
+    # Pinned digests of every format, written from fixed inputs in C, F,
+    # strided and float32 layouts: any change to the bytes on disk fails here.
+    write, digest = _GOLDEN[case]
+    path = tmp_path / "golden"
+    write(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

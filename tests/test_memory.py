@@ -15,7 +15,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tuckersketch.io import read_tensor, write_tensor
+from tuckersketch.io import (
+    FullUpdate,
+    SlabUpdate,
+    read_tensor,
+    write_tensor,
+    write_update_stream,
+)
 from tuckersketch.recovery import two_pass_recover
 from tuckersketch.drm import FACTOR_KINDS
 from tuckersketch.sketch import SketchParams, StreamingSketcher, tucker_sketch
@@ -92,6 +98,26 @@ def test_read_tensor_holds_the_payload_once(tmp_path, tensor):
     x, peak = _peak(lambda: read_tensor(path))
     assert peak <= 1.05 * tensor.nbytes
     np.testing.assert_array_equal(x, tensor)
+
+
+def test_write_tensor_streams_f_input(tmp_path, tensor):
+    # The payload goes out from the tensor's own memory: no file image.
+    _, peak = _peak(lambda: write_tensor(tmp_path / "x.tktn", tensor))
+    assert peak <= 0.05 * tensor.nbytes
+
+
+def test_write_tensor_converts_c_input_in_blocks(tmp_path, tensor):
+    x = np.ascontiguousarray(tensor)
+    _, peak = _peak(lambda: write_tensor(tmp_path / "x.tktn", x))
+    assert peak <= 0.1 * x.nbytes
+
+
+def test_write_update_stream_streams_records(tmp_path, tensor):
+    records = [FullUpdate(1.0, 1.0, tensor)]
+    records += [SlabUpdate(1.0, 0.5, 2, j, tensor[..., j : j + 20]) for j in range(0, 200, 20)]
+    payload = tensor.nbytes + sum(r.slab.nbytes for r in records[1:])
+    _, peak = _peak(lambda: write_update_stream(tmp_path / "u.tkus", SHAPE, records))
+    assert peak <= 0.05 * payload
 
 
 def test_two_pass_recover_reads_f_input_in_place(tensor, sketch):

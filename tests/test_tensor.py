@@ -15,7 +15,6 @@ from tuckersketch.tensor import (
     fro_norm,
     inner,
     khatri_rao,
-    kronecker,
     matmul,
     mode_product,
     multi_mode_product,
@@ -132,16 +131,6 @@ class TestInnerAndNorm:
 
 
 class TestKronAndFriends:
-    def test_kronecker_oracle(self):
-        a = _filled((2, 3), seed=13)
-        b = _filled((3, 2), seed=14)
-        got = kronecker(a, b)
-        assert got.shape == (6, 6)
-        for i1, j1, i2, j2 in itertools.product(range(2), range(3), range(3), range(2)):
-            assert got[i1 * 3 + i2, j1 * 2 + j2] == pytest.approx(
-                a[i1, j1] * b[i2, j2], rel=1e-12
-            )
-
     def test_khatri_rao_is_columnwise_kron(self):
         a = _filled((4, 3), seed=15)
         b = _filled((2, 3), seed=16)
@@ -149,6 +138,13 @@ class TestKronAndFriends:
         assert got.shape == (8, 3)
         for c in range(3):
             np.testing.assert_allclose(got[:, c], np.kron(a[:, c], b[:, c]), atol=1e-13)
+
+    def test_khatri_rao_matches_scipy_bitwise(self):
+        import scipy.linalg
+
+        a = _filled((5, 4), seed=17)
+        b = np.asfortranarray(_filled((3, 4), seed=18))
+        assert np.array_equal(khatri_rao(a, b), scipy.linalg.khatri_rao(a, b))
 
     def test_khatri_rao_column_mismatch(self):
         with pytest.raises(ValueError):

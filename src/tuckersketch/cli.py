@@ -1,14 +1,21 @@
 """Command line entry points: sketch, merge, recover, bench.
 
-Exit codes: 0 success, 2 bad arguments, 3 I/O failure, 4 malformed file,
-5 merge parameter mismatch, 6 infeasible rank, 1 other runtime failure.
-Diagnostics go to stderr; output files are written atomically.
+Exit codes: 0 success, 2 bad arguments or non-finite data, 3 I/O failure,
+4 malformed file, 5 merge parameter mismatch, 6 infeasible rank, 1 other
+runtime failure.  Diagnostics go to stderr; output files are written
+atomically.
+
+``sketch --input`` and ``recover --input`` read the tensor file in
+last-mode slabs of at most 8 MiB (one plane of the last mode at the least),
+so the tensor is never held in memory whole; ``merge`` reads one sketch
+file at a time.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -31,7 +38,7 @@ from .sketch import (
     StreamingSketcher,
     sketch_merge,
 )
-from .tensor import fro_norm, tucker_residual_norm
+from .tensor import TuckerFactorization, fro_norm, tucker_residual_norm
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -150,21 +157,31 @@ def _params_for(args, order: int) -> SketchParams:
     return SketchParams(k=k, s=s, master_seed=args.seed, **kinds)
 
 
+def _check_finite(acc: StreamingSketcher, where: str) -> None:
+    """Stop at the first update that leaves NaN or Inf in the sketch."""
+    if not acc.all_finite():
+        raise ValueError(f"{where} made the sketch non-finite (NaN or Inf in the data)")
+
+
 def _cmd_sketch(args) -> int:
     if args.input is not None:
-        x = tkio.read_tensor(args.input)
-        acc = StreamingSketcher(x.shape, _params_for(args, x.ndim))
-        acc.update_dense(x)
+        shape, slabs = tkio.read_tensor_slabs(args.input)
+        acc = StreamingSketcher(shape, _params_for(args, len(shape)))
+        last = len(shape) - 1
+        for offset, slab in slabs:
+            acc.update_slab(last, offset, slab)
+            rows = f"{offset}:{offset + slab.shape[last]}"
+            _check_finite(acc, f"{args.input}: rows {rows} of mode {last}")
     else:
         shape, records = tkio.read_update_stream(args.stream)
         acc = StreamingSketcher(shape, _params_for(args, len(shape)))
         count = 0
-        for rec in records:
+        for count, rec in enumerate(records, 1):
             if isinstance(rec, tkio.FullUpdate):
                 acc.update_dense(rec.tensor, rec.theta1, rec.theta2)
             else:
                 acc.update_slab(rec.mode, rec.offset, rec.slab, rec.theta1, rec.theta2)
-            count += 1
+            _check_finite(acc, f"{args.stream}: record {count - 1}")
         print(f"folded {count} updates", file=sys.stderr)
     sk = acc.sketch()
     tkio.write_sketch(args.out, sk)
@@ -174,13 +191,25 @@ def _cmd_sketch(args) -> int:
 
 
 def _cmd_merge(args) -> int:
-    sketches = [tkio.read_sketch(p) for p in args.inputs]
-    merged = sketches[0]
-    for other in sketches[1:]:
-        merged = sketch_merge(merged, other)
+    merged = tkio.read_sketch(args.inputs[0])
+    for path in args.inputs[1:]:
+        merged = sketch_merge(merged, tkio.read_sketch(path))
     tkio.write_sketch(args.out, merged)
-    print(f"merged {len(sketches)} sketches into {args.out}", file=sys.stderr)
+    print(f"merged {len(args.inputs)} sketches into {args.out}", file=sys.stderr)
     return 0
+
+
+def _normalized_error(slabs, fact: TuckerFactorization) -> float | None:
+    """``||X - X_hat|| / ||X||`` with both sums of squares taken over the
+    last-mode slabs of ``X`` (None when ``X`` is zero)."""
+    err = norm = 0.0
+    last = fact.core.ndim - 1
+    for offset, slab in slabs:
+        rows = fact.factors[last][offset : offset + slab.shape[last]]
+        part = TuckerFactorization(core=fact.core, factors=fact.factors[:last] + (rows,))
+        err += tucker_residual_norm(slab, part) ** 2
+        norm += fro_norm(slab) ** 2
+    return math.sqrt(err) / math.sqrt(norm) if norm > 0 else None
 
 
 def _cmd_recover(args) -> int:
@@ -189,12 +218,16 @@ def _cmd_recover(args) -> int:
               file=sys.stderr)
         return 2
     sk = tkio.read_sketch(args.sketch)
+    slabs = None
+    if args.input is not None:
+        # Checked now, read when scoring (two-pass also reads it for the core).
+        shape, slabs = tkio.read_tensor_slabs(args.input)
+        if shape != sk.shape:
+            raise ValueError(f"tensor has shape {shape} but sketch covers {sk.shape}")
     start = time.perf_counter()
     if args.mode == "two-pass":
-        x = tkio.read_tensor(args.input)
-        report = two_pass_recover(x, sk)
+        report = two_pass_recover(args.input, sk)
     else:
-        x = tkio.read_tensor(args.input) if args.input else None
         report = one_pass_recover(sk)
     fact = report.factorization
     if args.trunc is not None:
@@ -203,11 +236,7 @@ def _cmd_recover(args) -> int:
     elapsed = time.perf_counter() - start
     tkio.write_tucker(args.out, fact)
 
-    normalized_error = None
-    if x is not None:
-        err = tucker_residual_norm(x, fact)
-        norm = fro_norm(x)
-        normalized_error = err / norm if norm > 0 else None
+    normalized_error = _normalized_error(slabs, fact) if slabs is not None else None
     summary = {
         "mode": args.mode,
         "passes": report.passes,

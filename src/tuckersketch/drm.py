@@ -25,7 +25,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from . import rng
 from .tensor import contract, contract_scratch, khatri_rao, matmul, unfold
@@ -251,8 +250,11 @@ class _SsrftDrm(_Drm):
         """Apply the (out_dim, in_dim) transform to the rows of ``b``.
 
         Each round gathers into a new array and transforms it in place, so
-        at most two operand-sized arrays are alive at once.
+        at most two operand-sized arrays are alive at once.  scipy is
+        imported on first use, so commands without an SSRFT map never load it.
         """
+        import scipy.fft
+
         y = b[self.perm1]
         y *= self.sgn1[:, None]
         y = scipy.fft.dct(y, type=2, axis=0, norm="ortho", overwrite_x=True)
@@ -283,6 +285,8 @@ class _SsrftDrm(_Drm):
     def _materialize(self):
         # The adjoint of the transform applied to the out_dim unit vectors at
         # ``coords``: O(out * in * log(in)) work and a few (in, out) arrays.
+        import scipy.fft
+
         out_dim = self.spec.out_dim
         z = np.zeros((self.spec.in_dim, out_dim))
         z[self.coords, np.arange(out_dim)] = 1.0

@@ -5,7 +5,12 @@ the first index varying fastest (column-major).  Writers stream headers
 and payloads straight into a temporary file, which an atomic rename puts at
 the target path, so no file is built in memory and a crashed write never
 leaves a half-written file behind.  Every payload goes out through
-``_write_array`` and comes back through ``_read_array``.
+``_write_array`` and comes back through ``_read_into``, which fills an
+array in place.  Sizes are checked against the end of the file or archive
+member, without seeking, before anything is read.  ``read_tensor_slabs``
+reads a tensor file in last-mode slabs of at most 8 MiB (one plane of the
+last mode at the least); the command line sketches and scores tensor files
+this way, so a tensor is never held in memory whole.
 
 ``TKTN1`` tensor file::
 
@@ -84,6 +89,12 @@ def _atomic_write(path):
 
 
 _WRITE_BLOCK_BYTES = 1 << 22
+# A tensor file is read in last-mode slabs of at most this many scalars
+# (8 MiB), or one plane of the last mode if a plane is larger.
+_READ_SLAB_SCALARS = 1 << 20
+# Payloads are read in pieces of this many bytes: a handle without a native
+# ``readinto`` (an archive member) copies through one piece at a time.
+_READ_CHUNK_BYTES = 1 << 16
 
 
 def _write_array(fh, a: np.ndarray) -> None:
@@ -140,46 +151,66 @@ def _read_header(fh, magic: bytes, what: str, fields: int = 0):
     return tuple(head), shape
 
 
-def _bytes_left(fh) -> int:
+def _need(fh, nbytes: int, end: int, what: str) -> None:
+    """Fail as a truncated file unless ``nbytes`` more bytes lie before ``end``."""
     pos = fh.tell()
-    end = fh.seek(0, os.SEEK_END)
-    fh.seek(pos)
-    return end - pos
+    if end - pos < nbytes:
+        raise FileFormatError(
+            f"{what}: truncated at byte {pos} (needed {nbytes} more, have {end - pos})"
+        )
 
 
-def _read_end(fh, what: str) -> None:
-    extra = _bytes_left(fh)
+def _read_end(fh, end: int, what: str) -> None:
+    extra = end - fh.tell()
     if extra:
         raise FileFormatError(f"{what}: {extra} trailing bytes at byte {fh.tell()}")
 
 
-def _read_array(fh, shape: tuple[int, ...], what: str) -> np.ndarray:
+def _read_into(fh, flat: np.ndarray, what: str) -> None:
+    """Fill the contiguous array ``flat`` from ``fh``, one piece at a time."""
+    pos = fh.tell()
+    view = memoryview(flat).cast("B")
+    for i in range(0, len(view), _READ_CHUNK_BYTES):
+        piece = view[i : i + _READ_CHUNK_BYTES]
+        if fh.readinto(piece) != len(piece):
+            raise FileFormatError(f"{what}: short read of the payload at byte {pos}")
+
+
+def _read_array(fh, shape: tuple[int, ...], end: int, what: str) -> np.ndarray:
     """Read a payload of ``shape`` from ``fh`` straight into an F-order array.
 
-    The file must hold the whole payload before anything is allocated, so a
-    corrupt extent fails as a truncated file, not as a huge allocation.
+    The file must hold the whole payload before ``end`` before anything is
+    allocated, so a corrupt extent fails as a truncated file, not as a huge
+    allocation.
     """
-    nbytes = 8 * math.prod(shape)
-    pos = fh.tell()
-    have = _bytes_left(fh)
-    if have < nbytes:
-        raise FileFormatError(
-            f"{what}: truncated at byte {pos} (needed {nbytes} more, have {have})"
-        )
+    _need(fh, 8 * math.prod(shape), end, what)
     out = np.empty(shape, dtype="<f8", order="F")
-    if fh.readinto(out.reshape(-1, order="F")) != nbytes:
-        raise FileFormatError(f"{what}: short read of the payload at byte {pos}")
+    _read_into(fh, out.reshape(-1, order="F"), what)
     return out.astype(np.float64, copy=False)
 
 
-def _load_tensor(fh, what: str) -> np.ndarray:
-    """Parse a TKTN1 tensor from the start of ``fh`` to its end."""
+def _tensor_shape(fh, end: int, what: str) -> tuple[int, ...]:
+    """Check a TKTN1 file from the start of ``fh`` to ``end``: header, and a
+    payload that fills the rest exactly.  Returns the shape, with ``fh`` at
+    the payload."""
     (scalar,), shape = _read_header(fh, MAGIC_TENSOR, what, fields=1)
     if scalar != _SCALAR_F64:
         raise FileFormatError(f"{what}: unknown scalar code {scalar} at byte 5")
-    out = _read_array(fh, shape, what)
-    _read_end(fh, what)
-    return out
+    nbytes = 8 * math.prod(shape)
+    _need(fh, nbytes, end, what)
+    extra = end - fh.tell() - nbytes
+    if extra:
+        raise FileFormatError(f"{what}: {extra} trailing bytes at byte {fh.tell() + nbytes}")
+    return shape
+
+
+def _load_tensor(fh, end: int, what: str) -> np.ndarray:
+    """Parse a TKTN1 tensor from the start of ``fh`` to ``end``."""
+    return _read_array(fh, _tensor_shape(fh, end, what), end, what)
+
+
+def _file_size(fh) -> int:
+    return os.fstat(fh.fileno()).st_size
 
 
 def write_tensor(path, x) -> None:
@@ -199,7 +230,41 @@ def read_tensor(path) -> np.ndarray:
     package's kernels contract that layout in place.
     """
     with open(path, "rb") as fh:
-        return _load_tensor(fh, os.fspath(path))
+        return _load_tensor(fh, _file_size(fh), os.fspath(path))
+
+
+def read_tensor_slabs(path) -> tuple[tuple[int, ...], Iterator[tuple[int, np.ndarray]]]:
+    """Open a TKTN1 file for reading in last-mode slabs.
+
+    Returns the shape and a lazy iterator of ``(offset, slab)``: ``slab``
+    holds rows ``offset:offset + c`` of the last mode, an F-order view of
+    at most ``_READ_SLAB_SCALARS`` scalars (8 MiB), or of one plane of the
+    last mode if a plane is larger.  The payload is Fortran-order, so each
+    slab is one contiguous piece of the file.  The whole file is checked
+    (header, payload size, trailing bytes) before this returns.  Slabs are
+    read into one reused buffer, so a slab is valid only until the next is
+    requested.  The file closes when the iterator is exhausted or dropped.
+    """
+    slabs = _iter_slabs(path)
+    return next(slabs), slabs
+
+
+def _iter_slabs(path):
+    """Yield the checked shape, then the slabs.  Started by its first
+    ``next``, the generator owns the open file from then on."""
+    what = os.fspath(path)
+    with open(path, "rb") as fh:
+        shape = _tensor_shape(fh, _file_size(fh), what)
+        yield shape
+        plane = math.prod(shape[:-1])
+        step = max(1, _READ_SLAB_SCALARS // plane)
+        buf = np.empty(plane * min(step, shape[-1]), dtype="<f8")
+        for offset in range(0, shape[-1], step):
+            c = min(step, shape[-1] - offset)
+            flat = buf[: plane * c]
+            _read_into(fh, flat, what)
+            slab = flat.reshape(shape[:-1] + (c,), order="F")
+            yield offset, slab.astype(np.float64, copy=False)
 
 
 class _Crc32Writer:
@@ -233,12 +298,15 @@ def write_sketch(path, sk: TuckerSketch) -> None:
 def read_sketch(path) -> TuckerSketch:
     """Read and validate a TKSK1 file (including its checksum).
 
+    A payload holding NaN or Inf is rejected: a sketch that is not finite
+    would poison every merge and recovery made from it.
+
     The body (all but the checksum) is read once and parsed from memory, so
     it ends exactly where the checksum starts; a sketch is small by design.
     """
     what = os.fspath(path)
     with open(path, "rb") as fh:
-        body = fh.read(max(os.fstat(fh.fileno()).st_size - 4, 0))
+        body = fh.read(max(_file_size(fh) - 4, 0))
         tail = fh.read()
     if len(tail) != 4:
         raise FileFormatError(f"{what}: too short to hold a checksum")
@@ -259,9 +327,13 @@ def read_sketch(path) -> TuckerSketch:
                               phi_kind=_KIND_NAMES[phi_code], density=density)
     except ValueError as exc:
         raise FileFormatError(f"{what}: invalid parameters ({exc})") from exc
-    vs = tuple(_read_array(fh, (shape[i], k[i]), what) for i in range(n))
-    core = _read_array(fh, s, what)
-    _read_end(fh, what)
+    vs = tuple(_read_array(fh, (shape[i], k[i]), len(body), what) for i in range(n))
+    core = _read_array(fh, s, len(body), what)
+    _read_end(fh, len(body), what)
+    named = [(f"factor sketch {i}", v) for i, v in enumerate(vs)] + [("core sketch", core)]
+    for name, a in named:
+        if not np.isfinite(a).all():
+            raise FileFormatError(f"{what}: non-finite values in the {name}")
     try:
         return TuckerSketch(params=params, shape=shape, factor_sketches=vs, core_sketch=core)
     except ValueError as exc:
@@ -337,10 +409,10 @@ def read_update_stream(path) -> tuple[tuple[int, ...], Iterator[UpdateRecord]]:
     except BaseException:
         fh.close()
         raise
-    return shape, _iter_records(fh, shape, what)
+    return shape, _iter_records(fh, shape, _file_size(fh), what)
 
 
-def _iter_records(fh, shape: tuple[int, ...], what: str) -> Iterator[UpdateRecord]:
+def _iter_records(fh, shape: tuple[int, ...], end: int, what: str) -> Iterator[UpdateRecord]:
     try:
         while True:
             tag = fh.read(1)
@@ -349,7 +421,7 @@ def _iter_records(fh, shape: tuple[int, ...], what: str) -> Iterator[UpdateRecor
             kind = tag[0]
             theta1, theta2 = struct.unpack("<dd", _read_exact(fh, 16, what))
             if kind == _REC_FULL:
-                tensor = _read_array(fh, shape, what)
+                tensor = _read_array(fh, shape, end, what)
                 yield FullUpdate(theta1=theta1, theta2=theta2, tensor=tensor)
             elif kind == _REC_SLAB:
                 mode, offset, extent = struct.unpack("<BQQ", _read_exact(fh, 17, what))
@@ -360,7 +432,9 @@ def _iter_records(fh, shape: tuple[int, ...], what: str) -> Iterator[UpdateRecor
                         f"{what}: slab rows {offset}:{offset + extent} outside "
                         f"extent {shape[mode]}"
                     )
-                slab = _read_array(fh, shape[:mode] + (int(extent),) + shape[mode + 1 :], what)
+                slab = _read_array(
+                    fh, shape[:mode] + (int(extent),) + shape[mode + 1 :], end, what
+                )
                 yield SlabUpdate(theta1, theta2, int(mode), int(offset), slab)
             else:
                 raise FileFormatError(
@@ -396,6 +470,15 @@ def write_tucker(path, fact: TuckerFactorization) -> None:
                 _write_array(member, a)
 
 
+def _read_member(zf: zipfile.ZipFile, name: str, what: str) -> np.ndarray:
+    """A TKTN1 archive member, read straight into its array.  Sizes are
+    checked against the member's recorded size, since seeking in a member
+    reads it through."""
+    info = zf.getinfo(name)
+    with zf.open(info) as fh:
+        return _load_tensor(fh, info.file_size, f"{what}:{name}")
+
+
 def read_tucker(path) -> TuckerFactorization:
     """Read a factorization archive, validating its manifest against members."""
     what = os.fspath(path)
@@ -418,11 +501,8 @@ def read_tucker(path) -> TuckerFactorization:
         if not isinstance(order, int) or order < 1:
             raise FileFormatError(f"{what}: bad order in manifest")
         try:
-            core = _load_tensor(BytesIO(zf.read("core.tktn")), f"{what}:core.tktn")
-            factors = tuple(
-                _load_tensor(BytesIO(zf.read(f"factor_{i}.tktn")), f"{what}:factor_{i}.tktn")
-                for i in range(order)
-            )
+            core = _read_member(zf, "core.tktn", what)
+            factors = tuple(_read_member(zf, f"factor_{i}.tktn", what) for i in range(order))
         except KeyError as exc:
             raise FileFormatError(f"{what}: missing member {exc}") from None
     try:

@@ -5,7 +5,10 @@ Two routes from a sketch:
 * ``two_pass_recover`` re-reads the tensor once: orthonormal bases ``Q_n``
   come from QR of the factor sketches, the core is ``X`` contracted by
   ``Q_n^T`` on every mode (so the reconstruction is the orthogonal
-  projection of ``X`` onto the tensor product of the spans).
+  projection of ``X`` onto the tensor product of the spans).  The core is
+  linear in ``X``, so it is summed over last-mode slabs; a tensor file is
+  read in slabs of at most 8 MiB (one plane at the least) and never held
+  in memory whole.
 * ``one_pass_recover`` touches only the sketch: it undoes the core map of
   each mode in the least squares sense, ``W = H x_n pinv(Phi_n^T Q_n)``,
   from one SVD of the small ``s_n x k_n`` system.
@@ -20,10 +23,12 @@ and double as the comparison baselines.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .io import read_tensor_slabs
 from .sketch import TuckerSketch
 from .tensor import (
     TuckerFactorization,
@@ -84,12 +89,27 @@ def factor_bases(sk: TuckerSketch) -> FactorBases:
 
 
 def two_pass_recover(x, sk: TuckerSketch) -> RecoveryReport:
-    """Rank-``k`` recovery using one more pass over the tensor itself."""
-    a = np.asarray(x, dtype=np.float64)
-    if a.shape != sk.shape:
-        raise ValueError(f"tensor has shape {a.shape} but sketch covers {sk.shape}")
+    """Rank-``k`` recovery using one more pass over the tensor itself.
+
+    ``x`` is an array or the path of a TKTN1 file.  The core sums, over
+    last-mode slabs of ``x``, each slab contracted with every ``Q_n^T``,
+    the last cut to the slab's rows.  A file is read in the slabs of
+    :func:`~tuckersketch.io.read_tensor_slabs`; an array is one slab.
+    """
+    if isinstance(x, (str, os.PathLike)):
+        shape, slabs = read_tensor_slabs(x)
+    else:
+        a = np.asarray(x, dtype=np.float64)
+        shape, slabs = a.shape, [(0, a)]
+    if shape != sk.shape:
+        raise ValueError(f"tensor has shape {shape} but sketch covers {sk.shape}")
     bases = factor_bases(sk)
-    core = multi_mode_product(a, [(n, q.T) for n, q in enumerate(bases.matrices)])
+    *head, q_last = bases.matrices
+    blocks = [(n, q.T) for n, q in enumerate(head)]
+    core = np.zeros(tuple(q.shape[1] for q in bases.matrices), order="F")
+    for offset, slab in slabs:
+        rows = q_last[offset : offset + slab.shape[-1]]
+        core += multi_mode_product(slab, blocks + [(len(head), rows.T)])
     fact = TuckerFactorization(core=core, factors=bases.matrices)
     return RecoveryReport(
         factorization=fact,

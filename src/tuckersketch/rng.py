@@ -11,7 +11,6 @@ can be rebuilt from ``(seed, kind)`` alone on any numpy >= the pin.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -52,7 +51,15 @@ def uniforms(seed: int, stream: int, count: int) -> np.ndarray:
 
 
 def gaussians(seed: int, stream: int, shape) -> np.ndarray:
-    """Standard normals via the inverse CDF, reshaped C-order to ``shape``."""
+    """Standard normals via the inverse CDF, reshaped C-order to ``shape``.
+
+    scipy is imported here, on first use, so commands that realize no
+    Gaussian map never load it.  ``ndtri`` is kept rather than a numpy
+    port: numpy's SIMD ``log`` differs from libm's on some CPUs, and the
+    maps must not depend on the CPU they are built on.
+    """
+    from scipy.special import ndtri
+
     n = int(np.prod(shape, dtype=np.int64)) if np.ndim(shape) else int(shape)
     return ndtri(uniforms(seed, stream, n)).reshape(shape)
 

@@ -296,6 +296,11 @@ class StreamingSketcher:
         blocks.append((mode, self._phis[mode][rows].T))
         self._fold_core(a, blocks, theta2, held)
 
+    def all_finite(self) -> bool:
+        """Whether every sketch array is free of NaN and Inf.  Once an update
+        brings one in, no later update removes it."""
+        return all(np.isfinite(v).all() for v in self._v) and bool(np.isfinite(self._h).all())
+
     def sketch(self) -> TuckerSketch:
         """Snapshot the accumulated state as an immutable sketch."""
         return TuckerSketch(

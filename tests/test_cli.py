@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tuckersketch import io as tkio
 from tuckersketch.cli import main
+from tuckersketch.drm import FACTOR_KINDS
 from tuckersketch.harness import SyntheticSpec, gen_synthetic
 from tuckersketch.io import (
     FullUpdate,
@@ -20,8 +22,9 @@ from tuckersketch.io import (
     write_tensor,
     write_update_stream,
 )
-from tuckersketch.sketch import SketchParams, tucker_sketch
-from tuckersketch.tensor import fro_norm
+from tuckersketch.recovery import two_pass_recover
+from tuckersketch.sketch import SketchParams, TuckerSketch, tucker_sketch
+from tuckersketch.tensor import fro_norm, tucker_residual_norm
 
 
 @pytest.fixture
@@ -194,6 +197,147 @@ class TestRecoverCommand:
         assert rc == 4
 
 
+def _close(got, want, rtol):
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+class TestStreamedInput:
+    """``--input`` files are folded and scored in last-mode slabs; slabs of
+    3 planes make several of them, the last one short."""
+
+    @pytest.fixture(autouse=True)
+    def small_slabs(self, monkeypatch):
+        monkeypatch.setattr(tkio, "_READ_SLAB_SCALARS", 3 * 13 * 13)
+
+    @pytest.fixture
+    def tensor(self):
+        return gen_synthetic(SyntheticSpec("low_rank_noise", 13, 3, 3, seed=4, gamma=0.1))
+
+    @pytest.mark.parametrize("kind", FACTOR_KINDS)
+    def test_sketch_matches_library(self, tmp_path, monkeypatch, kind):
+        # Order 4, last mode 8: slabs of 3, 3 and 2 planes.
+        x = np.random.default_rng(6).normal(size=(13, 12, 11, 8))
+        monkeypatch.setattr(tkio, "_READ_SLAB_SCALARS", 3 * 13 * 12 * 11)
+        xfile, out = tmp_path / "x.tktn", tmp_path / "x.tksk"
+        write_tensor(xfile, x)
+        rc = main(["sketch", "--input", str(xfile), "--k", "3", "--s", "7", "--drm", kind,
+                   "--seed", "5", "--out", str(out)])
+        assert rc == 0
+        got = read_sketch(out)
+        assert got.params.omega_kind == kind
+        want = tucker_sketch(x, got.params)
+        for a, b in zip(got.factor_sketches, want.factor_sketches):
+            _close(a, b, 1e-13)
+        _close(got.core_sketch, want.core_sketch, 1e-13)
+
+    def test_two_pass_matches_in_memory(self, tmp_path, tensor):
+        xfile, skfile = tmp_path / "x.tktn", tmp_path / "x.tksk"
+        write_tensor(xfile, tensor)
+        assert main(["sketch", "--input", str(xfile), "--rank", "3", "--out", str(skfile)]) == 0
+        sk = read_sketch(skfile)
+        want = two_pass_recover(tensor, sk).factorization
+        out = tmp_path / "f.tkz"
+        rc = main(["recover", "--sketch", str(skfile), "--mode", "two-pass",
+                   "--input", str(xfile), "--out", str(out)])
+        assert rc == 0
+        for got in (two_pass_recover(xfile, sk).factorization, read_tucker(out)):
+            _close(got.core, want.core, 1e-12)
+            for a, b in zip(got.factors, want.factors):
+                np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("mode", ["one-pass", "two-pass"])
+    def test_normalized_error_matches_residual(self, tmp_path, tensor, mode):
+        xfile, skfile = tmp_path / "x.tktn", tmp_path / "x.tksk"
+        write_tensor(xfile, tensor)
+        assert main(["sketch", "--input", str(xfile), "--rank", "3", "--out", str(skfile)]) == 0
+        out, report = tmp_path / "f.tkz", tmp_path / "r.json"
+        rc = main(["recover", "--sketch", str(skfile), "--mode", mode, "--input", str(xfile),
+                   "--trunc", "2", "--out", str(out), "--report", str(report)])
+        assert rc == 0
+        got = json.loads(report.read_text())["normalized_error"]
+        want = tucker_residual_norm(tensor, read_tucker(out)) / fro_norm(tensor)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("damage", ["truncated", "trailing"])
+    @pytest.mark.parametrize("command", ["sketch", "recover"])
+    def test_damaged_input_fails_before_any_slab(
+        self, tmp_path, monkeypatch, capsys, tensor, damage, command
+    ):
+        xfile, skfile = tmp_path / "x.tktn", tmp_path / "x.tksk"
+        write_tensor(xfile, tensor)
+        assert main(["sketch", "--input", str(xfile), "--rank", "3", "--out", str(skfile)]) == 0
+        raw = xfile.read_bytes()
+        xfile.write_bytes(raw[:-9] if damage == "truncated" else raw + b"\x00" * 3)
+        with pytest.raises(tkio.FileFormatError) as want:
+            tkio.read_tensor(xfile)
+
+        read_into = tkio._read_into
+
+        def guarded(fh, flat, what):
+            assert what != str(xfile), "a slab was read from a damaged file"
+            return read_into(fh, flat, what)
+
+        monkeypatch.setattr(tkio, "_read_into", guarded)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        if command == "sketch":
+            argv = ["sketch", "--input", str(xfile), "--rank", "3", "--out", str(out)]
+        else:
+            argv = ["recover", "--sketch", str(skfile), "--mode", "two-pass",
+                    "--input", str(xfile), "--out", str(out)]
+        assert main(argv) == 4
+        assert capsys.readouterr().err == f"error: {want.value}\n"
+        assert not out.exists()
+
+    def test_nan_in_tensor_file_names_the_slab(self, tmp_path, capsys, tensor):
+        x = tensor.copy()
+        x[2, 5, 7] = np.nan  # last-mode row 7 lies in the slab of rows 6:9
+        xfile, out = tmp_path / "x.tktn", tmp_path / "x.tksk"
+        write_tensor(xfile, x)
+        rc = main(["sketch", "--input", str(xfile), "--rank", "3", "--out", str(out)])
+        assert rc == 2
+        assert f"{xfile}: rows 6:9 of mode 2 made the sketch non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_nan_in_stream_record_names_the_record(tmp_path, capsys):
+    x = np.random.default_rng(7).normal(size=(6, 5, 4))
+    bad = x[:, 1:3, :].copy()
+    bad[0, 0, 0] = np.inf
+    stream = tmp_path / "u.tkus"
+    write_update_stream(stream, x.shape, [
+        FullUpdate(1.0, 1.0, x),
+        SlabUpdate(1.0, 1.0, mode=1, offset=1, slab=x[:, 1:3, :]),
+        SlabUpdate(1.0, 1.0, mode=1, offset=1, slab=bad),
+        FullUpdate(0.0, 1.0, x),  # theta1 = 0 does not clear it: 0 * inf is nan
+    ])
+    out = tmp_path / "s.tksk"
+    rc = main(["sketch", "--stream", str(stream), "--rank", "1", "--out", str(out)])
+    assert rc == 2
+    assert f"{stream}: record 2 made the sketch non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["merge", "recover"])
+def test_nan_in_sketch_file_exits_4(tmp_path, command):
+    x = np.random.default_rng(8).normal(size=(8, 8, 8))
+    params = SketchParams(k=(3,) * 3, s=(7,) * 3, master_seed=4)
+    good = tucker_sketch(x, params)
+    core = good.core_sketch.copy()
+    core[1, 2, 3] = np.nan
+    bad = tmp_path / "bad.tksk"
+    write_sketch(bad, TuckerSketch(params, good.shape, good.factor_sketches, core))
+    write_sketch(tmp_path / "good.tksk", good)
+    out = tmp_path / "out"
+    if command == "merge":
+        argv = ["merge", str(tmp_path / "good.tksk"), str(bad), "--out", str(out)]
+    else:
+        argv = ["recover", "--sketch", str(bad), "--out", str(out)]
+    assert main(argv) == 4
+    assert not out.exists()
+
+
 class TestBenchCommand:
     def test_csv_written_and_deterministic(self, tmp_path):
         args = ["bench", "--side", "10", "--order", "3", "--rank", "2",
@@ -223,3 +367,29 @@ def test_cli_import_leaves_scipy_linalg_out():
         timeout=120, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_merge_and_two_pass_recover_leave_scipy_out(tmp_path):
+    # Only map realization needs scipy (ndtri for Gaussian maps, the DCT
+    # for SSRFT); merging and two-pass recovery realize no map.
+    x = np.random.default_rng(5).normal(size=(10, 9, 8))
+    xfile, skfile = tmp_path / "x.tktn", tmp_path / "x.tksk"
+    write_tensor(xfile, x)
+    assert main(["sketch", "--input", str(xfile), "--rank", "2", "--out", str(skfile)]) == 0
+    script = (
+        "import sys\n"
+        "from tuckersketch.cli import main\n"
+        f"assert main(['merge', {str(skfile)!r}, {str(skfile)!r}, "
+        f"'--out', {str(tmp_path / 'm.tksk')!r}]) == 0\n"
+        f"assert main(['recover', '--sketch', {str(tmp_path / 'm.tksk')!r}, "
+        f"'--mode', 'two-pass', '--input', {str(xfile)!r}, '--trunc', '2', "
+        f"'--out', {str(tmp_path / 'f.tkz')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "[]"

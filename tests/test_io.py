@@ -8,12 +8,14 @@ import zipfile
 import numpy as np
 import pytest
 
+from tuckersketch import io as tkio
 from tuckersketch.io import (
     FileFormatError,
     FullUpdate,
     SlabUpdate,
     read_sketch,
     read_tensor,
+    read_tensor_slabs,
     read_tucker,
     read_update_stream,
     write_sketch,
@@ -121,6 +123,80 @@ class TestTensorFile:
             read_tensor(path)
 
 
+class TestTensorSlabs:
+    @pytest.mark.parametrize("shape,step_planes", [
+        ((4, 5, 11), 3),  # last mode not a multiple of the step
+        ((3, 2, 4, 6), 2),
+        ((7,), 3),  # order 1: a plane is one scalar
+        ((4, 5, 3), 1),
+    ])
+    def test_slabs_cover_the_tensor(self, tmp_path, monkeypatch, shape, step_planes):
+        plane = int(np.prod(shape[:-1]))
+        monkeypatch.setattr(tkio, "_READ_SLAB_SCALARS", step_planes * plane)
+        x = _tensor(shape, seed=5)
+        path = tmp_path / "x.tktn"
+        write_tensor(path, x)
+        got_shape, slabs = read_tensor_slabs(path)
+        assert got_shape == shape
+        offsets = []
+        for offset, slab in slabs:
+            assert slab.flags.f_contiguous and slab.dtype == np.float64
+            assert slab.shape[-1] == min(step_planes, shape[-1] - offset)
+            np.testing.assert_array_equal(slab, x[..., offset : offset + slab.shape[-1]])
+            offsets.append(offset)
+        assert offsets == list(range(0, shape[-1], step_planes))
+
+    def test_plane_larger_than_the_slab_is_the_floor(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tkio, "_READ_SLAB_SCALARS", 5)
+        x = _tensor((3, 4, 3), seed=6)
+        path = tmp_path / "x.tktn"
+        write_tensor(path, x)
+        _, slabs = read_tensor_slabs(path)
+        assert [s.shape for _, s in slabs] == [(3, 4, 1)] * 3
+
+    def test_slabs_share_one_buffer(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tkio, "_READ_SLAB_SCALARS", 12)
+        path = tmp_path / "x.tktn"
+        write_tensor(path, _tensor((3, 4, 5)))
+        bases = {s.__array_interface__["data"][0] for _, s in read_tensor_slabs(path)[1]}
+        assert len(bases) == 1
+
+    @pytest.mark.parametrize("damage", ["truncated", "trailing", "magic", "scalar"])
+    def test_checks_run_before_the_first_slab(self, tmp_path, damage):
+        # Same checks and messages as read_tensor, raised when the file is
+        # opened, before any slab is read.
+        path = tmp_path / "x.tktn"
+        write_tensor(path, _tensor((3, 4, 5)))
+        raw = bytearray(path.read_bytes())
+        if damage == "truncated":
+            raw = raw[:-9]
+        elif damage == "trailing":
+            raw += b"\x00\x01"
+        elif damage == "magic":
+            raw[:5] = b"NOPE!"
+        else:
+            raw[5] = 1
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FileFormatError) as want:
+            read_tensor(path)
+        with pytest.raises(FileFormatError) as got:
+            read_tensor_slabs(path)
+        assert str(got.value) == str(want.value)
+
+    def test_messages_are_unchanged(self, tmp_path):
+        path = tmp_path / "x.tktn"
+        write_tensor(path, _tensor((2, 3)))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-9])
+        with pytest.raises(FileFormatError) as err:
+            read_tensor_slabs(path)
+        assert str(err.value) == f"{path}: truncated at byte 23 (needed 48 more, have 39)"
+        path.write_bytes(raw + b"\x00")
+        with pytest.raises(FileFormatError) as err:
+            read_tensor_slabs(path)
+        assert str(err.value) == f"{path}: 1 trailing bytes at byte 71"
+
+
 class TestSketchFile:
     def _sketch(self, seed=3):
         x = _tensor((6, 7, 8), seed=seed)
@@ -162,6 +238,24 @@ class TestSketchFile:
         raw[60] ^= 0xFF
         path.write_bytes(bytes(raw))
         with pytest.raises(FileFormatError, match="checksum"):
+            read_sketch(path)
+
+    @pytest.mark.parametrize("where", ["factor", "core"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_payload_rejected(self, tmp_path, where, value):
+        # write_sketch gives the file a valid checksum, so only the
+        # finiteness check can catch it.
+        sk = self._sketch()
+        vs = [v.copy() for v in sk.factor_sketches]
+        core = sk.core_sketch.copy()
+        if where == "factor":
+            vs[1][2, 0] = value
+        else:
+            core[3, 1, 4] = value
+        path = tmp_path / "s.tksk"
+        write_sketch(path, TuckerSketch(sk.params, sk.shape, vs, core))
+        name = "factor sketch 1" if where == "factor" else "core sketch"
+        with pytest.raises(FileFormatError, match=f"non-finite values in the {name}"):
             read_sketch(path)
 
     def test_roundtrip_preserves_recovery(self, tmp_path):

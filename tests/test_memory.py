@@ -15,11 +15,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tuckersketch.cli import main
 from tuckersketch.io import (
     FullUpdate,
     SlabUpdate,
     read_tensor,
+    read_tucker,
     write_tensor,
+    write_tucker,
     write_update_stream,
 )
 from tuckersketch.recovery import two_pass_recover
@@ -120,6 +123,19 @@ def test_write_update_stream_streams_records(tmp_path, tensor):
     assert peak <= 0.05 * payload
 
 
+def test_read_tucker_reads_members_in_place(tmp_path):
+    # Members are read straight into their arrays: the peak is what the
+    # archive holds plus pieces of at most 0.1x the core.
+    rng = np.random.default_rng(2)
+    core = rng.normal(size=(100, 100, 40))
+    factors = tuple(rng.normal(size=(d + 5, d)) for d in core.shape)
+    path = tmp_path / "f.tkz"
+    write_tucker(path, TuckerFactorization(core=core, factors=factors))
+    back, peak = _peak(lambda: read_tucker(path))
+    assert peak <= 1.1 * core.nbytes + sum(f.nbytes for f in factors)
+    np.testing.assert_array_equal(back.core, core)
+
+
 def test_two_pass_recover_reads_f_input_in_place(tensor, sketch):
     _, peak = _peak(lambda: two_pass_recover(tensor, sketch))
     assert peak <= 0.25 * tensor.nbytes
@@ -177,6 +193,39 @@ def _max_rss_bytes(*args: str) -> int:
     code, rss_kb = (int(v) for v in out.stdout.split())
     assert code == 0, out.stderr
     return 1024 * rss_kb
+
+
+@pytest.fixture(scope="module")
+def tensor_file(tmp_path_factory):
+    """A 160^3 TKTN1 file: about 4 slabs of the file reader."""
+    x = np.random.default_rng(9).normal(size=(160, 160, 160))
+    path = tmp_path_factory.mktemp("big") / "x.tktn"
+    write_tensor(path, x)
+    return path, x.nbytes
+
+
+def test_cli_sketch_streams_its_input(tmp_path, tensor_file):
+    # The baseline holds what every Gaussian sketch loads (scipy.special
+    # for its maps), so the difference is the sketch's own working memory.
+    path, nbytes = tensor_file
+    bare = _max_rss_bytes("-c", "import tuckersketch.cli, scipy.special")
+    sketch = _max_rss_bytes(
+        "-m", "tuckersketch.cli", "sketch", "--input", str(path), "--rank", "2",
+        "--out", str(tmp_path / "x.tksk"),
+    )
+    assert sketch - bare < 0.6 * nbytes
+
+
+def test_cli_two_pass_recover_streams_its_input(tmp_path, tensor_file):
+    path, nbytes = tensor_file
+    skfile = tmp_path / "x.tksk"
+    assert main(["sketch", "--input", str(path), "--rank", "10", "--out", str(skfile)]) == 0
+    rc, peak = _peak(lambda: main([
+        "recover", "--sketch", str(skfile), "--mode", "two-pass", "--input", str(path),
+        "--trunc", "10", "--out", str(tmp_path / "x.tkz"), "--report", str(tmp_path / "r.json"),
+    ]))
+    assert rc == 0
+    assert peak <= 0.5 * nbytes
 
 
 def test_cli_sketch_rss_stays_near_the_tensor(tmp_path):

@@ -29,9 +29,7 @@ from .sketch import (
     SketchParams,
     StreamingSketcher,
     TuckerSketch,
-    sketch_linear_update,
     sketch_merge,
-    sketch_slab_update,
     sketch_storage,
     tucker_sketch,
     zero_sketch,
@@ -81,8 +79,6 @@ __all__ = [
     "TuckerSketch",
     "StreamingSketcher",
     "tucker_sketch",
-    "sketch_linear_update",
-    "sketch_slab_update",
     "sketch_merge",
     "sketch_storage",
     "zero_sketch",

@@ -7,11 +7,14 @@ holding the same one apply the same map without ever exchanging it.  Every kind
 supports right application ``m @ Omega`` on an ``(q, in_dim)`` operand, and
 the unfolding product ``unfold(x, mode) @ Omega`` read straight from a tensor,
 optionally restricted to the rows of ``Omega`` whose position in the input
-grid lies in one block along one axis (what a slab update needs).  The dense
-kinds and TRP contract the tensor where it lies; SSRFT alone unfolds it,
-because its DCT needs the flattened operand.  Structured kinds (SSRFT, TRP)
-apply implicitly and only materialize their dense equivalent on request,
-under an entry budget.
+grid lies in one block along one axis (what a slab update needs); both
+contract the tensor where it lies.  Gaussian, sparse sign and SSRFT maps are
+realized as their dense entries.  An SSRFT map's entries are generated once
+from the permutations, signs and coordinates that define it
+(:class:`SsrftTransform`): at sketch widths far below ``in_dim``, one GEMM
+with those entries costs less than two DCTs of the operand.  TRP keeps its
+per-mode factors, applies implicitly and only materializes its dense
+equivalent on request, under an entry budget.
 
 TRP column convention: the map acts on a flattened multi-index over
 ``mode_dims`` with *lower* modes varying fastest (the same order the
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .tensor import contract, contract_scratch, khatri_rao, matmul, unfold
+from .tensor import contract, contract_scratch, khatri_rao, matmul
 
 FACTOR_KINDS = ("gaussian", "sparse_sign", "ssrft", "trp")
 """Every map kind; all of them can serve as factor maps."""
@@ -99,7 +102,14 @@ class DrmStorageCost:
 
 
 def drm_storage_cost(spec: DrmSpec) -> DrmStorageCost:
-    """Storage accounting for one map; sparse_sign reports expected nonzeros."""
+    """Scalars of the state that regenerates one map in its compact form.
+
+    Gaussian counts its entries, sparse_sign its expected nonzeros, SSRFT
+    its two permutations, two sign vectors and coordinates
+    (``4 * in_dim + out_dim``), TRP its per-mode factors.  This is not the
+    memory a realization holds: :func:`make_drm` holds every kind but TRP
+    as its ``in_dim * out_dim`` dense entries.
+    """
     dense = spec.in_dim * spec.out_dim
     if spec.kind == "gaussian":
         scalars = float(dense)
@@ -188,12 +198,13 @@ def _check_operand(m, in_dim: int) -> np.ndarray:
 
 
 class _DenseDrm(_Drm):
-    """A map held as its ``(in_dim, out_dim)`` entries: Gaussian or sparse sign.
+    """A map held as its ``(in_dim, out_dim)`` entries: Gaussian, sparse sign
+    or SSRFT.
 
     Sparse sign entries are +-1/sqrt(density) with probability density, else
     zero.  One raw word decides each entry: the top bits drive the keep/drop
-    draw, the low bit the sign.  Realized dense (the point of the kind is
-    variance control, not storage).
+    draw, the low bit the sign.  SSRFT entries are those of
+    :class:`SsrftTransform`, generated once.
     """
 
     def __init__(self, spec: DrmSpec):
@@ -201,6 +212,8 @@ class _DenseDrm(_Drm):
         shape = (spec.in_dim, spec.out_dim)
         if spec.kind == "gaussian":
             self.entries = rng.gaussians(spec.seed, _STREAM_ENTRIES, shape)
+        elif spec.kind == "ssrft":
+            self.entries = SsrftTransform(spec).materialize()
         else:
             words = rng.raw(spec.seed, _STREAM_ENTRIES, spec.in_dim * spec.out_dim)
             u = rng.unit_doubles(words)
@@ -229,16 +242,20 @@ class _DenseDrm(_Drm):
         return self.entries.copy()
 
 
-class _SsrftDrm(_Drm):
-    """Subsampled randomized Fourier-type transform.
+class SsrftTransform:
+    """Subsampled randomized Fourier-type transform, by its definition.
 
     Two rounds of (row permutation, sign flip, orthonormal DCT-II) followed
-    by a uniform row subsample.  Stored state is just the permutations,
-    signs, and coordinates.
+    by a uniform row subsample.  Its state is just the permutations, signs
+    and coordinates.  :meth:`materialize` generates the dense entries that
+    an SSRFT map is realized with; :meth:`transform_rows` applies the
+    transform itself, the definition those entries are checked against.
+    scipy is imported on first use, so commands without an SSRFT map never
+    load it.
     """
 
     def __init__(self, spec: DrmSpec):
-        super().__init__(spec)
+        self.spec = spec
         n = spec.in_dim
         self.perm1 = rng.permutation(spec.seed, _STREAM_PERM1, n)
         self.perm2 = rng.permutation(spec.seed, _STREAM_PERM2, n)
@@ -250,8 +267,7 @@ class _SsrftDrm(_Drm):
         """Apply the (out_dim, in_dim) transform to the rows of ``b``.
 
         Each round gathers into a new array and transforms it in place, so
-        at most two operand-sized arrays are alive at once.  scipy is
-        imported on first use, so commands without an SSRFT map never load it.
+        at most two operand-sized arrays are alive at once.
         """
         import scipy.fft
 
@@ -263,28 +279,10 @@ class _SsrftDrm(_Drm):
         y = scipy.fft.dct(y, type=2, axis=0, norm="ortho", overwrite_x=True)
         return y[self.coords]
 
-    def apply_right(self, m):
-        a = _check_operand(m, self.spec.in_dim)
-        return self.transform_rows(a.T).T
-
-    def apply_tensor(self, x, mode, axis=None, rows=None):
-        # The DCT needs the flattened operand, so this kind alone unfolds the
-        # tensor; a block is zero-padded to the full grid in that layout.
-        a, dims, g, rows = self._grid(x, mode, axis, rows)
-        if g is None:
-            return self.apply_right(unfold(a, mode))
-        full = np.zeros((a.shape[mode], *dims), order="F")
-        full[(slice(None),) * (g + 1) + (rows,)] = np.moveaxis(a, mode, 0)
-        return self.apply_right(full.reshape((a.shape[mode], -1), order="F"))
-
-    def tensor_scratch(self, shape, mode):
-        # The (padded) unfolding and the two arrays of transform_rows, each
-        # I_mode x in_dim.
-        return 3 * int(shape[mode]) * self.spec.in_dim
-
-    def _materialize(self):
-        # The adjoint of the transform applied to the out_dim unit vectors at
-        # ``coords``: O(out * in * log(in)) work and a few (in, out) arrays.
+    def materialize(self) -> np.ndarray:
+        """The dense ``(in_dim, out_dim)`` map: the adjoint of the transform
+        applied to the out_dim unit vectors at ``coords``, in
+        O(out * in * log(in)) work and a few (in, out) arrays."""
         import scipy.fft
 
         out_dim = self.spec.out_dim
@@ -377,7 +375,7 @@ class _TrpDrm(_Drm):
 _REALIZERS = {
     "gaussian": _DenseDrm,
     "sparse_sign": _DenseDrm,
-    "ssrft": _SsrftDrm,
+    "ssrft": _DenseDrm,
     "trp": _TrpDrm,
 }
 

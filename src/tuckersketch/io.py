@@ -402,18 +402,18 @@ def read_update_stream(path) -> tuple[tuple[int, ...], Iterator[UpdateRecord]]:
     or dropped.  Each payload is read straight into an F-contiguous array
     (its on-disk layout), which the sketcher contracts in place.
     """
+    records = _iter_records(path)
+    return next(records), records
+
+
+def _iter_records(path):
+    """Yield the checked shape, then the records.  Started by its first
+    ``next``, the generator owns the open file from then on."""
     what = os.fspath(path)
-    fh = open(path, "rb")
-    try:
+    with open(path, "rb") as fh:
         _, shape = _read_header(fh, MAGIC_STREAM, what)
-    except BaseException:
-        fh.close()
-        raise
-    return shape, _iter_records(fh, shape, _file_size(fh), what)
-
-
-def _iter_records(fh, shape: tuple[int, ...], end: int, what: str) -> Iterator[UpdateRecord]:
-    try:
+        yield shape
+        end = _file_size(fh)
         while True:
             tag = fh.read(1)
             if tag == b"":
@@ -440,8 +440,6 @@ def _iter_records(fh, shape: tuple[int, ...], end: int, what: str) -> Iterator[U
                 raise FileFormatError(
                     f"{what}: unknown record type {kind} at byte {fh.tell() - 17}"
                 )
-    finally:
-        fh.close()
 
 
 def write_tucker(path, fact: TuckerFactorization) -> None:

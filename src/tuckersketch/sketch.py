@@ -7,10 +7,10 @@ sketch ``H = X`` contracted on every mode ``n`` by ``Phi_n^T`` with shape
 mode)``, so the sketch is a pure linear function of ``X`` and sketches of
 shards simply add.
 
-The core maps ``Phi_n`` are small (``I_n x s_n``, the size of the factor
-sketches), so every kind is realized once as a dense matrix.  Factor maps
-stay in their own form and contract the tensor where it lies (see
-``drm``); a slab update asks each one for the row block its slab touches.
+Every map but a TRP factor map is held as its dense entries, TRP as its
+per-mode factors (see ``drm``); each contracts the tensor where it lies.
+Every update folds in as a slab: it asks each map for the row block the
+slab touches, and a dense update is the one slab that spans the last mode.
 """
 
 from __future__ import annotations
@@ -125,14 +125,8 @@ class SketchParams:
         )
 
     def phi_matrix(self, shape: tuple[int, ...], mode: int) -> np.ndarray:
-        """The core-sketch map for one mode as a dense ``(I_mode, s_mode)`` matrix.
-
-        It is the size of the factor sketch times ``s_mode / k_mode`` (about
-        2), so the materialize budget, meant for maps far larger than the
-        sketch, does not apply.
-        """
-        spec = self.phi_spec(shape, mode)
-        return make_drm(spec).materialize(max_entries=spec.in_dim * spec.out_dim)
+        """The core-sketch map for one mode as a dense ``(I_mode, s_mode)`` matrix."""
+        return make_drm(self.phi_spec(shape, mode)).entries
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -179,9 +173,9 @@ class StreamingSketcher:
     once per update, and the sketch does not depend on the input layout.
     ``peak_aux_scalars`` is the most working memory any single update held
     at once: that F copy, if one was made, plus the largest step's scratch,
-    which is a factor map's (the kernel's batch product, TRP's first
-    contraction, or an SSRFT map's unfolding and transform) or the core
-    sketch's (its first, full-size contraction, or the core itself).
+    which is a factor map's (the kernel's batch product or TRP's first
+    contraction) or the core sketch's (its first, full-size contraction, or
+    the core itself).
     """
 
     def __init__(self, shape, params: SketchParams, *, init: TuckerSketch | None = None):
@@ -231,24 +225,12 @@ class StreamingSketcher:
         copied = not (isinstance(f, np.ndarray) and np.may_share_memory(a, f))
         return a, a.size if copied else 0
 
-    def _fold_core(self, a: np.ndarray, blocks: list, theta2: float, held: int) -> None:
-        """Add ``theta2 * a`` contracted with every ``(mode, matrix)`` block."""
-        first = a.size * min(m.shape[0] / a.shape[n] for n, m in blocks)
-        self._note_aux(held + max(first, self._h.size))
-        core = multi_mode_product(a, blocks)
-        core *= theta2
-        self._h += core
-
     def update_dense(self, f, theta1: float = 1.0, theta2: float = 1.0) -> None:
         """Fold the linear update ``X <- theta1 * X + theta2 * f`` into the sketch."""
         a, held = self._fortran(f)
         if a.shape != self.shape:
             raise ValueError(f"update has shape {a.shape}, expected {self.shape}")
-        self._scale(theta1)
-        for n, om in enumerate(self._omegas):
-            self._note_aux(held + om.tensor_scratch(a.shape, n))
-            self._v[n] += theta2 * om.apply_tensor(a, n)
-        self._fold_core(a, [(n, p.T) for n, p in enumerate(self._phis)], theta2, held)
+        self._fold(a.ndim - 1, 0, a, held, theta1, theta2)
 
     def update_slab(
         self, mode: int, offset: int, slab, theta1: float = 1.0, theta2: float = 1.0
@@ -256,8 +238,8 @@ class StreamingSketcher:
         """Fold in an update supported on ``offset:offset+c`` along one mode.
 
         ``slab`` carries full extents on every other mode.  Equivalent to
-        ``update_dense`` on the zero-padded tensor, at slab cost; an ssrft
-        factor map zero-pads the slab for each other mode, one at a time.
+        ``update_dense`` on the zero-padded tensor, at slab cost: each map
+        contracts the slab with only the rows of it that the slab touches.
         """
         a, held = self._fortran(slab)
         n_modes = len(self.shape)
@@ -275,9 +257,16 @@ class StreamingSketcher:
             raise ValueError(
                 f"rows {offset}:{offset + c} fall outside extent {self.shape[mode]}"
             )
+        self._fold(mode, offset, a, held, theta1, theta2)
 
+    def _fold(
+        self, mode: int, offset: int, a: np.ndarray, held: int, theta1: float, theta2: float
+    ) -> None:
+        """Scale the sketch by ``theta1`` and add ``theta2`` times the sketch
+        of the checked F-contiguous slab ``a`` at ``offset`` along ``mode``;
+        ``held`` is the scalars of the copy made to get ``a``."""
         self._scale(theta1)
-        rows = slice(offset, offset + c)
+        rows = slice(offset, offset + a.shape[mode])
 
         # Factor sketch of the slab's own mode: the map acts on the other
         # modes, which the slab covers in full.  Other modes: the map rows
@@ -290,11 +279,15 @@ class StreamingSketcher:
                 self._v[n] += theta2 * om.apply_tensor(a, n, axis=mode, rows=rows)
 
         # Core sketch: full maps on every mode except `mode`, where only the
-        # slab's row block of Phi_mode contributes.  That block maps c <= s
-        # rows to s, so multi_mode_product applies it last.
+        # slab's row block of Phi_mode contributes.  A thin slab's block maps
+        # c <= s rows to s, so multi_mode_product applies it last.
         blocks = [(n, p.T) for n, p in enumerate(self._phis) if n != mode]
         blocks.append((mode, self._phis[mode][rows].T))
-        self._fold_core(a, blocks, theta2, held)
+        first = a.size * min(m.shape[0] / a.shape[n] for n, m in blocks)
+        self._note_aux(held + max(first, self._h.size))
+        core = multi_mode_product(a, blocks)
+        core *= theta2
+        self._h += core
 
     def all_finite(self) -> bool:
         """Whether every sketch array is free of NaN and Inf.  Once an update
@@ -322,29 +315,6 @@ def tucker_sketch(x, params: SketchParams) -> TuckerSketch:
 def zero_sketch(shape, params: SketchParams) -> TuckerSketch:
     """The sketch of the zero tensor (the additive identity for merges)."""
     return StreamingSketcher(shape, params).sketch()
-
-
-def sketch_linear_update(
-    sk: TuckerSketch, f, theta1: float = 1.0, theta2: float = 1.0
-) -> TuckerSketch:
-    """Sketch of ``theta1 * X + theta2 * f`` given the sketch of ``X``."""
-    acc = StreamingSketcher(sk.shape, sk.params, init=sk)
-    acc.update_dense(f, theta1, theta2)
-    return acc.sketch()
-
-
-def sketch_slab_update(
-    sk: TuckerSketch,
-    mode: int,
-    offset: int,
-    slab,
-    theta1: float = 1.0,
-    theta2: float = 1.0,
-) -> TuckerSketch:
-    """Slab-supported variant of :func:`sketch_linear_update`."""
-    acc = StreamingSketcher(sk.shape, sk.params, init=sk)
-    acc.update_slab(mode, offset, slab, theta1, theta2)
-    return acc.sketch()
 
 
 def sketch_merge(a: TuckerSketch, b: TuckerSketch) -> TuckerSketch:

@@ -13,6 +13,7 @@ from tuckersketch.tensor import unfold
 from tuckersketch.drm import (
     DrmSpec,
     MaterializeBudgetError,
+    SsrftTransform,
     apply_trp_factors,
     drm_storage_cost,
     make_drm,
@@ -200,7 +201,7 @@ class TestSparseSign:
 
 class TestSsrft:
     def test_square_map_is_orthogonal(self):
-        d = make_drm(DrmSpec("ssrft", 32, 32, seed=6))
+        d = SsrftTransform(DrmSpec("ssrft", 32, 32, seed=6))
         omega = d.materialize()
         np.testing.assert_allclose(omega @ omega.T, np.eye(32), atol=1e-10)
         x = np.random.default_rng(2).normal(size=(32, 3))
@@ -210,16 +211,17 @@ class TestSsrft:
         )
 
     def test_sides_are_transposes(self):
-        d = make_drm(DrmSpec("ssrft", 20, 7, seed=7))
+        spec = DrmSpec("ssrft", 20, 7, seed=7)
+        d, realized = SsrftTransform(spec), make_drm(spec)
         m = np.random.default_rng(3).normal(size=(20, 4))
         rows = d.transform_rows(m)
-        cols = d.apply_right(m.T)
+        cols = realized.apply_right(m.T)
         np.testing.assert_allclose(rows, cols.T, atol=1e-12)
 
     def test_materialize_memory_is_linear_in_input(self):
         # the dense map is 20000 x 43 (6.9 MB); transforming an identity of
         # the input size would need 3.2 GB
-        d = make_drm(DrmSpec("ssrft", 20000, 43, seed=8))
+        d = SsrftTransform(DrmSpec("ssrft", 20000, 43, seed=8))
         tracemalloc.start()
         try:
             omega = d.materialize()
@@ -231,7 +233,7 @@ class TestSsrft:
         np.testing.assert_allclose(omega.T @ x, d.transform_rows(x), atol=1e-10)
 
     def test_transform_matches_out_of_place_rounds(self):
-        d = make_drm(DrmSpec("ssrft", 50, 9, seed=9))
+        d = SsrftTransform(DrmSpec("ssrft", 50, 9, seed=9))
         b = np.random.default_rng(5).normal(size=(50, 6))
         y = scipy.fft.dct(d.sgn1[:, None] * b[d.perm1], type=2, axis=0, norm="ortho")
         y = scipy.fft.dct(d.sgn2[:, None] * y[d.perm2], type=2, axis=0, norm="ortho")
@@ -240,7 +242,7 @@ class TestSsrft:
         np.testing.assert_array_equal(b, before)  # the operand is left alone
 
     def test_transform_memory_is_two_operands(self):
-        d = make_drm(DrmSpec("ssrft", 20000, 43, seed=8))
+        d = SsrftTransform(DrmSpec("ssrft", 20000, 43, seed=8))
         b = np.random.default_rng(6).normal(size=(20000, 30))
         tracemalloc.start()
         try:
@@ -256,10 +258,28 @@ class TestSsrft:
         x /= np.linalg.norm(x)
         total = 0.0
         for trial in range(2000):
-            d = make_drm(DrmSpec("ssrft", 64, 16, seed=rng.mix64(808, trial)))
+            d = SsrftTransform(DrmSpec("ssrft", 64, 16, seed=rng.mix64(808, trial)))
             total += float((d.transform_rows(x[:, None]) ** 2).sum())
         mean = total / 2000
         assert abs(mean - 0.25) <= 0.1 * 0.25
+
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_slab_rows_match_transform_of_padded_unfolding(self, mode):
+        # The realized map restricted to a slab's rows equals the transform
+        # of the zero-padded slab's unfolding.
+        shape = (5, 6, 7)
+        dims = tuple(d for j, d in enumerate(shape) if j != mode)
+        spec = DrmSpec("ssrft", int(np.prod(dims)), 4, seed=rng.mix64(31, mode))
+        realized, ref = make_drm(spec), SsrftTransform(spec)
+        x = np.random.default_rng(mode).normal(size=shape)
+        for axis in (j for j in range(3) if j != mode):
+            rows = slice(1, shape[axis] - 2)
+            sel = (slice(None),) * axis + (rows,)
+            padded = np.zeros(shape)
+            padded[sel] = x[sel]
+            got = realized.apply_tensor(x[sel], mode, axis=axis, rows=rows)
+            want = ref.transform_rows(unfold(padded, mode).T).T
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 class TestTrp:

@@ -1,5 +1,6 @@
 """File format round trips, byte determinism, and corruption handling."""
 
+import gc
 import hashlib
 import json
 import struct
@@ -288,6 +289,15 @@ class TestUpdateStream:
         np.testing.assert_array_equal(got[0].tensor, recs[0].tensor)
         np.testing.assert_array_equal(got[1].slab, recs[1].slab)
         assert got[2].theta1 == 0.0
+
+    def test_dropped_iterator_closes_the_file(self, tmp_path):
+        # The iterator owns the open file from the header check on, so
+        # dropping it unread closes the file (an unclosed one warns).
+        path = tmp_path / "u.tkus"
+        write_update_stream(path, (3, 3), [FullUpdate(1.0, 1.0, _tensor((3, 3)))])
+        _, recs = read_update_stream(path)
+        del recs
+        gc.collect()
 
     def test_records_are_lazy(self, tmp_path):
         shape = (3, 3)

@@ -167,7 +167,7 @@ def test_ssrft_factor_map_slab_update():
     acc = StreamingSketcher(shape, params)
     slab = np.random.default_rng(5).normal(size=(60, 3, 60))
     _, peak = _peak(lambda: acc.update_slab(1, 20, slab))
-    assert peak <= 3.2 * 8 * int(np.prod(shape))
+    assert peak <= 0.25 * 8 * int(np.prod(shape))
 
 
 _LAUNCHER = """

@@ -22,9 +22,7 @@ from tuckersketch.sketch import (
     SketchParams,
     StreamingSketcher,
     TuckerSketch,
-    sketch_linear_update,
     sketch_merge,
-    sketch_slab_update,
     tucker_sketch,
 )
 
@@ -81,8 +79,11 @@ def test_slab_update_equals_padded_dense_update(om, phi, data):
     sel = _block(len(shape), mode, offset, c)
     padded = np.zeros(shape)
     padded[sel] = gen.normal(size=padded[sel].shape)
-    got = sketch_slab_update(base, mode, offset, padded[sel], theta1, theta2)
-    _assert_sketch_close(got, sketch_linear_update(base, padded, theta1, theta2))
+    slab_acc = StreamingSketcher(shape, params, init=base)
+    slab_acc.update_slab(mode, offset, padded[sel], theta1, theta2)
+    dense_acc = StreamingSketcher(shape, params, init=base)
+    dense_acc.update_dense(padded, theta1, theta2)
+    _assert_sketch_close(slab_acc.sketch(), dense_acc.sketch())
 
 
 @KIND_PAIRS
@@ -144,9 +145,9 @@ def test_sketch_does_not_depend_on_layout(om, phi, data):
         np.testing.assert_array_equal(got.core_sketch, want.core_sketch)
 
 
-@pytest.mark.parametrize("om", [k for k in FACTOR_KINDS if k != "ssrft"])
+@pytest.mark.parametrize("om", FACTOR_KINDS)
 def test_slab_update_under_ssrft_core_stays_below_padded_size(om):
-    # an ssrft core map no longer forces the zero-padded full-tensor update
+    # no map kind, factor or core, forces the zero-padded full-tensor update
     shape = (60, 60, 60)
     params = SketchParams.for_rank(2, master_seed=3, order=3, omega_kind=om, phi_kind="ssrft")
     acc = StreamingSketcher(shape, params)

@@ -11,9 +11,7 @@ from tuckersketch.sketch import (
     ParamsMismatchError,
     SketchParams,
     StreamingSketcher,
-    sketch_linear_update,
     sketch_merge,
-    sketch_slab_update,
     sketch_storage,
     tucker_sketch,
     zero_sketch,
@@ -117,7 +115,9 @@ def test_linear_update_is_linear(om):
     f = _tensor(6)
     params = _params(om)
     theta1, theta2 = 0.7, -2.5
-    updated = sketch_linear_update(tucker_sketch(x, params), f, theta1, theta2)
+    acc = StreamingSketcher(SHAPE, params, init=tucker_sketch(x, params))
+    acc.update_dense(f, theta1, theta2)
+    updated = acc.sketch()
     direct = tucker_sketch(theta1 * x + theta2 * f, params)
     _assert_sketch_close(updated, list(direct.factor_sketches), direct.core_sketch)
 
@@ -125,7 +125,9 @@ def test_linear_update_is_linear(om):
 def test_zero_sketch_is_identity_for_updates():
     x = _tensor(7)
     params = _params()
-    built = sketch_linear_update(zero_sketch(SHAPE, params), x)
+    acc = StreamingSketcher(SHAPE, params, init=zero_sketch(SHAPE, params))
+    acc.update_dense(x)
+    built = acc.sketch()
     direct = tucker_sketch(x, params)
     _assert_sketch_close(built, list(direct.factor_sketches), direct.core_sketch)
 
@@ -149,11 +151,27 @@ def test_slab_partition_reassembles_full_sketch(om, mode):
     _assert_sketch_close(acc.sketch(), list(direct.factor_sketches), direct.core_sketch)
 
 
+@pytest.mark.parametrize("om", ["gaussian", "sparse_sign", "ssrft", "trp"])
+@pytest.mark.parametrize("phi", ["gaussian", "sparse_sign", "ssrft"])
+def test_dense_update_is_the_one_last_mode_slab(om, phi):
+    x = _tensor(23)
+    params = _params(om, phi)
+    dense, slab = StreamingSketcher(SHAPE, params), StreamingSketcher(SHAPE, params)
+    dense.update_dense(x, 0.5, 2.0)
+    slab.update_slab(2, 0, x, 0.5, 2.0)
+    for a, b in zip(dense.sketch().factor_sketches, slab.sketch().factor_sketches):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(dense.sketch().core_sketch, slab.sketch().core_sketch)
+    assert dense.peak_aux_scalars == slab.peak_aux_scalars
+
+
 def test_slab_update_respects_thetas():
     x = _tensor(9)
     slab = _tensor(10, (8, 3, 10))
     params = _params()
-    got = sketch_slab_update(tucker_sketch(x, params), 1, 4, slab, theta1=0.5, theta2=3.0)
+    acc = StreamingSketcher(SHAPE, params, init=tucker_sketch(x, params))
+    acc.update_slab(1, 4, slab, theta1=0.5, theta2=3.0)
+    got = acc.sketch()
     padded = np.zeros(SHAPE)
     padded[:, 4:7, :] = slab
     direct = tucker_sketch(0.5 * x + 3.0 * padded, params)

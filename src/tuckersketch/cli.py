@@ -7,8 +7,11 @@ atomically.
 
 ``sketch --input`` and ``recover --input`` read the tensor file in
 last-mode slabs of at most 8 MiB (one plane of the last mode at the least),
-so the tensor is never held in memory whole; ``merge`` reads one sketch
-file at a time.
+so the tensor is never held in memory whole.  ``sketch --stream`` reads
+every full record and every last-mode slab record in the same bounded
+pieces, from one reused buffer; a slab record along any other mode is held
+whole.  Every piece is folded with ``update_slab``.  ``merge`` reads one
+sketch file at a time.
 """
 
 from __future__ import annotations
@@ -165,24 +168,23 @@ def _check_finite(acc: StreamingSketcher, where: str) -> None:
 
 def _cmd_sketch(args) -> int:
     if args.input is not None:
-        shape, slabs = tkio.read_tensor_slabs(args.input)
-        acc = StreamingSketcher(shape, _params_for(args, len(shape)))
+        path = args.input
+        shape, slabs = tkio.read_tensor_slabs(path)
         last = len(shape) - 1
-        for offset, slab in slabs:
-            acc.update_slab(last, offset, slab)
-            rows = f"{offset}:{offset + slab.shape[last]}"
-            _check_finite(acc, f"{args.input}: rows {rows} of mode {last}")
+        pieces = (tkio.Piece(0, last, offset, slab) for offset, slab in slabs)
     else:
-        shape, records = tkio.read_update_stream(args.stream)
-        acc = StreamingSketcher(shape, _params_for(args, len(shape)))
-        count = 0
-        for count, rec in enumerate(records, 1):
-            if isinstance(rec, tkio.FullUpdate):
-                acc.update_dense(rec.tensor, rec.theta1, rec.theta2)
-            else:
-                acc.update_slab(rec.mode, rec.offset, rec.slab, rec.theta1, rec.theta2)
-            _check_finite(acc, f"{args.stream}: record {count - 1}")
-        print(f"folded {count} updates", file=sys.stderr)
+        path = args.stream
+        shape, pieces = tkio.read_stream_pieces(path)
+    acc = StreamingSketcher(shape, _params_for(args, len(shape)))
+    records = 0
+    for p in pieces:
+        acc.update_slab(p.mode, p.offset, p.data, p.theta1, p.theta2)
+        where = (f"rows {p.offset}:{p.offset + p.data.shape[p.mode]} of mode {p.mode}"
+                 if args.input is not None else f"record {p.record}")
+        _check_finite(acc, f"{path}: {where}")
+        records = p.record + 1
+    if args.stream is not None:
+        print(f"folded {records} updates", file=sys.stderr)
     sk = acc.sketch()
     tkio.write_sketch(args.out, sk)
     print(f"wrote sketch {args.out} (shape {sk.shape}, k {sk.params.k}, "
@@ -246,6 +248,7 @@ def _cmd_recover(args) -> int:
         "rank": list(fact.rank),
         "degenerate_modes": list(report.degenerate_modes),
         "core_solver_residuals": list(report.core_solver_residuals),
+        "core_conditions": list(report.core_conditions),
         "normalized_error": normalized_error,
         "elapsed_seconds": elapsed,
     }

@@ -7,10 +7,16 @@ the target path, so no file is built in memory and a crashed write never
 leaves a half-written file behind.  Every payload goes out through
 ``_write_array`` and comes back through ``_read_into``, which fills an
 array in place.  Sizes are checked against the end of the file or archive
-member, without seeking, before anything is read.  ``read_tensor_slabs``
-reads a tensor file in last-mode slabs of at most 8 MiB (one plane of the
-last mode at the least); the command line sketches and scores tensor files
-this way, so a tensor is never held in memory whole.
+member, without seeking, before anything is read.
+
+Tensor files and update streams are read through one piece reader: a
+tensor file, a full stream record and a stream slab record along the last
+mode arrive as last-mode pieces of at most 8 MiB (one plane of the last
+mode at the least), all read into one reused buffer.  A slab record along
+any other mode arrives whole, in the same buffer when it fits.  The command
+line sketches and scores tensor files and streams this way
+(``read_tensor_slabs``, ``read_stream_pieces``), so no tensor or record is
+held in memory whole.
 
 ``TKTN1`` tensor file::
 
@@ -37,6 +43,7 @@ inputs give equal bytes) holding ``manifest.json``, ``core.tktn``, and one
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -46,7 +53,7 @@ import zipfile
 import zlib
 from dataclasses import dataclass
 from io import BytesIO
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -89,8 +96,8 @@ def _atomic_write(path):
 
 
 _WRITE_BLOCK_BYTES = 1 << 22
-# A tensor file is read in last-mode slabs of at most this many scalars
-# (8 MiB), or one plane of the last mode if a plane is larger.
+# Tensor files and stream records are read in last-mode pieces of at most
+# this many scalars (8 MiB), or one plane of the last mode if a plane is larger.
 _READ_SLAB_SCALARS = 1 << 20
 # Payloads are read in pieces of this many bytes: a handle without a native
 # ``readinto`` (an archive member) copies through one piece at a time.
@@ -189,6 +196,49 @@ def _read_array(fh, shape: tuple[int, ...], end: int, what: str) -> np.ndarray:
     return out.astype(np.float64, copy=False)
 
 
+class _PieceReader:
+    """Reads payloads of blocks of a tensor of ``shape`` from ``fh`` in pieces.
+
+    A block along the last mode is read in pieces of at most
+    ``_READ_SLAB_SCALARS`` scalars (one plane at the least), a block along
+    any other mode as one piece.  Pieces are F-order arrays in one reused
+    buffer, so a piece is valid only until the next is read; a piece larger
+    than the buffer's capacity gets an array of its own.  With
+    ``whole=True`` every block is one piece in an array of its own.
+    """
+
+    def __init__(self, fh, shape: tuple[int, ...], end: int, what: str, whole: bool = False):
+        self.fh, self.shape, self.end, self.what = fh, shape, end, what
+        plane = math.prod(shape[:-1])
+        self.step = None if whole else max(1, _READ_SLAB_SCALARS // plane)
+        self.capacity = 0 if whole else plane * min(self.step, shape[-1])
+        # Grown to the largest piece read so far, so it never outgrows
+        # what the file has been checked to hold.
+        self.buf = np.empty(0, dtype="<f8")
+
+    def pieces(self, mode: int, offset: int, extent: int):
+        """Yield rows ``offset:offset + extent`` of ``mode`` as ``(offset,
+        piece)`` pairs, after checking that the whole payload lies before
+        the end of the file."""
+        dims = self.shape[:mode] + (extent,) + self.shape[mode + 1 :]
+        row = math.prod(dims) // extent
+        _need(self.fh, 8 * row * extent, self.end, self.what)
+        step = self.step if self.step and mode == len(dims) - 1 else extent
+        for j in range(0, extent, step):
+            c = min(step, extent - j)
+            flat = self._flat(row * c)
+            _read_into(self.fh, flat, self.what)
+            piece = flat.reshape(dims[:mode] + (c,) + dims[mode + 1 :], order="F")
+            yield offset + j, piece.astype(np.float64, copy=False)
+
+    def _flat(self, n: int) -> np.ndarray:
+        if n > self.capacity:
+            return np.empty(n, dtype="<f8")
+        if n > self.buf.size:
+            self.buf = np.empty(n, dtype="<f8")
+        return self.buf[:n]
+
+
 def _tensor_shape(fh, end: int, what: str) -> tuple[int, ...]:
     """Check a TKTN1 file from the start of ``fh`` to ``end``: header, and a
     payload that fills the rest exactly.  Returns the shape, with ``fh`` at
@@ -254,17 +304,10 @@ def _iter_slabs(path):
     ``next``, the generator owns the open file from then on."""
     what = os.fspath(path)
     with open(path, "rb") as fh:
-        shape = _tensor_shape(fh, _file_size(fh), what)
+        end = _file_size(fh)
+        shape = _tensor_shape(fh, end, what)
         yield shape
-        plane = math.prod(shape[:-1])
-        step = max(1, _READ_SLAB_SCALARS // plane)
-        buf = np.empty(plane * min(step, shape[-1]), dtype="<f8")
-        for offset in range(0, shape[-1], step):
-            c = min(step, shape[-1] - offset)
-            flat = buf[: plane * c]
-            _read_into(fh, flat, what)
-            slab = flat.reshape(shape[:-1] + (c,), order="F")
-            yield offset, slab.astype(np.float64, copy=False)
+        yield from _PieceReader(fh, shape, end, what).pieces(len(shape) - 1, 0, shape[-1])
 
 
 class _Crc32Writer:
@@ -362,6 +405,23 @@ class SlabUpdate:
 
 UpdateRecord = Union[FullUpdate, SlabUpdate]
 
+
+class Piece(NamedTuple):
+    """Rows ``offset:offset + c`` along ``mode`` of an update: fold in
+    ``theta1 * X + theta2 * data`` (``data`` zero-padded to the full shape).
+
+    ``record`` is the index of the stream record the piece belongs to.  Only
+    a record's first piece carries its ``theta1``; the rest carry 1.
+    """
+
+    record: int
+    mode: int
+    offset: int
+    data: np.ndarray
+    theta1: float = 1.0
+    theta2: float = 1.0
+
+
 _REC_FULL = 0
 _REC_SLAB = 1
 
@@ -399,30 +459,57 @@ def read_update_stream(path) -> tuple[tuple[int, ...], Iterator[UpdateRecord]]:
 
     Records are parsed one at a time, so a stream much larger than memory
     can be consumed; the file handle closes when the iterator is exhausted
-    or dropped.  Each payload is read straight into an F-contiguous array
-    (its on-disk layout), which the sketcher contracts in place.
+    or dropped.  Each payload is read whole, straight into an F-contiguous
+    array of its own (its on-disk layout), which the sketcher contracts in
+    place.  ``read_stream_pieces`` reads the same records in bounded pieces.
     """
-    records = _iter_records(path)
-    return next(records), records
+    pieces = _iter_stream(path, whole=True)
+    return next(pieces), _as_records(pieces)
 
 
-def _iter_records(path):
-    """Yield the checked shape, then the records.  Started by its first
-    ``next``, the generator owns the open file from then on."""
+def _as_records(pieces):
+    for full, p in pieces:
+        if full:
+            yield FullUpdate(theta1=p.theta1, theta2=p.theta2, tensor=p.data)
+        else:
+            yield SlabUpdate(p.theta1, p.theta2, p.mode, p.offset, p.data)
+
+
+def read_stream_pieces(path) -> tuple[tuple[int, ...], Iterator[Piece]]:
+    """Open a TKUS1 stream: returns the shape and a lazy iterator of pieces.
+
+    A full record, or a slab record along the last mode, arrives as
+    last-mode pieces of at most ``_READ_SLAB_SCALARS`` scalars (8 MiB), or
+    one plane if a plane is larger; a slab record along any other mode
+    arrives whole.  Folding every piece with ``update_slab`` folds the
+    stream.  Each record's payload is checked against the end of the file
+    before its first piece is read.  Pieces share one reused buffer (a
+    slab record too large for it gets an array of its own), so a piece is
+    valid only until the next is requested.  The file closes when the
+    iterator is exhausted or dropped.
+    """
+    pieces = _iter_stream(path, whole=False)
+    shape = next(pieces)
+    return shape, (p for _, p in pieces)
+
+
+def _iter_stream(path, whole: bool):
+    """Yield the checked shape, then ``(full, piece)`` for every piece of
+    every record, ``full`` telling a full record from a slab record.  Started
+    by its first ``next``, the generator owns the open file from then on."""
     what = os.fspath(path)
     with open(path, "rb") as fh:
         _, shape = _read_header(fh, MAGIC_STREAM, what)
         yield shape
-        end = _file_size(fh)
-        while True:
+        reader = _PieceReader(fh, shape, _file_size(fh), what, whole)
+        for record in itertools.count():
             tag = fh.read(1)
             if tag == b"":
                 return
             kind = tag[0]
             theta1, theta2 = struct.unpack("<dd", _read_exact(fh, 16, what))
             if kind == _REC_FULL:
-                tensor = _read_array(fh, shape, end, what)
-                yield FullUpdate(theta1=theta1, theta2=theta2, tensor=tensor)
+                mode, offset, extent = len(shape) - 1, 0, shape[-1]
             elif kind == _REC_SLAB:
                 mode, offset, extent = struct.unpack("<BQQ", _read_exact(fh, 17, what))
                 if mode >= len(shape):
@@ -432,14 +519,13 @@ def _iter_records(path):
                         f"{what}: slab rows {offset}:{offset + extent} outside "
                         f"extent {shape[mode]}"
                     )
-                slab = _read_array(
-                    fh, shape[:mode] + (int(extent),) + shape[mode + 1 :], end, what
-                )
-                yield SlabUpdate(theta1, theta2, int(mode), int(offset), slab)
             else:
                 raise FileFormatError(
                     f"{what}: unknown record type {kind} at byte {fh.tell() - 17}"
                 )
+            for at, data in reader.pieces(mode, offset, extent):
+                yield kind == _REC_FULL, Piece(record, mode, at, data, theta1, theta2)
+                theta1 = 1.0
 
 
 def write_tucker(path, fact: TuckerFactorization) -> None:

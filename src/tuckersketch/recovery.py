@@ -65,12 +65,17 @@ class FactorBases:
 
 @dataclass(frozen=True)
 class RecoveryReport:
-    """What a recovery did and how well its internal solves went."""
+    """What a recovery did and how well its internal solves went.
+
+    ``core_conditions`` holds, for a one-pass recovery, the condition number
+    ``sigma_1 / sigma_k`` of each mode's core system ``Phi_n^T Q_n``.
+    """
 
     factorization: TuckerFactorization
     passes: int
     degenerate_modes: tuple[int, ...]
     core_solver_residuals: tuple[float, ...] = ()
+    core_conditions: tuple[float, ...] = ()
     iterations: int = 0
 
 
@@ -124,12 +129,14 @@ def one_pass_recover(sk: TuckerSketch) -> RecoveryReport:
     Regenerates the core maps from the sketch parameters, then for each mode
     solves ``(Phi_n^T Q_n) W = H`` in the least squares sense: one SVD of
     the small system gives its pseudo-inverse, which ``mode_product``
-    applies to the core.  Raises :class:`RankDeficientCoreError` when a
-    system is numerically singular (condition number past 1e12, or zero).
+    applies to the core, and its condition number, which the report keeps.
+    Raises :class:`RankDeficientCoreError` when a system is numerically
+    singular (condition number past 1e12, or zero).
     """
     bases = factor_bases(sk)
     core = sk.core_sketch
     residuals = []
+    conditions = []
     for n, q in enumerate(bases.matrices):
         z = sk.params.phi_matrix(sk.shape, n).T @ q  # (s_n, k_n), s_n >= k_n
         u, sv, vt = np.linalg.svd(z, full_matrices=False)
@@ -139,6 +146,7 @@ def one_pass_recover(sk: TuckerSketch) -> RecoveryReport:
                 f"core solve in mode {n} is rank deficient "
                 f"(rank {rank} of {sv.size}); enlarge s_{n} or reseed"
             )
+        conditions.append(float(sv[0] / sv[-1]))
         new = mode_product(core, n, vt.T @ (u.T / sv[:, None]))
         residuals.append(fro_norm(mode_product(new, n, z) - core))
         core = new
@@ -148,6 +156,7 @@ def one_pass_recover(sk: TuckerSketch) -> RecoveryReport:
         passes=1,
         degenerate_modes=bases.degenerate_modes,
         core_solver_residuals=tuple(residuals),
+        core_conditions=tuple(conditions),
     )
 
 

@@ -22,8 +22,13 @@ from tuckersketch.io import (
     write_tensor,
     write_update_stream,
 )
-from tuckersketch.recovery import two_pass_recover
-from tuckersketch.sketch import SketchParams, TuckerSketch, tucker_sketch
+from tuckersketch.recovery import one_pass_recover, two_pass_recover
+from tuckersketch.sketch import (
+    SketchParams,
+    StreamingSketcher,
+    TuckerSketch,
+    tucker_sketch,
+)
 from tuckersketch.tensor import fro_norm, tucker_residual_norm
 
 
@@ -163,6 +168,18 @@ class TestRecoverCommand:
         assert data["normalized_error"] <= 1e-9
         assert data["k"] == [7, 7, 7]
         assert isinstance(data["degenerate_modes"], list)
+        assert data["core_conditions"] == []
+
+    def test_one_pass_report_has_core_conditions(self, tmp_path, exact_tensor):
+        _, skfile = self._sketch_files(tmp_path, exact_tensor)
+        report = tmp_path / "report.json"
+        rc = main(["recover", "--sketch", str(skfile), "--out", str(tmp_path / "f.tkz"),
+                   "--report", str(report)])
+        assert rc == 0
+        want = one_pass_recover(read_sketch(skfile)).core_conditions
+        got = json.loads(report.read_text())["core_conditions"]
+        assert len(got) == 3 and all(c >= 1.0 for c in got)
+        np.testing.assert_allclose(got, want, rtol=1e-10)
 
     def test_two_pass_without_input_is_usage_error(self, tmp_path, exact_tensor):
         _, skfile = self._sketch_files(tmp_path, exact_tensor)
@@ -297,6 +314,97 @@ class TestStreamedInput:
         rc = main(["sketch", "--input", str(xfile), "--rank", "3", "--out", str(out)])
         assert rc == 2
         assert f"{xfile}: rows 6:9 of mode 2 made the sketch non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestStreamPieces:
+    """``--stream`` records are folded in pieces: with pieces of 2 planes a
+    full record of 9 planes takes 5, a last-mode slab record of 5 planes 3."""
+
+    SHAPE = (6, 5, 9)
+
+    @pytest.fixture(autouse=True)
+    def small_pieces(self, monkeypatch):
+        monkeypatch.setattr(tkio, "_READ_SLAB_SCALARS", 2 * 6 * 5)
+
+    @staticmethod
+    def _block(mode, offset, count):
+        return tuple(slice(offset, offset + count) if m == mode else slice(None)
+                     for m in range(3))
+
+    @pytest.mark.parametrize("kind", FACTOR_KINDS)
+    def test_sketch_matches_the_net_tensor(self, tmp_path, kind):
+        rng = np.random.default_rng(11)
+        net = np.zeros(self.SHAPE)
+        records = []
+        # A mode-1 slab too large for the piece buffer, a mode-0 slab that
+        # fits it, then a full record and a last-mode slab record in pieces.
+        for theta1, theta2, mode, offset, count in [
+            (1.0, 0.7, 1, 1, 3), (0.9, -1.3, 0, 2, 1), (0.5, 2.0, None, 0, 9),
+            (0.8, 1.5, 2, 3, 5),
+        ]:
+            net *= theta1
+            if mode is None:
+                data = rng.normal(size=self.SHAPE)
+                net += theta2 * data
+                records.append(FullUpdate(theta1, theta2, data))
+            else:
+                block = self._block(mode, offset, count)
+                data = rng.normal(size=net[block].shape)
+                net[block] += theta2 * data
+                records.append(SlabUpdate(theta1, theta2, mode, offset, data))
+        stream, out = tmp_path / "u.tkus", tmp_path / "u.tksk"
+        write_update_stream(stream, self.SHAPE, records)
+        rc = main(["sketch", "--stream", str(stream), "--k", "2", "--s", "5", "--drm", kind,
+                   "--seed", "3", "--out", str(out)])
+        assert rc == 0
+        got = read_sketch(out)
+        want = tucker_sketch(net, got.params)
+        for a, b in zip(got.factor_sketches, want.factor_sketches):
+            _close(a, b, 1e-13)
+        _close(got.core_sketch, want.core_sketch, 1e-13)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_in_a_later_piece_names_the_record(self, tmp_path, capsys):
+        x = np.random.default_rng(12).normal(size=self.SHAPE)
+        bad = x.copy()
+        bad[1, 2, 3] = np.nan  # plane 3 lies in the second piece, planes 2:4
+        stream, out = tmp_path / "u.tkus", tmp_path / "u.tksk"
+        write_update_stream(stream, self.SHAPE, [
+            SlabUpdate(1.0, 1.0, mode=0, offset=0, slab=x[:1]),
+            FullUpdate(0.5, 1.0, bad),
+        ])
+        rc = main(["sketch", "--stream", str(stream), "--rank", "1", "--out", str(out)])
+        assert rc == 2
+        assert f"{stream}: record 1 made the sketch non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_truncated_full_record_fails_before_its_pieces(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        x = np.random.default_rng(13).normal(size=self.SHAPE)
+        stream, out = tmp_path / "u.tkus", tmp_path / "u.tksk"
+        write_update_stream(stream, self.SHAPE, [
+            SlabUpdate(1.0, 1.0, mode=2, offset=0, slab=x[..., :1]),
+            FullUpdate(1.0, 1.0, x),
+        ])
+        stream.write_bytes(stream.read_bytes()[:-9])
+        with pytest.raises(tkio.FileFormatError) as want:
+            list(tkio.read_update_stream(stream)[1])
+
+        folded = []
+        update_slab = StreamingSketcher.update_slab
+
+        def counted(acc, mode, offset, slab, *thetas):
+            folded.append((mode, offset, slab.shape))
+            return update_slab(acc, mode, offset, slab, *thetas)
+
+        monkeypatch.setattr(StreamingSketcher, "update_slab", counted)
+        capsys.readouterr()
+        rc = main(["sketch", "--stream", str(stream), "--rank", "1", "--out", str(out)])
+        assert rc == 4
+        assert capsys.readouterr().err == f"error: {want.value}\n"
+        assert folded == [(2, 0, (6, 5, 1))]
         assert not out.exists()
 
 

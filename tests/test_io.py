@@ -388,6 +388,65 @@ class TestUpdateStream:
             list(it)
 
 
+class TestStreamPieces:
+    def test_pieces_cover_every_record(self, tmp_path, monkeypatch):
+        # Pieces of at most 2 planes: the full record of 5 planes comes in
+        # 3, the last-mode slab of 3 planes in 2, the mode-1 slab whole.
+        monkeypatch.setattr(tkio, "_READ_SLAB_SCALARS", 2 * 4 * 3)
+        shape = (4, 3, 5)
+        recs = [
+            SlabUpdate(0.9, -2.0, mode=1, offset=1, slab=_tensor((4, 2, 5), 1)),
+            FullUpdate(0.5, 3.0, _tensor(shape, 2)),
+            SlabUpdate(0.7, 1.5, mode=2, offset=2, slab=_tensor((4, 3, 3), 3)),
+        ]
+        path = tmp_path / "u.tkus"
+        write_update_stream(path, shape, recs)
+        got_shape, pieces = tkio.read_stream_pieces(path)
+        assert got_shape == shape
+        got = [(p.record, p.mode, p.offset, p.data.shape, p.theta1, p.theta2, p.data.copy())
+               for p in pieces]
+        assert [g[:6] for g in got] == [
+            (0, 1, 1, (4, 2, 5), 0.9, -2.0),
+            (1, 2, 0, (4, 3, 2), 0.5, 3.0),
+            (1, 2, 2, (4, 3, 2), 1.0, 3.0),
+            (1, 2, 4, (4, 3, 1), 1.0, 3.0),
+            (2, 2, 2, (4, 3, 2), 0.7, 1.5),
+            (2, 2, 4, (4, 3, 1), 1.0, 1.5),
+        ]
+        np.testing.assert_array_equal(got[0][6], recs[0].slab)
+        np.testing.assert_array_equal(np.concatenate([g[6] for g in got[1:4]], axis=2),
+                                      recs[1].tensor)
+        np.testing.assert_array_equal(np.concatenate([g[6] for g in got[4:]], axis=2),
+                                      recs[2].slab)
+
+    def test_pieces_share_one_buffer(self, tmp_path, monkeypatch):
+        # A mode-0 slab that fits the buffer is read into it too.
+        monkeypatch.setattr(tkio, "_READ_SLAB_SCALARS", 2 * 4 * 3)
+        shape = (4, 3, 5)
+        path = tmp_path / "u.tkus"
+        write_update_stream(path, shape, [
+            FullUpdate(1.0, 1.0, _tensor(shape)),
+            SlabUpdate(1.0, 1.0, mode=0, offset=1, slab=_tensor((1, 3, 5))),
+        ])
+        _, pieces = tkio.read_stream_pieces(path)
+        bases = {p.data.__array_interface__["data"][0] for p in pieces}
+        assert len(bases) == 1
+
+    def test_truncated_record_fails_before_its_first_piece(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tkio, "_READ_SLAB_SCALARS", 4 * 3)
+        shape = (4, 3, 5)
+        path = tmp_path / "u.tkus"
+        write_update_stream(path, shape, [FullUpdate(1.0, 1.0, _tensor(shape))])
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(FileFormatError) as want:
+            list(read_update_stream(path)[1])
+        _, pieces = tkio.read_stream_pieces(path)
+        with pytest.raises(FileFormatError) as got:
+            next(pieces)
+        assert str(got.value) == str(want.value)
+        assert "truncated at byte 47 (needed 480 more, have 479)" in str(got.value)
+
+
 class TestTuckerArchive:
     def _fact(self):
         x = _tensor((6, 7, 8), seed=9)

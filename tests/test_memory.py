@@ -216,6 +216,23 @@ def test_cli_sketch_streams_its_input(tmp_path, tensor_file):
     assert sketch - bare < 0.6 * nbytes
 
 
+def test_cli_sketch_streams_its_records(tmp_path):
+    # One full record and a 100-plane last-mode slab record, both read in
+    # pieces into one buffer: neither is held whole.
+    x = np.random.default_rng(10).normal(size=(160, 160, 160))
+    path = tmp_path / "x.tkus"
+    write_update_stream(path, x.shape, [
+        FullUpdate(1.0, 1.0, x),
+        SlabUpdate(0.5, 2.0, mode=2, offset=30, slab=x[..., 30:130]),
+    ])
+    bare = _max_rss_bytes("-c", "import tuckersketch.cli, scipy.special")
+    sketch = _max_rss_bytes(
+        "-m", "tuckersketch.cli", "sketch", "--stream", str(path), "--rank", "2",
+        "--out", str(tmp_path / "x.tksk"),
+    )
+    assert sketch - bare < 0.6 * x.nbytes
+
+
 def test_cli_two_pass_recover_streams_its_input(tmp_path, tensor_file):
     path, nbytes = tensor_file
     skfile = tmp_path / "x.tksk"

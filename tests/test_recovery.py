@@ -96,6 +96,17 @@ class TestOnePass:
         assert all(r >= 0 for r in report.core_solver_residuals)
         assert fro_norm(x - report.factorization.to_dense()) <= 1e-8 * fro_norm(x)
 
+    def test_core_conditions_match_the_core_systems(self):
+        x = _noisy_tensor(seed=12)
+        sk = tucker_sketch(x, SketchParams.for_rank(2, master_seed=12, order=3))
+        report = one_pass_recover(sk)
+        bases = factor_bases(sk)
+        want = [np.linalg.cond(sk.params.phi_matrix(sk.shape, n).T @ q)
+                for n, q in enumerate(bases.matrices)]
+        assert len(report.core_conditions) == 3
+        np.testing.assert_allclose(report.core_conditions, want, rtol=1e-10)
+        assert two_pass_recover(x, sk).core_conditions == ()
+
     def test_core_shape_is_k(self):
         x = _noisy_tensor(seed=9)
         params = SketchParams(k=(4, 5, 6), s=(9, 11, 13), master_seed=9)

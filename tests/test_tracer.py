@@ -49,7 +49,15 @@ def stream(tmp_path_factory):
 def test_traced_stream_sketch(tmp_path, stream, kind):
     names = _traced(tmp_path, "sketch", "--stream", str(stream), "--rank", "1",
                     "--drm", kind, "--out", str(tmp_path / "x.tksk"))
-    assert {"sketch.update_dense", "sketch.update_slab", "drm.realize_omega"} <= names
+    assert {"sketch.update_slab", "drm.realize_omega"} <= names
+
+
+def test_traced_bench(tmp_path):
+    # The command line folds every input with update_slab; the in-memory
+    # sketch of the bench grid still calls update_dense.
+    names = _traced(tmp_path, "bench", "--side", "8", "--order", "3", "--rank", "1",
+                    "--trials", "1", "--out", str(tmp_path / "b.csv"))
+    assert "sketch.update_dense" in names
 
 
 def test_traced_recover(tmp_path, stream):

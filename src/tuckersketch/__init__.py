@@ -20,7 +20,6 @@ from .tensor import (
 )
 from .drm import (
     DrmSpec,
-    MaterializeBudgetError,
     drm_storage_cost,
     make_drm,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "DrmSpec",
     "make_drm",
     "drm_storage_cost",
-    "MaterializeBudgetError",
     "SketchParams",
     "TuckerSketch",
     "StreamingSketcher",

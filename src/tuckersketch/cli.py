@@ -22,8 +22,6 @@ import math
 import sys
 import time
 
-import numpy as np
-
 from . import io as tkio
 from .drm import CORE_KINDS, FACTOR_KINDS
 from .harness import SyntheticSpec, run_experiment
@@ -41,7 +39,7 @@ from .sketch import (
     StreamingSketcher,
     sketch_merge,
 )
-from .tensor import TuckerFactorization, fro_norm, tucker_residual_norm
+from .tensor import TuckerFactorization, fro_norm, per_mode, tucker_residual_norm
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -56,14 +54,6 @@ def _float_list(text: str) -> tuple[float, ...]:
         return tuple(float(v) for v in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}") from exc
-
-
-def _broadcast(values: tuple[int, ...], order: int, what: str) -> tuple[int, ...]:
-    if len(values) == 1:
-        return values * order
-    if len(values) != order:
-        raise ValueError(f"{what} has {len(values)} entries but the tensor has {order} modes")
-    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,11 +140,10 @@ def _params_for(args, order: int) -> SketchParams:
         "density": args.density,
     }
     if args.rank is not None:
-        r = _broadcast(args.rank, order, "--rank")
-        return SketchParams.for_rank(r, args.seed, **kinds)
-    k = _broadcast(args.k, order, "--k")
+        return SketchParams.for_rank(args.rank, args.seed, order=order, **kinds)
+    k = per_mode(args.k, order, "--k")
     if args.s is not None:
-        s = _broadcast(args.s, order, "--s")
+        s = per_mode(args.s, order, "--s")
     else:
         s = tuple(2 * v + 1 for v in k)
     return SketchParams(k=k, s=s, master_seed=args.seed, **kinds)
@@ -203,7 +192,8 @@ def _cmd_merge(args) -> int:
 
 def _normalized_error(slabs, fact: TuckerFactorization) -> float | None:
     """``||X - X_hat|| / ||X||`` with both sums of squares taken over the
-    last-mode slabs of ``X`` (None when ``X`` is zero)."""
+    last-mode slabs of ``X`` (None when ``X`` is zero); raises ``ValueError``
+    when a sum is not finite (NaN or Inf in ``X``)."""
     err = norm = 0.0
     last = fact.core.ndim - 1
     for offset, slab in slabs:
@@ -211,6 +201,8 @@ def _normalized_error(slabs, fact: TuckerFactorization) -> float | None:
         part = TuckerFactorization(core=fact.core, factors=fact.factors[:last] + (rows,))
         err += tucker_residual_norm(slab, part) ** 2
         norm += fro_norm(slab) ** 2
+    if not math.isfinite(err + norm):
+        raise ValueError("the tensor's sum of squares is not finite (NaN or Inf in the data)")
     return math.sqrt(err) / math.sqrt(norm) if norm > 0 else None
 
 
@@ -233,12 +225,11 @@ def _cmd_recover(args) -> int:
         report = one_pass_recover(sk)
     fact = report.factorization
     if args.trunc is not None:
-        r = _broadcast(args.trunc, len(sk.shape), "--trunc")
+        r = per_mode(args.trunc, len(sk.shape), "--trunc")
         fact = fixed_rank_truncate(fact, r, method=args.method)
     elapsed = time.perf_counter() - start
-    tkio.write_tucker(args.out, fact)
-
     normalized_error = _normalized_error(slabs, fact) if slabs is not None else None
+    tkio.write_tucker(args.out, fact)
     summary = {
         "mode": args.mode,
         "passes": report.passes,
@@ -300,29 +291,26 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+# Exit code of each failure, first match wins: the ValueError subclasses
+# come before ValueError itself.
+_EXIT_CODES = (
+    (tkio.FileFormatError, 4),
+    (ParamsMismatchError, 5),
+    (RankInfeasibleError, 6),
+    (RankDeficientCoreError, 1),
+    (ValueError, 2),
+    (OSError, 3),
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except tkio.FileFormatError as exc:
+    except tuple(cls for cls, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ParamsMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except RankInfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 6
-    except RankDeficientCoreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

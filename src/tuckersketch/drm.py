@@ -14,7 +14,7 @@ from the permutations, signs and coordinates that define it
 (:class:`SsrftTransform`): at sketch widths far below ``in_dim``, one GEMM
 with those entries costs less than two DCTs of the operand.  TRP keeps its
 per-mode factors, applies implicitly and only materializes its dense
-equivalent on request, under an entry budget.
+equivalent on request.
 
 TRP column convention: the map acts on a flattened multi-index over
 ``mode_dims`` with *lower* modes varying fastest (the same order the
@@ -46,12 +46,6 @@ _STREAM_SIGN1 = 3
 _STREAM_SIGN2 = 4
 _STREAM_COORDS = 5
 _TRP_FACTOR_TAG = 7
-
-DEFAULT_MATERIALIZE_BUDGET = 1 << 26
-
-
-class MaterializeBudgetError(ValueError):
-    """Raised when materializing a map would exceed the entry budget."""
 
 
 @dataclass(frozen=True)
@@ -123,69 +117,30 @@ def drm_storage_cost(spec: DrmSpec) -> DrmStorageCost:
     return DrmStorageCost(scalars=scalars, dense_equiv=dense)
 
 
-class _Drm:
-    """Base realization; subclasses fill in apply/materialize."""
-
-    def __init__(self, spec: DrmSpec):
-        self.spec = spec
-
-    def apply_right(self, m: np.ndarray) -> np.ndarray:
-        """Compute ``m @ Omega`` for an ``(q, in_dim)`` operand."""
-        raise NotImplementedError
-
-    def apply_tensor(self, x, mode: int, axis: int | None = None, rows: slice | None = None):
-        """Compute ``unfold(x, mode) @ Omega`` straight from the tensor.
-
-        The input grid is the extents of ``x`` other than ``mode`` (lowest
-        axis fastest, as in the unfolding).  With ``axis`` and ``rows``,
-        ``x`` covers only the block ``rows`` of the grid along its axis
-        ``axis`` (the full extent there is what ``in_dim`` leaves), and the
-        product is with the rows of ``Omega`` in that block, in order.
-        """
-        raise NotImplementedError
-
-    def tensor_scratch(self, shape, mode: int) -> int:
-        """Scalars of working memory :meth:`apply_tensor` holds at its peak
-        for an F-contiguous tensor (or slab) of ``shape``."""
-        raise NotImplementedError
-
-    def materialize(self, max_entries: int = DEFAULT_MATERIALIZE_BUDGET) -> np.ndarray:
-        """Dense ``(in_dim, out_dim)`` equivalent, guarded by an entry budget."""
-        needed = self.spec.in_dim * self.spec.out_dim
-        if needed > max_entries:
-            raise MaterializeBudgetError(
-                f"materializing a {self.spec.in_dim} x {self.spec.out_dim} map needs "
-                f"{needed} entries, over the budget of {max_entries}"
-            )
-        return self._materialize()
-
-    def _materialize(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def _grid(self, x, mode: int, axis: int | None, rows: slice | None):
-        """Validate a tensor operand; returns it, the full input grid, the
-        grid axis of the block (or None) and ``rows`` resolved."""
-        a = np.asarray(x, dtype=np.float64)
-        if not 0 <= mode < a.ndim:
-            raise ValueError(f"mode {mode} out of range for an order-{a.ndim} tensor")
-        dims = a.shape[:mode] + a.shape[mode + 1 :]
-        if min(dims, default=1) < 1:
-            raise ValueError(f"tensor grid {dims} has an empty axis")
-        if axis is None:
-            if int(np.prod(dims, dtype=np.int64)) != self.spec.in_dim:
-                raise ValueError(f"tensor grid {dims} does not cover in_dim={self.spec.in_dim}")
-            return a, dims, None, None
-        if axis == mode or not 0 <= axis < a.ndim:
-            raise ValueError(f"axis {axis} is not a grid axis of mode {mode} in order {a.ndim}")
-        g = axis - (axis > mode)
-        full, rem = divmod(self.spec.in_dim, int(np.prod(dims, dtype=np.int64)) // dims[g])
-        start, stop, step = rows.indices(full)
-        if rem or step != 1 or stop - start != dims[g]:
-            raise ValueError(
-                f"rows {rows} of the grid axis {g} do not match the tensor's "
-                f"extent {dims[g]} on axis {axis} (grid {dims}, in_dim={self.spec.in_dim})"
-            )
-        return a, dims[:g] + (full,) + dims[g + 1 :], g, slice(start, stop)
+def _grid(spec: DrmSpec, x, mode: int, axis: int | None, rows: slice | None):
+    """Validate a tensor operand of the map ``spec``; returns it, the full
+    input grid, the grid axis of the block (or None) and ``rows`` resolved."""
+    a = np.asarray(x, dtype=np.float64)
+    if not 0 <= mode < a.ndim:
+        raise ValueError(f"mode {mode} out of range for an order-{a.ndim} tensor")
+    dims = a.shape[:mode] + a.shape[mode + 1 :]
+    if min(dims, default=1) < 1:
+        raise ValueError(f"tensor grid {dims} has an empty axis")
+    if axis is None:
+        if int(np.prod(dims, dtype=np.int64)) != spec.in_dim:
+            raise ValueError(f"tensor grid {dims} does not cover in_dim={spec.in_dim}")
+        return a, dims, None, None
+    if axis == mode or not 0 <= axis < a.ndim:
+        raise ValueError(f"axis {axis} is not a grid axis of mode {mode} in order {a.ndim}")
+    g = axis - (axis > mode)
+    full, rem = divmod(spec.in_dim, int(np.prod(dims, dtype=np.int64)) // dims[g])
+    start, stop, step = rows.indices(full)
+    if rem or step != 1 or stop - start != dims[g]:
+        raise ValueError(
+            f"rows {rows} of the grid axis {g} do not match the tensor's "
+            f"extent {dims[g]} on axis {axis} (grid {dims}, in_dim={spec.in_dim})"
+        )
+    return a, dims[:g] + (full,) + dims[g + 1 :], g, slice(start, stop)
 
 
 def _check_operand(m, in_dim: int) -> np.ndarray:
@@ -197,7 +152,7 @@ def _check_operand(m, in_dim: int) -> np.ndarray:
     return a
 
 
-class _DenseDrm(_Drm):
+class _DenseDrm:
     """A map held as its ``(in_dim, out_dim)`` entries: Gaussian, sparse sign
     or SSRFT.
 
@@ -208,7 +163,7 @@ class _DenseDrm(_Drm):
     """
 
     def __init__(self, spec: DrmSpec):
-        super().__init__(spec)
+        self.spec = spec
         shape = (spec.in_dim, spec.out_dim)
         if spec.kind == "gaussian":
             self.entries = rng.gaussians(spec.seed, _STREAM_ENTRIES, shape)
@@ -221,11 +176,20 @@ class _DenseDrm(_Drm):
             vals = np.where(u < spec.density, sign / np.sqrt(spec.density), 0.0)
             self.entries = vals.reshape(shape)
 
-    def apply_right(self, m):
+    def apply_right(self, m: np.ndarray) -> np.ndarray:
+        """Compute ``m @ Omega`` for an ``(q, in_dim)`` operand."""
         return _check_operand(m, self.spec.in_dim) @ self.entries
 
-    def apply_tensor(self, x, mode, axis=None, rows=None):
-        a, dims, g, rows = self._grid(x, mode, axis, rows)
+    def apply_tensor(self, x, mode: int, axis: int | None = None, rows: slice | None = None):
+        """Compute ``unfold(x, mode) @ Omega`` straight from the tensor.
+
+        The input grid is the extents of ``x`` other than ``mode`` (lowest
+        axis fastest, as in the unfolding).  With ``axis`` and ``rows``,
+        ``x`` covers only the block ``rows`` of the grid along its axis
+        ``axis`` (the full extent there is what ``in_dim`` leaves), and the
+        product is with the rows of ``Omega`` in that block, in order.
+        """
+        a, dims, g, rows = _grid(self.spec, x, mode, axis, rows)
         w = self.entries
         if g is not None:
             # A view with the grid axes reversed (C order, so axis 0 of the
@@ -235,10 +199,13 @@ class _DenseDrm(_Drm):
             w = block.reshape((-1, self.spec.out_dim))
         return contract(a, mode, w)
 
-    def tensor_scratch(self, shape, mode):
+    def tensor_scratch(self, shape, mode: int) -> int:
+        """Scalars of working memory :meth:`apply_tensor` holds at its peak
+        for an F-contiguous tensor (or slab) of ``shape``."""
         return contract_scratch(shape, mode, self.spec.out_dim)
 
-    def _materialize(self):
+    def materialize(self) -> np.ndarray:
+        """A copy of the dense ``(in_dim, out_dim)`` entries."""
         return self.entries.copy()
 
 
@@ -333,12 +300,12 @@ def apply_trp_factors(x, mode: int, factors: tuple[np.ndarray, ...]) -> np.ndarr
     return t.T
 
 
-class _TrpDrm(_Drm):
+class _TrpDrm:
     """Tensor random projection: Khatri-Rao of per-mode Gaussian factors,
     stored and applied implicitly."""
 
     def __init__(self, spec: DrmSpec):
-        super().__init__(spec)
+        self.spec = spec
         self.factors = tuple(
             rng.gaussians(
                 rng.mix64(spec.seed, _TRP_FACTOR_TAG, j), _STREAM_ENTRIES, (d, spec.out_dim)
@@ -352,7 +319,7 @@ class _TrpDrm(_Drm):
         return apply_trp_factors(x, 0, self.factors)
 
     def apply_tensor(self, x, mode, axis=None, rows=None):
-        a, dims, g, rows = self._grid(x, mode, axis, rows)
+        a, dims, g, rows = _grid(self.spec, x, mode, axis, rows)
         if dims != self.spec.mode_dims:
             raise ValueError(f"grid {dims} is not the trp grid {self.spec.mode_dims}")
         factors = list(self.factors)
@@ -367,7 +334,9 @@ class _TrpDrm(_Drm):
         first = 0 if mode == len(shape) - 1 else len(shape) - 1
         return self.spec.out_dim * int(np.prod(shape, dtype=np.int64)) // shape[first]
 
-    def _materialize(self):
+    def materialize(self) -> np.ndarray:
+        """The dense ``(in_dim, out_dim)`` equivalent: the Khatri-Rao product
+        of the factors in descending mode order."""
         cols = np.ones((1, self.spec.out_dim))
         return functools.reduce(khatri_rao, reversed(self.factors), cols)
 
@@ -380,6 +349,6 @@ _REALIZERS = {
 }
 
 
-def make_drm(spec: DrmSpec) -> _Drm:
+def make_drm(spec: DrmSpec) -> _DenseDrm | _TrpDrm:
     """Realize the map described by ``spec``; same spec, same map, always."""
     return _REALIZERS[spec.kind](spec)

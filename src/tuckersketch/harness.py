@@ -23,11 +23,11 @@ import numpy as np
 
 from . import rng
 from .recovery import fixed_rank_truncate, hooi, hosvd, one_pass_recover, two_pass_recover
-from .sketch import SketchParams, tucker_sketch
+from .sketch import tucker_sketch
 from .tensor import (
     TuckerFactorization,
     fro_norm,
-    multi_mode_product,
+    per_mode,
     superdiag,
     tucker_to_dense,
     unfold,
@@ -151,7 +151,7 @@ def bound_two_pass(profile: SpectrumProfile, k) -> float:
 
     Returns ``inf`` when some ``k_n < 3`` (no admissible rho exists there).
     """
-    kk = _check_sizes(k, profile.order, "k")
+    kk = per_mode(k, profile.order, "k")
     total = 0.0
     for n, k_n in enumerate(kk):
         if k_n < 3:
@@ -166,8 +166,8 @@ def bound_two_pass(profile: SpectrumProfile, k) -> float:
 
 def bound_one_pass(profile: SpectrumProfile, k, s) -> float:
     """One-pass counterpart: the two-pass bound inflated by the core solve."""
-    kk = _check_sizes(k, profile.order, "k")
-    ss = _check_sizes(s, profile.order, "s")
+    kk = per_mode(k, profile.order, "k")
+    ss = per_mode(s, profile.order, "s")
     for n, (k_n, s_n) in enumerate(zip(kk, ss)):
         if s_n <= k_n + 1:
             raise ValueError(
@@ -176,15 +176,6 @@ def bound_one_pass(profile: SpectrumProfile, k, s) -> float:
             )
     inflation = 1.0 + max(k_n / (s_n - k_n - 1) for k_n, s_n in zip(kk, ss))
     return inflation * bound_two_pass(profile, kk)
-
-
-def _check_sizes(values, order: int, what: str) -> tuple[int, ...]:
-    v = tuple(int(x) for x in np.atleast_1d(values))
-    if len(v) == 1 and order > 1:
-        v = v * order
-    if len(v) != order:
-        raise ValueError(f"{what} has {len(v)} entries for order {order}")
-    return v
 
 
 def metrics(x, approx, baseline_error: float) -> tuple[float, float]:

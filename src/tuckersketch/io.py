@@ -330,7 +330,7 @@ def write_sketch(path, sk: TuckerSketch) -> None:
         out = _Crc32Writer(fh)
         out.write(MAGIC_SKETCH + struct.pack(
             f"<BBBBQd{3 * n}Q", n, _KIND_CODES[p.omega_kind], _KIND_CODES[p.phi_kind],
-            0, p.master_seed & (2**64 - 1), p.density, *sk.shape, *p.k, *p.s,
+            0, p.master_seed, p.density, *sk.shape, *p.k, *p.s,
         ))
         for v in sk.factor_sketches:
             _write_array(out, v)

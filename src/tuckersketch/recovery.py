@@ -35,6 +35,7 @@ from .tensor import (
     fro_norm,
     mode_product,
     multi_mode_product,
+    per_mode,
     unfold,
 )
 
@@ -76,7 +77,6 @@ class RecoveryReport:
     degenerate_modes: tuple[int, ...]
     core_solver_residuals: tuple[float, ...] = ()
     core_conditions: tuple[float, ...] = ()
-    iterations: int = 0
 
 
 def factor_bases(sk: TuckerSketch) -> FactorBases:
@@ -100,12 +100,15 @@ def two_pass_recover(x, sk: TuckerSketch) -> RecoveryReport:
     last-mode slabs of ``x``, each slab contracted with every ``Q_n^T``,
     the last cut to the slab's rows.  A file is read in the slabs of
     :func:`~tuckersketch.io.read_tensor_slabs`; an array is one slab.
+    Raises ``ValueError`` naming the slab after which the core is not
+    finite (NaN or Inf in the data).
     """
     if isinstance(x, (str, os.PathLike)):
         shape, slabs = read_tensor_slabs(x)
+        where = f"{os.fspath(x)}: "
     else:
         a = np.asarray(x, dtype=np.float64)
-        shape, slabs = a.shape, [(0, a)]
+        shape, slabs, where = a.shape, [(0, a)], ""
     if shape != sk.shape:
         raise ValueError(f"tensor has shape {shape} but sketch covers {sk.shape}")
     bases = factor_bases(sk)
@@ -115,6 +118,11 @@ def two_pass_recover(x, sk: TuckerSketch) -> RecoveryReport:
     for offset, slab in slabs:
         rows = q_last[offset : offset + slab.shape[-1]]
         core += multi_mode_product(slab, blocks + [(len(head), rows.T)])
+        if not np.isfinite(core).all():
+            raise ValueError(
+                f"{where}rows {offset}:{offset + len(rows)} of mode {len(head)} made "
+                "the two-pass core non-finite (NaN or Inf in the data)"
+            )
     fact = TuckerFactorization(core=core, factors=bases.matrices)
     return RecoveryReport(
         factorization=fact,
@@ -200,11 +208,7 @@ def _leading_left_singular(m: np.ndarray, r: int) -> np.ndarray:
 
 
 def _check_rank(rank, order: int, limits, what: str) -> tuple[int, ...]:
-    r = tuple(int(v) for v in np.atleast_1d(rank))
-    if len(r) == 1 and order > 1:
-        r = r * order
-    if len(r) != order:
-        raise ValueError(f"rank has {len(r)} entries for an order-{order} tensor")
+    r = per_mode(rank, order, "rank")
     if any(v < 1 for v in r):
         raise RankInfeasibleError("all rank entries must be >= 1")
     for n, (v, cap) in enumerate(zip(r, limits)):

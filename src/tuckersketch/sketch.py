@@ -22,7 +22,7 @@ import numpy as np
 
 from . import rng
 from .drm import CORE_KINDS, FACTOR_KINDS, DrmSpec, make_drm
-from .tensor import multi_mode_product
+from .tensor import multi_mode_product, per_mode
 
 _ROLE_OMEGA = 101
 _ROLE_PHI = 202
@@ -70,7 +70,8 @@ class SketchParams:
             raise ValueError("density must lie in (0, 1]")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "s", s)
-        object.__setattr__(self, "master_seed", int(self.master_seed))
+        # Maps see the seed mod 2**64 (rng.mix64); so do comparisons and files.
+        object.__setattr__(self, "master_seed", int(self.master_seed) % 2**64)
         if any(sv <= 2 * kv for kv, sv in zip(k, s)):
             warnings.warn(
                 "s_n <= 2 k_n in some mode: the sketch still works, but the "
@@ -89,11 +90,9 @@ class SketchParams:
     ) -> "SketchParams":
         """Default sizing for a target Tucker rank: k = 2r + 1, s = 2k + 1.
 
-        ``rank`` may be per-mode or a scalar; a scalar needs ``order``.
+        ``rank`` is a scalar or per-mode; ``order`` (needed for a scalar) is checked.
         """
-        r = tuple(int(v) for v in np.atleast_1d(rank))
-        if len(r) == 1 and order is not None:
-            r = r * int(order)
+        r = per_mode(rank, np.size(rank) if order is None else order, "rank")
         k = tuple(2 * v + 1 for v in r)
         s = tuple(2 * v + 1 for v in k)
         return cls(k=k, s=s, master_seed=master_seed, **kwargs)

@@ -253,6 +253,16 @@ def khatri_rao(a, b) -> np.ndarray:
     return (am[:, None, :] * bm[None, :, :]).reshape((-1, am.shape[1]))
 
 
+def per_mode(values, order: int, what: str) -> tuple[int, ...]:
+    """``values`` as ``order`` ints, one per mode; one value serves every mode."""
+    v = tuple(int(x) for x in np.atleast_1d(values))
+    if len(v) == 1:
+        v *= order
+    if len(v) != order:
+        raise ValueError(f"{what} has {len(v)} entries but the tensor has {order} modes")
+    return v
+
+
 def superdiag(values, order: int) -> np.ndarray:
     """Order-``order`` tensor with ``values`` on the superdiagonal, zero off it."""
     if order < 2:

@@ -205,6 +205,22 @@ class TestRecoverCommand:
         assert rc == 6
         assert not out.exists()
 
+    def test_rank_deficient_core_exits_1(self, tmp_path, capsys, exact_tensor):
+        # a core map this sparse keeps whole columns of Phi at zero
+        xfile, skfile = tmp_path / "x.tktn", tmp_path / "x.tksk"
+        write_tensor(xfile, exact_tensor)
+        with pytest.warns(UserWarning):
+            rc = main(["sketch", "--input", str(xfile), "--k", "5", "--s", "6",
+                       "--core-drm", "sparse_sign", "--density", "0.01", "--seed", "11",
+                       "--out", str(skfile)])
+        assert rc == 0
+        out = tmp_path / "f.tkz"
+        capsys.readouterr()
+        with pytest.warns(UserWarning):
+            assert main(["recover", "--sketch", str(skfile), "--out", str(out)]) == 1
+        assert "rank deficient" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_corrupt_sketch_exits_4(self, tmp_path, exact_tensor):
         _, skfile = self._sketch_files(tmp_path, exact_tensor)
         raw = bytearray(skfile.read_bytes())
@@ -315,6 +331,26 @@ class TestStreamedInput:
         assert rc == 2
         assert f"{xfile}: rows 6:9 of mode 2 made the sketch non-finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("mode, message", [
+        ("one-pass", "sum of squares is not finite"),
+        ("two-pass", "rows 6:9 of mode 2 made the two-pass core non-finite"),
+    ])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_in_recover_input_exits_2(self, tmp_path, capsys, tensor, mode, message):
+        xfile, skfile = tmp_path / "x.tktn", tmp_path / "x.tksk"
+        write_tensor(xfile, tensor)
+        assert main(["sketch", "--input", str(xfile), "--rank", "3", "--out", str(skfile)]) == 0
+        x = tensor.copy()
+        x[2, 5, 7] = np.nan  # last-mode row 7 lies in the slab of rows 6:9
+        write_tensor(xfile, x)
+        out, report = tmp_path / "f.tkz", tmp_path / "r.json"
+        capsys.readouterr()
+        rc = main(["recover", "--sketch", str(skfile), "--mode", mode, "--input", str(xfile),
+                   "--out", str(out), "--report", str(report)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists() and not report.exists()
 
 
 class TestStreamPieces:

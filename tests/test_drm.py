@@ -12,7 +12,6 @@ from tuckersketch import rng
 from tuckersketch.tensor import unfold
 from tuckersketch.drm import (
     DrmSpec,
-    MaterializeBudgetError,
     SsrftTransform,
     apply_trp_factors,
     drm_storage_cost,
@@ -163,13 +162,6 @@ def test_spec_validation():
         DrmSpec("trp", 8, 4, seed=0)  # missing dims
     with pytest.raises(ValueError):
         DrmSpec("gaussian", 0, 4, seed=0)
-
-
-def test_materialize_budget():
-    spec = DrmSpec("gaussian", 100, 50, seed=0)
-    with pytest.raises(MaterializeBudgetError):
-        make_drm(spec).materialize(max_entries=4999)
-    assert make_drm(spec).materialize(max_entries=5000).shape == (100, 50)
 
 
 class TestGaussian:

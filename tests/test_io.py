@@ -25,7 +25,14 @@ from tuckersketch.io import (
     write_update_stream,
 )
 from tuckersketch.recovery import two_pass_recover
-from tuckersketch.sketch import SketchParams, TuckerSketch, sketch_storage, tucker_sketch
+from tuckersketch.sketch import (
+    SketchParams,
+    StreamingSketcher,
+    TuckerSketch,
+    sketch_merge,
+    sketch_storage,
+    tucker_sketch,
+)
 from tuckersketch.tensor import TuckerFactorization
 
 
@@ -221,6 +228,21 @@ class TestSketchFile:
         for a, b in zip(back.factor_sketches, sk.factor_sketches):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(back.core_sketch, sk.core_sketch)
+
+    @pytest.mark.parametrize("seed", [-3, 2**64 + 5])
+    def test_seed_outside_64_bits_survives_roundtrip(self, tmp_path, seed):
+        x = _tensor((6, 7, 8), seed=4)
+        sk = tucker_sketch(x, SketchParams(k=(3, 3, 3), s=(7, 7, 7), master_seed=seed))
+        assert sk.params.master_seed == seed % 2**64
+        path = tmp_path / "s.tksk"
+        write_sketch(path, sk)
+        back = read_sketch(path)
+        assert back.params == sk.params
+        merged = sketch_merge(sk, back)
+        np.testing.assert_array_equal(merged.core_sketch, 2 * sk.core_sketch)
+        acc = StreamingSketcher(x.shape, sk.params, init=read_sketch(path))
+        acc.update_dense(x)
+        np.testing.assert_array_equal(acc.sketch().core_sketch, merged.core_sketch)
 
     def test_scalar_count_matches_storage(self, tmp_path):
         sk = self._sketch()

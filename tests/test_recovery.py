@@ -85,6 +85,14 @@ class TestTwoPass:
         with pytest.raises(ValueError):
             two_pass_recover(x[:-1], sk)
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_data_names_the_slab(self):
+        x = _exact_rank_tensor(seed=7)
+        sk = tucker_sketch(x, SketchParams.for_rank(3, master_seed=7, order=3))
+        x[1, 2, 3] = np.inf
+        with pytest.raises(ValueError, match="rows 0:16 of mode 2 made the two-pass core non-finite"):
+            two_pass_recover(x, sk)
+
 
 class TestOnePass:
     def test_exact_rank_recovery(self):

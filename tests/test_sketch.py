@@ -54,6 +54,11 @@ class TestParams:
         assert p.k == (11, 11, 11)
         assert p.s == (23, 23, 23)
 
+    def test_for_rank_checks_the_order(self):
+        assert SketchParams.for_rank((1, 2), master_seed=0).k == (3, 5)
+        with pytest.raises(ValueError, match="rank has 2 entries but the tensor has 3 modes"):
+            SketchParams.for_rank((1, 2), master_seed=0, order=3)
+
     def test_rejects_s_below_k(self):
         with pytest.raises(ValueError):
             SketchParams(k=(4, 4), s=(3, 9), master_seed=0)
@@ -192,7 +197,7 @@ def test_structured_maps_never_materialize(monkeypatch):
     def boom(self):
         raise AssertionError("dense TRP map materialized during sketching")
 
-    monkeypatch.setattr(drm_mod._TrpDrm, "_materialize", boom)
+    monkeypatch.setattr(drm_mod._TrpDrm, "materialize", boom)
     x = _tensor(11)
     params = _params("trp")
     acc = StreamingSketcher(SHAPE, params)

@@ -18,6 +18,7 @@ from tuckersketch.tensor import (
     matmul,
     mode_product,
     multi_mode_product,
+    per_mode,
     superdiag,
     tucker_residual_norm,
     tucker_to_dense,
@@ -160,6 +161,13 @@ class TestKronAndFriends:
     def test_superdiag_needs_order_two(self):
         with pytest.raises(ValueError):
             superdiag([1.0], 1)
+
+    def test_per_mode(self):
+        assert per_mode(3, 3, "k") == (3, 3, 3)
+        assert per_mode((4,), 2, "k") == (4, 4)
+        assert per_mode([1, 2, 3], 3, "k") == (1, 2, 3)
+        with pytest.raises(ValueError, match="--s has 2 entries but the tensor has 3 modes"):
+            per_mode((5, 6), 3, "--s")
 
 
 class TestTuckerFactorization:

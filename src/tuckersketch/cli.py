@@ -238,6 +238,7 @@ def _cmd_recover(args) -> int:
         "s": list(sk.params.s),
         "rank": list(fact.rank),
         "degenerate_modes": list(report.degenerate_modes),
+        "qr_diag_ratios": list(report.qr_diag_ratios),
         "core_solver_residuals": list(report.core_solver_residuals),
         "core_conditions": list(report.core_conditions),
         "normalized_error": normalized_error,

@@ -11,10 +11,11 @@ grid lies in one block along one axis (what a slab update needs); both
 contract the tensor where it lies.  Gaussian, sparse sign and SSRFT maps are
 realized as their dense entries.  An SSRFT map's entries are generated once
 from the permutations, signs and coordinates that define it
-(:class:`SsrftTransform`): at sketch widths far below ``in_dim``, one GEMM
-with those entries costs less than two DCTs of the operand.  TRP keeps its
-per-mode factors, applies implicitly and only materializes its dense
-equivalent on request.
+(:class:`SsrftTransform`), with ``numpy.fft``: at sketch widths far below
+``in_dim``, one GEMM with those entries costs less than two DCTs of the
+operand.  Only Gaussian maps (and TRP factors, which are Gaussian) load
+scipy, for ``ndtri``.  TRP keeps its per-mode factors, applies implicitly
+and only materializes its dense equivalent on request.
 
 TRP column convention: the map acts on a flattened multi-index over
 ``mode_dims`` with *lower* modes varying fastest (the same order the
@@ -25,6 +26,7 @@ Kronecker product of the per-mode factors taken in descending mode order.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,10 +217,11 @@ class SsrftTransform:
     Two rounds of (row permutation, sign flip, orthonormal DCT-II) followed
     by a uniform row subsample.  Its state is just the permutations, signs
     and coordinates.  :meth:`materialize` generates the dense entries that
-    an SSRFT map is realized with; :meth:`transform_rows` applies the
-    transform itself, the definition those entries are checked against.
-    scipy is imported on first use, so commands without an SSRFT map never
-    load it.
+    an SSRFT map is realized with, by a numpy DCT (:func:`_idct`);
+    :meth:`transform_rows` applies the transform itself, the definition
+    those entries are checked against.  Only :meth:`transform_rows` uses
+    scipy (``scipy.fft.dct``, imported on first use), and only tests call
+    it, so no command with an SSRFT map loads scipy for it.
     """
 
     def __init__(self, spec: DrmSpec):
@@ -250,16 +253,49 @@ class SsrftTransform:
         """The dense ``(in_dim, out_dim)`` map: the adjoint of the transform
         applied to the out_dim unit vectors at ``coords``, in
         O(out * in * log(in)) work and a few (in, out) arrays."""
-        import scipy.fft
-
         out_dim = self.spec.out_dim
-        z = np.zeros((self.spec.in_dim, out_dim))
-        z[self.coords, np.arange(out_dim)] = 1.0
-        for perm, sgn in ((self.perm2, self.sgn2), (self.perm1, self.sgn1)):
-            z = scipy.fft.idct(z, type=2, axis=0, norm="ortho", overwrite_x=True)
-            z *= sgn[:, None]
-            z = z[np.argsort(perm)]
-        return z
+        # Held transposed, (out, in), so every pass of the DCT reads
+        # contiguous rows; the last gather turns it back into (in, out).
+        z = np.zeros((out_dim, self.spec.in_dim))
+        z[np.arange(out_dim), self.coords] = 1.0
+        z = _idct(z)
+        z *= self.sgn2
+        z = z.take(np.argsort(self.perm2), axis=1)
+        z = _idct(z)
+        z *= self.sgn1
+        return z.T.take(np.argsort(self.perm1), axis=0)
+
+
+def _idct(y: np.ndarray) -> np.ndarray:
+    """Orthonormal DCT-III along the last axis, the inverse of the
+    orthonormal DCT-II (``scipy.fft.idct(y, type=2, norm="ortho")``),
+    written into ``y``.
+
+    Makhoul's reordering: one real inverse FFT of the half spectrum
+    ``(y_k - i y_{n-k}) exp(i pi k / 2n)`` (``y_n = 0``) gives the even
+    outputs in order and the odd ones reversed.  The twiddles come from libm
+    and the spectrum from real products and sums only, so the result does
+    not depend on numpy's SIMD kernels (a fused complex multiply would).
+    """
+    n = y.shape[-1]
+    h = n // 2 + 1
+    ang = (np.arange(h) * (math.pi / (2 * n))).tolist()
+    cos = np.fromiter(map(math.cos, ang), np.float64, h)
+    sin = np.fromiter(map(math.sin, ang), np.float64, h)
+    # Rows k > 0 of the orthonormal DCT-II are scaled sqrt(2) above row 0.
+    cos[1:] *= math.sqrt(0.5)
+    sin[1:] *= math.sqrt(0.5)
+    w = np.empty((*y.shape[:-1], h), dtype=np.complex128)
+    tail = y[..., : n - h : -1]  # y_{n-k} for k = 1 .. h-1
+    np.multiply(y[..., :h], cos, out=w.real)
+    w.real[..., 1:] += tail * sin[1:]
+    np.multiply(y[..., :h], sin, out=w.imag)
+    w.imag[..., 1:] -= tail * cos[1:]
+    v = np.fft.irfft(w, n, norm="ortho")
+    del w
+    y[..., 0::2] = v[..., : (n + 1) // 2]
+    y[..., 1::2] = v[..., : (n - 1) // 2 : -1]
+    return y
 
 
 def apply_trp_factors(x, mode: int, factors: tuple[np.ndarray, ...]) -> np.ndarray:

@@ -49,6 +49,7 @@ import math
 import os
 import struct
 import tempfile
+import warnings
 import zipfile
 import zlib
 from dataclasses import dataclass
@@ -366,8 +367,11 @@ def read_sketch(path) -> TuckerSketch:
     (density,) = struct.unpack("<d", _read_exact(fh, 8, what))
     shape, k, s = (struct.unpack(f"<{n}Q", _read_exact(fh, 8 * n, what)) for _ in range(3))
     try:
-        params = SketchParams(k=k, s=s, master_seed=seed, omega_kind=_KIND_NAMES[om_code],
-                              phi_kind=_KIND_NAMES[phi_code], density=density)
+        with warnings.catch_warnings():
+            # s_n <= 2 k_n was warned about when the sketch was made.
+            warnings.simplefilter("ignore", UserWarning)
+            params = SketchParams(k=k, s=s, master_seed=seed, omega_kind=_KIND_NAMES[om_code],
+                                  phi_kind=_KIND_NAMES[phi_code], density=density)
     except ValueError as exc:
         raise FileFormatError(f"{what}: invalid parameters ({exc})") from exc
     vs = tuple(_read_array(fh, (shape[i], k[i]), len(body), what) for i in range(n))

@@ -55,26 +55,33 @@ class RankDeficientCoreError(RuntimeError):
 class FactorBases:
     """Orthonormal bases spanning the factor sketches, one per mode.
 
-    ``degenerate_modes`` lists modes whose sketch was numerically rank
-    deficient; the basis is still orthonormal (Householder QR) and still
-    spans the sketch columns, but its trailing directions are arbitrary.
+    ``qr_diag_ratios`` holds, per mode, ``min |R_ii| / ||V_n||_F`` of the
+    QR of the factor sketch (0 for an all-zero sketch).  ``degenerate_modes``
+    lists the modes where it is at most 1e-12, whose sketch was numerically
+    rank deficient; the basis is still orthonormal (Householder QR) and
+    still spans the sketch columns, but its trailing directions are
+    arbitrary.
     """
 
     matrices: tuple[np.ndarray, ...]
     degenerate_modes: tuple[int, ...]
+    qr_diag_ratios: tuple[float, ...]
 
 
 @dataclass(frozen=True)
 class RecoveryReport:
     """What a recovery did and how well its internal solves went.
 
-    ``core_conditions`` holds, for a one-pass recovery, the condition number
-    ``sigma_1 / sigma_k`` of each mode's core system ``Phi_n^T Q_n``.
+    ``qr_diag_ratios`` and ``degenerate_modes`` are those of
+    :class:`FactorBases`.  ``core_conditions`` holds, for a one-pass
+    recovery, the condition number ``sigma_1 / sigma_k`` of each mode's
+    core system ``Phi_n^T Q_n``.
     """
 
     factorization: TuckerFactorization
     passes: int
     degenerate_modes: tuple[int, ...]
+    qr_diag_ratios: tuple[float, ...]
     core_solver_residuals: tuple[float, ...] = ()
     core_conditions: tuple[float, ...] = ()
 
@@ -82,15 +89,16 @@ class RecoveryReport:
 def factor_bases(sk: TuckerSketch) -> FactorBases:
     """Orthonormalize each factor sketch by QR, flagging rank deficiency."""
     mats = []
-    degenerate = []
-    for n, v in enumerate(sk.factor_sketches):
+    ratios = []
+    for v in sk.factor_sketches:
         q, r = np.linalg.qr(v, mode="reduced")
         scale = np.linalg.norm(v)
-        diag = np.abs(np.diag(r))
-        if scale == 0.0 or np.any(diag <= _QR_DIAG_RTOL * scale):
-            degenerate.append(n)
+        ratios.append(float(np.abs(np.diag(r)).min() / scale) if scale > 0.0 else 0.0)
         mats.append(q)
-    return FactorBases(matrices=tuple(mats), degenerate_modes=tuple(degenerate))
+    degenerate = tuple(n for n, ratio in enumerate(ratios) if ratio <= _QR_DIAG_RTOL)
+    return FactorBases(
+        matrices=tuple(mats), degenerate_modes=degenerate, qr_diag_ratios=tuple(ratios)
+    )
 
 
 def two_pass_recover(x, sk: TuckerSketch) -> RecoveryReport:
@@ -128,6 +136,7 @@ def two_pass_recover(x, sk: TuckerSketch) -> RecoveryReport:
         factorization=fact,
         passes=2,
         degenerate_modes=bases.degenerate_modes,
+        qr_diag_ratios=bases.qr_diag_ratios,
     )
 
 
@@ -163,6 +172,7 @@ def one_pass_recover(sk: TuckerSketch) -> RecoveryReport:
         factorization=fact,
         passes=1,
         degenerate_modes=bases.degenerate_modes,
+        qr_diag_ratios=bases.qr_diag_ratios,
         core_solver_residuals=tuple(residuals),
         core_conditions=tuple(conditions),
     )

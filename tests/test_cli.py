@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -167,7 +168,10 @@ class TestRecoverCommand:
         assert data["passes"] == 2
         assert data["normalized_error"] <= 1e-9
         assert data["k"] == [7, 7, 7]
-        assert isinstance(data["degenerate_modes"], list)
+        # k = 7 exceeds the tensor's rank 3 in every mode
+        assert data["degenerate_modes"] == [0, 1, 2]
+        assert len(data["qr_diag_ratios"]) == 3
+        assert max(data["qr_diag_ratios"]) <= 1e-12
         assert data["core_conditions"] == []
 
     def test_one_pass_report_has_core_conditions(self, tmp_path, exact_tensor):
@@ -176,10 +180,13 @@ class TestRecoverCommand:
         rc = main(["recover", "--sketch", str(skfile), "--out", str(tmp_path / "f.tkz"),
                    "--report", str(report)])
         assert rc == 0
-        want = one_pass_recover(read_sketch(skfile)).core_conditions
-        got = json.loads(report.read_text())["core_conditions"]
+        want = one_pass_recover(read_sketch(skfile))
+        data = json.loads(report.read_text())
+        got = data["core_conditions"]
         assert len(got) == 3 and all(c >= 1.0 for c in got)
-        np.testing.assert_allclose(got, want, rtol=1e-10)
+        np.testing.assert_allclose(got, want.core_conditions, rtol=1e-10)
+        assert data["qr_diag_ratios"] == list(want.qr_diag_ratios)
+        assert data["degenerate_modes"] == [0, 1, 2]
 
     def test_two_pass_without_input_is_usage_error(self, tmp_path, exact_tensor):
         _, skfile = self._sketch_files(tmp_path, exact_tensor)
@@ -216,7 +223,12 @@ class TestRecoverCommand:
         assert rc == 0
         out = tmp_path / "f.tkz"
         capsys.readouterr()
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            # the sizes were warned about once, when sketching
+            warnings.simplefilter("error", UserWarning)
+            assert main(["merge", str(skfile), str(skfile),
+                         "--out", str(tmp_path / "m.tksk")]) == 0
+            capsys.readouterr()
             assert main(["recover", "--sketch", str(skfile), "--out", str(out)]) == 1
         assert "rank deficient" in capsys.readouterr().err
         assert not out.exists()
@@ -513,27 +525,54 @@ def test_cli_import_leaves_scipy_linalg_out():
     assert out.stdout.strip() == "False"
 
 
+def _scipy_modules(script: str) -> list[str]:
+    """The scipy modules a fresh interpreter holds after running ``script``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", script + "\nimport json, sys\n"
+         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_cli_import_loads_no_scipy():
+    assert _scipy_modules("import tuckersketch.cli") == []
+
+
 def test_merge_and_two_pass_recover_leave_scipy_out(tmp_path):
-    # Only map realization needs scipy (ndtri for Gaussian maps, the DCT
-    # for SSRFT); merging and two-pass recovery realize no map.
+    # Only Gaussian and TRP maps need scipy (ndtri); merging and two-pass
+    # recovery realize no map at all.
     x = np.random.default_rng(5).normal(size=(10, 9, 8))
     xfile, skfile = tmp_path / "x.tktn", tmp_path / "x.tksk"
     write_tensor(xfile, x)
     assert main(["sketch", "--input", str(xfile), "--rank", "2", "--out", str(skfile)]) == 0
     script = (
-        "import sys\n"
         "from tuckersketch.cli import main\n"
         f"assert main(['merge', {str(skfile)!r}, {str(skfile)!r}, "
         f"'--out', {str(tmp_path / 'm.tksk')!r}]) == 0\n"
         f"assert main(['recover', '--sketch', {str(tmp_path / 'm.tksk')!r}, "
         f"'--mode', 'two-pass', '--input', {str(xfile)!r}, '--trunc', '2', "
-        f"'--out', {str(tmp_path / 'f.tkz')!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        f"'--out', {str(tmp_path / 'f.tkz')!r}]) == 0"
     )
-    src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run(
-        [sys.executable, "-c", script],
-        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
-        timeout=120, check=True,
+    assert _scipy_modules(script) == []
+
+
+@pytest.mark.parametrize(
+    "drm", [["--drm", "ssrft"], ["--drm", "sparse_sign", "--core-drm", "ssrft"]],
+    ids=["ssrft", "sparse_sign+ssrft"],
+)
+def test_ssrft_sketch_and_one_pass_recover_leave_scipy_out(tmp_path, drm):
+    # SSRFT entries come from numpy.fft: these maps load no scipy.
+    x = np.random.default_rng(6).normal(size=(10, 9, 8))
+    xfile, skfile = tmp_path / "x.tktn", tmp_path / "x.tksk"
+    write_tensor(xfile, x)
+    script = (
+        "from tuckersketch.cli import main\n"
+        f"assert main(['sketch', '--input', {str(xfile)!r}, '--rank', '1', *{drm!r}, "
+        f"'--out', {str(skfile)!r}]) == 0\n"
+        f"assert main(['recover', '--sketch', {str(skfile)!r}, "
+        f"'--out', {str(tmp_path / 'f.tkz')!r}]) == 0"
     )
-    assert out.stdout.strip() == "[]"
+    assert _scipy_modules(script) == []

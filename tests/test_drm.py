@@ -13,6 +13,7 @@ from tuckersketch.tensor import unfold
 from tuckersketch.drm import (
     DrmSpec,
     SsrftTransform,
+    _idct,
     apply_trp_factors,
     drm_storage_cost,
     make_drm,
@@ -192,6 +193,14 @@ class TestSparseSign:
 
 
 class TestSsrft:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 160, 161, 199, 40000])
+    def test_idct_matches_scipy(self, n):
+        # the numpy DCT-III the entries are made with, row by row
+        y = np.random.default_rng(n).normal(size=(5, n))
+        want = scipy.fft.idct(y, type=2, norm="ortho")
+        got = _idct(y.copy())
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
     def test_square_map_is_orthogonal(self):
         d = SsrftTransform(DrmSpec("ssrft", 32, 32, seed=6))
         omega = d.materialize()

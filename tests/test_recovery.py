@@ -47,6 +47,7 @@ class TestFactorBases:
         sk = tucker_sketch(x, SketchParams(k=(5, 5, 5), s=(11, 11, 11), master_seed=3))
         bases = factor_bases(sk)
         assert bases.degenerate_modes == ()
+        assert len(bases.qr_diag_ratios) == 3 and min(bases.qr_diag_ratios) > 1e-6
         for q, v in zip(bases.matrices, sk.factor_sketches):
             np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-10)
             # range(V) is inside span(Q)
@@ -60,6 +61,21 @@ class TestFactorBases:
         assert bases.degenerate_modes == (0, 1, 2)
         for q in bases.matrices:
             np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-10)
+
+    def test_reports_carry_the_qr_diag_ratios(self):
+        # k above the true rank in mode 1 only: its sketch has rank 2 < 6
+        core = np.random.default_rng(2).normal(size=(4, 2, 4))
+        factors = tuple(_orthonormal(16, r, seed) for seed, r in enumerate(core.shape))
+        x = tucker_to_dense(TuckerFactorization(core=core, factors=factors))
+        sk = tucker_sketch(x, SketchParams(k=(4, 6, 4), s=(13, 13, 13), master_seed=4))
+        for report in (one_pass_recover(sk), two_pass_recover(x, sk)):
+            ratios = report.qr_diag_ratios
+            assert report.degenerate_modes == (1,)
+            assert ratios[1] <= 1e-12 and min(ratios[0], ratios[2]) > 1e-6
+            for n, v in enumerate(sk.factor_sketches):
+                r = np.linalg.qr(v, mode="r")
+                want = np.abs(np.diag(r)).min() / np.linalg.norm(v)
+                np.testing.assert_allclose(ratios[n], want, rtol=1e-12, atol=1e-30)
 
 
 class TestTwoPass:

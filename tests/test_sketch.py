@@ -1,5 +1,6 @@
 """Sketch construction, updates, and merges against materialized-map oracles."""
 
+import linecache
 import warnings
 
 import numpy as np
@@ -64,8 +65,12 @@ class TestParams:
             SketchParams(k=(4, 4), s=(3, 9), master_seed=0)
 
     def test_warns_when_one_pass_theory_does_not_apply(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as caught:
             SketchParams(k=(4, 4), s=(8, 9), master_seed=0)
+        # once, and attributed to the line that built the params
+        assert len(caught) == 1
+        assert caught[0].filename == __file__
+        assert "SketchParams(k=(4, 4), s=(8, 9)" in linecache.getline(__file__, caught[0].lineno)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             SketchParams(k=(4, 4), s=(9, 9), master_seed=0)

@@ -114,7 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--k", type=_int_list, default=None,
                     help="factor sketch sizes to sweep (default 2r+1)")
     pb.add_argument("--s", type=_int_list, default=None,
-                    help="core sketch size (default 2k+1, applied per k)")
+                    help="core sketch sizes: one for every k, or one per --k value "
+                    "(default 2k+1)")
     pb.add_argument("--drm", choices=FACTOR_KINDS, default="gaussian")
     pb.add_argument("--core-drm", choices=CORE_KINDS, default=None)
     pb.add_argument("--density", type=float, default=0.1)
@@ -258,6 +259,13 @@ def _cmd_bench(args) -> int:
         print("error: --trials must be >= 1", file=sys.stderr)
         return 2
     ks = args.k if args.k is not None else (2 * args.rank + 1,)
+    ss = args.s if args.s is not None else tuple(2 * k + 1 for k in ks)
+    if len(ss) == 1:
+        ss *= len(ks)
+    if len(ss) != len(ks):
+        print(f"error: --s takes one value or one per --k value, got {len(ss)} "
+              f"for {len(ks)}", file=sys.stderr)
+        return 2
     grid = []
     cell = 0
     sweeps = {
@@ -266,7 +274,7 @@ def _cmd_bench(args) -> int:
         "poly_decay": [("decay", t) for t in args.decay],
     }[args.scheme]
     for knob, value in sweeps:
-        for k in ks:
+        for k, s in zip(ks, ss):
             kw = {knob: value}
             data = SyntheticSpec(
                 scheme=args.scheme,
@@ -276,7 +284,6 @@ def _cmd_bench(args) -> int:
                 seed=mix64(args.seed, 9000, cell),
                 **kw,
             )
-            s = args.s[0] if args.s else 2 * k + 1
             params = SketchParams(
                 k=(k,) * args.order,
                 s=(s,) * args.order,

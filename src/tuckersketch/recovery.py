@@ -14,11 +14,12 @@ Two routes from a sketch:
   from one SVD of the small ``s_n x k_n`` system.
 
 Both return a rank-``k`` factorization; ``fixed_rank_truncate`` compresses
-that to a target rank ``r`` by running HOOI (or ST-HOSVD) on the small core
-and absorbing the small factors, ``P_n = Q_n U_n``.
+that to a target rank ``r`` by running HOOI (or ST-HOSVD, or HOSVD: its
+one option is the method) on the small core and absorbing the small
+factors, ``P_n = Q_n U_n``.
 
 ``hosvd``, ``st_hosvd`` and ``hooi`` also work directly on dense tensors
-and double as the comparison baselines.
+and double as the comparison baselines; ``hosvd`` is HOOI with no sweeps.
 """
 
 from __future__ import annotations
@@ -178,43 +179,12 @@ def one_pass_recover(sk: TuckerSketch) -> RecoveryReport:
     )
 
 
-def _complete_columns(u: np.ndarray, r: int) -> np.ndarray:
-    """Pad orthonormal columns up to ``r`` with re-orthogonalized canonical
-    vectors (deterministic)."""
-    rows = u.shape[0]
-    cols = [u]
-    have = u.shape[1]
-    for j in range(rows):
-        if have == r:
-            break
-        v = np.zeros(rows)
-        v[j] = 1.0
-        basis = np.hstack(cols)
-        v -= basis @ (basis.T @ v)
-        v -= basis @ (basis.T @ v)
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            cols.append((v / norm)[:, None])
-            have += 1
-    if have < r:
-        raise RankInfeasibleError(f"cannot build {r} orthonormal columns in R^{rows}")
-    return np.hstack(cols)
-
-
 def _leading_left_singular(m: np.ndarray, r: int) -> np.ndarray:
-    """First ``r`` left singular vectors, sign-fixed for determinism."""
-    if r > m.shape[0]:
-        raise RankInfeasibleError(
-            f"rank {r} exceeds the mode extent {m.shape[0]}"
-        )
-    u, _, _ = np.linalg.svd(m, full_matrices=False)
-    u = u[:, : min(r, u.shape[1])]
+    """First ``r`` left singular vectors, sign-fixed for determinism; past the
+    column count of ``m`` the full SVD completes them to ``r`` orthonormal columns."""
+    u = np.linalg.svd(m, full_matrices=r > m.shape[1])[0][:, :r]
     top = np.abs(u).argmax(axis=0)
-    flip = np.where(u[top, np.arange(u.shape[1])] < 0, -1.0, 1.0)
-    u = u * flip
-    if u.shape[1] < r:
-        u = _complete_columns(u, r)
-    return u
+    return u * np.where(u[top, np.arange(r)] < 0, -1.0, 1.0)
 
 
 def _check_rank(rank, order: int, limits, what: str) -> tuple[int, ...]:
@@ -230,12 +200,9 @@ def _check_rank(rank, order: int, limits, what: str) -> tuple[int, ...]:
 
 
 def hosvd(x, rank) -> TuckerFactorization:
-    """Higher-order SVD: per-mode leading singular vectors, one contraction."""
-    a = np.asarray(x, dtype=np.float64)
-    r = _check_rank(rank, a.ndim, a.shape, "tensor extent")
-    factors = tuple(_leading_left_singular(unfold(a, n), r[n]) for n in range(a.ndim))
-    core = multi_mode_product(a, [(n, u.T) for n, u in enumerate(factors)])
-    return TuckerFactorization(core=core, factors=factors)
+    """Higher-order SVD: per-mode leading singular vectors, one contraction
+    (HOOI with no sweeps)."""
+    return hooi(x, rank, max_iters=0)
 
 
 def st_hosvd(x, rank) -> TuckerFactorization:
@@ -267,7 +234,7 @@ def hooi(
     """
     a = np.asarray(x, dtype=np.float64)
     r = _check_rank(rank, a.ndim, a.shape, "tensor extent")
-    factors = list(hosvd(a, r).factors)
+    factors = [_leading_left_singular(unfold(a, n), r[n]) for n in range(a.ndim)]
     norm_x = fro_norm(a)
     objectives: list[float] = []
     prev = None
@@ -286,7 +253,7 @@ def hooi(
         if prev is not None and prev - obj <= tol * max(norm_x, 1e-300):
             break
         prev = obj
-    if core is None:  # max_iters == 0: fall back to the start point
+    if core is None:  # max_iters == 0: the HOSVD start point
         core = multi_mode_product(a, [(n, u.T) for n, u in enumerate(factors)])
     fact = TuckerFactorization(core=core, factors=tuple(factors))
     if return_objectives:
@@ -294,29 +261,20 @@ def hooi(
     return fact
 
 
-_FIXED_RANK_METHODS = ("hooi", "st_hosvd", "hosvd")
-
-
 def fixed_rank_truncate(
-    t: TuckerFactorization,
-    rank,
-    method: str = "hooi",
-    max_iters: int = 50,
-    tol: float = 1e-6,
+    t: TuckerFactorization, rank, method: str = "hooi"
 ) -> TuckerFactorization:
     """Compress a factorization to a fixed smaller Tucker rank.
 
-    Runs the chosen method on the small core only, then absorbs its factors
-    into the existing ones; the large tensor is never formed.
+    Runs the chosen method (``hooi``, ``st_hosvd`` or ``hosvd``) with its
+    defaults on the small core only, then absorbs its factors into the
+    existing ones; the large tensor is never formed.
     """
-    if method not in _FIXED_RANK_METHODS:
-        raise ValueError(f"method must be one of {_FIXED_RANK_METHODS}")
+    # Looked up at call time, so a rebound module function is the one run.
+    engines = {"hooi": hooi, "st_hosvd": st_hosvd, "hosvd": hosvd}
+    if method not in engines:
+        raise ValueError(f"method must be one of {tuple(engines)}")
     r = _check_rank(rank, t.core.ndim, t.core.shape, "core extent")
-    if method == "hooi":
-        inner = hooi(t.core, r, max_iters=max_iters, tol=tol)
-    elif method == "st_hosvd":
-        inner = st_hosvd(t.core, r)
-    else:
-        inner = hosvd(t.core, r)
+    inner = engines[method](t.core, r)
     outer = tuple(f @ u for f, u in zip(t.factors, inner.factors))
     return TuckerFactorization(core=inner.core, factors=outer)

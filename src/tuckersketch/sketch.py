@@ -90,6 +90,9 @@ class SketchParams:
     ) -> "SketchParams":
         """Default sizing for a target Tucker rank: k = 2r + 1, s = 2k + 1.
 
+        The paper suggests k = 2r; one more keeps ``bound_two_pass`` finite
+        at r = 1, where k = 2 would leave it infinite (it needs k_n >= 3).
+
         ``rank`` is a scalar or per-mode; ``order`` (needed for a scalar) is checked.
         """
         r = per_mode(rank, np.size(rank) if order is None else order, "rank")
@@ -129,7 +132,8 @@ class SketchParams:
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+    """A read-only C-order copy, so the caller's array stays its own."""
+    a = np.array(a, order="C")
     a.flags.writeable = False
     return a
 
@@ -298,8 +302,8 @@ class StreamingSketcher:
         return TuckerSketch(
             params=self.params,
             shape=self.shape,
-            factor_sketches=tuple(v.copy() for v in self._v),
-            core_sketch=self._h.copy(),
+            factor_sketches=tuple(self._v),
+            core_sketch=self._h,
         )
 
 

@@ -1,10 +1,13 @@
 """End-to-end command line tests: files in, files out, exit codes."""
 
+import csv
 import json
 import os
+import struct
 import subprocess
 import sys
 import warnings
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +26,7 @@ from tuckersketch.io import (
     write_tensor,
     write_update_stream,
 )
-from tuckersketch.recovery import one_pass_recover, two_pass_recover
+from tuckersketch.recovery import fixed_rank_truncate, one_pass_recover, two_pass_recover
 from tuckersketch.sketch import (
     SketchParams,
     StreamingSketcher,
@@ -68,6 +71,12 @@ class TestSketchCommand:
         assert got.params.omega_kind == "trp"
         assert got.params.phi_kind == "gaussian"  # trp cannot sketch the core
         assert got.params.k == (5, 5, 5)
+
+    def test_k_without_s_gets_s_2k_plus_1(self, tmp_path, exact_tensor):
+        xfile, out = tmp_path / "x.tktn", tmp_path / "x.tksk"
+        write_tensor(xfile, exact_tensor)
+        assert main(["sketch", "--input", str(xfile), "--k", "3", "--out", str(out)]) == 0
+        assert read_sketch(out).params.s == (7, 7, 7)
 
     def test_stream_equals_dense_path(self, tmp_path, exact_tensor):
         x = exact_tensor
@@ -118,6 +127,25 @@ class TestSketchCommand:
         assert rc == 3
 
 
+    @pytest.mark.parametrize("mode, offset, extent, message", [
+        (3, 0, 1, "slab mode 3 out of range"),
+        (1, 3, 3, "slab rows 3:6 outside extent 4"),
+    ], ids=["mode", "rows"])
+    def test_bad_slab_record_exits_4(self, tmp_path, capsys, mode, offset, extent, message):
+        # Written by hand: write_update_stream refuses such records.
+        shape = (5, 4, 3)
+        stream = tmp_path / "u.tkus"
+        stream.write_bytes(
+            tkio.MAGIC_STREAM + struct.pack("<B3Q", 3, *shape)
+            + struct.pack("<BddBQQ", 1, 1.0, 1.0, mode, offset, extent)
+        )
+        out = tmp_path / "s.tksk"
+        rc = main(["sketch", "--stream", str(stream), "--rank", "1", "--out", str(out)])
+        assert rc == 4
+        assert f"error: {stream}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestMergeCommand:
     def test_merge_equals_sum(self, tmp_path):
         params = SketchParams(k=(4, 4, 4), s=(9, 9, 9), master_seed=13)
@@ -142,6 +170,21 @@ class TestMergeCommand:
         out = tmp_path / "m.tksk"
         rc = main(["merge", str(pa), str(pb), "--out", str(out)])
         assert rc == 5
+        assert not out.exists()
+
+
+    def test_forged_sketch_exits_4(self, tmp_path, capsys):
+        x = np.random.default_rng(4).normal(size=(8, 8, 8))
+        good = tmp_path / "a.tksk"
+        write_sketch(good, tucker_sketch(x, SketchParams(k=(4,) * 3, s=(9,) * 3, master_seed=1)))
+        body = bytearray(good.read_bytes()[:-4])
+        body[6] = 99  # no map kind has this code; the checksum is still right
+        bad = tmp_path / "b.tksk"
+        bad.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+        out = tmp_path / "m.tksk"
+        rc = main(["merge", str(good), str(bad), "--out", str(out)])
+        assert rc == 4
+        assert "unknown map kind code at byte 6" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -211,6 +254,39 @@ class TestRecoverCommand:
                    "--out", str(out)])
         assert rc == 6
         assert not out.exists()
+
+    def test_zero_truncation_rank_exits_6(self, tmp_path, exact_tensor):
+        _, skfile = self._sketch_files(tmp_path, exact_tensor)
+        out = tmp_path / "f.tkz"
+        rc = main(["recover", "--sketch", str(skfile), "--trunc", "0", "--out", str(out)])
+        assert rc == 6
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["one-pass", "two-pass"])
+    def test_input_of_another_shape_exits_2(self, tmp_path, capsys, exact_tensor, mode):
+        _, skfile = self._sketch_files(tmp_path, exact_tensor)
+        other = tmp_path / "y.tktn"
+        write_tensor(other, exact_tensor[:, :, :-1])
+        out = tmp_path / "f.tkz"
+        rc = main(["recover", "--sketch", str(skfile), "--mode", mode, "--input", str(other),
+                   "--out", str(out)])
+        assert rc == 2
+        assert "tensor has shape (14, 14, 13) but sketch covers (14, 14, 14)" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_hosvd_method(self, tmp_path, exact_tensor):
+        _, skfile = self._sketch_files(tmp_path, exact_tensor)
+        out = tmp_path / "f.tkz"
+        rc = main(["recover", "--sketch", str(skfile), "--trunc", "3,2,3",
+                   "--method", "hosvd", "--out", str(out)])
+        assert rc == 0
+        want = fixed_rank_truncate(one_pass_recover(read_sketch(skfile)).factorization,
+                                   (3, 2, 3), method="hosvd")
+        got = read_tucker(out)
+        np.testing.assert_array_equal(got.core, want.core)
+        for a, b in zip(got.factors, want.factors):
+            np.testing.assert_array_equal(a, b)
 
     def test_rank_deficient_core_exits_1(self, tmp_path, capsys, exact_tensor):
         # a core map this sparse keeps whole columns of Phi at zero
@@ -511,6 +587,35 @@ class TestBenchCommand:
         rc = main(["bench", "--side", "8", "--rank", "2", "--trials", "0",
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+
+    def test_poly_decay_scheme(self, tmp_path):
+        out = tmp_path / "p.csv"
+        assert main(["bench", "--scheme", "poly_decay", "--side", "10", "--rank", "2",
+                     "--decay", "1.0,2.0", "--trials", "1", "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert len(rows) == 2 * 4
+        assert {r["decay"] for r in rows} == {"1.0", "2.0"}
+
+    @pytest.mark.parametrize("s, want", [
+        ("7,9", ["7x7x7", "9x9x9"]),  # one per --k value, in order
+        ("9", ["9x9x9", "9x9x9"]),  # one for every k
+    ], ids=["per-k", "one"])
+    def test_s_goes_with_each_k(self, tmp_path, s, want):
+        out = tmp_path / "b.csv"
+        assert main(["bench", "--side", "10", "--rank", "2", "--k", "3,4", "--s", s,
+                     "--trials", "1", "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        cells = {r["k"]: r["s"] for r in rows}
+        assert cells == {"3x3x3": want[0], "4x4x4": want[1]}
+
+    def test_s_count_neither_one_nor_per_k_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        rc = main(["bench", "--side", "10", "--rank", "2", "--k", "3,4", "--s", "7,9,11",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "--s" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_import_leaves_scipy_linalg_out():

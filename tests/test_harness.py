@@ -1,6 +1,7 @@
 """Synthetic generators, bound oracles, metrics, and the experiment driver."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -197,6 +198,15 @@ class TestRunExperiment:
         out = tmp_path / "bench.csv"
         rows = run_experiment(self._grid(), trials=1, output=out)
         assert out.read_text() == experiment_csv(rows)
+
+    def test_trials_do_not_warn_again(self):
+        data = SyntheticSpec("low_rank_noise", 10, 3, 2, seed=3, gamma=0.5)
+        with pytest.warns(UserWarning, match="s_n <= 2 k_n"):
+            params = SketchParams(k=(5, 5, 5), s=(9, 9, 9), master_seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = run_experiment([(data, params)], trials=3)
+        assert {r["s"] for r in rows} == {"9x9x9"}
 
     def test_desk_scale_guard(self):
         data = SyntheticSpec("low_rank_noise", 300, 3, 2, seed=0)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import struct
 import zipfile
+import zlib
 
 import numpy as np
 import pytest
@@ -281,6 +282,41 @@ class TestSketchFile:
         with pytest.raises(FileFormatError, match=f"non-finite values in the {name}"):
             read_sketch(path)
 
+    def _forged(self, tmp_path, edit):
+        """A sketch file whose body ``edit`` rewrote, under a valid checksum."""
+        path = tmp_path / "s.tksk"
+        write_sketch(path, self._sketch())
+        body = edit(bytearray(path.read_bytes()[:-4]))
+        path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+        return path
+
+    def test_shorter_than_a_checksum(self, tmp_path):
+        path = tmp_path / "s.tksk"
+        path.write_bytes(b"TKS")
+        with pytest.raises(FileFormatError, match="too short to hold a checksum"):
+            read_sketch(path)
+
+    @pytest.mark.parametrize("byte, value, message", [
+        (5, 0, "order must be >= 1"),
+        (6, 99, "unknown map kind code at byte 6"),
+        (7, 99, "unknown map kind code at byte 6"),
+        # s_0 (after the shape and k of 3 modes) below k_0 = 3
+        (5 + 4 + 8 + 8 + 6 * 8, 2, r"invalid parameters \(core sketch needs s_n >= k_n"),
+    ], ids=["order", "factor-kind", "core-kind", "s-below-k"])
+    def test_bad_header_under_a_valid_checksum(self, tmp_path, byte, value, message):
+        def edit(body):
+            body[byte] = value
+            return body
+
+        with pytest.raises(FileFormatError, match=message):
+            read_sketch(self._forged(tmp_path, edit))
+
+    def test_trailing_bytes_under_a_valid_checksum(self, tmp_path):
+        path = self._forged(tmp_path, lambda body: body + b"\0\0")
+        size = len(path.read_bytes())
+        with pytest.raises(FileFormatError, match=f"2 trailing bytes at byte {size - 6}$"):
+            read_sketch(path)
+
     def test_roundtrip_preserves_recovery(self, tmp_path):
         x = _tensor((6, 7, 8), seed=3)
         sk = self._sketch(seed=3)
@@ -531,6 +567,51 @@ class TestTuckerArchive:
                 zout.writestr(name, bytes(data))
         with pytest.raises(FileFormatError, match="truncated"):
             read_tucker(dst)
+
+
+class TestTuckerManifest:
+    """Each way an archive's manifest or members can be wrong has its own message."""
+
+    def _rewrite(self, tmp_path, manifest=None, members=None):
+        src = tmp_path / "f.tkz"
+        x = _tensor((6, 7, 8), seed=9)
+        sk = tucker_sketch(x, SketchParams(k=(3, 3, 3), s=(7, 7, 7), master_seed=5))
+        write_tucker(src, two_pass_recover(x, sk).factorization)
+        dst = tmp_path / "g.tkz"
+        with zipfile.ZipFile(src) as zin, zipfile.ZipFile(dst, "w") as zout:
+            for name in zin.namelist():
+                data = zin.read(name)
+                if name == "manifest.json" and manifest is not None:
+                    data = manifest(json.loads(data))
+                    if data is None:
+                        continue
+                    if isinstance(data, dict):
+                        data = json.dumps(data).encode()
+                if members is not None and name in members:
+                    member = tmp_path / "member.tktn"
+                    write_tensor(member, members[name])
+                    data = member.read_bytes()
+                zout.writestr(name, data)
+        return dst
+
+    @pytest.mark.parametrize("manifest, message", [
+        (lambda m: None, "missing manifest.json"),
+        (lambda m: b"{not json", "unreadable manifest"),
+        (lambda m: {**m, "format": "tucker-archive-v0"},
+         "unknown archive format 'tucker-archive-v0'"),
+        (lambda m: {**m, "order": 0}, "bad order in manifest"),
+        (lambda m: {**m, "order": "3"}, "bad order in manifest"),
+        (lambda m: {**m, "shape": [6, 7, 9]}, "manifest does not match members"),
+        (lambda m: {**m, "rank": [3, 3, 2]}, "manifest does not match members"),
+    ], ids=["missing", "unreadable", "format", "order-0", "order-str", "shape", "rank"])
+    def test_bad_manifest(self, tmp_path, manifest, message):
+        with pytest.raises(FileFormatError, match=message):
+            read_tucker(self._rewrite(tmp_path, manifest=manifest))
+
+    def test_members_that_disagree(self, tmp_path):
+        path = self._rewrite(tmp_path, members={"factor_1.tktn": _tensor((7, 2))})
+        with pytest.raises(FileFormatError, match="inconsistent members"):
+            read_tucker(path)
 
 
 def test_atomic_write_leaves_no_partial_file(tmp_path):

@@ -186,6 +186,33 @@ class TestHosvdFamily:
         x = _noisy_tensor(seed=16)
         assert hosvd(x, 3).rank == (3, 3, 3)
 
+    def test_hosvd_is_hooi_with_no_sweeps(self):
+        x = _noisy_tensor(seed=16)
+        a, b = hosvd(x, (3, 4, 2)), hooi(x, (3, 4, 2), max_iters=0)
+        np.testing.assert_array_equal(a.core, b.core)
+        for ua, ub in zip(a.factors, b.factors):
+            np.testing.assert_array_equal(ua, ub)
+
+    def test_rank_above_the_other_modes_product(self):
+        # 9 > 3 * 2: no tensor has multilinear rank (9, 3, 2), so the mode-0
+        # factor is padded past the columns of its unfolding, and the best
+        # (9, 3, 2) approximation is a (6, 3, 2) one.
+        x = _noisy_tensor(side=20, seed=25, gamma=0.1)
+        rank = (9, 3, 2)
+        inner = TuckerFactorization(
+            core=np.random.default_rng(25).normal(size=(10, 10, 10)),
+            factors=tuple(_orthonormal(20, 10, seed=25 + n) for n in range(3)),
+        )
+        for fact in (hooi(x, rank), hosvd(x, rank), st_hosvd(x, rank),
+                     fixed_rank_truncate(inner, rank)):
+            assert fact.rank == rank
+            for u, r in zip(fact.factors, rank):
+                assert u.shape == (20, r)
+                np.testing.assert_allclose(u.T @ u, np.eye(r), atol=1e-10)
+        e_above = fro_norm(x - hooi(x, rank).to_dense())
+        e_fit = fro_norm(x - hooi(x, (6, 3, 2)).to_dense())
+        assert e_above == pytest.approx(e_fit, rel=1e-9)
+
 
 class TestHooi:
     def test_objectives_non_increasing_and_below_hosvd(self):
@@ -254,6 +281,17 @@ class TestFixedRank:
         fact = two_pass_recover(x, sk).factorization
         with pytest.raises(ValueError):
             fixed_rank_truncate(fact, 3, method="als")
+
+    @pytest.mark.parametrize("method", ["hooi", "st_hosvd", "hosvd"])
+    def test_each_method_runs_that_engine_on_the_core(self, method):
+        x = _noisy_tensor(seed=26)
+        sk = tucker_sketch(x, SketchParams(k=(6, 6, 6), s=(13, 13, 13), master_seed=26))
+        fact = two_pass_recover(x, sk).factorization
+        inner = {"hooi": hooi, "st_hosvd": st_hosvd, "hosvd": hosvd}[method](fact.core, 3)
+        got = fixed_rank_truncate(fact, 3, method=method)
+        np.testing.assert_array_equal(got.core, inner.core)
+        for p, f, u in zip(got.factors, fact.factors, inner.factors):
+            np.testing.assert_array_equal(p, f @ u)
 
 
 class TestTruncateRotateCommutation:

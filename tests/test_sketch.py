@@ -12,6 +12,7 @@ from tuckersketch.sketch import (
     ParamsMismatchError,
     SketchParams,
     StreamingSketcher,
+    TuckerSketch,
     sketch_merge,
     sketch_storage,
     tucker_sketch,
@@ -112,6 +113,19 @@ def test_sketch_arrays_are_immutable():
         sk.factor_sketches[0][0, 0] = 1.0
     with pytest.raises(ValueError):
         sk.core_sketch[0, 0, 0] = 1.0
+
+
+def test_sketch_leaves_the_callers_arrays_alone():
+    params = _params()
+    vs = [np.ones((d, k)) for d, k in zip(SHAPE, params.k)]
+    h = np.ones(params.s)
+    sk = TuckerSketch(params, SHAPE, tuple(vs), h)
+    for mine, held in zip([*vs, h], [*sk.factor_sketches, sk.core_sketch]):
+        assert mine.flags.writeable
+        assert not np.shares_memory(mine, held)
+        assert held.flags.c_contiguous and not held.flags.writeable
+        mine[(0,) * mine.ndim] = 5.0
+        assert held[(0,) * held.ndim] == 1.0
 
 
 def test_storage_count():

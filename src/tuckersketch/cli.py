@@ -7,11 +7,13 @@ atomically.
 
 ``sketch --input`` and ``recover --input`` read the tensor file in
 last-mode slabs of at most 8 MiB (one plane of the last mode at the least),
-so the tensor is never held in memory whole.  ``sketch --stream`` reads
-every full record and every last-mode slab record in the same bounded
-pieces, from one reused buffer; a slab record along any other mode is held
-whole.  Every piece is folded with ``update_slab``.  ``merge`` reads one
-sketch file at a time.
+so the tensor is never held in memory whole; each slab generates the rows
+of a Gaussian or sparse sign factor map ``Omega_n`` (n < last) that it
+touches, so ``sketch --input`` holds ``Omega_last``, the core maps, one
+slab and one row block.  ``sketch --stream`` reads every full record and
+every last-mode slab record in the same bounded pieces, from one reused
+buffer; a slab record along any other mode is held whole.  Every piece is
+folded with ``update_slab``.  ``merge`` reads one sketch file at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import time
 
 from . import io as tkio
 from .drm import CORE_KINDS, FACTOR_KINDS
-from .harness import SyntheticSpec, run_experiment
+from .harness import SyntheticSpec, one_pass_inflation, run_experiment
 from .recovery import (
     RankDeficientCoreError,
     RankInfeasibleError,
@@ -54,6 +56,17 @@ def _float_list(text: str) -> tuple[float, ...]:
         return tuple(float(v) for v in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}") from exc
+
+
+class _Once(argparse.Action):
+    """Store an option's value, and refuse the option a second time (a
+    comma list given twice would otherwise keep only its last value)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not self.default:
+            parser.error(f"argument {option_string}: given more than once; "
+                         "list every value in one comma-separated list")
+        setattr(namespace, self.dest, values)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,15 +118,15 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--side", type=int, default=50)
     pb.add_argument("--order", type=int, default=3)
     pb.add_argument("--rank", type=int, default=5)
-    pb.add_argument("--gamma", type=_float_list, default=(0.01,),
+    pb.add_argument("--gamma", type=_float_list, action=_Once, default=(0.01,),
                     help="noise levels to sweep")
-    pb.add_argument("--delta", type=_float_list, default=(0.2,),
+    pb.add_argument("--delta", type=_float_list, action=_Once, default=(0.2,),
                     help="sparsity levels to sweep (sparse scheme)")
-    pb.add_argument("--decay", type=_float_list, default=(1.0,),
+    pb.add_argument("--decay", type=_float_list, action=_Once, default=(1.0,),
                     help="decay rates to sweep (poly scheme)")
-    pb.add_argument("--k", type=_int_list, default=None,
+    pb.add_argument("--k", type=_int_list, action=_Once, default=None,
                     help="factor sketch sizes to sweep (default 2r+1)")
-    pb.add_argument("--s", type=_int_list, default=None,
+    pb.add_argument("--s", type=_int_list, action=_Once, default=None,
                     help="core sketch sizes: one for every k, or one per --k value "
                     "(default 2k+1)")
     pb.add_argument("--drm", choices=FACTOR_KINDS, default="gaussian")
@@ -242,6 +255,7 @@ def _cmd_recover(args) -> int:
         "qr_diag_ratios": list(report.qr_diag_ratios),
         "core_solver_residuals": list(report.core_solver_residuals),
         "core_conditions": list(report.core_conditions),
+        "one_pass_inflation": one_pass_inflation(sk.params.k, sk.params.s),
         "normalized_error": normalized_error,
         "elapsed_seconds": elapsed,
     }

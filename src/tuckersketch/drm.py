@@ -9,13 +9,19 @@ the unfolding product ``unfold(x, mode) @ Omega`` read straight from a tensor,
 optionally restricted to the rows of ``Omega`` whose position in the input
 grid lies in one block along one axis (what a slab update needs); both
 contract the tensor where it lies.  Gaussian, sparse sign and SSRFT maps are
-realized as their dense entries.  An SSRFT map's entries are generated once
-from the permutations, signs and coordinates that define it
-(:class:`SsrftTransform`), with ``numpy.fft``: at sketch widths far below
-``in_dim``, one GEMM with those entries costs less than two DCTs of the
-operand.  Only Gaussian maps (and TRP factors, which are Gaussian) load
-scipy, for ``ndtri``.  TRP keeps its per-mode factors, applies implicitly
-and only materializes its dense equivalent on request.
+realized as their dense entries.  Gaussian and sparse sign entries are drawn
+one per counter-stream word, row by row, so any run of rows is generated
+alone, a bounded block of words at a time (``rng.fill``): such a map holds
+no entries when it is made, and a product with a block along the slowest
+axis of its input grid generates just those rows and drops them.  It
+realizes itself whole, and keeps the entries, when anything else asks for
+them.  An SSRFT map's entries are generated when it is made, from the
+permutations, signs and coordinates that define it (:class:`SsrftTransform`),
+with ``numpy.fft``: at sketch widths far below ``in_dim``, one GEMM with
+those entries costs less than two DCTs of the operand.  Only Gaussian maps
+(and TRP factors, which are Gaussian) load scipy, for ``ndtri``.  TRP keeps
+its per-mode factors, applies implicitly and only materializes its dense
+equivalent on request.
 
 TRP column convention: the map acts on a flattened multi-index over
 ``mode_dims`` with *lower* modes varying fastest (the same order the
@@ -103,8 +109,9 @@ def drm_storage_cost(spec: DrmSpec) -> DrmStorageCost:
     Gaussian counts its entries, sparse_sign its expected nonzeros, SSRFT
     its two permutations, two sign vectors and coordinates
     (``4 * in_dim + out_dim``), TRP its per-mode factors.  This is not the
-    memory a realization holds: :func:`make_drm` holds every kind but TRP
-    as its ``in_dim * out_dim`` dense entries.
+    memory a realization holds: an SSRFT map holds its ``in_dim * out_dim``
+    dense entries, and a Gaussian or sparse sign map holds them once it has
+    realized itself whole (until then, only the rows of one product).
     """
     dense = spec.in_dim * spec.out_dim
     if spec.kind == "gaussian":
@@ -154,6 +161,11 @@ def _check_operand(m, in_dim: int) -> np.ndarray:
     return a
 
 
+# Scalars a realization holds per word of the block it is generating, at
+# most: the words, the uniforms and their integer precursor, the values.
+_SCALARS_PER_WORD = 4
+
+
 class _DenseDrm:
     """A map held as its ``(in_dim, out_dim)`` entries: Gaussian, sparse sign
     or SSRFT.
@@ -161,22 +173,64 @@ class _DenseDrm:
     Sparse sign entries are +-1/sqrt(density) with probability density, else
     zero.  One raw word decides each entry: the top bits drive the keep/drop
     draw, the low bit the sign.  SSRFT entries are those of
-    :class:`SsrftTransform`, generated once.
+    :class:`SsrftTransform`, generated when the map is made.
+
+    Gaussian and sparse sign entries are generated when first needed.  A
+    product with a block along the slowest axis of the input grid (one run
+    of rows) generates just those rows, until the rows generated that way
+    would pass ``in_dim``; every other request realizes the map whole, once,
+    and keeps the entries.  So a pass that visits each row once generates
+    each row once, and no sequence of requests generates more than twice
+    the map's entries in all.
     """
 
     def __init__(self, spec: DrmSpec):
         self.spec = spec
-        shape = (spec.in_dim, spec.out_dim)
+        self._entries = SsrftTransform(spec).materialize() if spec.kind == "ssrft" else None
+        self._generated = 0  # rows generated for block products so far
+
+    def _rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows ``start:stop`` of the Gaussian or sparse sign entries, drawn
+        from their words in the counter stream."""
+        spec = self.spec
+        shape, offset = (stop - start, spec.out_dim), start * spec.out_dim
         if spec.kind == "gaussian":
-            self.entries = rng.gaussians(spec.seed, _STREAM_ENTRIES, shape)
-        elif spec.kind == "ssrft":
-            self.entries = SsrftTransform(spec).materialize()
-        else:
-            words = rng.raw(spec.seed, _STREAM_ENTRIES, spec.in_dim * spec.out_dim)
-            u = rng.unit_doubles(words)
-            sign = np.where(words & np.uint64(1), 1.0, -1.0)
-            vals = np.where(u < spec.density, sign / np.sqrt(spec.density), 0.0)
-            self.entries = vals.reshape(shape)
+            return rng.gaussians(spec.seed, _STREAM_ENTRIES, shape, offset)
+        density = spec.density
+        scale = 1.0 / np.sqrt(density)
+        by_low_bit = np.array([-scale, scale])
+
+        def sparse_signs(words, dst):
+            sign = by_low_bit.take(words & np.uint64(1))
+            dst[...] = np.where(rng.unit_doubles(words) < density, sign, 0.0)
+
+        return rng.fill(np.empty(shape), spec.seed, _STREAM_ENTRIES, offset, sparse_signs)
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense ``(in_dim, out_dim)`` entries, realized on first use and kept."""
+        if self._entries is None:
+            self._entries = self._rows(0, self.spec.in_dim)
+        return self._entries
+
+    @property
+    def held_scalars(self) -> int:
+        """Scalars of the entries the map holds: 0 until it is realized."""
+        return 0 if self._entries is None else self._entries.size
+
+    def _block_rows(self, shape, mode: int, axis: int | None) -> int:
+        """Rows a product with a tensor of ``shape`` (a block along ``axis``)
+        generates for itself alone, or 0 when it uses the whole map.  It
+        does when the map holds no entries, ``axis`` is the slowest axis of
+        the grid, and the block's rows keep the rows generated so far
+        within ``in_dim``: a whole grid, or a block that would pass that
+        total, realizes the map instead."""
+        if self._entries is not None:
+            return 0
+        slowest = len(shape) - 1 - (mode == len(shape) - 1)
+        block = math.prod(shape) // shape[mode]
+        fits = block < self.spec.in_dim and self._generated + block <= self.spec.in_dim
+        return block if axis == slowest and fits else 0
 
     def apply_right(self, m: np.ndarray) -> np.ndarray:
         """Compute ``m @ Omega`` for an ``(q, in_dim)`` operand."""
@@ -192,6 +246,12 @@ class _DenseDrm:
         product is with the rows of ``Omega`` in that block, in order.
         """
         a, dims, g, rows = _grid(self.spec, x, mode, axis, rows)
+        if self._block_rows(a.shape, mode, axis):
+            # The slowest grid axis: the block is rows start:stop of Omega.
+            plane = math.prod(dims[:-1])
+            w = self._rows(rows.start * plane, rows.stop * plane)
+            self._generated += w.shape[0]
+            return contract(a, mode, w)
         w = self.entries
         if g is not None:
             # A view with the grid axes reversed (C order, so axis 0 of the
@@ -201,10 +261,18 @@ class _DenseDrm:
             w = block.reshape((-1, self.spec.out_dim))
         return contract(a, mode, w)
 
-    def tensor_scratch(self, shape, mode: int) -> int:
+    def tensor_scratch(self, shape, mode: int, axis: int | None = None) -> int:
         """Scalars of working memory :meth:`apply_tensor` holds at its peak
-        for an F-contiguous tensor (or slab) of ``shape``."""
-        return contract_scratch(shape, mode, self.spec.out_dim)
+        for an F-contiguous tensor (or slab) of ``shape``, a block along
+        ``axis`` if given: the entries it generates, if any (the block's
+        rows, or the whole map, which it keeps), and the larger of what one
+        block of words needs while they are generated and the contraction's
+        scratch."""
+        scratch = contract_scratch(shape, mode, self.spec.out_dim)
+        if self._entries is not None:
+            return scratch
+        size = (self._block_rows(shape, mode, axis) or self.spec.in_dim) * self.spec.out_dim
+        return size + max(scratch, _SCALARS_PER_WORD * min(size, rng.BLOCK_WORDS))
 
     def materialize(self) -> np.ndarray:
         """A copy of the dense ``(in_dim, out_dim)`` entries."""
@@ -349,6 +417,10 @@ class _TrpDrm:
             for j, d in enumerate(spec.mode_dims)
         )
 
+    @property
+    def held_scalars(self) -> int:
+        return sum(f.size for f in self.factors)
+
     def apply_right(self, m):
         a = _check_operand(m, self.spec.in_dim)
         x = np.reshape(a, (a.shape[0], *self.spec.mode_dims), order="F")
@@ -363,7 +435,7 @@ class _TrpDrm:
             factors[g] = factors[g][rows]
         return apply_trp_factors(a, mode, tuple(factors))
 
-    def tensor_scratch(self, shape, mode):
+    def tensor_scratch(self, shape, mode, axis=None):
         # apply_trp_factors' first product: out_dim x (the tensor without
         # its last axis, or without axis 0 when ``mode`` is last).
         shape = tuple(int(d) for d in shape)

@@ -165,17 +165,24 @@ def bound_two_pass(profile: SpectrumProfile, k) -> float:
     return total
 
 
+def one_pass_inflation(k, s) -> float | None:
+    """``1 + max_n k_n / (s_n - k_n - 1)``: the factor by which the one-pass
+    bound exceeds the two-pass one, or None when some ``s_n <= k_n + 1``,
+    where it is undefined."""
+    if any(s_n <= k_n + 1 for k_n, s_n in zip(k, s)):
+        return None
+    return 1.0 + max(k_n / (s_n - k_n - 1) for k_n, s_n in zip(k, s))
+
+
 def bound_one_pass(profile: SpectrumProfile, k, s) -> float:
     """One-pass counterpart: the two-pass bound inflated by the core solve."""
     kk = per_mode(k, profile.order, "k")
     ss = per_mode(s, profile.order, "s")
-    for n, (k_n, s_n) in enumerate(zip(kk, ss)):
-        if s_n <= k_n + 1:
-            raise ValueError(
-                f"bound undefined in mode {n}: need s_n > k_n + 1, got "
-                f"s_n={s_n}, k_n={k_n}"
-            )
-    inflation = 1.0 + max(k_n / (s_n - k_n - 1) for k_n, s_n in zip(kk, ss))
+    inflation = one_pass_inflation(kk, ss)
+    if inflation is None:
+        raise ValueError(
+            f"bound undefined: need s_n > k_n + 1 in every mode, got k={kk}, s={ss}"
+        )
     return inflation * bound_two_pass(profile, kk)
 
 

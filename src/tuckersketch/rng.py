@@ -6,6 +6,11 @@ fixed arithmetic: uniforms from the top 53 bits, normals via the inverse
 normal CDF, permutations by sorting raw words, signs from the low bit.
 Generator convenience methods are deliberately not used, so a sketch file
 can be rebuilt from ``(seed, kind)`` alone on any numpy >= the pin.
+
+Any run of a stream can be read from its word offset on (:func:`raw`), so
+values derived one per word are generated :data:`BLOCK_WORDS` words at a
+time straight into their destination (:func:`fill`), and any block of
+them is generated alone, with the same bits as the whole.
 """
 
 from __future__ import annotations
@@ -14,6 +19,8 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+BLOCK_WORDS = 1 << 16
+"""Words :func:`fill` reads from a stream at a time (512 KiB)."""
 
 
 def mix64(*words: int) -> int:
@@ -28,10 +35,31 @@ def mix64(*words: int) -> int:
     return h
 
 
-def raw(seed: int, stream: int, count: int) -> np.ndarray:
-    """``count`` raw uint64 words from the (seed, stream) counter stream."""
+def raw(seed: int, stream: int, count: int, offset: int = 0) -> np.ndarray:
+    """``count`` raw uint64 words of the (seed, stream) counter stream, from
+    word ``offset`` on: the slice ``offset:offset + count`` of the stream."""
     key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
-    return np.random.Philox(key=key).random_raw(int(count))
+    bitgen = np.random.Philox(key=key)
+    # Philox makes four words per counter step: step to the four that hold
+    # word ``offset``, then drop the ones before it.
+    bitgen.advance(offset // 4)
+    bitgen.random_raw(offset % 4)
+    return bitgen.random_raw(int(count))
+
+
+def fill(out: np.ndarray, seed: int, stream: int, offset: int, values) -> np.ndarray:
+    """Fill the C-contiguous ``out`` from words ``offset, offset + 1, ...``
+    of the stream, one element per word, and return it.
+
+    ``values(words, dst)`` writes the values of ``words`` into ``dst``; it
+    is called on one block of at most :data:`BLOCK_WORDS` words at a time,
+    so the words and whatever ``values`` derives from them stay that small.
+    """
+    flat = out.reshape(-1)
+    for j in range(0, flat.size, BLOCK_WORDS):
+        dst = flat[j : j + BLOCK_WORDS]
+        values(raw(seed, stream, dst.size, offset + j), dst)
+    return out
 
 
 def unit_doubles(words: np.ndarray) -> np.ndarray:
@@ -41,7 +69,9 @@ def unit_doubles(words: np.ndarray) -> np.ndarray:
     that one value is clamped to the largest double below 1.0; every other
     word keeps its value.
     """
-    u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    u = (words >> np.uint64(11)).astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
     return np.minimum(u, 1.0 - 2.0**-53, out=u)
 
 
@@ -50,8 +80,9 @@ def uniforms(seed: int, stream: int, count: int) -> np.ndarray:
     return unit_doubles(raw(seed, stream, count))
 
 
-def gaussians(seed: int, stream: int, shape) -> np.ndarray:
-    """Standard normals via the inverse CDF, reshaped C-order to ``shape``.
+def gaussians(seed: int, stream: int, shape, offset: int = 0) -> np.ndarray:
+    """Standard normals via the inverse CDF, one per word from word
+    ``offset`` on, laid out C-order in ``shape``; generated by :func:`fill`.
 
     scipy is imported here, on first use, so commands that realize no
     Gaussian map never load it.  ``ndtri`` is kept rather than a numpy
@@ -60,8 +91,10 @@ def gaussians(seed: int, stream: int, shape) -> np.ndarray:
     """
     from scipy.special import ndtri
 
-    n = int(np.prod(shape, dtype=np.int64)) if np.ndim(shape) else int(shape)
-    return ndtri(uniforms(seed, stream, n)).reshape(shape)
+    def normals(words, dst):
+        ndtri(unit_doubles(words), out=dst)
+
+    return fill(np.empty(shape), seed, stream, offset, normals)
 
 
 def signs(seed: int, stream: int, count: int) -> np.ndarray:

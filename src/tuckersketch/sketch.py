@@ -7,10 +7,12 @@ sketch ``H = X`` contracted on every mode ``n`` by ``Phi_n^T`` with shape
 mode)``, so the sketch is a pure linear function of ``X`` and sketches of
 shards simply add.
 
-Every map but a TRP factor map is held as its dense entries, TRP as its
+Every map but a TRP factor map acts as its dense entries, TRP as its
 per-mode factors (see ``drm``); each contracts the tensor where it lies.
 Every update folds in as a slab: it asks each map for the row block the
 slab touches, and a dense update is the one slab that spans the last mode.
+A Gaussian or sparse sign factor map generates such a block from its seed
+when the block is one run of its rows, so it need not be held whole.
 """
 
 from __future__ import annotations
@@ -169,16 +171,23 @@ class TuckerSketch:
 class StreamingSketcher:
     """Accumulates a sketch from a stream of linear updates in one pass.
 
-    Working state is just the sketch arrays, the realized factor maps and
-    the dense core maps; the tensor itself is never stored.  Updates are
-    contracted in Fortran order, the layout of every file payload: an
-    F-contiguous update is read in place, any other layout is copied to F
-    once per update, and the sketch does not depend on the input layout.
-    ``peak_aux_scalars`` is the most working memory any single update held
-    at once: that F copy, if one was made, plus the largest step's scratch,
-    which is a factor map's (the kernel's batch product or TRP's first
-    contraction) or the core sketch's (its first, full-size contraction, or
-    the core itself).
+    Working state is just the sketch arrays, the factor maps and the dense
+    core maps; the tensor itself is never stored.  A Gaussian or sparse
+    sign factor map holds no entries when the sketcher is made: a last-mode
+    slab (every piece of a tensor file, every last-mode stream piece) gets
+    the rows of each map ``Omega_n`` (n < last) that it touches generated
+    for it alone, while ``Omega_last``, and any map asked for rows that are
+    not one run, realizes itself whole on first use and is kept (see
+    ``drm._DenseDrm``).  Updates are contracted in Fortran order, the
+    layout of every file payload: an F-contiguous update is read in place,
+    any other layout is copied to F once per update, and the sketch does
+    not depend on the input layout.  ``peak_aux_scalars`` is the most
+    working memory any single update held at once: that F copy, if one was
+    made, the entries of maps realized during the update, and the largest
+    step's scratch, which is a factor map's (a generated row block or whole
+    map with one block of counter-stream words, then the kernel's batch
+    product or TRP's first contraction) or the core sketch's (its first,
+    full-size contraction, or the core itself).
     """
 
     def __init__(self, shape, params: SketchParams, *, init: TuckerSketch | None = None):
@@ -271,19 +280,10 @@ class StreamingSketcher:
         self._scale(theta1)
         rows = slice(offset, offset + a.shape[mode])
 
-        # Factor sketch of the slab's own mode: the map acts on the other
-        # modes, which the slab covers in full.  Other modes: the map rows
-        # whose multi-index hits the slab along `mode`.
-        for n, om in enumerate(self._omegas):
-            self._note_aux(held + om.tensor_scratch(a.shape, n))
-            if n == mode:
-                self._v[n][rows] += theta2 * om.apply_tensor(a, n)
-            else:
-                self._v[n] += theta2 * om.apply_tensor(a, n, axis=mode, rows=rows)
-
         # Core sketch: full maps on every mode except `mode`, where only the
         # slab's row block of Phi_mode contributes.  A thin slab's block maps
-        # c <= s rows to s, so multi_mode_product applies it last.
+        # c <= s rows to s, so multi_mode_product applies it last.  It comes
+        # first, before any factor map realizes itself for good.
         blocks = [(n, p.T) for n, p in enumerate(self._phis) if n != mode]
         blocks.append((mode, self._phis[mode][rows].T))
         first = a.size * min(m.shape[0] / a.shape[n] for n, m in blocks)
@@ -291,6 +291,21 @@ class StreamingSketcher:
         core = multi_mode_product(a, blocks)
         core *= theta2
         self._h += core
+        del core
+
+        # Factor sketch of the slab's own mode: the map acts on the other
+        # modes, which the slab covers in full.  Other modes: the map rows
+        # whose multi-index hits the slab along `mode`.  Entries a map
+        # realizes during the update count from then on.
+        before = sum(om.held_scalars for om in self._omegas)
+        for n, om in enumerate(self._omegas):
+            kept = sum(o.held_scalars for o in self._omegas) - before
+            axis = None if n == mode else mode
+            self._note_aux(held + kept + om.tensor_scratch(a.shape, n, axis))
+            if n == mode:
+                self._v[n][rows] += theta2 * om.apply_tensor(a, n)
+            else:
+                self._v[n] += theta2 * om.apply_tensor(a, n, axis=mode, rows=rows)
 
     def all_finite(self) -> bool:
         """Whether every sketch array is free of NaN and Inf.  Once an update

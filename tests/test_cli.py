@@ -231,6 +231,26 @@ class TestRecoverCommand:
         assert data["qr_diag_ratios"] == list(want.qr_diag_ratios)
         assert data["degenerate_modes"] == [0, 1, 2]
 
+    def test_report_has_one_pass_inflation(self, tmp_path, exact_tensor):
+        # --rank 3: k = 7, s = 15 in every mode, so 1 + 7 / (15 - 7 - 1) = 2
+        _, skfile = self._sketch_files(tmp_path, exact_tensor)
+        report = tmp_path / "report.json"
+        assert main(["recover", "--sketch", str(skfile), "--out", str(tmp_path / "f.tkz"),
+                     "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["one_pass_inflation"] == 2.0
+
+    def test_report_one_pass_inflation_is_null_when_undefined(self, tmp_path, exact_tensor):
+        # s_1 = k_1 + 1 leaves the bound undefined in mode 1
+        xfile, skfile = tmp_path / "x.tktn", tmp_path / "x.tksk"
+        write_tensor(xfile, exact_tensor)
+        with pytest.warns(UserWarning):
+            assert main(["sketch", "--input", str(xfile), "--k", "3,4,3", "--s", "9,5,9",
+                         "--out", str(skfile)]) == 0
+        report = tmp_path / "report.json"
+        assert main(["recover", "--sketch", str(skfile), "--out", str(tmp_path / "f.tkz"),
+                     "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["one_pass_inflation"] is None
+
     def test_two_pass_without_input_is_usage_error(self, tmp_path, exact_tensor):
         _, skfile = self._sketch_files(tmp_path, exact_tensor)
         rc = main(["recover", "--sketch", str(skfile), "--mode", "two-pass",
@@ -615,6 +635,23 @@ class TestBenchCommand:
                    "--out", str(out)])
         assert rc == 2
         assert "--s" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("option, values", [
+        ("--gamma", ("0.1", "1.0")),
+        ("--delta", ("0.2", "0.3")),
+        ("--decay", ("1.0", "2.0")),
+        ("--k", ("3", "4")),
+        ("--s", ("7", "9")),
+    ])
+    def test_list_option_given_twice_exits_2(self, tmp_path, capsys, option, values):
+        out = tmp_path / "b.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "--side", "10", "--rank", "2", option, values[0],
+                  option, values[1], "--out", str(out)])
+        assert err.value.code == 2
+        assert f"argument {option}: given more than once" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -6,10 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tuckersketch.tensor as tensor_mod
 from tuckersketch import rng
-from tuckersketch.tensor import unfold
+from tuckersketch.tensor import contract, unfold
 from tuckersketch.drm import (
     DrmSpec,
     SsrftTransform,
@@ -65,13 +67,18 @@ def test_top_raw_word_stays_below_one(monkeypatch):
     top = np.array([2**64 - 2**11, 2**64 - 1], dtype=np.uint64)
     assert np.all(_old_unit_doubles(top) == 1.0)  # the formula alone rounds up
     assert np.all(rng.unit_doubles(top) == 1.0 - 2.0**-53)
-    monkeypatch.setattr(rng, "raw", lambda seed, stream, count: np.full(count, top[1]))
+    # rng.fill, which realizes maps block by block, reads words at an offset.
+    monkeypatch.setattr(rng, "raw", lambda seed, stream, count, offset=0: np.full(count, top[1]))
     assert np.all(rng.uniforms(0, 0, 3) < 1.0)
     assert np.all(np.isfinite(rng.gaussians(0, 0, (2, 2))))
-    # The sparse sign kind reads the same words: at density 1 the top word
-    # is kept too (as 1.0 it failed the u < density draw).
-    e = make_drm(DrmSpec("sparse_sign", 3, 2, seed=1, density=1.0)).entries
-    assert np.all(e == 1.0)
+    # Both map kinds read the same words, whole or by row block: at density 1
+    # the top word is kept too (as 1.0 it failed the u < density draw).
+    x = np.ones((1, 3, 1))  # rows 3:6 of a (3, 2) grid: its slowest axis
+    sparse = DrmSpec("sparse_sign", 6, 2, seed=1, density=1.0)
+    assert np.all(make_drm(sparse).entries == 1.0)
+    assert np.all(make_drm(sparse).apply_tensor(x, 0, axis=2, rows=slice(1, 2)) == 3.0)
+    block = make_drm(DrmSpec("gaussian", 6, 2, seed=1)).apply_tensor(x, 0, axis=2, rows=slice(1, 2))
+    assert np.all(np.isfinite(block))
 
 
 def test_rng_distinct_streams_differ():
@@ -80,6 +87,108 @@ def test_rng_distinct_streams_differ():
     c = rng.raw(6, 0, 8)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+B = rng.BLOCK_WORDS
+_OFFSETS = sorted(
+    set(range(10))
+    | {4 * j + e for j in range(1, 8) for e in (-1, 1)}
+    | {B + e for e in range(-5, 6)}
+    | {2 * B + e for e in (-3, 0, 3)}
+)
+
+
+@pytest.mark.parametrize("offset", _OFFSETS)
+def test_raw_at_an_offset_is_a_slice_of_the_stream(offset):
+    whole = rng.raw(5, 3, 2 * B + 64)
+    np.testing.assert_array_equal(rng.raw(5, 3, 40, offset), whole[offset : offset + 40])
+
+
+@pytest.mark.parametrize("offset", [0, 1, 3, B - 7, B, 2 * B - 1])
+@pytest.mark.parametrize("count", [1, 6, B + 9])
+def test_gaussians_at_an_offset_span_word_blocks(offset, count):
+    # fill reads several blocks of words; every value keeps its bits
+    whole = rng.gaussians(8, 2, 3 * B + 16)
+    got = rng.gaussians(8, 2, count, offset)
+    assert np.array_equal(got.view(np.uint64), whole[offset : offset + count].view(np.uint64))
+
+
+def _counter_spec(kind, in_dim, out_dim, seed):
+    density = 0.3 if kind == "sparse_sign" else None
+    return DrmSpec(kind, in_dim, out_dim, seed=seed, density=density)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_block_rows_equal_the_rows_of_a_whole_realization(data):
+    kind = data.draw(st.sampled_from(["gaussian", "sparse_sign"]))
+    in_dim, out_dim = data.draw(st.integers(1, 80)), data.draw(st.integers(1, 7))
+    start = data.draw(st.integers(0, in_dim - 1))
+    stop = data.draw(st.integers(start + 1, in_dim))
+    spec = _counter_spec(kind, in_dim, out_dim, data.draw(st.integers(0, 2**64 - 1)))
+    whole = make_drm(spec).entries
+    with pytest.MonkeyPatch.context() as mp:
+        # small word blocks, so that rows cross block edges anywhere
+        mp.setattr(rng, "BLOCK_WORDS", data.draw(st.sampled_from([1, 5, 64])))
+        got = make_drm(spec)._rows(start, stop)
+    assert np.array_equal(got.view(np.uint64), whole[start:stop].view(np.uint64))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_block_products_equal_products_with_whole_entries(data):
+    # A slab along the slowest grid axis: generated rows, same bits.
+    kind = data.draw(st.sampled_from(["gaussian", "sparse_sign"]))
+    shape = tuple(data.draw(st.lists(st.integers(1, 5), min_size=3, max_size=3)))
+    mode = data.draw(st.integers(0, 2))
+    axis = 2 if mode != 2 else 1
+    r0 = data.draw(st.integers(0, shape[axis] - 1))
+    r1 = data.draw(st.integers(r0 + 1, shape[axis]))
+    in_dim = int(np.prod(shape)) // shape[mode]
+    spec = _counter_spec(kind, in_dim, data.draw(st.integers(1, 4)), data.draw(st.integers(0, 99)))
+    x = np.random.default_rng(r0).normal(size=shape)
+    sel = (slice(None),) * axis + (slice(r0, r1),)
+    whole = make_drm(spec)
+    whole.entries  # realized first: the product slices the kept entries
+    want = whole.apply_tensor(x[sel], mode, axis=axis, rows=slice(r0, r1))
+    got = make_drm(spec).apply_tensor(x[sel], mode, axis=axis, rows=slice(r0, r1))
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "sparse_sign"])
+def test_row_blocks_realize_the_map_only_past_in_dim(kind):
+    spec = _counter_spec(kind, 4 * 6, 3, seed=2)
+    d, ref = make_drm(spec), make_drm(spec).entries
+    assert d.held_scalars == 0
+    x = np.random.default_rng(1).normal(size=(2, 4, 2))
+    for r in (0, 2, 4):  # one pass over the grid's slowest axis
+        got = d.apply_tensor(x, 0, axis=2, rows=slice(r, r + 2))
+        np.testing.assert_array_equal(got, contract(x, 0, ref[4 * r : 4 * (r + 2)]))
+    assert d.held_scalars == 0
+    d.apply_tensor(x, 0, axis=2, rows=slice(2, 4))  # a revisit would pass in_dim
+    assert d.held_scalars == spec.in_dim * spec.out_dim
+    assert np.array_equal(d.entries.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "sparse_sign"])
+@pytest.mark.parametrize("request_", ["other axis", "all rows", "entries", "materialize"])
+def test_other_requests_realize_the_map_whole(kind, request_):
+    spec = _counter_spec(kind, 4 * 6, 3, seed=2)
+    d = make_drm(spec)
+    if request_ == "other axis":
+        d.apply_tensor(np.ones((2, 2, 6)), 0, axis=1, rows=slice(1, 3))
+    elif request_ == "all rows":
+        d.apply_tensor(np.ones((2, 4, 6)), 0, axis=2, rows=slice(0, 6))
+    elif request_ == "entries":
+        d.entries
+    else:
+        d.materialize()
+    assert d.held_scalars == spec.in_dim * spec.out_dim
+
+
+def test_ssrft_map_holds_its_entries_when_made():
+    spec = DrmSpec("ssrft", 24, 5, seed=12)
+    assert make_drm(spec).held_scalars == 24 * 5
 
 
 def test_index_subset_bounds():

@@ -14,6 +14,7 @@ from tuckersketch.harness import (
     experiment_csv,
     gen_synthetic,
     metrics,
+    one_pass_inflation,
     run_experiment,
     tail_energy,
 )
@@ -138,6 +139,10 @@ class TestSpectrumAndBounds:
     def test_one_pass_bound_undefined(self):
         with pytest.raises(ValueError):
             bound_one_pass(self._profile(), (4, 3), (5, 4))
+
+    def test_one_pass_inflation(self):
+        assert one_pass_inflation((4, 3), (9, 11)) == 1 + 4 / 4
+        assert one_pass_inflation((4, 3), (9, 4)) is None  # s_1 = k_1 + 1
 
     def test_from_tensor_descending(self):
         x = np.random.default_rng(1).normal(size=(6, 7, 8))

@@ -18,10 +18,12 @@ realizes itself whole, and keeps the entries, when anything else asks for
 them.  An SSRFT map's entries are generated when it is made, from the
 permutations, signs and coordinates that define it (:class:`SsrftTransform`),
 with ``numpy.fft``: at sketch widths far below ``in_dim``, one GEMM with
-those entries costs less than two DCTs of the operand.  Only Gaussian maps
-(and TRP factors, which are Gaussian) load scipy, for ``ndtri``.  TRP keeps
-its per-mode factors, applies implicitly and only materializes its dense
-equivalent on request.
+those entries costs less than two DCTs of the operand.  Only a Gaussian map
+(or TRP factor, which is Gaussian) of more than ``rng.BLOCK_WORDS`` entries
+loads scipy, for ``ndtri``, and it does so when it is made; smaller ones,
+such as the core maps, draw through a bit-exact port (``rng.ndtri_for``).
+TRP keeps its per-mode factors, applies implicitly and only materializes
+its dense equivalent on request.
 
 TRP column convention: the map acts on a flattened multi-index over
 ``mode_dims`` with *lower* modes varying fastest (the same order the
@@ -162,7 +164,9 @@ def _check_operand(m, in_dim: int) -> np.ndarray:
 
 
 # Scalars a realization holds per word of the block it is generating, at
-# most: the words, the uniforms and their integer precursor, the values.
+# most: the words and what is derived from them (sparse sign: the uniforms,
+# their integer precursor and the signs; Gaussian: the precursor, or the
+# ndtri port's gathers and Horner accumulators, 2.6 per word).
 _SCALARS_PER_WORD = 4
 
 
@@ -188,6 +192,9 @@ class _DenseDrm:
         self.spec = spec
         self._entries = SsrftTransform(spec).materialize() if spec.kind == "ssrft" else None
         self._generated = 0  # rows generated for block products so far
+        # Chosen by the whole map, so every row block draws with one function.
+        gaussian = spec.kind == "gaussian"
+        self._ndtri = rng.ndtri_for(spec.in_dim * spec.out_dim) if gaussian else None
 
     def _rows(self, start: int, stop: int) -> np.ndarray:
         """Rows ``start:stop`` of the Gaussian or sparse sign entries, drawn
@@ -195,7 +202,7 @@ class _DenseDrm:
         spec = self.spec
         shape, offset = (stop - start, spec.out_dim), start * spec.out_dim
         if spec.kind == "gaussian":
-            return rng.gaussians(spec.seed, _STREAM_ENTRIES, shape, offset)
+            return rng.gaussians(spec.seed, _STREAM_ENTRIES, shape, offset, self._ndtri)
         density = spec.density
         scale = 1.0 / np.sqrt(density)
         by_low_bit = np.array([-scale, scale])

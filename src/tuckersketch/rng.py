@@ -5,7 +5,10 @@ Everything random in the package flows through Philox ``random_raw``
 fixed arithmetic: uniforms from the top 53 bits, normals via the inverse
 normal CDF, permutations by sorting raw words, signs from the low bit.
 Generator convenience methods are deliberately not used, so a sketch file
-can be rebuilt from ``(seed, kind)`` alone on any numpy >= the pin.
+can be rebuilt from ``(seed, kind)`` alone on any numpy >= the pin.  The
+inverse CDF is Cephes ``ndtri``: scipy's for large arrays, and for arrays
+of at most :data:`BLOCK_WORDS` values a port with the same bits
+(:func:`_ndtri`), so drawing them loads no scipy.
 
 Any run of a stream can be read from its word offset on (:func:`raw`), so
 values derived one per word are generated :data:`BLOCK_WORDS` words at a
@@ -14,6 +17,8 @@ them is generated alone, with the same bits as the whole.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -62,14 +67,16 @@ def fill(out: np.ndarray, seed: int, stream: int, offset: int, values) -> np.nda
     return out
 
 
-def unit_doubles(words: np.ndarray) -> np.ndarray:
-    """Doubles in (0, 1) from raw words: ``(top 53 bits + 0.5) * 2**-53``.
+def unit_doubles(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Doubles in (0, 1) from raw words: ``(top 53 bits + 0.5) * 2**-53``,
+    written into ``out`` if given.
 
     The top 2**11 words would round to exactly 1.0 (an infinite normal), so
     that one value is clamped to the largest double below 1.0; every other
     word keeps its value.
     """
-    u = (words >> np.uint64(11)).astype(np.float64)
+    u = np.empty(words.shape) if out is None else out
+    u[...] = words >> np.uint64(11)
     u += 0.5
     u *= 2.0**-53
     return np.minimum(u, 1.0 - 2.0**-53, out=u)
@@ -80,21 +87,147 @@ def uniforms(seed: int, stream: int, count: int) -> np.ndarray:
     return unit_doubles(raw(seed, stream, count))
 
 
-def gaussians(seed: int, stream: int, shape, offset: int = 0) -> np.ndarray:
+def ndtri_for(count: int):
+    """The inverse normal CDF that draws an array of ``count`` values, as a
+    function that overwrites an array of uniforms with their normals.
+
+    Up to :data:`BLOCK_WORDS` values it is :func:`_ndtri`, which loads
+    nothing; a larger array uses ``scipy.special.ndtri`` (imported here),
+    whose ufunc costs about a seventh as much per value.  The two agree bit
+    for bit, so the choice only moves where and when scipy is imported.  It
+    is made once for a whole array or map, by its size: by row blocks, a
+    large map would draw through the port at seven times the cost.
+    """
+    if count <= BLOCK_WORDS:
+        return _ndtri
+    from scipy.special import ndtri
+
+    return lambda y: ndtri(y, out=y)
+
+
+def gaussians(seed: int, stream: int, shape, offset: int = 0, ndtri=None) -> np.ndarray:
     """Standard normals via the inverse CDF, one per word from word
     ``offset`` on, laid out C-order in ``shape``; generated by :func:`fill`.
 
-    scipy is imported here, on first use, so commands that realize no
-    Gaussian map never load it.  ``ndtri`` is kept rather than a numpy
-    port: numpy's SIMD ``log`` differs from libm's on some CPUs, and the
-    maps must not depend on the CPU they are built on.
+    ``ndtri`` is the function :func:`ndtri_for` gives the whole array the
+    values belong to; by default, the one for ``shape`` itself.  So an
+    array of at most :data:`BLOCK_WORDS` values loads no scipy.
     """
-    from scipy.special import ndtri
+    out = np.empty(shape)
+    if ndtri is None:
+        ndtri = ndtri_for(out.size)
 
     def normals(words, dst):
-        ndtri(unit_doubles(words), out=dst)
+        ndtri(unit_doubles(words, dst))
 
-    return fill(np.empty(shape), seed, stream, offset, normals)
+    return fill(out, seed, stream, offset, normals)
+
+
+# Cephes ndtri (Moshier), the function scipy.special.ndtri computes.  With
+# y reflected to 1 - y above 1 - exp(-2), and c = y - 1/2 for y > exp(-2):
+# (c + c c^2 P0(c^2)/Q0(c^2)) sqrt(2 pi).  Else, with x = sqrt(-2 log y) and
+# z = 1/x: x - log(x)/x - z P(z)/Q(z), with P1/Q1 for x < 8 (y > exp(-32))
+# and P2/Q2 beyond, negated unless y was reflected.  The Q polynomials are
+# monic (Cephes ``p1evl``); a leading 1.0 makes polevl take the same steps,
+# since 1.0 * x is exact.
+_S2PI = 2.50662827463100050242e0
+_EXPM2 = 0.13533528323661269189
+_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016e0,
+)
+_Q0 = (
+    1.0,
+    1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_Q1 = (
+    1.0,
+    1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+_P2 = (
+    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
+)
+_Q2 = (
+    1.0,
+    6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+    2.89247864745380683936e-6, 6.79019408009981274425e-9,
+)
+
+
+def _polevl(x: np.ndarray, coef) -> np.ndarray:
+    """Cephes ``polevl``: the polynomial with coefficients ``coef`` (highest
+    degree first) at ``x``, one rounded multiply and one rounded add per
+    step, as its C loop does."""
+    acc = np.full(x.shape, coef[0])
+    for c in coef[1:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _libm_log(x: np.ndarray) -> np.ndarray:
+    """``log`` of each value by libm, the ``log`` Cephes calls; numpy's
+    SIMD ``log`` differs from it in the last bit on some CPUs."""
+    return np.fromiter(map(math.log, memoryview(x)), np.float64, x.size)
+
+
+def _ndtri(y: np.ndarray) -> np.ndarray:
+    """Overwrite the uniforms ``y`` (C-contiguous, in (0, 1)) with
+    ``scipy.special.ndtri(y)``, bit for bit, and return ``y``.
+
+    A transliteration of Cephes ``ndtri``: numpy's correctly rounded
+    ``+ - * / sqrt``, one operation at a time and in the C order (no fused
+    multiply-add), and libm's ``log`` for the two logs of the tail.
+    """
+    flat = y.reshape(-1)
+    lower = flat <= 1.0 - _EXPM2  # y > 1 - exp(-2) is reflected: 1 - y
+    np.subtract(1.0, flat, out=flat, where=~lower)
+    tail = flat <= _EXPM2
+    mid = ~tail
+    c2 = flat[mid]
+    c2 -= 0.5
+    c2 *= c2
+    x = _polevl(c2, _P0)
+    x *= c2
+    x /= _polevl(c2, _Q0)
+    del c2
+    # y - 1/2 again, rather than held through the ratio above.
+    c = flat[mid]
+    c -= 0.5
+    x *= c
+    x += c
+    x *= _S2PI
+    flat[mid] = x
+    del c, x, mid
+    lower = lower[tail]
+    x = _libm_log(flat[tail])
+    x *= -2.0
+    np.sqrt(x, out=x)
+    x0 = _libm_log(x)
+    x0 /= x
+    np.subtract(x, x0, out=x0)
+    near = x < 8.0  # y > exp(-32)
+    z = np.divide(1.0, x, out=x)
+    for sel, p, q in ((near, _P1, _Q1), (~near, _P2, _Q2)):
+        zs = z[sel]
+        x1 = zs * _polevl(zs, p)
+        x1 /= _polevl(zs, q)
+        x0[sel] -= x1
+    np.negative(x0, out=x0, where=lower)
+    flat[tail] = x0
+    return y
 
 
 def signs(seed: int, stream: int, count: int) -> np.ndarray:

@@ -718,3 +718,54 @@ def test_ssrft_sketch_and_one_pass_recover_leave_scipy_out(tmp_path, drm):
         f"'--out', {str(tmp_path / 'f.tkz')!r}]) == 0"
     )
     assert _scipy_modules(script) == []
+
+
+def test_trp_stream_sketch_and_one_pass_recover_leave_scipy_out(tmp_path):
+    # TRP factors and Gaussian core maps of a few hundred entries each are
+    # drawn through the ndtri port, which loads no scipy.
+    x = np.random.default_rng(7).normal(size=(12, 11, 10, 9))
+    xfile, skfile = tmp_path / "x.tkus", tmp_path / "x.tksk"
+    write_update_stream(xfile, x.shape, [
+        FullUpdate(1.0, 1.0, x),
+        SlabUpdate(0.5, 1.0, mode=3, offset=2, slab=x[..., 2:6]),
+    ])
+    script = (
+        "from tuckersketch.cli import main\n"
+        f"assert main(['sketch', '--stream', {str(xfile)!r}, '--rank', '2', "
+        f"'--drm', 'trp', '--out', {str(skfile)!r}]) == 0\n"
+        f"assert main(['recover', '--sketch', {str(skfile)!r}, "
+        f"'--out', {str(tmp_path / 'f.tkz')!r}]) == 0"
+    )
+    assert _scipy_modules(script) == []
+
+
+def test_one_pass_recover_of_a_gaussian_sketch_leaves_scipy_out(tmp_path):
+    # One-pass recovery realizes only the core maps (60 x 43 here), never
+    # the factor maps the sketch needed scipy for (3600 x 21, past a block).
+    x = np.random.default_rng(8).normal(size=(60, 60, 60))
+    xfile, skfile = tmp_path / "x.tktn", tmp_path / "x.tksk"
+    write_tensor(xfile, x)
+    assert main(["sketch", "--input", str(xfile), "--rank", "10", "--out", str(skfile)]) == 0
+    script = (
+        "from tuckersketch.cli import main\n"
+        f"assert main(['recover', '--sketch', {str(skfile)!r}, "
+        f"'--out', {str(tmp_path / 'f.tkz')!r}]) == 0"
+    )
+    assert _scipy_modules(script) == []
+
+
+def test_gaussian_sketcher_past_one_block_loads_scipy_when_made():
+    # A Gaussian factor map of more than one block of words draws through
+    # scipy's ndtri, chosen when the map is made, so scipy is imported by
+    # the constructor and not by the first slab.  Imported after the first
+    # GEMM, it runs while OpenBLAS's worker thread spins on the other core:
+    # on 2 vCPUs a 200^3 sketch at r=10 took 0.79 s that way against
+    # 0.77 s (medians of 20 alternating pairs, slower in 15).
+    params = SketchParams.for_rank(10, 0, order=3)
+    spec = params.omega_spec((60, 60, 60), 0)
+    assert spec.in_dim * spec.out_dim > 2**16
+    script = (
+        "from tuckersketch.sketch import SketchParams, StreamingSketcher\n"
+        "StreamingSketcher((60, 60, 60), SketchParams.for_rank(10, 0, order=3))"
+    )
+    assert "scipy.special" in _scipy_modules(script)

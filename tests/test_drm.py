@@ -1,6 +1,8 @@
 """Dimension-reduction map tests: determinism, oracles, and the Monte-Carlo
 checks behind the error analysis."""
 
+import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -63,14 +65,18 @@ def test_unit_doubles_keep_every_value_below_the_top():
     assert got.max() < 1.0 and got.min() > 0.0
 
 
-def test_top_raw_word_stays_below_one(monkeypatch):
+@pytest.mark.parametrize(
+    "count", [4, rng.BLOCK_WORDS + 1], ids=["ndtri-port", "scipy-ndtri"]
+)
+def test_top_raw_word_stays_below_one(monkeypatch, count):
     top = np.array([2**64 - 2**11, 2**64 - 1], dtype=np.uint64)
     assert np.all(_old_unit_doubles(top) == 1.0)  # the formula alone rounds up
     assert np.all(rng.unit_doubles(top) == 1.0 - 2.0**-53)
     # rng.fill, which realizes maps block by block, reads words at an offset.
     monkeypatch.setattr(rng, "raw", lambda seed, stream, count, offset=0: np.full(count, top[1]))
     assert np.all(rng.uniforms(0, 0, 3) < 1.0)
-    assert np.all(np.isfinite(rng.gaussians(0, 0, (2, 2))))
+    # Up to one block of words draws through the port, past it through scipy.
+    assert np.all(np.isfinite(rng.gaussians(0, 0, count)))
     # Both map kinds read the same words, whole or by row block: at density 1
     # the top word is kept too (as 1.0 it failed the u < density draw).
     x = np.ones((1, 3, 1))  # rows 3:6 of a (3, 2) grid: its slowest axis
@@ -111,6 +117,53 @@ def test_gaussians_at_an_offset_span_word_blocks(offset, count):
     whole = rng.gaussians(8, 2, 3 * B + 16)
     got = rng.gaussians(8, 2, count, offset)
     assert np.array_equal(got.view(np.uint64), whole[offset : offset + count].view(np.uint64))
+
+
+_EXPM2 = 0.13533528323661269189  # the branch edge of Cephes ndtri
+
+
+def _ndtri_edges():
+    """Uniforms at every branch edge of ndtri, and in its far tail."""
+    edges = [0.5, 2.0**-54, 2.0**-53, 1.0 - 2.0**-53]
+    for e in (_EXPM2, 1.0 - _EXPM2, math.exp(-32), 1.0 - math.exp(-32)):
+        edges += [np.nextafter(e, 0.0), e, np.nextafter(e, 1.0)]
+    # x = sqrt(-2 log y) >= 8, i.e. y < exp(-32): geometric down to 2**-54,
+    # and the doubles just below 1 that reflect into it.
+    far = np.geomspace(math.exp(-32), 2.0**-54, 4001)
+    near_one = 1.0 - np.arange(1, 129) * 2.0**-53
+    return np.concatenate([edges, far, near_one])
+
+
+def test_ndtri_port_equals_scipy_bit_for_bit():
+    # scipy.special.ndtri is the reference, here only: maps of at most one
+    # block of words are drawn by the port and load no scipy.
+    import scipy.special
+
+    u = np.concatenate(
+        [rng.uniforms(rng.mix64(seed, 12), stream, 1 << 19)
+         for seed in range(4) for stream in (0, 5)]
+        + [_ndtri_edges()]
+    )
+    assert u.size >= 4 * 2**20 and u.min() > 0.0 and u.max() < 1.0
+    assert np.any(u < math.exp(-32)) and np.any(1.0 - u < math.exp(-32))  # x >= 8
+    want = scipy.special.ndtri(u)
+    got = np.concatenate([rng._ndtri(u[j : j + B].copy()) for j in range(0, u.size, B)])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("count, digest", [
+    (B, "e68f1d7bea3a26818302fe7de3e4758bcf778d437e546852f6001b068fb0ae25"),
+    (B + 1, "ad55ebd05b275af2d294f75406c816fb3338f3c735cb5fa0942bca413dda9272"),
+], ids=["ndtri-port", "scipy-ndtri"])
+def test_gaussians_on_either_side_of_the_port_are_frozen(count, digest):
+    # Pinned apart from scipy: a change in its ndtri cannot move the maps
+    # the port draws unnoticed, nor the ones drawn through it.
+    assert hashlib.sha256(rng.gaussians(12, 3, count).tobytes()).hexdigest() == digest
+
+
+def test_ndtri_for_draws_through_the_port_up_to_one_block():
+    assert rng.ndtri_for(B) is rng._ndtri
+    assert rng.ndtri_for(B + 1) is not rng._ndtri
 
 
 def _counter_spec(kind, in_dim, out_dim, seed):

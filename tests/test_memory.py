@@ -29,7 +29,8 @@ from tuckersketch.io import (
     write_update_stream,
 )
 from tuckersketch.recovery import two_pass_recover
-from tuckersketch.drm import FACTOR_KINDS
+from tuckersketch import rng
+from tuckersketch.drm import _SCALARS_PER_WORD, FACTOR_KINDS
 from tuckersketch.sketch import SketchParams, StreamingSketcher, tucker_sketch
 from tuckersketch.tensor import (
     TuckerFactorization,
@@ -117,6 +118,17 @@ def test_peak_aux_scalars_tracks_every_map_kind(om, layout, step, shape):
         _, peak = _peak(lambda: acc.update_slab(1, 10, x[:, 10:14, :]))
     reported = 8 * acc.peak_aux_scalars
     assert peak / 2 <= reported <= 2 * peak
+
+
+@pytest.mark.parametrize(
+    "count", [rng.BLOCK_WORDS, 3 * rng.BLOCK_WORDS], ids=["ndtri-port", "scipy-ndtri"]
+)
+def test_gaussian_draw_stays_within_its_scalars_per_word(count):
+    # tensor_scratch counts _SCALARS_PER_WORD per word of one block for a
+    # map that generates entries; the port's temporaries must fit in it too.
+    rng.gaussians(1, 2, count)  # imports what the draw loads
+    out, peak = _peak(lambda: rng.gaussians(1, 2, count))
+    assert peak - out.nbytes <= 8 * _SCALARS_PER_WORD * min(count, rng.BLOCK_WORDS)
 
 
 def test_read_tensor_holds_the_payload_once(tmp_path, tensor):

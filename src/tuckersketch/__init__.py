@@ -31,7 +31,6 @@ from .sketch import (
     sketch_merge,
     sketch_storage,
     tucker_sketch,
-    zero_sketch,
 )
 from .recovery import (
     FactorBases,
@@ -79,7 +78,6 @@ __all__ = [
     "tucker_sketch",
     "sketch_merge",
     "sketch_storage",
-    "zero_sketch",
     "ParamsMismatchError",
     "FactorBases",
     "RecoveryReport",

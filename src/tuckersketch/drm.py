@@ -99,10 +99,9 @@ class DrmSpec:
 
 @dataclass(frozen=True)
 class DrmStorageCost:
-    """Scalar count actually stored vs. the dense-equivalent entry count."""
+    """Scalars stored to regenerate one map (see :func:`drm_storage_cost`)."""
 
     scalars: float
-    dense_equiv: int
 
 
 def drm_storage_cost(spec: DrmSpec) -> DrmStorageCost:
@@ -125,7 +124,7 @@ def drm_storage_cost(spec: DrmSpec) -> DrmStorageCost:
         scalars = float(4 * spec.in_dim + spec.out_dim)
     else:  # trp
         scalars = float(sum(d * spec.out_dim for d in spec.mode_dims))
-    return DrmStorageCost(scalars=scalars, dense_equiv=dense)
+    return DrmStorageCost(scalars=scalars)
 
 
 def _grid(spec: DrmSpec, x, mode: int, axis: int | None, rows: slice | None):
@@ -164,9 +163,9 @@ def _check_operand(m, in_dim: int) -> np.ndarray:
 
 
 # Scalars a realization holds per word of the block it is generating, at
-# most: the words and what is derived from them (sparse sign: the uniforms,
-# their integer precursor and the signs; Gaussian: the precursor, or the
-# ndtri port's gathers and Horner accumulators, 2.6 per word).
+# most: the words and what is derived from them (sparse sign: the uniforms'
+# precursor, the sign bits and the keep mask; Gaussian: the precursor, or
+# the ndtri port's gathers and Horner accumulators, 2.6 per word).
 _SCALARS_PER_WORD = 4
 
 
@@ -208,8 +207,10 @@ class _DenseDrm:
         by_low_bit = np.array([-scale, scale])
 
         def sparse_signs(words, dst):
-            sign = by_low_bit.take(words & np.uint64(1))
-            dst[...] = np.where(rng.unit_doubles(words) < density, sign, 0.0)
+            keep = rng.unit_doubles(words, out=dst) < density
+            by_low_bit.take((words & np.uint64(1)).view(np.int64), out=dst, mode="clip")
+            np.multiply(dst, keep, out=dst)
+            dst += 0.0  # a dropped negative sign is -0.0: make it +0.0
 
         return rng.fill(np.empty(shape), spec.seed, _STREAM_ENTRIES, offset, sparse_signs)
 

@@ -15,7 +15,6 @@ synthetic data the bounds are computable exactly and usable as oracles.
 from __future__ import annotations
 
 import csv
-import io as _io
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -203,26 +202,6 @@ def metrics(x, approx, baseline_error: float) -> tuple[float, float]:
     return err / norm, (err - baseline_error) / norm
 
 
-_CSV_HEADER = [
-    "scheme",
-    "side",
-    "order",
-    "rank",
-    "gamma",
-    "delta",
-    "decay",
-    "k",
-    "s",
-    "omega_kind",
-    "phi_kind",
-    "method",
-    "trials",
-    "mean_err",
-    "std_err",
-    "mean_regret",
-    "err_bound",
-]
-
 _METHODS = ("hosvd", "hooi", "two_pass", "one_pass")
 
 # Desk-scale cap on the entries of one grid cell's tensor.
@@ -245,7 +224,9 @@ def run_experiment(
     ``sqrt(mean(bound / ||X||^2))``.  With ``truncate=True`` the sketched
     recoveries are compressed to rank ``r`` before scoring, matching the
     baselines; by default they are scored at rank ``k``, which is what the
-    bounds speak about.  ``output`` is the path of a CSV file to write.
+    bounds speak about.  ``output`` is the path of a CSV file to write:
+    its columns are the keys of each row, in order.  A grid with no cells
+    raises ``ValueError``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -328,20 +309,11 @@ def run_experiment(
                     "err_bound": err_bound,
                 }
             )
+    if not rows:
+        raise ValueError("the grid has no cells")
     if output is not None:
         with open(output, "w", newline="") as fh:
-            _write_csv(fh, rows)
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
     return rows
-
-
-def _write_csv(fh, rows: list[dict]) -> None:
-    writer = csv.DictWriter(fh, fieldnames=_CSV_HEADER, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-
-
-def experiment_csv(rows: list[dict]) -> str:
-    """Render experiment rows to CSV text (same bytes as ``output=``)."""
-    buf = _io.StringIO()
-    _write_csv(buf, rows)
-    return buf.getvalue()

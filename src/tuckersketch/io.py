@@ -381,10 +381,7 @@ def read_sketch(path) -> TuckerSketch:
     for name, a in named:
         if not np.isfinite(a).all():
             raise FileFormatError(f"{what}: non-finite values in the {name}")
-    try:
-        return TuckerSketch(params=params, shape=shape, factor_sketches=vs, core_sketch=core)
-    except ValueError as exc:
-        raise FileFormatError(f"{what}: inconsistent sketch ({exc})") from exc
+    return TuckerSketch(params=params, shape=shape, factor_sketches=vs, core_sketch=core)
 
 
 @dataclass(frozen=True)

@@ -98,6 +98,8 @@ class SketchParams:
         ``rank`` is a scalar or per-mode; ``order`` (needed for a scalar) is checked.
         """
         r = per_mode(rank, np.size(rank) if order is None else order, "rank")
+        if any(v < 1 for v in r):
+            raise ValueError(f"rank must be >= 1 in every mode, got {r}")
         k = tuple(2 * v + 1 for v in r)
         s = tuple(2 * v + 1 for v in k)
         return cls(k=k, s=s, master_seed=master_seed, **kwargs)
@@ -328,11 +330,6 @@ def tucker_sketch(x, params: SketchParams) -> TuckerSketch:
     sk = StreamingSketcher(a.shape, params)
     sk.update_dense(a)
     return sk.sketch()
-
-
-def zero_sketch(shape, params: SketchParams) -> TuckerSketch:
-    """The sketch of the zero tensor (the additive identity for merges)."""
-    return StreamingSketcher(shape, params).sketch()
 
 
 def sketch_merge(a: TuckerSketch, b: TuckerSketch) -> TuckerSketch:

@@ -126,6 +126,20 @@ class TestSketchCommand:
                    "--out", str(tmp_path / "s.tksk")])
         assert rc == 3
 
+    @pytest.mark.parametrize("rank", ["0", "-1", "2,0,2"])
+    def test_rank_below_one_exits_2(self, tmp_path, capsys, exact_tensor, rank):
+        xfile, out = tmp_path / "x.tktn", tmp_path / "s.tksk"
+        write_tensor(xfile, exact_tensor)
+        assert main(["sketch", "--input", str(xfile), f"--rank={rank}", "--out", str(out)]) == 2
+        assert "rank must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_integer_k_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["sketch", "--input", "x.tktn", "--k", "x", "--out", str(tmp_path / "s.tksk")])
+        assert err.value.code == 2
+        assert "expected comma-separated ints" in capsys.readouterr().err
+
 
     @pytest.mark.parametrize("mode, offset, extent, message", [
         (3, 0, 1, "slab mode 3 out of range"),
@@ -652,6 +666,14 @@ class TestBenchCommand:
                   option, values[1], "--out", str(out)])
         assert err.value.code == 2
         assert f"argument {option}: given more than once" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_numeric_gamma_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "--side", "10", "--rank", "2", "--gamma", "x", "--out", str(out)])
+        assert err.value.code == 2
+        assert "expected comma-separated floats" in capsys.readouterr().err
         assert not out.exists()
 
 

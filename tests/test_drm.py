@@ -161,6 +161,17 @@ def test_gaussians_on_either_side_of_the_port_are_frozen(count, digest):
     assert hashlib.sha256(rng.gaussians(12, 3, count).tobytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("spec, digest", [
+    (DrmSpec("sparse_sign", 25600, 21, seed=12, density=0.1),
+     "2daf95a1f9d9445f260fb3c46a1c9a748c4660affac48ff490a30b218024d090"),
+    (DrmSpec("sparse_sign", 3000, 7, seed=13, density=0.3),
+     "270e15323bb8d62c9fc595e91bbc0408cf05615a5b70adc30d42346b4d190b11"),
+], ids=["many-blocks", "one-block"])
+def test_sparse_sign_entries_are_frozen(spec, digest):
+    # Every zero is +0.0 and every kept entry +-1/sqrt(density), bit for bit.
+    assert hashlib.sha256(make_drm(spec).materialize().tobytes()).hexdigest() == digest
+
+
 def test_ndtri_for_draws_through_the_port_up_to_one_block():
     assert rng.ndtri_for(B) is rng._ndtri
     assert rng.ndtri_for(B + 1) is not rng._ndtri
@@ -325,6 +336,23 @@ def test_spec_validation():
         DrmSpec("trp", 8, 4, seed=0)  # missing dims
     with pytest.raises(ValueError):
         DrmSpec("gaussian", 0, 4, seed=0)
+    with pytest.raises(ValueError, match="trp mode_dims must be positive"):
+        DrmSpec("trp", 8, 4, seed=0, mode_dims=(-2, -4))
+    with pytest.raises(ValueError, match="mode_dims is only meaningful for trp"):
+        DrmSpec("gaussian", 8, 4, seed=0, mode_dims=(2, 4))
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
+def test_apply_rejects_bad_operands(spec):
+    d = make_drm(spec)
+    with pytest.raises(ValueError, match="mode 2 out of range"):
+        d.apply_tensor(np.zeros((4, 6)), 2)
+    with pytest.raises(ValueError, match="does not cover in_dim=24"):
+        d.apply_tensor(np.zeros((2, 5, 6)), 0)
+    with pytest.raises(ValueError, match="operand must be a matrix"):
+        d.apply_right(np.zeros(24))
+    with pytest.raises(ValueError, match="operand has 23 columns, map expects 24"):
+        d.apply_right(np.zeros((2, 23)))
 
 
 class TestGaussian:
@@ -474,6 +502,13 @@ class TestTrp:
             ref[:, c] = m @ np.kron(a1[:, c], a0[:, c])
         np.testing.assert_allclose(got, ref, atol=1e-12)
 
+    def test_rejects_a_grid_or_factors_that_do_not_fit(self):
+        d = make_drm(DrmSpec("trp", 24, 5, seed=13, mode_dims=(4, 6)))
+        with pytest.raises(ValueError, match=r"grid \(6, 4\) is not the trp grid \(4, 6\)"):
+            d.apply_tensor(np.zeros((2, 6, 4)), 0)
+        with pytest.raises(ValueError, match="2 factors for 1 axes"):
+            apply_trp_factors(np.zeros((2, 4)), 0, d.factors)
+
     def test_split_first_product_matches_materialized(self, monkeypatch):
         monkeypatch.setattr(tensor_mod, "_ONE_THREAD_MACS", 8)  # split every product
         x = np.asfortranarray(np.random.default_rng(8).normal(size=(2, 3, 4, 5)))
@@ -490,7 +525,6 @@ def test_storage_cost():
     assert drm_storage_cost(DrmSpec("ssrft", 30, 7, seed=0)).scalars == 4 * 30 + 7
     cost = drm_storage_cost(DrmSpec("trp", 30, 7, seed=0, mode_dims=(5, 6)))
     assert cost.scalars == (5 + 6) * 7
-    assert cost.dense_equiv == 210
 
 
 class TestGaussianExpectations:

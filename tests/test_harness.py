@@ -1,5 +1,6 @@
 """Synthetic generators, bound oracles, metrics, and the experiment driver."""
 
+import csv
 import math
 import warnings
 
@@ -11,7 +12,6 @@ from tuckersketch.harness import (
     SyntheticSpec,
     bound_one_pass,
     bound_two_pass,
-    experiment_csv,
     gen_synthetic,
     metrics,
     one_pass_inflation,
@@ -92,6 +92,10 @@ class TestGenerators:
             SyntheticSpec("low_rank_noise", 8, 3, 2, seed=0, gamma=-1.0)
         with pytest.raises(ValueError):
             SyntheticSpec("sparse_low_rank_noise", 8, 3, 2, seed=0, delta=0.0)
+        with pytest.raises(ValueError, match="side must be positive"):
+            SyntheticSpec("low_rank_noise", 0, 3, 2, seed=0)
+        with pytest.raises(ValueError, match="decay must be positive"):
+            SyntheticSpec("poly_decay", 8, 3, 2, seed=0, decay=0.0)
 
 
 class TestSpectrumAndBounds:
@@ -172,10 +176,11 @@ class TestRunExperiment:
         params = SketchParams(k=(5, 5, 5), s=(11, 11, 11), master_seed=4)
         return [(data, params)]
 
-    def test_rows_and_determinism(self):
-        rows_a = run_experiment(self._grid(), trials=2)
-        rows_b = run_experiment(self._grid(), trials=2)
-        assert experiment_csv(rows_a) == experiment_csv(rows_b)
+    def test_rows_and_determinism(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        rows_a = run_experiment(self._grid(), trials=2, output=a)
+        run_experiment(self._grid(), trials=2, output=b)
+        assert a.read_bytes() == b.read_bytes()
         assert len(rows_a) == 4  # one row per method
         methods = {r["method"] for r in rows_a}
         assert methods == {"hosvd", "hooi", "two_pass", "one_pass"}
@@ -191,9 +196,10 @@ class TestRunExperiment:
         hooi_row = next(r for r in rows if r["method"] == "hooi")
         assert hooi_row["mean_regret"] == pytest.approx(0.0, abs=1e-15)
 
-    def test_csv_header(self):
-        rows = run_experiment(self._grid(), trials=1)
-        header = experiment_csv(rows).splitlines()[0]
+    def test_csv_header(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        run_experiment(self._grid(), trials=1, output=out)
+        header = out.read_text().splitlines()[0]
         assert header == (
             "scheme,side,order,rank,gamma,delta,decay,k,s,omega_kind,phi_kind,"
             "method,trials,mean_err,std_err,mean_regret,err_bound"
@@ -202,7 +208,31 @@ class TestRunExperiment:
     def test_output_file(self, tmp_path):
         out = tmp_path / "bench.csv"
         rows = run_experiment(self._grid(), trials=1, output=out)
-        assert out.read_text() == experiment_csv(rows)
+        with open(out, newline="") as fh:
+            assert list(csv.DictReader(fh)) == [{k: str(v) for k, v in r.items()} for r in rows]
+
+    def test_empty_grid_is_refused(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        with pytest.raises(ValueError, match="no cells"):
+            run_experiment([], trials=1, output=out)
+        assert not out.exists()
+
+    def test_rejects_no_trials_and_mismatched_orders(self):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            run_experiment(self._grid(), trials=0)
+        data = SyntheticSpec("low_rank_noise", 10, 4, 2, seed=3)
+        params = SketchParams(k=(5, 5, 5), s=(11, 11, 11), master_seed=4)
+        with pytest.raises(ValueError, match="data order and sketch order differ"):
+            run_experiment([(data, params)], trials=1)
+
+    def test_one_pass_bound_is_nan_where_undefined(self):
+        data = SyntheticSpec("low_rank_noise", 10, 3, 2, seed=3, gamma=0.5)
+        with pytest.warns(UserWarning, match="s_n <= 2 k_n"):
+            params = SketchParams(k=(3, 3, 3), s=(4, 4, 4), master_seed=4)
+        rows = run_experiment([(data, params)], trials=1)
+        bounds = {r["method"]: r["err_bound"] for r in rows}
+        assert math.isnan(bounds["one_pass"])
+        assert math.isfinite(bounds["two_pass"])
 
     def test_trials_do_not_warn_again(self):
         data = SyntheticSpec("low_rank_noise", 10, 3, 2, seed=3, gamma=0.5)

@@ -56,6 +56,11 @@ class TestTensorFile:
         write_tensor(b, x)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_scalar_rejected_on_write(self, tmp_path):
+        with pytest.raises(ValueError, match="cannot serialize a scalar"):
+            write_tensor(tmp_path / "x.tktn", 3.0)
+        assert list(tmp_path.iterdir()) == []
+
     def test_layout_is_first_index_fastest(self, tmp_path):
         x = np.arange(6, dtype=float).reshape(2, 3)
         path = tmp_path / "x.tktn"
@@ -436,6 +441,20 @@ class TestUpdateStream:
             )
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("record, error, message", [
+        (FullUpdate(1.0, 1.0, np.zeros((3, 2))), ValueError,
+         r"full update has shape \(3, 2\), expected \(3, 3\)"),
+        (SlabUpdate(1.0, 1.0, mode=2, offset=0, slab=np.zeros((3, 3))), ValueError,
+         "slab mode 2 out of range"),
+        (SlabUpdate(1.0, 1.0, mode=0, offset=0, slab=np.zeros((1, 2))), ValueError,
+         r"slab has shape \(1, 2\), expected \(1, 3\)"),
+        ((1.0, 1.0, np.zeros((3, 3))), TypeError, "unsupported update record tuple"),
+    ], ids=["full-shape", "slab-mode", "slab-shape", "record-type"])
+    def test_bad_record_rejected_on_write(self, tmp_path, record, error, message):
+        with pytest.raises(error, match=message):
+            write_update_stream(tmp_path / "u.tkus", (3, 3), [record])
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_record_type(self, tmp_path):
         shape = (2, 2)
         path = tmp_path / "u.tkus"
@@ -566,6 +585,27 @@ class TestTuckerArchive:
                     data[7:15] = struct.pack("<Q", 2**40)
                 zout.writestr(name, bytes(data))
         with pytest.raises(FileFormatError, match="truncated"):
+            read_tucker(dst)
+
+    def test_member_shorter_than_its_recorded_size(self, tmp_path):
+        # A deflated member recorded 8 bytes longer than it inflates to
+        # passes the size check, then comes up short.
+        src, dst = tmp_path / "f.tkz", tmp_path / "g.tkz"
+        write_tucker(src, self._fact())
+        with zipfile.ZipFile(src) as zin, zipfile.ZipFile(dst, "w", zipfile.ZIP_DEFLATED) as zout:
+            for name in zin.namelist():
+                data = zin.read(name)
+                zout.writestr(name, data[:-8] if name == "core.tktn" else data)
+        with zipfile.ZipFile(dst) as zf:
+            info, start_dir = zf.getinfo("core.tktn"), zf.start_dir
+        raw = bytearray(dst.read_bytes())
+        # The inflated size sits at byte 22 of the local header and at byte
+        # 24 of the central directory entry, which ends 46 bytes past it.
+        for at in (info.header_offset + 22, raw.index(b"core.tktn", start_dir) - 22):
+            assert raw[at : at + 4] == struct.pack("<I", info.file_size)
+            raw[at : at + 4] = struct.pack("<I", info.file_size + 8)
+        dst.write_bytes(raw)
+        with pytest.raises(FileFormatError, match="short read of the payload"):
             read_tucker(dst)
 
 

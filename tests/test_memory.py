@@ -30,7 +30,7 @@ from tuckersketch.io import (
 )
 from tuckersketch.recovery import two_pass_recover
 from tuckersketch import rng
-from tuckersketch.drm import _SCALARS_PER_WORD, FACTOR_KINDS
+from tuckersketch.drm import _SCALARS_PER_WORD, FACTOR_KINDS, DrmSpec, make_drm
 from tuckersketch.sketch import SketchParams, StreamingSketcher, tucker_sketch
 from tuckersketch.tensor import (
     TuckerFactorization,
@@ -129,6 +129,16 @@ def test_gaussian_draw_stays_within_its_scalars_per_word(count):
     rng.gaussians(1, 2, count)  # imports what the draw loads
     out, peak = _peak(lambda: rng.gaussians(1, 2, count))
     assert peak - out.nbytes <= 8 * _SCALARS_PER_WORD * min(count, rng.BLOCK_WORDS)
+
+
+@pytest.mark.parametrize("in_dim", [3000, 30000])
+def test_sparse_sign_draw_stays_within_its_scalars_per_word(in_dim):
+    # The same bound for a sparse sign map's words, the uniforms' integer
+    # precursor, its keep mask and its sign bits.
+    spec = DrmSpec("sparse_sign", in_dim, 21, seed=3, density=0.3)
+    make_drm(spec).entries  # first-call allocations stay out of the peak
+    out, peak = _peak(lambda: make_drm(spec).entries)
+    assert peak - out.nbytes <= 8 * _SCALARS_PER_WORD * min(out.size, rng.BLOCK_WORDS)
 
 
 def test_read_tensor_holds_the_payload_once(tmp_path, tensor):

@@ -16,7 +16,6 @@ from tuckersketch.sketch import (
     sketch_merge,
     sketch_storage,
     tucker_sketch,
-    zero_sketch,
 )
 from tuckersketch.tensor import multi_mode_product, unfold
 
@@ -61,6 +60,22 @@ class TestParams:
         with pytest.raises(ValueError, match="rank has 2 entries but the tensor has 3 modes"):
             SketchParams.for_rank((1, 2), master_seed=0, order=3)
 
+    @pytest.mark.parametrize("rank", [0, -1, (2, 0, 2)], ids=["zero", "negative", "one-mode"])
+    def test_for_rank_rejects_a_rank_below_one(self, rank):
+        with pytest.raises(ValueError, match=r"rank must be >= 1 in every mode, got \("):
+            SketchParams.for_rank(rank, master_seed=0, order=3)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(k=(), s=()), "at least one mode is required"),
+        (dict(k=(0, 3), s=(3, 7)), "all k_n must be >= 1"),
+        (dict(k=(3,), s=(7,), omega_kind="fourier"), "unknown factor map kind"),
+        (dict(k=(3,), s=(7,), density=0.0), "density must lie in"),
+        (dict(k=(3,), s=(7,), density=1.5), "density must lie in"),
+    ], ids=["no-modes", "k-below-one", "unknown-kind", "density-zero", "density-above-one"])
+    def test_rejects_bad_params(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SketchParams(master_seed=0, **kwargs)
+
     def test_rejects_s_below_k(self):
         with pytest.raises(ValueError):
             SketchParams(k=(4, 4), s=(3, 9), master_seed=0)
@@ -87,6 +102,31 @@ class TestParams:
     def test_sketcher_rejects_wide_k(self):
         with pytest.raises(ValueError):
             StreamingSketcher((2, 9, 10), _params())  # k_0=3 > I_0=2
+
+    @pytest.mark.parametrize("shape, message", [
+        ((8, 9), "params describe 3 modes but shape has 2"),
+        ((8, 0, 10), "all extents must be >= 1"),
+    ])
+    def test_sketcher_rejects_a_bad_shape(self, shape, message):
+        with pytest.raises(ValueError, match=message):
+            StreamingSketcher(shape, _params())
+
+
+_ARRAYS = dict(shape=SHAPE, factor_sketches=tuple(np.zeros((d, 3)) for d in SHAPE),
+               core_sketch=np.zeros((8, 8, 8)))
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(shape=(8, 9)), "shape order does not match params"),
+    (dict(factor_sketches=_ARRAYS["factor_sketches"][:2]), "one factor sketch per mode"),
+    (dict(factor_sketches=(np.zeros((8, 4)),) + _ARRAYS["factor_sketches"][1:]),
+     r"factor sketch 0 has shape \(8, 4\), expected \(8, 3\)"),
+    (dict(core_sketch=np.zeros((8, 8, 7))), r"core sketch has shape \(8, 8, 7\)"),
+], ids=["order", "count", "factor-shape", "core-shape"])
+def test_sketch_rejects_inconsistent_arrays(change, message):
+    TuckerSketch(params=_params(), **_ARRAYS)
+    with pytest.raises(ValueError, match=message):
+        TuckerSketch(params=_params(), **{**_ARRAYS, **change})
 
 
 @pytest.mark.parametrize("om", ["gaussian", "sparse_sign", "ssrft", "trp"])
@@ -149,7 +189,7 @@ def test_linear_update_is_linear(om):
 def test_zero_sketch_is_identity_for_updates():
     x = _tensor(7)
     params = _params()
-    acc = StreamingSketcher(SHAPE, params, init=zero_sketch(SHAPE, params))
+    acc = StreamingSketcher(SHAPE, params, init=StreamingSketcher(SHAPE, params).sketch())
     acc.update_dense(x)
     built = acc.sketch()
     direct = tucker_sketch(x, params)
@@ -210,6 +250,10 @@ def test_slab_validation():
         acc.update_slab(1, 0, _tensor(0, (7, 3, 10)))  # off-mode extent wrong
     with pytest.raises(ValueError):
         acc.update_slab(3, 0, _tensor(0))
+    with pytest.raises(ValueError, match="slab has order 2, expected 3"):
+        acc.update_slab(1, 0, _tensor(0, (8, 3)))
+    with pytest.raises(ValueError, match=r"update has shape \(8, 9, 11\)"):
+        acc.update_dense(_tensor(0, (8, 9, 11)))
 
 
 def test_structured_maps_never_materialize(monkeypatch):

@@ -1,0 +1,71 @@
+"""Source hygiene: no module keeps an import or a private helper it never uses.
+
+Each module of the package (``__init__.py`` aside, which only re-exports)
+is parsed with ``ast``.  A name counts as used when the module loads it
+somewhere outside the statement that defines it, so a helper that only
+calls itself counts as unused too.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tuckersketch"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _loads(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names loaded anywhere in ``tree`` except inside ``skip``."""
+    names, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _bound(stmt: ast.stmt) -> list[str]:
+    """Names a module-level statement binds."""
+    if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+        return [(a.asname or a.name).split(".")[0] for a in stmt.names]
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
+def _unused(path: Path, wanted) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        name
+        for stmt in tree.body
+        if wanted(stmt)
+        for name in _bound(stmt)
+        if (isinstance(stmt, (ast.Import, ast.ImportFrom)) or name.startswith("_"))
+        and not name.startswith("__")
+        and name not in _loads(tree, skip=stmt)
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_module_level_import_is_used(path):
+    def imports(stmt):
+        if isinstance(stmt, ast.ImportFrom):
+            return stmt.module != "__future__"
+        return isinstance(stmt, ast.Import)
+
+    assert _unused(path, imports) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_module_name_is_used(path):
+    def definitions(stmt):
+        return not isinstance(stmt, (ast.Import, ast.ImportFrom))
+
+    assert _unused(path, definitions) == []

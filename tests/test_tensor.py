@@ -72,6 +72,8 @@ class TestUnfoldFold:
             unfold(x, 2)
         with pytest.raises(ValueError):
             unfold(x, -1)
+        with pytest.raises(ValueError, match="at least one mode"):
+            unfold(np.float64(3.0), 0)
 
     def test_fold_rejects_wrong_size(self):
         with pytest.raises(ValueError):
@@ -97,6 +99,12 @@ class TestModeProduct:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             mode_product(_filled((3, 4)), 0, _filled((2, 5)))
+
+    def test_non_matrix_rejected(self):
+        with pytest.raises(ValueError, match="mode_product expects a matrix"):
+            mode_product(_filled((3, 4)), 0, np.ones(3))
+        with pytest.raises(ValueError, match="mode_product expects a matrix"):
+            multi_mode_product(_filled((3, 4)), [(0, np.ones((2, 3))), (1, np.ones(4))])
 
     def test_order_invariance(self):
         x = _filled((3, 4, 5), seed=6)
@@ -151,6 +159,10 @@ class TestKronAndFriends:
         with pytest.raises(ValueError):
             khatri_rao(_filled((4, 3)), _filled((2, 2)))
 
+    def test_khatri_rao_rejects_a_non_matrix(self):
+        with pytest.raises(ValueError, match="khatri_rao expects two matrices"):
+            khatri_rao(_filled((4, 3)), np.ones(3))
+
     def test_superdiag(self):
         t = superdiag([2.0, 5.0, -1.0], 3)
         assert t.shape == (3, 3, 3)
@@ -199,6 +211,10 @@ class TestTuckerFactorization:
     def test_factor_count_rejected(self):
         with pytest.raises(ValueError):
             TuckerFactorization(core=_filled((2, 3)), factors=(_filled((5, 2)),))
+
+    def test_non_matrix_factor_rejected(self):
+        with pytest.raises(ValueError, match="factor 1 is not a matrix"):
+            TuckerFactorization(core=_filled((2, 3)), factors=(_filled((5, 2)), np.ones(3)))
 
     def test_dense_roundtrip_via_mode_products(self):
         t = TuckerFactorization(

@@ -19,9 +19,10 @@ them.  An SSRFT map's entries are generated when it is made, from the
 permutations, signs and coordinates that define it (:class:`SsrftTransform`),
 with ``numpy.fft``: at sketch widths far below ``in_dim``, one GEMM with
 those entries costs less than two DCTs of the operand.  Only a Gaussian map
-(or TRP factor, which is Gaussian) of more than ``rng.BLOCK_WORDS`` entries
-loads scipy, for ``ndtri``, and it does so when it is made; smaller ones,
-such as the core maps, draw through a bit-exact port (``rng.ndtri_for``).
+(or TRP factor, which is Gaussian) of more than ``rng.NDTRI_PORT_MAX`` (2^20)
+entries loads scipy, for ``ndtri``, and it does so when it is made; smaller
+ones, such as the core maps and the factor maps of a 200^3 sketch at rank
+10, draw through a bit-exact port (``rng.ndtri_for``).
 TRP keeps its per-mode factors, applies implicitly and only materializes
 its dense equivalent on request.
 
@@ -165,7 +166,8 @@ def _check_operand(m, in_dim: int) -> np.ndarray:
 # Scalars a realization holds per word of the block it is generating, at
 # most: the words and what is derived from them (sparse sign: the uniforms'
 # precursor, the sign bits and the keep mask; Gaussian: the precursor, or
-# the ndtri port's gathers and Horner accumulators, 2.6 per word).
+# the ndtri port's temporaries, which it bounds by working a quarter of a
+# block at a time: 2.0 per word, the words included).
 _SCALARS_PER_WORD = 4
 
 

@@ -89,7 +89,9 @@ def _noisy(signal: np.ndarray, spec: SyntheticSpec) -> np.ndarray:
         return signal
     scale = spec.gamma * fro_norm(signal) / spec.side ** (spec.order / 2)
     noise = rng.gaussians(spec.seed, _STREAM_NOISE, signal.shape)
-    return signal + scale * noise
+    noise *= scale
+    noise += signal  # the same bits as signal + scale * noise, in place
+    return noise
 
 
 def gen_synthetic(spec: SyntheticSpec) -> np.ndarray:

@@ -578,12 +578,14 @@ def read_tucker(path) -> TuckerFactorization:
             raise FileFormatError(f"{what}: missing manifest.json") from None
         except json.JSONDecodeError as exc:
             raise FileFormatError(f"{what}: unreadable manifest ({exc})") from exc
+        if not isinstance(manifest, dict):
+            raise FileFormatError(f"{what}: manifest is not a JSON object")
         if manifest.get("format") != _ARCHIVE_FORMAT:
             raise FileFormatError(
                 f"{what}: unknown archive format {manifest.get('format')!r}"
             )
         order = manifest.get("order")
-        if not isinstance(order, int) or order < 1:
+        if not isinstance(order, int) or isinstance(order, bool) or order < 1:
             raise FileFormatError(f"{what}: bad order in manifest")
         try:
             core = _read_member(zf, "core.tktn", what)

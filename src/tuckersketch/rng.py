@@ -7,7 +7,7 @@ normal CDF, permutations by sorting raw words, signs from the low bit.
 Generator convenience methods are deliberately not used, so a sketch file
 can be rebuilt from ``(seed, kind)`` alone on any numpy >= the pin.  The
 inverse CDF is Cephes ``ndtri``: scipy's for large arrays, and for arrays
-of at most :data:`BLOCK_WORDS` values a port with the same bits
+of at most :data:`NDTRI_PORT_MAX` values a port with the same bits
 (:func:`_ndtri`), so drawing them loads no scipy.
 
 Any run of a stream can be read from its word offset on (:func:`raw`), so
@@ -19,6 +19,8 @@ them is generated alone, with the same bits as the whole.
 from __future__ import annotations
 
 import math
+import platform
+import sys
 
 import numpy as np
 
@@ -26,6 +28,8 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 BLOCK_WORDS = 1 << 16
 """Words :func:`fill` reads from a stream at a time (512 KiB)."""
+NDTRI_PORT_MAX = 1 << 20
+"""Values of the largest array :func:`ndtri_for` draws through the port."""
 
 
 def mix64(*words: int) -> int:
@@ -91,14 +95,18 @@ def ndtri_for(count: int):
     """The inverse normal CDF that draws an array of ``count`` values, as a
     function that overwrites an array of uniforms with their normals.
 
-    Up to :data:`BLOCK_WORDS` values it is :func:`_ndtri`, which loads
+    Up to :data:`NDTRI_PORT_MAX` values it is :func:`_ndtri`, which loads
     nothing; a larger array uses ``scipy.special.ndtri`` (imported here),
-    whose ufunc costs about a seventh as much per value.  The two agree bit
-    for bit, so the choice only moves where and when scipy is imported.  It
-    is made once for a whole array or map, by its size: by row blocks, a
-    large map would draw through the port at seven times the cost.
+    whose ufunc costs about a third as much per value.  The two agree bit
+    for bit, so the choice only moves where and when scipy is imported.  At
+    the limit, the three factor maps of an order-3 sketch draw about 3.1 M
+    values, and the port's extra cost on them stays under that of
+    importing ``scipy.special`` (about 0.25 s); past it, the per-value gap
+    outweighs the import.  The choice is made once for a whole array or
+    map, by its size: by row blocks, a large map would draw through the
+    port at three times the cost.
     """
-    if count <= BLOCK_WORDS:
+    if count <= NDTRI_PORT_MAX:
         return _ndtri
     from scipy.special import ndtri
 
@@ -111,7 +119,7 @@ def gaussians(seed: int, stream: int, shape, offset: int = 0, ndtri=None) -> np.
 
     ``ndtri`` is the function :func:`ndtri_for` gives the whole array the
     values belong to; by default, the one for ``shape`` itself.  So an
-    array of at most :data:`BLOCK_WORDS` values loads no scipy.
+    array of at most :data:`NDTRI_PORT_MAX` values loads no scipy.
     """
     out = np.empty(shape)
     if ndtri is None:
@@ -170,17 +178,60 @@ def _polevl(x: np.ndarray, coef) -> np.ndarray:
     """Cephes ``polevl``: the polynomial with coefficients ``coef`` (highest
     degree first) at ``x``, one rounded multiply and one rounded add per
     step, as its C loop does."""
-    acc = np.full(x.shape, coef[0])
-    for c in coef[1:]:
+    acc = x * coef[0]
+    acc += coef[1]
+    for c in coef[2:]:
         acc *= x
         acc += c
     return acc
 
 
+def _ratio(z: np.ndarray, p, q) -> np.ndarray:
+    """``z P(z) / Q(z)`` in Cephes's order of operations."""
+    r = _polevl(z, p)
+    r *= z
+    r /= _polevl(z, q)
+    return r
+
+
+_X87 = np.finfo(np.longdouble).nmant == 63 and sys.byteorder == "little"
+_LOG_MARGIN = 0.47 if _X87 and platform.libc_ver()[0] == "glibc" else 0.0
+"""A long-double ``log`` within this many ulps of a double D settles libm's
+``log`` as D: glibc's ``log`` errs by at most about 0.52 ulp where
+``|log x| > 1/16`` (both tail logs of ndtri have ``|log x| >= 0.69``), and
+x87 ``logl`` by far less than 0.01 ulp of a double, so libm cannot return
+a neighbour of D, 1 ulp away.  It is 0, which settles no value and sends
+every ``log`` through ``math.log``, unless the long double is x87 extended
+(64-bit significand, little-endian) and libm is glibc."""
+_MANTISSA = np.uint64((1 << 52) - 1)
+_NDTRI_PIECE = 1 << 14
+"""Values :func:`_ndtri` computes at a time, so its temporaries stay a
+bounded share of a block of words whichever branches the values take."""
+
+
 def _libm_log(x: np.ndarray) -> np.ndarray:
-    """``log`` of each value by libm, the ``log`` Cephes calls; numpy's
-    SIMD ``log`` differs from it in the last bit on some CPUs."""
-    return np.fromiter(map(math.log, memoryview(x)), np.float64, x.size)
+    """``log`` of each value of the 1-D ``x`` by libm, the ``log`` Cephes
+    calls; numpy's SIMD ``log`` differs from it in the last bit on some CPUs.
+
+    ``np.log`` of the values as long doubles (x87 ``logl``) is rounded to a
+    double D; where it lies within :data:`_LOG_MARGIN` ulp of D, and D is
+    not a power of two (whose ulp below is half the one above), libm's
+    ``log`` is D.  The rest, about 6% of the values, go through ``math.log``.
+    """
+    wide = x.astype(np.longdouble)
+    np.log(wide, out=wide)
+    out = wide.astype(np.float64)
+    # The low 11 of the 64 significand bits (the first 8 bytes of an x87
+    # long double): how far past the double below it the long double lies,
+    # in 2048ths of an ulp.  Unsure: at least the margin away from both
+    # doubles around it, or D a power of two.
+    significand = np.ndarray(x.shape, np.uint64, wide, strides=(wide.itemsize,))
+    from_tie = np.subtract(significand & np.uint64(0x7FF), 1024.0)
+    unsure = np.abs(from_tie, out=from_tie) <= 1024 * (1 - 2 * _LOG_MARGIN)
+    unsure |= (out.view(np.uint64) & _MANTISSA) == 0
+    redo = np.flatnonzero(unsure)
+    out[redo] = np.fromiter(map(math.log, memoryview(x[redo])), np.float64, redo.size)
+    return out
 
 
 def _ndtri(y: np.ndarray) -> np.ndarray:
@@ -189,45 +240,48 @@ def _ndtri(y: np.ndarray) -> np.ndarray:
 
     A transliteration of Cephes ``ndtri``: numpy's correctly rounded
     ``+ - * / sqrt``, one operation at a time and in the C order (no fused
-    multiply-add), and libm's ``log`` for the two logs of the tail.
+    multiply-add), and libm's ``log`` for the two logs of the tail
+    (:func:`_libm_log`).  It works :data:`_NDTRI_PIECE` values at a time.
     """
     flat = y.reshape(-1)
-    lower = flat <= 1.0 - _EXPM2  # y > 1 - exp(-2) is reflected: 1 - y
-    np.subtract(1.0, flat, out=flat, where=~lower)
-    tail = flat <= _EXPM2
-    mid = ~tail
-    c2 = flat[mid]
-    c2 -= 0.5
-    c2 *= c2
-    x = _polevl(c2, _P0)
-    x *= c2
-    x /= _polevl(c2, _Q0)
-    del c2
-    # y - 1/2 again, rather than held through the ratio above.
-    c = flat[mid]
-    c -= 0.5
-    x *= c
-    x += c
-    x *= _S2PI
-    flat[mid] = x
-    del c, x, mid
-    lower = lower[tail]
-    x = _libm_log(flat[tail])
+    for j in range(0, flat.size, _NDTRI_PIECE):
+        _ndtri_piece(flat[j : j + _NDTRI_PIECE])
+    return y
+
+
+def _ndtri_piece(y: np.ndarray) -> None:
+    """:func:`_ndtri` of the 1-D ``y``: the tail is taken out by index and
+    finished, the middle branch is computed in place on every value, and
+    the tail is written back over it.  Elementwise IEEE arithmetic gives
+    each value the same bits whatever its neighbours are, and Q0 has no
+    root for c^2 in [0, 1/4], so the middle branch of a tail value is
+    harmless."""
+    tail = np.flatnonzero((y <= _EXPM2) | (y > 1.0 - _EXPM2))
+    t = y[tail]
+    upper = t > 1.0 - _EXPM2  # reflected to 1 - y, and not negated
+    np.subtract(1.0, t, out=t, where=upper)
+    x = _libm_log(t)
+    del t
     x *= -2.0
     np.sqrt(x, out=x)
     x0 = _libm_log(x)
     x0 /= x
     np.subtract(x, x0, out=x0)
-    near = x < 8.0  # y > exp(-32)
+    far = np.flatnonzero(x >= 8.0)  # y < exp(-32): P2/Q2, almost never
     z = np.divide(1.0, x, out=x)
-    for sel, p, q in ((near, _P1, _Q1), (~near, _P2, _Q2)):
-        zs = z[sel]
-        x1 = zs * _polevl(zs, p)
-        x1 /= _polevl(zs, q)
-        x0[sel] -= x1
-    np.negative(x0, out=x0, where=lower)
-    flat[tail] = x0
-    return y
+    x1 = _ratio(z, _P1, _Q1)
+    x1[far] = _ratio(z[far], _P2, _Q2)
+    x0 -= x1
+    np.negative(x0, out=x0, where=~upper)
+    del x, z, x1, upper
+    c = np.subtract(y, 0.5, out=y)
+    c2 = c * c
+    x = _ratio(c2, _P0, _Q0)
+    del c2
+    x *= c
+    x += c
+    np.multiply(x, _S2PI, out=y)
+    y[tail] = x0
 
 
 def signs(seed: int, stream: int, count: int) -> np.ndarray:

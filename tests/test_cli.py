@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from tuckersketch import io as tkio
+from tuckersketch import rng
 from tuckersketch.cli import main
 from tuckersketch.drm import FACTOR_KINDS
 from tuckersketch.harness import SyntheticSpec, gen_synthetic
@@ -762,12 +763,15 @@ def test_trp_stream_sketch_and_one_pass_recover_leave_scipy_out(tmp_path):
 
 
 def test_one_pass_recover_of_a_gaussian_sketch_leaves_scipy_out(tmp_path):
-    # One-pass recovery realizes only the core maps (60 x 43 here), never
-    # the factor maps the sketch needed scipy for (3600 x 21, past a block).
-    x = np.random.default_rng(8).normal(size=(60, 60, 60))
+    # One-pass recovery realizes only the core maps (460 x 11 at most here),
+    # never the factor maps the sketch needed scipy for (211600 x 5 for
+    # mode 0, past NDTRI_PORT_MAX).
+    x = np.random.default_rng(8).normal(size=(12, 460, 460))
+    spec = SketchParams.for_rank(2, 0, order=3).omega_spec(x.shape, 0)
+    assert spec.in_dim * spec.out_dim > rng.NDTRI_PORT_MAX
     xfile, skfile = tmp_path / "x.tktn", tmp_path / "x.tksk"
     write_tensor(xfile, x)
-    assert main(["sketch", "--input", str(xfile), "--rank", "10", "--out", str(skfile)]) == 0
+    assert main(["sketch", "--input", str(xfile), "--rank", "2", "--out", str(skfile)]) == 0
     script = (
         "from tuckersketch.cli import main\n"
         f"assert main(['recover', '--sketch', {str(skfile)!r}, "
@@ -776,18 +780,35 @@ def test_one_pass_recover_of_a_gaussian_sketch_leaves_scipy_out(tmp_path):
     assert _scipy_modules(script) == []
 
 
-def test_gaussian_sketcher_past_one_block_loads_scipy_when_made():
-    # A Gaussian factor map of more than one block of words draws through
-    # scipy's ndtri, chosen when the map is made, so scipy is imported by
-    # the constructor and not by the first slab.  Imported after the first
-    # GEMM, it runs while OpenBLAS's worker thread spins on the other core:
-    # on 2 vCPUs a 200^3 sketch at r=10 took 0.79 s that way against
-    # 0.77 s (medians of 20 alternating pairs, slower in 15).
+def test_gaussian_sketcher_past_the_port_limit_loads_scipy_when_made():
+    # A Gaussian factor map of more than NDTRI_PORT_MAX entries draws
+    # through scipy's ndtri, chosen when the map is made, so scipy is
+    # imported by the constructor and not by the first slab.  Imported after
+    # the first GEMM, it runs while OpenBLAS's worker thread spins on the
+    # other core: on 2 vCPUs a 200^3 sketch at r=10 took 0.79 s that way
+    # against 0.77 s (medians of 20 alternating pairs, slower in 15).
     params = SketchParams.for_rank(10, 0, order=3)
-    spec = params.omega_spec((60, 60, 60), 0)
-    assert spec.in_dim * spec.out_dim > 2**16
+    spec = params.omega_spec((240, 240, 240), 0)
+    assert spec.in_dim * spec.out_dim > rng.NDTRI_PORT_MAX
     script = (
         "from tuckersketch.sketch import SketchParams, StreamingSketcher\n"
-        "StreamingSketcher((60, 60, 60), SketchParams.for_rank(10, 0, order=3))"
+        "StreamingSketcher((240, 240, 240), SketchParams.for_rank(10, 0, order=3))"
     )
     assert "scipy.special" in _scipy_modules(script)
+
+
+def test_gaussian_sketcher_of_a_desk_size_tensor_leaves_scipy_out():
+    # 200^3 at r=10: each factor map has 40000 x 21 entries, within
+    # NDTRI_PORT_MAX, so all three draw through the port, whole.
+    params = SketchParams.for_rank(10, 0, order=3)
+    spec = params.omega_spec((200, 200, 200), 0)
+    assert rng.BLOCK_WORDS < spec.in_dim * spec.out_dim <= rng.NDTRI_PORT_MAX
+    script = (
+        "from tuckersketch.drm import make_drm\n"
+        "from tuckersketch.sketch import SketchParams, StreamingSketcher\n"
+        "params, shape = SketchParams.for_rank(10, 0, order=3), (200, 200, 200)\n"
+        "StreamingSketcher(shape, params)\n"
+        "for n in range(3):\n"
+        "    make_drm(params.omega_spec(shape, n)).entries"
+    )
+    assert _scipy_modules(script) == []

@@ -66,7 +66,7 @@ def test_unit_doubles_keep_every_value_below_the_top():
 
 
 @pytest.mark.parametrize(
-    "count", [4, rng.BLOCK_WORDS + 1], ids=["ndtri-port", "scipy-ndtri"]
+    "count", [4, rng.NDTRI_PORT_MAX + 1], ids=["ndtri-port", "scipy-ndtri"]
 )
 def test_top_raw_word_stays_below_one(monkeypatch, count):
     top = np.array([2**64 - 2**11, 2**64 - 1], dtype=np.uint64)
@@ -75,7 +75,7 @@ def test_top_raw_word_stays_below_one(monkeypatch, count):
     # rng.fill, which realizes maps block by block, reads words at an offset.
     monkeypatch.setattr(rng, "raw", lambda seed, stream, count, offset=0: np.full(count, top[1]))
     assert np.all(rng.uniforms(0, 0, 3) < 1.0)
-    # Up to one block of words draws through the port, past it through scipy.
+    # Up to NDTRI_PORT_MAX values draw through the port, past it through scipy.
     assert np.all(np.isfinite(rng.gaussians(0, 0, count)))
     # Both map kinds read the same words, whole or by row block: at density 1
     # the top word is kept too (as 1.0 it failed the u < density draw).
@@ -135,8 +135,8 @@ def _ndtri_edges():
 
 
 def test_ndtri_port_equals_scipy_bit_for_bit():
-    # scipy.special.ndtri is the reference, here only: maps of at most one
-    # block of words are drawn by the port and load no scipy.
+    # scipy.special.ndtri is the reference, here only: maps of at most
+    # NDTRI_PORT_MAX values are drawn by the port and load no scipy.
     import scipy.special
 
     u = np.concatenate(
@@ -151,10 +151,69 @@ def test_ndtri_port_equals_scipy_bit_for_bit():
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def _ulps_to_nearest_double(x):
+    """How far the long-double log of each ``x`` lies from its nearest
+    double, in ulps of that double (at most 1/2), read from the low 11
+    significand bits as ``_libm_log`` reads them."""
+    wide = np.log(x.astype(np.longdouble))
+    significand = np.ndarray(x.shape, np.uint64, wide, strides=(wide.itemsize,))
+    low = (significand & np.uint64(0x7FF)).astype(np.int64)
+    return np.minimum(low, 2048 - low) / 2048
+
+
+def _around(x0, steps):
+    """The ``2 * steps + 1`` doubles centred on the positive double ``x0``."""
+    bits = np.array([x0]).view(np.int64) + np.arange(-steps, steps + 1)
+    return bits.view(np.float64)
+
+
+def _ndtri_hard_logs():
+    """Uniforms whose first or second tail log is hard to settle: the
+    long-double log lies 0.45 to 0.5 ulp from its double, or the log is
+    near a power of two (log y = -4, -8, -16, -32; log x = 1, 2)."""
+    y = rng.uniforms(rng.mix64(9, 12), 1, 1 << 20)
+    y = np.minimum(y, 1.0 - y)
+    y = y[y <= _EXPM2]  # the tail, reflected or not
+    x = np.sqrt(-2.0 * np.array([math.log(v) for v in y]))
+    near_tie = (_ulps_to_nearest_double(y) >= 0.45) | (_ulps_to_nearest_double(x) >= 0.45)
+    edges = [math.exp(-(2.0**k)) for k in (2, 3, 4, 5)]
+    edges += [math.exp(-0.5 * math.exp(2.0 * v)) for v in (1.0, 2.0)]  # log x = v
+    return np.concatenate([y[near_tie]] + [_around(e, 3000) for e in edges])
+
+
+@pytest.mark.skipif(rng._LOG_MARGIN == 0, reason="no long-double log to settle libm's")
+def test_libm_log_settles_only_what_libm_agrees_with():
+    # Values whose long-double log lies near a tie between two doubles, or
+    # whose log is a power of two, are where a settled value could differ.
+    y = _ndtri_hard_logs()
+    x = np.sqrt(-2.0 * np.array([math.log(v) for v in y]))
+    band = _ulps_to_nearest_double(np.concatenate([y, x]))
+    assert np.any((band > 0.45) & (band < rng._LOG_MARGIN))  # settled side
+    assert np.any(band >= rng._LOG_MARGIN)  # math.log side
+    for v in (y, x):
+        want = np.array([math.log(e) for e in v])
+        assert np.array_equal(rng._libm_log(v).view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("margin", ["platform", 0.0])
+def test_ndtri_port_equals_scipy_where_its_logs_are_hard(monkeypatch, margin):
+    # Margin 0 settles no value: every log is math.log's, with the same bits.
+    import scipy.special
+
+    if margin != "platform":
+        monkeypatch.setattr(rng, "_LOG_MARGIN", margin)
+    u = np.concatenate([_ndtri_hard_logs(), _ndtri_edges()])
+    want = scipy.special.ndtri(u)
+    got = rng._ndtri(u.copy())
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("count, digest", [
     (B, "e68f1d7bea3a26818302fe7de3e4758bcf778d437e546852f6001b068fb0ae25"),
     (B + 1, "ad55ebd05b275af2d294f75406c816fb3338f3c735cb5fa0942bca413dda9272"),
-], ids=["ndtri-port", "scipy-ndtri"])
+    (rng.NDTRI_PORT_MAX, "e4d4c03cb76ac20e0bc5123f0fa9c52d06620de2b278fde1171bd3dc54665cd3"),
+    (rng.NDTRI_PORT_MAX + 1, "86a7db8cf58e4b39587d3fda58709681209ea3ec4214ac1626c1c3d770e873a2"),
+], ids=["ndtri-port", "two-blocks", "port-limit", "scipy-ndtri"])
 def test_gaussians_on_either_side_of_the_port_are_frozen(count, digest):
     # Pinned apart from scipy: a change in its ndtri cannot move the maps
     # the port draws unnoticed, nor the ones drawn through it.
@@ -172,9 +231,9 @@ def test_sparse_sign_entries_are_frozen(spec, digest):
     assert hashlib.sha256(make_drm(spec).materialize().tobytes()).hexdigest() == digest
 
 
-def test_ndtri_for_draws_through_the_port_up_to_one_block():
-    assert rng.ndtri_for(B) is rng._ndtri
-    assert rng.ndtri_for(B + 1) is not rng._ndtri
+def test_ndtri_for_draws_through_the_port_up_to_its_limit():
+    assert rng.ndtri_for(rng.NDTRI_PORT_MAX) is rng._ndtri
+    assert rng.ndtri_for(rng.NDTRI_PORT_MAX + 1) is not rng._ndtri
 
 
 def _counter_spec(kind, in_dim, out_dim, seed):

@@ -641,9 +641,13 @@ class TestTuckerManifest:
          "unknown archive format 'tucker-archive-v0'"),
         (lambda m: {**m, "order": 0}, "bad order in manifest"),
         (lambda m: {**m, "order": "3"}, "bad order in manifest"),
+        (lambda m: {**m, "order": True}, "bad order in manifest"),
+        (lambda m: b"[]", "manifest is not a JSON object"),
+        (lambda m: b'"x"', "manifest is not a JSON object"),
         (lambda m: {**m, "shape": [6, 7, 9]}, "manifest does not match members"),
         (lambda m: {**m, "rank": [3, 3, 2]}, "manifest does not match members"),
-    ], ids=["missing", "unreadable", "format", "order-0", "order-str", "shape", "rank"])
+    ], ids=["missing", "unreadable", "format", "order-0", "order-str", "order-bool",
+            "list", "string", "shape", "rank"])
     def test_bad_manifest(self, tmp_path, manifest, message):
         with pytest.raises(FileFormatError, match=message):
             read_tucker(self._rewrite(tmp_path, manifest=manifest))

@@ -7,13 +7,18 @@ atomically.
 
 ``sketch --input`` and ``recover --input`` read the tensor file in
 last-mode slabs of at most 8 MiB (one plane of the last mode at the least),
-so the tensor is never held in memory whole; each slab generates the rows
-of a Gaussian or sparse sign factor map ``Omega_n`` (n < last) that it
-touches, so ``sketch --input`` holds ``Omega_last``, the core maps, one
-slab and one row block.  ``sketch --stream`` reads every full record and
-every last-mode slab record in the same bounded pieces, from one reused
-buffer; a slab record along any other mode is held whole.  Every piece is
-folded with ``update_slab``.  ``merge`` reads one sketch file at a time.
+so the tensor is never held in memory whole.  ``sketch --stream`` reads
+every full record and every last-mode slab record in the same bounded
+pieces, from one reused buffer; a slab record along any other mode is held
+whole.  Every piece is folded with ``update_slab``.  A piece along mode
+``m`` generates the rows of each Gaussian or sparse sign factor map
+``Omega_n`` (n != m) that it touches, along any mode, and drops them; it
+contracts ``Omega_m``, the one map it needs whole, last.  So ``sketch
+--input`` holds ``Omega_last``, the core maps, one slab and one row block,
+and a mode-0 shard holds ``Omega_0`` and the core maps.  ``sketch --report``
+writes the pieces and payload bytes folded, ``peak_aux_scalars``,
+``held_map_scalars`` (factor and core map entries held) and the elapsed
+time.  ``merge`` reads one sketch file at a time.
 
 A command imports scipy only to draw more than 2^20 Gaussian values in one
 array or map (``rng.ndtri_for``); a sketcher with such a factor map
@@ -98,6 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="nonzero fraction for sparse_sign maps")
     ps.add_argument("--seed", type=int, default=0, help="master seed")
     ps.add_argument("--out", required=True, help="output TKSK1 sketch file")
+    ps.add_argument("--report", help="also write a JSON report of the fold here")
     ps.set_defaults(func=_cmd_sketch)
 
     pm = sub.add_parser("merge", help="add sketches of shards (same params everywhere)")
@@ -174,7 +180,14 @@ def _check_finite(acc: StreamingSketcher, where: str) -> None:
         raise ValueError(f"{where} made the sketch non-finite (NaN or Inf in the data)")
 
 
+def _write_report(path: str, summary: dict) -> None:
+    """Write a command's ``--report`` JSON, atomically."""
+    with tkio._atomic_write(path) as fh:
+        fh.write((json.dumps(summary, sort_keys=True, indent=2) + "\n").encode())
+
+
 def _cmd_sketch(args) -> int:
+    start = time.perf_counter()
     if args.input is not None:
         path = args.input
         shape, slabs = tkio.read_tensor_slabs(path)
@@ -184,17 +197,28 @@ def _cmd_sketch(args) -> int:
         path = args.stream
         shape, pieces = tkio.read_stream_pieces(path)
     acc = StreamingSketcher(shape, _params_for(args, len(shape)))
-    records = 0
+    records = folded = payload = 0
     for p in pieces:
         acc.update_slab(p.mode, p.offset, p.data, p.theta1, p.theta2)
         where = (f"rows {p.offset}:{p.offset + p.data.shape[p.mode]} of mode {p.mode}"
                  if args.input is not None else f"record {p.record}")
         _check_finite(acc, f"{path}: {where}")
         records = p.record + 1
+        folded += 1
+        payload += p.data.nbytes
+    elapsed = time.perf_counter() - start
     if args.stream is not None:
         print(f"folded {records} updates", file=sys.stderr)
     sk = acc.sketch()
     tkio.write_sketch(args.out, sk)
+    if args.report:
+        _write_report(args.report, {
+            "pieces_folded": folded,
+            "payload_bytes_folded": payload,
+            "peak_aux_scalars": acc.peak_aux_scalars,
+            "held_map_scalars": acc.held_map_scalars,
+            "elapsed_seconds": elapsed,
+        })
     print(f"wrote sketch {args.out} (shape {sk.shape}, k {sk.params.k}, "
           f"s {sk.params.s})", file=sys.stderr)
     return 0
@@ -265,8 +289,7 @@ def _cmd_recover(args) -> int:
         "elapsed_seconds": elapsed,
     }
     if args.report:
-        with tkio._atomic_write(args.report) as fh:
-            fh.write((json.dumps(summary, sort_keys=True, indent=2) + "\n").encode())
+        _write_report(args.report, summary)
     print(f"recovered rank {fact.rank} factorization -> {args.out}"
           + (f" (normalized error {normalized_error:.3e})" if normalized_error is not None else ""),
           file=sys.stderr)

@@ -10,19 +10,23 @@ optionally restricted to the rows of ``Omega`` whose position in the input
 grid lies in one block along one axis (what a slab update needs); both
 contract the tensor where it lies.  Gaussian, sparse sign and SSRFT maps are
 realized as their dense entries.  Gaussian and sparse sign entries are drawn
-one per counter-stream word, row by row, so any run of rows is generated
-alone, a bounded block of words at a time (``rng.fill``): such a map holds
-no entries when it is made, and a product with a block along the slowest
-axis of its input grid generates just those rows and drops them.  It
-realizes itself whole, and keeps the entries, when anything else asks for
-them.  An SSRFT map's entries are generated when it is made, from the
-permutations, signs and coordinates that define it (:class:`SsrftTransform`),
-with ``numpy.fft``: at sketch widths far below ``in_dim``, one GEMM with
-those entries costs less than two DCTs of the operand.  Only a Gaussian map
-(or TRP factor, which is Gaussian) of more than ``rng.NDTRI_PORT_MAX`` (2^20)
-entries loads scipy, for ``ndtri``, and it does so when it is made; smaller
-ones, such as the core maps and the factor maps of a 200^3 sketch at rank
-10, draw through a bit-exact port (``rng.ndtri_for``).
+one per counter-stream word, row by row, so any list of runs of rows is
+generated alone, a bounded block of words at a time (``rng.fill``): such a
+map holds no entries when it is made, and a product with a block along
+any axis of its input grid generates just the rows the block covers and
+drops them.  A block of ``c`` rows on grid axis ``g`` covers
+``prod(dims[g+1:])`` runs of ``c * prod(dims[:g])`` rows; a block on the
+slowest axis is one run.  The map realizes itself whole, and keeps the
+entries, when a whole grid or its entries are asked for, or once the rows
+generated for blocks would pass ``in_dim``.  An SSRFT map's entries are
+generated when it is made, from the permutations, signs and coordinates
+that define it (:class:`SsrftTransform`), with ``numpy.fft``: at sketch
+widths far below ``in_dim``, one GEMM with those entries costs less than
+two DCTs of the operand.  Only a Gaussian map (or TRP factor, which is
+Gaussian) of more than ``rng.NDTRI_PORT_MAX`` (2^20) entries loads scipy,
+for ``ndtri``, and it does so when it is made; smaller ones, such as the
+core maps and the factor maps of a 200^3 sketch at rank 10, draw through
+a bit-exact port (``rng.ndtri_for``).
 TRP keeps its per-mode factors, applies implicitly and only materializes
 its dense equivalent on request.
 
@@ -167,8 +171,36 @@ def _check_operand(m, in_dim: int) -> np.ndarray:
 # most: the words and what is derived from them (sparse sign: the uniforms'
 # precursor, the sign bits and the keep mask; Gaussian: the precursor, or
 # the ndtri port's temporaries, which it bounds by working a quarter of a
-# block at a time: 2.0 per word, the words included).
+# block at a time: 2.0 per word, the words included).  A block that spans
+# several runs of rows joins their words first: 2 per word, before any
+# value is derived.
 _SCALARS_PER_WORD = 4
+
+
+def _sparse_signs(density: float):
+    """The ``values`` function of ``rng.fill`` that draws sparse sign
+    entries: +-1/sqrt(density) with probability density, else zero."""
+    scale = 1.0 / np.sqrt(density)
+    by_low_bit = np.array([-scale, scale])
+
+    def values(words, dst):
+        keep = rng.unit_doubles(words, out=dst) < density
+        by_low_bit.take((words & np.uint64(1)).view(np.int64), out=dst, mode="clip")
+        np.multiply(dst, keep, out=dst)
+        dst += 0.0  # a dropped negative sign is -0.0: make it +0.0
+
+    return values
+
+
+def _block_runs(dims, g: int, rows: slice) -> list[tuple[int, int]]:
+    """The rows ``(start, stop)`` of a map on the grid ``dims`` (axis 0
+    fastest) whose position on grid axis ``g`` lies in ``rows``, in the
+    order of the block's own grid: one run of ``len(rows) * prod(dims[:g])``
+    rows for each position on the axes above ``g``."""
+    inner = math.prod(dims[:g])
+    stride = dims[g] * inner
+    start, stop = rows.start * inner, rows.stop * inner
+    return [(o + start, o + stop) for o in range(0, math.prod(dims[g:]) * inner, stride)]
 
 
 class _DenseDrm:
@@ -181,46 +213,39 @@ class _DenseDrm:
     :class:`SsrftTransform`, generated when the map is made.
 
     Gaussian and sparse sign entries are generated when first needed.  A
-    product with a block along the slowest axis of the input grid (one run
-    of rows) generates just those rows, until the rows generated that way
-    would pass ``in_dim``; every other request realizes the map whole, once,
-    and keeps the entries.  So a pass that visits each row once generates
-    each row once, and no sequence of requests generates more than twice
-    the map's entries in all.
+    product with a block along any axis of the input grid generates just
+    the rows the block covers (runs of rows, see :func:`_block_runs`),
+    until the rows generated that way would pass ``in_dim``; a whole grid,
+    or a block past that budget, realizes the map whole, once, and the map
+    keeps the entries.  So a pass that visits each row once generates each
+    row once, and no sequence of requests generates more than twice the
+    map's entries in all.
     """
 
     def __init__(self, spec: DrmSpec):
         self.spec = spec
         self._entries = SsrftTransform(spec).materialize() if spec.kind == "ssrft" else None
         self._generated = 0  # rows generated for block products so far
-        # Chosen by the whole map, so every row block draws with one function.
-        gaussian = spec.kind == "gaussian"
-        self._ndtri = rng.ndtri_for(spec.in_dim * spec.out_dim) if gaussian else None
-
-    def _rows(self, start: int, stop: int) -> np.ndarray:
-        """Rows ``start:stop`` of the Gaussian or sparse sign entries, drawn
-        from their words in the counter stream."""
-        spec = self.spec
-        shape, offset = (stop - start, spec.out_dim), start * spec.out_dim
         if spec.kind == "gaussian":
-            return rng.gaussians(spec.seed, _STREAM_ENTRIES, shape, offset, self._ndtri)
-        density = spec.density
-        scale = 1.0 / np.sqrt(density)
-        by_low_bit = np.array([-scale, scale])
+            # Chosen by the whole map, so every row block draws with one function.
+            self._values = rng.normals(rng.ndtri_for(spec.in_dim * spec.out_dim))
+        elif spec.kind == "sparse_sign":
+            self._values = _sparse_signs(spec.density)
 
-        def sparse_signs(words, dst):
-            keep = rng.unit_doubles(words, out=dst) < density
-            by_low_bit.take((words & np.uint64(1)).view(np.int64), out=dst, mode="clip")
-            np.multiply(dst, keep, out=dst)
-            dst += 0.0  # a dropped negative sign is -0.0: make it +0.0
-
-        return rng.fill(np.empty(shape), spec.seed, _STREAM_ENTRIES, offset, sparse_signs)
+    def _rows(self, runs) -> np.ndarray:
+        """The Gaussian or sparse sign entries of the row runs ``runs``
+        (``(start, stop)`` pairs), stacked in order, drawn from their words
+        in the counter stream."""
+        k = self.spec.out_dim
+        out = np.empty((sum(stop - start for start, stop in runs), k))
+        words = [(start * k, (stop - start) * k) for start, stop in runs]
+        return rng.fill(out, self.spec.seed, _STREAM_ENTRIES, words, self._values)
 
     @property
     def entries(self) -> np.ndarray:
         """The dense ``(in_dim, out_dim)`` entries, realized on first use and kept."""
         if self._entries is None:
-            self._entries = self._rows(0, self.spec.in_dim)
+            self._entries = self._rows([(0, self.spec.in_dim)])
         return self._entries
 
     @property
@@ -231,16 +256,15 @@ class _DenseDrm:
     def _block_rows(self, shape, mode: int, axis: int | None) -> int:
         """Rows a product with a tensor of ``shape`` (a block along ``axis``)
         generates for itself alone, or 0 when it uses the whole map.  It
-        does when the map holds no entries, ``axis`` is the slowest axis of
-        the grid, and the block's rows keep the rows generated so far
+        does when the map holds no entries, ``axis`` is given (any axis of
+        the grid), and the block's rows keep the rows generated so far
         within ``in_dim``: a whole grid, or a block that would pass that
         total, realizes the map instead."""
-        if self._entries is not None:
+        if self._entries is not None or axis is None:
             return 0
-        slowest = len(shape) - 1 - (mode == len(shape) - 1)
         block = math.prod(shape) // shape[mode]
         fits = block < self.spec.in_dim and self._generated + block <= self.spec.in_dim
-        return block if axis == slowest and fits else 0
+        return block if fits else 0
 
     def apply_right(self, m: np.ndarray) -> np.ndarray:
         """Compute ``m @ Omega`` for an ``(q, in_dim)`` operand."""
@@ -257,18 +281,19 @@ class _DenseDrm:
         """
         a, dims, g, rows = _grid(self.spec, x, mode, axis, rows)
         if self._block_rows(a.shape, mode, axis):
-            # The slowest grid axis: the block is rows start:stop of Omega.
-            plane = math.prod(dims[:-1])
-            w = self._rows(rows.start * plane, rows.stop * plane)
+            w = self._rows(_block_runs(dims, g, rows))
             self._generated += w.shape[0]
             return contract(a, mode, w)
         w = self.entries
         if g is not None:
             # A view with the grid axes reversed (C order, so axis 0 of the
-            # grid varies fastest); only the selected block is copied.
+            # grid varies fastest); only the selected block is copied.  Runs
+            # of one row reshape to a strided view, which is copied too:
+            # matmul may round a product with a strided operand differently,
+            # and the block must give the bits of its generated rows.
             grid = w.reshape((*dims[::-1], self.spec.out_dim))
             block = grid[(slice(None),) * (len(dims) - 1 - g) + (rows,)]
-            w = block.reshape((-1, self.spec.out_dim))
+            w = np.ascontiguousarray(block.reshape((-1, self.spec.out_dim)))
         return contract(a, mode, w)
 
     def tensor_scratch(self, shape, mode: int, axis: int | None = None) -> int:
@@ -277,11 +302,19 @@ class _DenseDrm:
         ``axis`` if given: the entries it generates, if any (the block's
         rows, or the whole map, which it keeps), and the larger of what one
         block of words needs while they are generated and the contraction's
-        scratch."""
-        scratch = contract_scratch(shape, mode, self.spec.out_dim)
-        if self._entries is not None:
-            return scratch
-        size = (self._block_rows(shape, mode, axis) or self.spec.in_dim) * self.spec.out_dim
+        scratch, with the copy of a block of kept entries that is not one
+        run of rows."""
+        k = self.spec.out_dim
+        scratch = contract_scratch(shape, mode, k)
+        rows = math.prod(shape) // shape[mode]  # the map rows the tensor meets
+        if self._block_rows(shape, mode, axis):
+            size = rows * k
+        else:
+            if axis is not None and rows < self.spec.in_dim:
+                # runs of the block: one per position on the grid axes above it
+                runs = math.prod(shape[axis + 1 :]) // (shape[mode] if mode > axis else 1)
+                scratch += rows * k if runs > 1 else 0
+            size = 0 if self._entries is not None else self.spec.in_dim * k
         return size + max(scratch, _SCALARS_PER_WORD * min(size, rng.BLOCK_WORDS))
 
     def materialize(self) -> np.ndarray:

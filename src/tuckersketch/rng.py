@@ -10,10 +10,11 @@ inverse CDF is Cephes ``ndtri``: scipy's for large arrays, and for arrays
 of at most :data:`NDTRI_PORT_MAX` values a port with the same bits
 (:func:`_ndtri`), so drawing them loads no scipy.
 
-Any run of a stream can be read from its word offset on (:func:`raw`), so
-values derived one per word are generated :data:`BLOCK_WORDS` words at a
-time straight into their destination (:func:`fill`), and any block of
-them is generated alone, with the same bits as the whole.
+A Philox can be put at any word of its stream (:func:`_seek`), so values
+derived one per word are generated straight into their destination from
+any list of runs of the stream, :data:`BLOCK_WORDS` words at a time
+(:func:`fill`): any set of them is generated alone, with the same bits as
+the whole.
 """
 
 from __future__ import annotations
@@ -44,30 +45,60 @@ def mix64(*words: int) -> int:
     return h
 
 
-def raw(seed: int, stream: int, count: int, offset: int = 0) -> np.ndarray:
-    """``count`` raw uint64 words of the (seed, stream) counter stream, from
-    word ``offset`` on: the slice ``offset:offset + count`` of the stream."""
+def _philox(seed: int, stream: int) -> np.random.Philox:
     key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
-    bitgen = np.random.Philox(key=key)
-    # Philox makes four words per counter step: step to the four that hold
-    # word ``offset``, then drop the ones before it.
-    bitgen.advance(offset // 4)
+    return np.random.Philox(key=key)
+
+
+def _seek(bitgen: np.random.Philox, state: dict, offset: int) -> None:
+    """Put ``bitgen`` at word ``offset`` of its stream, through ``state``,
+    its state as it was made (no words buffered).
+
+    Philox makes four words per counter step: set the counter to the step
+    before the four that hold word ``offset``, then drop the ones before it.
+    """
+    state["state"]["counter"][0] = offset // 4
+    bitgen.state = state
     bitgen.random_raw(offset % 4)
-    return bitgen.random_raw(int(count))
 
 
-def fill(out: np.ndarray, seed: int, stream: int, offset: int, values) -> np.ndarray:
-    """Fill the C-contiguous ``out`` from words ``offset, offset + 1, ...``
-    of the stream, one element per word, and return it.
+def raw(seed: int, stream: int, count: int) -> np.ndarray:
+    """The first ``count`` raw uint64 words of the (seed, stream) counter
+    stream."""
+    return _philox(seed, stream).random_raw(int(count))
 
+
+def fill(out: np.ndarray, seed: int, stream: int, runs, values) -> np.ndarray:
+    """Fill the C-contiguous ``out`` from runs of words of the stream, one
+    element per word, and return it.
+
+    ``runs`` is a sequence of ``(offset, count)`` pairs, each the words
+    ``offset`` to ``offset + count - 1``, with counts that sum to
+    ``out.size``; they fill ``out`` in order.  A whole array is the one run
+    ``(0, out.size)``.  One reused Philox is moved to the start of each run.
     ``values(words, dst)`` writes the values of ``words`` into ``dst``; it
     is called on one block of at most :data:`BLOCK_WORDS` words at a time,
-    so the words and whatever ``values`` derives from them stay that small.
+    which may span several runs or part of one, so the words and whatever
+    ``values`` derives from them stay that small, however thin the runs.
     """
     flat = out.reshape(-1)
+    bitgen = _philox(seed, stream)
+    state = bitgen.state
+    runs = iter(runs)
+    left = 0  # words of the current run not yet drawn
     for j in range(0, flat.size, BLOCK_WORDS):
         dst = flat[j : j + BLOCK_WORDS]
-        values(raw(seed, stream, dst.size, offset + j), dst)
+        parts, need = [], dst.size
+        while need:
+            if not left:
+                offset, left = next(runs)
+                _seek(bitgen, state, offset)
+            parts.append(bitgen.random_raw(min(need, left)))
+            need -= parts[-1].size
+            left -= parts[-1].size
+        words = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        del parts
+        values(words, dst)
     return out
 
 
@@ -113,22 +144,23 @@ def ndtri_for(count: int):
     return lambda y: ndtri(y, out=y)
 
 
-def gaussians(seed: int, stream: int, shape, offset: int = 0, ndtri=None) -> np.ndarray:
-    """Standard normals via the inverse CDF, one per word from word
-    ``offset`` on, laid out C-order in ``shape``; generated by :func:`fill`.
+def normals(ndtri):
+    """The ``values`` function of :func:`fill` that draws standard normals
+    through ``ndtri``, an inverse CDF from :func:`ndtri_for`."""
 
-    ``ndtri`` is the function :func:`ndtri_for` gives the whole array the
-    values belong to; by default, the one for ``shape`` itself.  So an
-    array of at most :data:`NDTRI_PORT_MAX` values loads no scipy.
-    """
-    out = np.empty(shape)
-    if ndtri is None:
-        ndtri = ndtri_for(out.size)
-
-    def normals(words, dst):
+    def values(words, dst):
         ndtri(unit_doubles(words, dst))
 
-    return fill(out, seed, stream, offset, normals)
+    return values
+
+
+def gaussians(seed: int, stream: int, shape) -> np.ndarray:
+    """Standard normals via the inverse CDF, one per word of the stream,
+    laid out C-order in ``shape``; generated by :func:`fill` through
+    :func:`ndtri_for` of the array's size, so an array of at most
+    :data:`NDTRI_PORT_MAX` values loads no scipy."""
+    out = np.empty(shape)
+    return fill(out, seed, stream, [(0, out.size)], normals(ndtri_for(out.size)))
 
 
 # Cephes ndtri (Moshier), the function scipy.special.ndtri computes.  With

@@ -11,8 +11,9 @@ Every map but a TRP factor map acts as its dense entries, TRP as its
 per-mode factors (see ``drm``); each contracts the tensor where it lies.
 Every update folds in as a slab: it asks each map for the row block the
 slab touches, and a dense update is the one slab that spans the last mode.
-A Gaussian or sparse sign factor map generates such a block from its seed
-when the block is one run of its rows, so it need not be held whole.
+A Gaussian or sparse sign factor map generates such a block from its seed,
+whatever mode the slab lies along, so it need not be held whole; only the
+map of the slab's own mode needs every row, and it is contracted last.
 """
 
 from __future__ import annotations
@@ -175,21 +176,26 @@ class StreamingSketcher:
 
     Working state is just the sketch arrays, the factor maps and the dense
     core maps; the tensor itself is never stored.  A Gaussian or sparse
-    sign factor map holds no entries when the sketcher is made: a last-mode
-    slab (every piece of a tensor file, every last-mode stream piece) gets
-    the rows of each map ``Omega_n`` (n < last) that it touches generated
-    for it alone, while ``Omega_last``, and any map asked for rows that are
-    not one run, realizes itself whole on first use and is kept (see
-    ``drm._DenseDrm``).  Updates are contracted in Fortran order, the
-    layout of every file payload: an F-contiguous update is read in place,
-    any other layout is copied to F once per update, and the sketch does
-    not depend on the input layout.  ``peak_aux_scalars`` is the most
-    working memory any single update held at once: that F copy, if one was
-    made, the entries of maps realized during the update, and the largest
-    step's scratch, which is a factor map's (a generated row block or whole
-    map with one block of counter-stream words, then the kernel's batch
-    product or TRP's first contraction) or the core sketch's (its first,
-    full-size contraction, or the core itself).
+    sign factor map holds no entries when the sketcher is made: a slab
+    along mode ``m`` (every piece of a tensor file, every stream piece) gets
+    the rows of each map ``Omega_n`` (n != m) that it touches generated for
+    it alone, while ``Omega_m``, which acts on the modes the slab covers in
+    full, realizes itself whole on first use and is kept, as is a map whose
+    rows generated for slabs would pass its ``in_dim`` (see
+    ``drm._DenseDrm``).  ``Omega_m`` is contracted after the other modes,
+    so the rows they generate are dropped before it is realized; each
+    ``V_n`` is its own product, so the order moves no bits.
+    ``held_map_scalars`` counts the map entries held.  Updates are
+    contracted in Fortran order, the layout of every file payload: an
+    F-contiguous update is read in place, any other layout is copied to F
+    once per update, and the sketch does not depend on the input layout.
+    ``peak_aux_scalars`` is the most working memory any single update held
+    at once: that F copy, if one was made, the entries of maps realized
+    during the update, and the largest step's scratch, which is a factor
+    map's (a generated row block or whole map with one block of
+    counter-stream words, then the kernel's batch product or TRP's first
+    contraction) or the core sketch's (its first, full-size contraction, or
+    the core itself).
     """
 
     def __init__(self, shape, params: SketchParams, *, init: TuckerSketch | None = None):
@@ -295,19 +301,28 @@ class StreamingSketcher:
         self._h += core
         del core
 
-        # Factor sketch of the slab's own mode: the map acts on the other
-        # modes, which the slab covers in full.  Other modes: the map rows
-        # whose multi-index hits the slab along `mode`.  Entries a map
+        # Factor sketches of the other modes: the map rows whose multi-index
+        # hits the slab along `mode`.  Then the slab's own mode, whose map
+        # acts on the other modes, which the slab covers in full: it needs
+        # every row, so it comes last, and a map that realizes itself whole
+        # for it is not yet held while the others' rows are.  Entries a map
         # realizes during the update count from then on.
-        before = sum(om.held_scalars for om in self._omegas)
-        for n, om in enumerate(self._omegas):
-            kept = sum(o.held_scalars for o in self._omegas) - before
+        before = self.held_map_scalars
+        for n in [*range(mode), *range(mode + 1, len(self._omegas)), mode]:
+            om = self._omegas[n]
             axis = None if n == mode else mode
+            kept = self.held_map_scalars - before
             self._note_aux(held + kept + om.tensor_scratch(a.shape, n, axis))
             if n == mode:
                 self._v[n][rows] += theta2 * om.apply_tensor(a, n)
             else:
                 self._v[n] += theta2 * om.apply_tensor(a, n, axis=mode, rows=rows)
+
+    @property
+    def held_map_scalars(self) -> int:
+        """Scalars of the map entries the sketcher holds: the dense core
+        maps, and what each factor map holds (see ``drm``)."""
+        return sum(om.held_scalars for om in self._omegas) + sum(p.size for p in self._phis)
 
     def all_finite(self) -> bool:
         """Whether every sketch array is free of NaN and Inf.  Once an update

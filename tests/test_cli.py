@@ -107,6 +107,27 @@ class TestSketchCommand:
             rtol=0, atol=1e-12 * max(1, np.abs(want.core_sketch).max()),
         )
 
+    def test_report_of_a_mode_0_shard_holds_one_factor_map(self, tmp_path):
+        # A 40-row mode-0 shard of a 160^3 tensor at r=10, as in the
+        # benchmark: Omega_1 and Omega_2 generate the quarter of their rows
+        # the shard touches, and only Omega_0 (25600 x 21) is held whole.
+        slab = np.random.default_rng(6).normal(size=(40, 160, 160))
+        stream, out, report = tmp_path / "u.tkus", tmp_path / "s.tksk", tmp_path / "r.json"
+        write_update_stream(stream, (160, 160, 160), [SlabUpdate(1.0, 1.0, 0, 40, slab)])
+        rc = main(["sketch", "--stream", str(stream), "--rank", "10", "--drm", "sparse_sign",
+                   "--core-drm", "ssrft", "--out", str(out), "--report", str(report)])
+        assert rc == 0
+        data = json.loads(report.read_text())
+        params = SketchParams.for_rank(10, 0, order=3, omega_kind="sparse_sign",
+                                       phi_kind="ssrft")
+        acc = StreamingSketcher((160, 160, 160), params)
+        acc.update_slab(0, 40, np.asfortranarray(slab))  # read in place, as the command does
+        assert data["held_map_scalars"] == 25600 * 21 + 3 * 160 * 43 == acc.held_map_scalars
+        assert data["peak_aux_scalars"] == acc.peak_aux_scalars
+        assert data["pieces_folded"] == 1
+        assert data["payload_bytes_folded"] == slab.nbytes
+        assert data["elapsed_seconds"] > 0
+
     def test_missing_source_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "s.tksk"
         with pytest.raises(SystemExit) as err:

@@ -72,8 +72,15 @@ def test_top_raw_word_stays_below_one(monkeypatch, count):
     top = np.array([2**64 - 2**11, 2**64 - 1], dtype=np.uint64)
     assert np.all(_old_unit_doubles(top) == 1.0)  # the formula alone rounds up
     assert np.all(rng.unit_doubles(top) == 1.0 - 2.0**-53)
-    # rng.fill, which realizes maps block by block, reads words at an offset.
-    monkeypatch.setattr(rng, "raw", lambda seed, stream, count, offset=0: np.full(count, top[1]))
+    # rng.raw and rng.fill, which realizes maps by runs of rows, read their
+    # words from one Philox each: here, one that makes only the top word.
+    class TopWords:
+        state = {"state": {"counter": np.zeros(4, np.uint64)}}
+
+        def random_raw(self, size):
+            return np.full(size, top[1])
+
+    monkeypatch.setattr(rng, "_philox", lambda seed, stream: TopWords())
     assert np.all(rng.uniforms(0, 0, 3) < 1.0)
     # Up to NDTRI_PORT_MAX values draw through the port, past it through scipy.
     assert np.all(np.isfinite(rng.gaussians(0, 0, count)))
@@ -104,10 +111,15 @@ _OFFSETS = sorted(
 )
 
 
+def _copy_words(words, dst):
+    dst[:] = words
+
+
 @pytest.mark.parametrize("offset", _OFFSETS)
 def test_raw_at_an_offset_is_a_slice_of_the_stream(offset):
     whole = rng.raw(5, 3, 2 * B + 64)
-    np.testing.assert_array_equal(rng.raw(5, 3, 40, offset), whole[offset : offset + 40])
+    got = rng.fill(np.empty(40, np.uint64), 5, 3, [(offset, 40)], _copy_words)
+    np.testing.assert_array_equal(got, whole[offset : offset + 40])
 
 
 @pytest.mark.parametrize("offset", [0, 1, 3, B - 7, B, 2 * B - 1])
@@ -115,7 +127,8 @@ def test_raw_at_an_offset_is_a_slice_of_the_stream(offset):
 def test_gaussians_at_an_offset_span_word_blocks(offset, count):
     # fill reads several blocks of words; every value keeps its bits
     whole = rng.gaussians(8, 2, 3 * B + 16)
-    got = rng.gaussians(8, 2, count, offset)
+    normals = rng.normals(rng.ndtri_for(whole.size))
+    got = rng.fill(np.empty(count), 8, 2, [(offset, count)], normals)
     assert np.array_equal(got.view(np.uint64), whole[offset : offset + count].view(np.uint64))
 
 
@@ -241,30 +254,48 @@ def _counter_spec(kind, in_dim, out_dim, seed):
     return DrmSpec(kind, in_dim, out_dim, seed=seed, density=density)
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_block_rows_equal_the_rows_of_a_whole_realization(data):
     kind = data.draw(st.sampled_from(["gaussian", "sparse_sign"]))
     in_dim, out_dim = data.draw(st.integers(1, 80)), data.draw(st.integers(1, 7))
-    start = data.draw(st.integers(0, in_dim - 1))
-    stop = data.draw(st.integers(start + 1, in_dim))
+    runs = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        start = data.draw(st.integers(0, in_dim - 1))
+        runs.append((start, data.draw(st.integers(start + 1, in_dim))))
     spec = _counter_spec(kind, in_dim, out_dim, data.draw(st.integers(0, 2**64 - 1)))
     whole = make_drm(spec).entries
     with pytest.MonkeyPatch.context() as mp:
-        # small word blocks, so that rows cross block edges anywhere
+        # small word blocks, so that runs cross block edges anywhere
         mp.setattr(rng, "BLOCK_WORDS", data.draw(st.sampled_from([1, 5, 64])))
-        got = make_drm(spec)._rows(start, stop)
-    assert np.array_equal(got.view(np.uint64), whole[start:stop].view(np.uint64))
+        got = make_drm(spec)._rows(runs)
+    want = np.concatenate([whole[start:stop] for start, stop in runs])
+    assert np.array_equal(_bits(got), _bits(want))
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+def _block(entries, shape, mode, axis, r0, r1):
+    """Rows of ``entries`` whose grid position on ``axis`` lies in r0:r1."""
+    dims = shape[:mode] + shape[mode + 1 :]
+    g = axis - (axis > mode)
+    grid = entries.reshape((*dims[::-1], entries.shape[1]))
+    block = grid[(slice(None),) * (len(dims) - 1 - g) + (slice(r0, r1),)]
+    return block.reshape((-1, entries.shape[1]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_block_products_equal_products_with_whole_entries(data):
-    # A slab along the slowest grid axis: generated rows, same bits.
+    # A slab along any grid axis, at orders 3 and 4: its rows of the map are
+    # generated in runs, which cross word blocks anywhere; same bits.
     kind = data.draw(st.sampled_from(["gaussian", "sparse_sign"]))
-    shape = tuple(data.draw(st.lists(st.integers(1, 5), min_size=3, max_size=3)))
-    mode = data.draw(st.integers(0, 2))
-    axis = 2 if mode != 2 else 1
+    order = data.draw(st.sampled_from([3, 4]))
+    shape = tuple(data.draw(st.lists(st.integers(1, 5), min_size=order, max_size=order)))
+    mode = data.draw(st.integers(0, order - 1))
+    axis = data.draw(st.sampled_from([j for j in range(order) if j != mode]))
     r0 = data.draw(st.integers(0, shape[axis] - 1))
     r1 = data.draw(st.integers(r0 + 1, shape[axis]))
     in_dim = int(np.prod(shape)) // shape[mode]
@@ -274,23 +305,62 @@ def test_block_products_equal_products_with_whole_entries(data):
     whole = make_drm(spec)
     whole.entries  # realized first: the product slices the kept entries
     want = whole.apply_tensor(x[sel], mode, axis=axis, rows=slice(r0, r1))
-    got = make_drm(spec).apply_tensor(x[sel], mode, axis=axis, rows=slice(r0, r1))
-    np.testing.assert_array_equal(got, want)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng, "BLOCK_WORDS", data.draw(st.sampled_from([1, 5, 64])))
+        d = make_drm(spec)
+        got = d.apply_tensor(x[sel], mode, axis=axis, rows=slice(r0, r1))
+    assert d.held_scalars == (spec.in_dim * spec.out_dim if r1 - r0 == shape[axis] else 0)
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize(
+    "kind, shape, mode, axis, rows, k, seed",
+    [
+        ("gaussian", (1, 2, 4), 0, 1, slice(0, 1), 1, 0),
+        ("sparse_sign", (2, 3, 4), 0, 1, slice(1, 2), 1, 1),
+        ("gaussian", (2, 1, 4), 1, 0, slice(1, 2), 3, 0),
+        ("sparse_sign", (2, 1, 4), 1, 0, slice(1, 2), 3, 0),
+        ("gaussian", (1, 3, 2, 2), 0, 1, slice(2, 3), 2, 0),
+    ],
+)
+def test_one_row_runs_fold_the_same_bits_generated_or_kept(kind, shape, mode, axis, rows, k, seed):
+    # A block whose runs are one row each is a strided slice of the kept
+    # entries; matmul rounds a vector-shaped product (k = 1, or extent 1
+    # along mode) with a strided operand differently in the last bit, so
+    # the kept entries' block must reach it as a C array, like generated rows.
+    spec = _counter_spec(kind, math.prod(shape) // shape[mode], k, seed)
+    x = np.random.default_rng(1).normal(size=shape)[(slice(None),) * axis + (rows,)]
+    whole = make_drm(spec)
+    whole.entries
+    want = whole.apply_tensor(x, mode, axis=axis, rows=rows)
+    d = make_drm(spec)
+    got = d.apply_tensor(x, mode, axis=axis, rows=rows)
+    assert d.held_scalars == 0
+    assert np.array_equal(_bits(got), _bits(want))
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "sparse_sign"])
 def test_row_blocks_realize_the_map_only_past_in_dim(kind):
-    spec = _counter_spec(kind, 4 * 6, 3, seed=2)
-    d, ref = make_drm(spec), make_drm(spec).entries
-    assert d.held_scalars == 0
-    x = np.random.default_rng(1).normal(size=(2, 4, 2))
-    for r in (0, 2, 4):  # one pass over the grid's slowest axis
-        got = d.apply_tensor(x, 0, axis=2, rows=slice(r, r + 2))
-        np.testing.assert_array_equal(got, contract(x, 0, ref[4 * r : 4 * (r + 2)]))
-    assert d.held_scalars == 0
-    d.apply_tensor(x, 0, axis=2, rows=slice(2, 4))  # a revisit would pass in_dim
-    assert d.held_scalars == spec.in_dim * spec.out_dim
-    assert np.array_equal(d.entries.view(np.uint64), ref.view(np.uint64))
+    # One pass over any grid axis, at orders 3 and 4, generates each row of
+    # the map once and holds none; a revisit would pass in_dim and realizes it.
+    for shape in [(2, 4, 6), (2, 3, 4, 2)]:
+        for mode in range(len(shape)):
+            for axis in (j for j in range(len(shape)) if j != mode):
+                in_dim = math.prod(shape) // shape[mode]
+                spec = _counter_spec(kind, in_dim, 3, seed=2)
+                d, ref = make_drm(spec), make_drm(spec).entries
+                x = np.random.default_rng(1).normal(size=shape)
+                step = max(1, shape[axis] // 2)
+                for r in range(0, shape[axis], step):
+                    sel = (slice(None),) * axis + (slice(r, r + step),)
+                    got = d.apply_tensor(x[sel], mode, axis=axis, rows=slice(r, r + step))
+                    want = contract(x[sel], mode, _block(ref, shape, mode, axis, r, r + step))
+                    np.testing.assert_array_equal(got, want)
+                    assert d.held_scalars == 0
+                sel = (slice(None),) * axis + (slice(0, 1),)
+                d.apply_tensor(x[sel], mode, axis=axis, rows=slice(0, 1))
+                assert d.held_scalars == spec.in_dim * spec.out_dim
+                assert np.array_equal(_bits(d.entries), _bits(ref))
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "sparse_sign"])
@@ -299,7 +369,12 @@ def test_other_requests_realize_the_map_whole(kind, request_):
     spec = _counter_spec(kind, 4 * 6, 3, seed=2)
     d = make_drm(spec)
     if request_ == "other axis":
-        d.apply_tensor(np.ones((2, 2, 6)), 0, axis=1, rows=slice(1, 3))
+        # A block on a grid axis that is not the slowest generates its rows
+        # alone, as far as in_dim: rows 1:3 of 4 on axis 0 are 12 of 24.
+        for _ in range(2):
+            d.apply_tensor(np.ones((2, 2, 6)), 0, axis=1, rows=slice(1, 3))
+            assert d.held_scalars == 0
+        d.apply_tensor(np.ones((2, 1, 6)), 0, axis=1, rows=slice(0, 1))  # 30 > 24
     elif request_ == "all rows":
         d.apply_tensor(np.ones((2, 4, 6)), 0, axis=2, rows=slice(0, 6))
     elif request_ == "entries":

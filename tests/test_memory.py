@@ -86,6 +86,21 @@ def test_last_mode_pass_holds_only_the_last_factor_map(tensor):
     assert held < 1.5 * one_map
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "sparse_sign"])
+def test_mode_0_slab_holds_one_factor_map(kind):
+    # A 40-row mode-0 slab of a 160^3 tensor: Omega_1 and Omega_2 generate
+    # the quarter of their rows it touches, in 160 runs each, and only
+    # Omega_0 (25600 x 21, 4.3 MB) is realized whole, after the others.
+    # Holding all three maps whole, the update peaked at 14.0 MB.
+    shape = (160, 160, 160)
+    params = SketchParams.for_rank(10, master_seed=17, order=3, omega_kind=kind, phi_kind=kind)
+    slab = np.asfortranarray(np.random.default_rng(7).normal(size=(40, 160, 160)))
+    StreamingSketcher(shape, params).update_slab(0, 40, slab)  # first-call allocations
+    acc = StreamingSketcher(shape, params)
+    _, peak = _peak(lambda: acc.update_slab(0, 40, slab))
+    assert peak < slab.nbytes
+
+
 def test_update_dense_reads_f_input_in_place(tensor):
     acc = StreamingSketcher(SHAPE, PARAMS)
     _, peak = _peak(lambda: acc.update_dense(tensor))
@@ -293,25 +308,17 @@ def test_cli_two_pass_recover_streams_its_input(tmp_path, tensor_file):
 
 
 def test_cli_sketch_of_a_desk_size_file_holds_one_factor_map(tmp_path, tensor):
-    # 200^3 (64 MB), Gaussian maps at r=10: Omega_2 (6.7 MB), one 8 MiB piece,
-    # one row block of Omega_0 and Omega_1 and the contraction scratch.  On
-    # a 2-vCPU Xeon (numpy 2.4.6, OpenBLAS) this read 19.6 MB above the
-    # baseline, and 33 MB when all three factor maps were held whole: the
-    # bound (25.6 MB) sits 6 MB above the one and 7 MB below the other.
-    # The maps now draw through the ndtri port and the command loads no
-    # scipy, yet the baseline still imports scipy.special (23.7 MiB): above a
-    # bare `import tuckersketch.cli` the sketch read 25.7-26.0 MB, past the
-    # bound, since the scipy import's freed heap had taken up part of the
-    # working set.  Against this baseline it reads about 1 MB, so the test
-    # now only catches a gross regression such as holding the tensor whole.
+    # 200^3 (64 MB), Gaussian maps at r=10: Omega_2 (6.7 MB), one 8 MiB
+    # piece, one row block of Omega_0 and Omega_1 and the contraction
+    # scratch, about 18.2 MiB in all; with all three factor maps held whole
+    # it would be about 31 MiB.  The bound (25.6 MB) lies between the two.
     path = tmp_path / "x.tktn"
     write_tensor(path, tensor)
-    bare = _max_rss_bytes("-c", "import tuckersketch.cli, scipy.special")
-    sketch = _max_rss_bytes(
-        "-m", "tuckersketch.cli", "sketch", "--input", str(path), "--rank", "10",
-        "--out", str(tmp_path / "x.tksk"),
-    )
-    assert sketch - bare < 0.4 * tensor.nbytes
+    rc, peak = _peak(lambda: main([
+        "sketch", "--input", str(path), "--rank", "10", "--out", str(tmp_path / "x.tksk"),
+    ]))
+    assert rc == 0
+    assert peak < 0.4 * tensor.nbytes
 
 
 def test_cli_sketch_rss_stays_near_the_tensor(tmp_path):

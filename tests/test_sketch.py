@@ -1,5 +1,6 @@
 """Sketch construction, updates, and merges against materialized-map oracles."""
 
+import hashlib
 import linecache
 import warnings
 
@@ -267,6 +268,59 @@ def test_structured_maps_never_materialize(monkeypatch):
     acc.update_dense(x)
     acc.update_slab(1, 2, x[:, 2:5, :])
     acc.sketch()
+
+
+# sha256 of the factor and core sketches folded from slab records, pinned
+# before Gaussian and sparse sign factor maps generated the row runs a slab
+# touches along every grid axis (they realized themselves whole for any axis
+# but the slowest): generated rows and contractions keep the same bits.
+# Each record is (mode, start, stop, theta1, theta2); the shapes put a
+# factor map past one block of words (rng.BLOCK_WORDS) at order 3.
+_SLAB_PINS = {
+    ("gaussian", 3, 0): "249f25fb314b15fe69229fa945bce30444457bc03dd3a3f15642152825b2025b",
+    ("gaussian", 3, 1): "82cff0f478cd8d2560455a4d7045ba05d9cc07983a331d7b74b8e72bad00d21a",
+    ("gaussian", 4, 0): "6d8afa328567a8d727c8d71648e999f7761e223f12629292b2ce85e41488ffc2",
+    ("gaussian", 4, 1): "66ff19410c8b76e4a2827adabe88a8cde8c10c90dabe37722d93c23672d1db19",
+    ("sparse_sign", 3, 0): "a4e0e9d2a69c29c249913945b5b57317751476f618b17ebe180fae04c5f76cb3",
+    ("sparse_sign", 3, 1): "e2e7894819fc89dae009fb0a5bd8fb3c6f53ceb54cba1a24ca4d3a875370b019",
+    ("sparse_sign", 4, 0): "ed2d75c55b93579a2b9a047faff0a345e0af54ce9a80f0d36fcbc1d713f0a115",
+    ("sparse_sign", 4, 1): "738f7ee36ab0ce4fcde52b449cb8763698da54d94104b8a7d1a3604be4e86783",
+}
+_BUDGET_PINS = {
+    "gaussian": "ff680f6330ade5dae7a2ad52bc863d3db7355b63d934718a9d103450a14ec178",
+    "sparse_sign": "6847e8948b17b4163ab89cbc42e809c53e46569f89ae3cafbe72958797dc3bf0",
+}
+
+
+def _slab_digest(kind, shape, records, rank):
+    params = SketchParams.for_rank(rank, master_seed=31, order=len(shape),
+                                   omega_kind=kind, phi_kind=kind)
+    x = np.random.default_rng(len(shape)).normal(size=shape)
+    acc = StreamingSketcher(shape, params)
+    for mode, start, stop, theta1, theta2 in records:
+        sel = (slice(None),) * mode + (slice(start, stop),)
+        acc.update_slab(mode, start, x[sel], theta1, theta2)
+    sk = acc.sketch()
+    h = hashlib.sha256()
+    for a in (*sk.factor_sketches, sk.core_sketch):
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("kind, order, mode", sorted(_SLAB_PINS))
+def test_slab_records_fold_to_pinned_bytes(kind, order, mode):
+    shape, rank = {3: ((100, 90, 80), 5), 4: ((20, 18, 16, 14), 2)}[order]
+    records = [(mode, 3, 11, 1.0, 1.0), (mode, 11, 12, 0.5, 2.0)]
+    assert _slab_digest(kind, shape, records, rank) == _SLAB_PINS[kind, order, mode]
+
+
+@pytest.mark.parametrize("kind", sorted(_BUDGET_PINS))
+def test_mode_0_records_past_the_row_budget_fold_to_pinned_bytes(kind):
+    # Three records cover mode 0 once, so Omega_1 and Omega_2 generate each
+    # of their rows once; the fourth would pass in_dim and realizes them.
+    records = [(0, 0, 10, 1.0, 1.0), (0, 10, 20, 0.5, 1.0), (0, 20, 30, 1.0, -1.0),
+               (0, 5, 15, 2.0, 1.0)]
+    assert _slab_digest(kind, (30, 20, 16), records, 2) == _BUDGET_PINS[kind]
 
 
 class TestMerge:

@@ -21,9 +21,12 @@ writes the pieces and payload bytes folded, ``peak_aux_scalars``,
 time.  ``merge`` reads one sketch file at a time.
 
 A command imports scipy only to draw more than 2^20 Gaussian values in one
-array or map (``rng.ndtri_for``); a sketcher with such a factor map
-imports it when it is made.  ``sketch`` of a 200^3 tensor at rank 10 loads
-none.
+array or map (``rng.ndtri_for``), and ``numpy.random`` only to draw more
+than 2^16 words of one (``rng.philox_for``); a sketcher with such a factor
+map imports them when it is made.  ``sketch`` of a 200^3 tensor at rank 10
+loads no scipy; ``merge``, two-pass ``recover``, and a TRP ``sketch`` or a
+one-pass ``recover`` whose TRP factors and core maps are that small load
+neither.
 """
 
 from __future__ import annotations

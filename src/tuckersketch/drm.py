@@ -26,7 +26,12 @@ two DCTs of the operand.  Only a Gaussian map (or TRP factor, which is
 Gaussian) of more than ``rng.NDTRI_PORT_MAX`` (2^20) entries loads scipy,
 for ``ndtri``, and it does so when it is made; smaller ones, such as the
 core maps and the factor maps of a 200^3 sketch at rank 10, draw through
-a bit-exact port (``rng.ndtri_for``).
+a bit-exact port (``rng.ndtri_for``).  Likewise only a map, TRP factor or
+SSRFT permutation or sign vector of more than ``rng.PHILOX_PORT_MAX``
+(2^16) words loads ``numpy.random``, for its ``Philox``, when it is made;
+smaller ones, such as the core maps and every TRP factor of the usual
+sketches, draw their words through a port with the same words
+(``rng.philox_for``).
 TRP keeps its per-mode factors, applies implicitly and only materializes
 its dense equivalent on request.
 
@@ -173,7 +178,10 @@ def _check_operand(m, in_dim: int) -> np.ndarray:
 # the ndtri port's temporaries, which it bounds by working a quarter of a
 # block at a time: 2.0 per word, the words included).  A block that spans
 # several runs of rows joins their words first: 2 per word, before any
-# value is derived.
+# value is derived.  The port of Philox draws the words of a map of at most
+# rng.PHILOX_PORT_MAX words with 3 scalars of temporaries per word of a
+# piece of at most 2^14 words: 4 per word with the words themselves, less
+# for a block of several pieces.
 _SCALARS_PER_WORD = 4
 
 
@@ -224,12 +232,17 @@ class _DenseDrm:
 
     def __init__(self, spec: DrmSpec):
         self.spec = spec
-        self._entries = SsrftTransform(spec).materialize() if spec.kind == "ssrft" else None
+        self._entries = None
         self._generated = 0  # rows generated for block products so far
+        if spec.kind == "ssrft":
+            self._entries = SsrftTransform(spec).materialize()
+            return
+        # Chosen by the whole map, so every row block draws its words, and
+        # its normals, with one function.
+        self._philox = rng.philox_for(spec.in_dim * spec.out_dim)
         if spec.kind == "gaussian":
-            # Chosen by the whole map, so every row block draws with one function.
             self._values = rng.normals(rng.ndtri_for(spec.in_dim * spec.out_dim))
-        elif spec.kind == "sparse_sign":
+        else:
             self._values = _sparse_signs(spec.density)
 
     def _rows(self, runs) -> np.ndarray:
@@ -239,7 +252,7 @@ class _DenseDrm:
         k = self.spec.out_dim
         out = np.empty((sum(stop - start for start, stop in runs), k))
         words = [(start * k, (stop - start) * k) for start, stop in runs]
-        return rng.fill(out, self.spec.seed, _STREAM_ENTRIES, words, self._values)
+        return rng.fill(out, self.spec.seed, _STREAM_ENTRIES, words, self._values, self._philox)
 
     @property
     def entries(self) -> np.ndarray:
@@ -371,10 +384,17 @@ class SsrftTransform:
         z[np.arange(out_dim), self.coords] = 1.0
         z = _idct(z)
         z *= self.sgn2
-        z = z.take(np.argsort(self.perm2), axis=1)
+        z = z.take(_inverse(self.perm2), axis=1)
         z = _idct(z)
         z *= self.sgn1
-        return z.T.take(np.argsort(self.perm1), axis=0)
+        return z.T.take(_inverse(self.perm1), axis=0)
+
+
+def _inverse(perm: np.ndarray) -> np.ndarray:
+    """The inverse of the permutation ``perm``, by one scatter."""
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(perm.size)
+    return inv
 
 
 def _idct(y: np.ndarray) -> np.ndarray:

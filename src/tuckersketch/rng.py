@@ -1,18 +1,23 @@
 """Counter-based random streams that regenerate identically from a seed.
 
-Everything random in the package flows through Philox ``random_raw``
-(a version-stable uint64 stream under numpy's compatibility policy) plus
-fixed arithmetic: uniforms from the top 53 bits, normals via the inverse
-normal CDF, permutations by sorting raw words, signs from the low bit.
-Generator convenience methods are deliberately not used, so a sketch file
-can be rebuilt from ``(seed, kind)`` alone on any numpy >= the pin.  The
+Everything random in the package flows through the uint64 words of a
+Philox4x64-10 stream keyed by ``(seed, stream)``, the words numpy's
+``Philox(key=[seed, stream]).random_raw`` gives (version-stable under
+numpy's compatibility policy), plus fixed arithmetic: uniforms from the top
+53 bits, normals via the inverse normal CDF, permutations by sorting raw
+words, signs from the low bit.  Generator convenience methods are
+deliberately not used, so a sketch file can be rebuilt from ``(seed,
+kind)`` alone on any numpy >= the pin.  Philox is counter based, so any
+word of a stream can be computed from its key and position alone: an array
+or map of at most :data:`PHILOX_PORT_MAX` words draws them through a numpy
+port of Philox (:func:`_philox_words`), and a larger one through numpy's
+``Philox``, which imports ``numpy.random`` (:func:`philox_for`).  The
 inverse CDF is Cephes ``ndtri``: scipy's for large arrays, and for arrays
 of at most :data:`NDTRI_PORT_MAX` values a port with the same bits
 (:func:`_ndtri`), so drawing them loads no scipy.
 
-A Philox can be put at any word of its stream (:func:`_seek`), so values
-derived one per word are generated straight into their destination from
-any list of runs of the stream, :data:`BLOCK_WORDS` words at a time
+Values derived one per word are generated straight into their destination
+from any list of runs of the stream, :data:`BLOCK_WORDS` words at a time
 (:func:`fill`): any set of them is generated alone, with the same bits as
 the whole.
 """
@@ -31,6 +36,9 @@ BLOCK_WORDS = 1 << 16
 """Words :func:`fill` reads from a stream at a time (512 KiB)."""
 NDTRI_PORT_MAX = 1 << 20
 """Values of the largest array :func:`ndtri_for` draws through the port."""
+PHILOX_PORT_MAX = 1 << 16
+"""Words of the largest array or map :func:`philox_for` draws through the
+port of Philox."""
 
 
 def mix64(*words: int) -> int:
@@ -50,40 +58,152 @@ def _philox(seed: int, stream: int) -> np.random.Philox:
     return np.random.Philox(key=key)
 
 
-def _seek(bitgen: np.random.Philox, state: dict, offset: int) -> None:
-    """Put ``bitgen`` at word ``offset`` of its stream, through ``state``,
-    its state as it was made (no words buffered).
+def philox_for(count: int):
+    """The Philox that draws an array or map of ``count`` words in all, as a
+    function ``(seed, stream) -> read``; ``read(offset, n)`` returns the
+    words ``offset`` to ``offset + n - 1`` of the stream.
 
-    Philox makes four words per counter step: set the counter to the step
-    before the four that hold word ``offset``, then drop the ones before it.
+    Up to :data:`PHILOX_PORT_MAX` words it is the port
+    (:func:`_philox_words`), which loads nothing; a larger array or map
+    uses numpy's ``Philox``, and ``numpy.random`` is imported here.  The
+    two give the same words, so the choice only moves where and when
+    ``numpy.random`` is imported.  That import (which loads ``secrets``,
+    ``hashlib`` and OpenSSL's libcrypto) costs about 17 ms and 6 MiB of
+    RSS; the port costs about 40 ns per word more than numpy's ``Philox``,
+    about 2.8 ms at the limit, so a command that draws a handful of maps
+    at the limit still spends less than the import.  The choice is made
+    once for a whole array or map, by its size, so a map past the limit
+    imports ``numpy.random`` when it is made and not at its first block.
     """
-    state["state"]["counter"][0] = offset // 4
-    bitgen.state = state
-    bitgen.random_raw(offset % 4)
+    if count <= PHILOX_PORT_MAX:
+        return _ported_philox
+    import numpy.random  # noqa: F401  (imported with the map, not in its first product)
+
+    return _numpy_philox
+
+
+def _ported_philox(seed: int, stream: int):
+    return lambda offset, count: _philox_words(seed, stream, offset, count)
+
+
+def _numpy_philox(seed: int, stream: int):
+    bitgen = _philox(seed, stream)
+    state = bitgen.state  # as it was made: no words buffered
+
+    def read(offset, count):
+        # Philox makes four words per counter step: set the counter to the
+        # step before the four that hold word ``offset``, then drop the
+        # ones before it.
+        state["state"]["counter"][0] = offset // 4
+        bitgen.state = state
+        bitgen.random_raw(offset % 4)
+        return bitgen.random_raw(count)
+
+    return read
+
+
+# Philox4x64-10 (Salmon, Moraes, Dror & Shaw, SC 2011) as numpy runs it: the
+# round multipliers, split in 32-bit halves for their high products, and
+# the key of each of the 10 rounds, bumped by the Weyl steps
+# 0x9E3779B97F4A7C15 and 0xBB67AE8584CAA73B before rounds 2 to 10.
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LOW32, _PHILOX_M >> _SHIFT32
+_PHILOX_KEY_STEPS = np.array(
+    [[[r * 0x9E3779B97F4A7C15 & _MASK64], [r * 0xBB67AE8584CAA73B & _MASK64]] for r in range(10)],
+    dtype=np.uint64,
+)
+_PHILOX_PIECE = 1 << 14
+"""Words :func:`_philox_words` computes at a time: its six working arrays
+hold 3 scalars per word of a piece."""
+
+
+def _philox_words(seed: int, stream: int, offset: int, count: int) -> np.ndarray:
+    """Words ``offset`` to ``offset + count - 1`` of the ``(seed, stream)``
+    stream, the words of numpy's ``Philox(key=[seed, stream])``, computed
+    from their counters alone.
+
+    numpy bumps the counter before it makes a block, so block ``j`` (words
+    ``4j`` to ``4j + 3``) is the output of counter ``j + 1``, whose words
+    1-3 stay 0 up to counter ``2**64 - 1``: the port covers the words of
+    those counters, and raises past them.
+    """
+    first, stop = offset // 4, -(-(offset + count) // 4)
+    if offset < 0 or count < 0 or stop > _MASK64:
+        raise ValueError(
+            f"words {offset}:{offset + count} lie outside the port of Philox "
+            "(counters 1 to 2**64 - 1)"
+        )
+    keys = _PHILOX_KEY_STEPS + np.array([[seed & _MASK64], [stream & _MASK64]], dtype=np.uint64)
+    blocks = np.empty((stop - first, 2, 2), dtype=np.uint64)
+    step = _PHILOX_PIECE // 4
+    for j in range(0, stop - first, step):
+        _philox_blocks(keys, first + j, blocks[j : j + step])
+    return blocks.reshape(-1)[offset - 4 * first :][:count]
+
+
+def _philox_blocks(keys: np.ndarray, first: int, out: np.ndarray) -> None:
+    """Write the outputs of counters ``first + 1`` to ``first + m`` into
+    ``out``, ``(m, 2, 2)``: word ``2a + b`` of block ``j`` at ``out[j, a, b]``.
+
+    Counter words 0 and 2 (``x``) are the ones multiplied in a round, words 1
+    and 3 (``y``) the ones XORed; each is one ``(2, m)`` array, so one
+    operation serves both multipliers.  A round maps ``x, y`` to
+    ``(hi[1] ^ y[0] ^ k0, hi[0] ^ y[1] ^ k1), (lo[1], lo[0])`` with ``hi,
+    lo`` the 128-bit products of ``x`` and the multipliers, built from
+    32-bit halves since numpy has no 128-bit product.
+    """
+    m = out.shape[0]
+    x = np.zeros((2, m), dtype=np.uint64)
+    np.add(np.arange(m, dtype=np.uint64), np.uint64(first + 1), out=x[0])
+    y = np.zeros((2, m), dtype=np.uint64)
+    lo, u, t, w = (np.empty((2, m), dtype=np.uint64) for _ in range(4))
+    for key in keys:
+        np.multiply(x, _PHILOX_M, out=lo)  # the low product wraps
+        np.bitwise_and(x, _LOW32, out=u)
+        x >>= _SHIFT32
+        np.multiply(u, _PHILOX_M_LO, out=t)
+        t >>= _SHIFT32
+        u *= _PHILOX_M_HI
+        u += t  # below 2**64: (2**32 - 1)**2 + 2**32 - 1
+        np.multiply(x, _PHILOX_M_LO, out=t)
+        x *= _PHILOX_M_HI
+        np.bitwise_and(u, _LOW32, out=w)
+        w += t  # below 2**64 too
+        u >>= _SHIFT32
+        x += u
+        w >>= _SHIFT32
+        x += w  # the high product
+        np.bitwise_xor(x[::-1], y, out=w)
+        w ^= key
+        x, w, y, lo = w, x, lo[::-1], y[::-1]
+    out[:, :, 0] = x.T
+    out[:, :, 1] = y.T
 
 
 def raw(seed: int, stream: int, count: int) -> np.ndarray:
     """The first ``count`` raw uint64 words of the (seed, stream) counter
     stream."""
-    return _philox(seed, stream).random_raw(int(count))
+    return philox_for(count)(seed, stream)(0, int(count))
 
 
-def fill(out: np.ndarray, seed: int, stream: int, runs, values) -> np.ndarray:
+def fill(out: np.ndarray, seed: int, stream: int, runs, values, philox=None) -> np.ndarray:
     """Fill the C-contiguous ``out`` from runs of words of the stream, one
     element per word, and return it.
 
     ``runs`` is a sequence of ``(offset, count)`` pairs, each the words
     ``offset`` to ``offset + count - 1``, with counts that sum to
     ``out.size``; they fill ``out`` in order.  A whole array is the one run
-    ``(0, out.size)``.  One reused Philox is moved to the start of each run.
+    ``(0, out.size)``.  ``philox`` is the :func:`philox_for` choice of the
+    whole array or map the runs belong to; by default, that of ``out``.
     ``values(words, dst)`` writes the values of ``words`` into ``dst``; it
     is called on one block of at most :data:`BLOCK_WORDS` words at a time,
     which may span several runs or part of one, so the words and whatever
     ``values`` derives from them stay that small, however thin the runs.
     """
     flat = out.reshape(-1)
-    bitgen = _philox(seed, stream)
-    state = bitgen.state
+    read = (philox or philox_for(flat.size))(seed, stream)
     runs = iter(runs)
     left = 0  # words of the current run not yet drawn
     for j in range(0, flat.size, BLOCK_WORDS):
@@ -92,10 +212,9 @@ def fill(out: np.ndarray, seed: int, stream: int, runs, values) -> np.ndarray:
         while need:
             if not left:
                 offset, left = next(runs)
-                _seek(bitgen, state, offset)
-            parts.append(bitgen.random_raw(min(need, left)))
-            need -= parts[-1].size
-            left -= parts[-1].size
+            parts.append(read(offset, min(need, left)))
+            drawn = parts[-1].size
+            offset, need, left = offset + drawn, need - drawn, left - drawn
         words = parts[0] if len(parts) == 1 else np.concatenate(parts)
         del parts
         values(words, dst)

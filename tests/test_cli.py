@@ -711,12 +711,16 @@ def test_cli_import_leaves_scipy_linalg_out():
     assert out.stdout.strip() == "False"
 
 
-def _scipy_modules(script: str) -> list[str]:
-    """The scipy modules a fresh interpreter holds after running ``script``."""
+def _loaded_modules(script: str, *prefixes: str) -> list[str]:
+    """The modules a fresh interpreter holds after running ``script`` that
+    are one of ``prefixes`` or lie inside one (``scipy`` covers
+    ``scipy.special``)."""
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run(
         [sys.executable, "-c", script + "\nimport json, sys\n"
-         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"],
+         f"prefixes = {prefixes!r}\n"
+         "print(json.dumps(sorted(m for m in sys.modules\n"
+         "    if any(m == p or m.startswith(p + '.') for p in prefixes))))"],
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
         timeout=120, check=True,
     )
@@ -724,7 +728,7 @@ def _scipy_modules(script: str) -> list[str]:
 
 
 def test_cli_import_loads_no_scipy():
-    assert _scipy_modules("import tuckersketch.cli") == []
+    assert _loaded_modules("import tuckersketch.cli", "scipy") == []
 
 
 def test_merge_and_two_pass_recover_leave_scipy_out(tmp_path):
@@ -742,7 +746,7 @@ def test_merge_and_two_pass_recover_leave_scipy_out(tmp_path):
         f"'--mode', 'two-pass', '--input', {str(xfile)!r}, '--trunc', '2', "
         f"'--out', {str(tmp_path / 'f.tkz')!r}]) == 0"
     )
-    assert _scipy_modules(script) == []
+    assert _loaded_modules(script, "scipy") == []
 
 
 @pytest.mark.parametrize(
@@ -761,7 +765,7 @@ def test_ssrft_sketch_and_one_pass_recover_leave_scipy_out(tmp_path, drm):
         f"assert main(['recover', '--sketch', {str(skfile)!r}, "
         f"'--out', {str(tmp_path / 'f.tkz')!r}]) == 0"
     )
-    assert _scipy_modules(script) == []
+    assert _loaded_modules(script, "scipy") == []
 
 
 def test_trp_stream_sketch_and_one_pass_recover_leave_scipy_out(tmp_path):
@@ -780,7 +784,7 @@ def test_trp_stream_sketch_and_one_pass_recover_leave_scipy_out(tmp_path):
         f"assert main(['recover', '--sketch', {str(skfile)!r}, "
         f"'--out', {str(tmp_path / 'f.tkz')!r}]) == 0"
     )
-    assert _scipy_modules(script) == []
+    assert _loaded_modules(script, "scipy") == []
 
 
 def test_one_pass_recover_of_a_gaussian_sketch_leaves_scipy_out(tmp_path):
@@ -798,7 +802,7 @@ def test_one_pass_recover_of_a_gaussian_sketch_leaves_scipy_out(tmp_path):
         f"assert main(['recover', '--sketch', {str(skfile)!r}, "
         f"'--out', {str(tmp_path / 'f.tkz')!r}]) == 0"
     )
-    assert _scipy_modules(script) == []
+    assert _loaded_modules(script, "scipy") == []
 
 
 def test_gaussian_sketcher_past_the_port_limit_loads_scipy_when_made():
@@ -815,7 +819,7 @@ def test_gaussian_sketcher_past_the_port_limit_loads_scipy_when_made():
         "from tuckersketch.sketch import SketchParams, StreamingSketcher\n"
         "StreamingSketcher((240, 240, 240), SketchParams.for_rank(10, 0, order=3))"
     )
-    assert "scipy.special" in _scipy_modules(script)
+    assert "scipy.special" in _loaded_modules(script, "scipy")
 
 
 def test_gaussian_sketcher_of_a_desk_size_tensor_leaves_scipy_out():
@@ -832,4 +836,97 @@ def test_gaussian_sketcher_of_a_desk_size_tensor_leaves_scipy_out():
         "for n in range(3):\n"
         "    make_drm(params.omega_spec(shape, n)).entries"
     )
-    assert _scipy_modules(script) == []
+    assert _loaded_modules(script, "scipy") == []
+
+
+# numpy.random, and the OpenSSL binding that it loads through secrets and
+# hashlib, cost a command about 17 ms and 6 MiB of RSS.
+_RANDOM_MODULES = ("numpy.random", "_hashlib")
+
+
+@pytest.fixture(scope="module")
+def lazy_numpy_random():
+    if _loaded_modules("import numpy", "numpy.random"):
+        pytest.skip("import numpy loads numpy.random itself (numpy < 2)")
+
+
+def test_trp_stream_sketch_loads_no_numpy_random(tmp_path, lazy_numpy_random):
+    # TRP factors and Gaussian core maps of a few hundred words each are
+    # drawn through the port of Philox.
+    x = np.random.default_rng(7).normal(size=(12, 11, 10, 9))
+    xfile = tmp_path / "x.tkus"
+    write_update_stream(xfile, x.shape, [
+        FullUpdate(1.0, 1.0, x),
+        SlabUpdate(0.5, 1.0, mode=1, offset=2, slab=x[:, 2:6]),
+    ])
+    script = (
+        "from tuckersketch.cli import main\n"
+        f"assert main(['sketch', '--stream', {str(xfile)!r}, '--rank', '2', "
+        f"'--drm', 'trp', '--out', {str(tmp_path / 'x.tksk')!r}]) == 0"
+    )
+    assert _loaded_modules(script, *_RANDOM_MODULES) == []
+
+
+@pytest.mark.parametrize("drm", FACTOR_KINDS)
+def test_one_pass_recover_loads_no_numpy_random(tmp_path, lazy_numpy_random, drm):
+    # One-pass recovery draws only the core maps, of the kind --drm gives
+    # (Gaussian for TRP), each under PHILOX_PORT_MAX words.
+    x = np.random.default_rng(8).normal(size=(14, 12, 10))
+    xfile, skfile = tmp_path / "x.tktn", tmp_path / "x.tksk"
+    write_tensor(xfile, x)
+    assert main(["sketch", "--input", str(xfile), "--rank", "1", "--drm", drm,
+                 "--out", str(skfile)]) == 0
+    script = (
+        "from tuckersketch.cli import main\n"
+        f"assert main(['recover', '--sketch', {str(skfile)!r}, "
+        f"'--out', {str(tmp_path / 'f.tkz')!r}]) == 0"
+    )
+    assert _loaded_modules(script, *_RANDOM_MODULES) == []
+
+
+def test_merge_and_two_pass_recover_load_no_numpy_random(tmp_path, lazy_numpy_random):
+    # They realize no map at all.
+    x = np.random.default_rng(5).normal(size=(10, 9, 8))
+    xfile, skfile = tmp_path / "x.tktn", tmp_path / "x.tksk"
+    write_tensor(xfile, x)
+    assert main(["sketch", "--input", str(xfile), "--rank", "2", "--out", str(skfile)]) == 0
+    script = (
+        "from tuckersketch.cli import main\n"
+        f"assert main(['merge', {str(skfile)!r}, {str(skfile)!r}, "
+        f"'--out', {str(tmp_path / 'm.tksk')!r}]) == 0\n"
+        f"assert main(['recover', '--sketch', {str(tmp_path / 'm.tksk')!r}, "
+        f"'--mode', 'two-pass', '--input', {str(xfile)!r}, '--trunc', '2', "
+        f"'--out', {str(tmp_path / 'f.tkz')!r}]) == 0"
+    )
+    assert _loaded_modules(script, *_RANDOM_MODULES) == []
+
+
+def test_gaussian_sketcher_past_the_philox_port_loads_numpy_random_when_made(
+    lazy_numpy_random,
+):
+    # 60^3 at r=10: each factor map has 3600 x 21 words, past PHILOX_PORT_MAX,
+    # so it draws through numpy's Philox, chosen (and imported) when the
+    # map is made, before the first product.
+    spec = SketchParams.for_rank(10, 0, order=3).omega_spec((60, 60, 60), 0)
+    assert spec.in_dim * spec.out_dim > rng.PHILOX_PORT_MAX
+    script = (
+        "import sys\n"
+        "from tuckersketch.sketch import SketchParams, StreamingSketcher\n"
+        "assert 'numpy.random' not in sys.modules\n"
+        "StreamingSketcher((60, 60, 60), SketchParams.for_rank(10, 0, order=3))"
+    )
+    assert "numpy.random" in _loaded_modules(script, *_RANDOM_MODULES)
+
+
+def test_ssrft_sketcher_with_short_streams_loads_no_numpy_random(lazy_numpy_random):
+    # An SSRFT map draws no entries from its own stream, only permutations,
+    # signs and coordinates of in_dim words each: 3600 here, within
+    # PHILOX_PORT_MAX, though the map has 3600 x 21 entries.
+    spec = SketchParams.for_rank(10, 0, order=3, omega_kind="ssrft").omega_spec((60, 60, 60), 0)
+    assert spec.in_dim <= rng.PHILOX_PORT_MAX < spec.in_dim * spec.out_dim
+    script = (
+        "from tuckersketch.sketch import SketchParams, StreamingSketcher\n"
+        "params = SketchParams.for_rank(10, 0, order=3, omega_kind='ssrft', phi_kind='ssrft')\n"
+        "StreamingSketcher((60, 60, 60), params)"
+    )
+    assert _loaded_modules(script, *_RANDOM_MODULES) == []

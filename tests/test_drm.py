@@ -73,7 +73,8 @@ def test_top_raw_word_stays_below_one(monkeypatch, count):
     assert np.all(_old_unit_doubles(top) == 1.0)  # the formula alone rounds up
     assert np.all(rng.unit_doubles(top) == 1.0 - 2.0**-53)
     # rng.raw and rng.fill, which realizes maps by runs of rows, read their
-    # words from one Philox each: here, one that makes only the top word.
+    # words from one Philox each, numpy's or the port: here, both make only
+    # the top word.
     class TopWords:
         state = {"state": {"counter": np.zeros(4, np.uint64)}}
 
@@ -81,9 +82,12 @@ def test_top_raw_word_stays_below_one(monkeypatch, count):
             return np.full(size, top[1])
 
     monkeypatch.setattr(rng, "_philox", lambda seed, stream: TopWords())
+    monkeypatch.setattr(rng, "_philox_words", lambda seed, stream, offset, n: np.full(n, top[1]))
     assert np.all(rng.uniforms(0, 0, 3) < 1.0)
-    # Up to NDTRI_PORT_MAX values draw through the port, past it through scipy.
-    assert np.all(np.isfinite(rng.gaussians(0, 0, count)))
+    # Up to NDTRI_PORT_MAX values draw through the port, past it through
+    # scipy; each id draws the top word, from the port of Philox or numpy's.
+    g = rng.gaussians(0, 0, count)
+    assert np.all(np.isfinite(g)) and np.all(g == g[0]) and g[0] > 8.0
     # Both map kinds read the same words, whole or by row block: at density 1
     # the top word is kept too (as 1.0 it failed the u < density draw).
     x = np.ones((1, 3, 1))  # rows 3:6 of a (3, 2) grid: its slowest axis
@@ -113,6 +117,64 @@ _OFFSETS = sorted(
 
 def _copy_words(words, dst):
     dst[:] = words
+
+
+def _numpy_words(seed, stream, offset, count):
+    """The oracle: words ``offset`` on of numpy's Philox, moved there by
+    its own ``advance`` (one counter step per four words)."""
+    bitgen = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
+    bitgen.advance(offset // 4)
+    bitgen.random_raw(offset % 4)
+    return bitgen.random_raw(count)
+
+
+_PORT_KEYS = [(0, 0), (1, 0), (0, 1), (2**64 - 1, 2**64 - 1), (2**64 - 1, 0)] + [
+    tuple(k) for k in np.random.default_rng(17).integers(0, 2**64, (3, 2), np.uint64).tolist()
+]
+_PORT_OFFSETS = sorted(
+    set(range(8))
+    | {4 * j + e for j in (1, 2, 5, 1000) for e in (-1, 1)}
+    | {rng.PHILOX_PORT_MAX + e for e in (-5, 0, 5)}
+    | {2**40 + 3}
+)
+
+
+@pytest.mark.parametrize("key", _PORT_KEYS, ids=str)
+@pytest.mark.parametrize("offset", _PORT_OFFSETS)
+def test_philox_port_gives_numpys_words(key, offset):
+    for count in [0, 1, 3, 4, 5, rng.PHILOX_PORT_MAX]:
+        read = rng.philox_for(count)(*key)
+        got = read(offset, count)
+        assert got.dtype == np.uint64 and got.shape == (count,)
+        assert np.array_equal(got, _numpy_words(*key, offset, count))
+
+
+def test_philox_for_draws_through_the_port_up_to_its_limit():
+    assert rng.philox_for(0) is rng.philox_for(rng.PHILOX_PORT_MAX) is rng._ported_philox
+    assert rng.philox_for(rng.PHILOX_PORT_MAX + 1) is rng._numpy_philox
+
+
+def test_philox_port_reaches_the_last_counter_and_raises_past_it():
+    # Block j is counter j + 1: the last block with counter word 0 alone is
+    # 2**64 - 2.  Past it numpy carries into counter word 1; the port raises.
+    last = 4 * (2**64 - 2)
+    got = rng._philox_words(7, 9, last + 1, 3)
+    assert np.array_equal(got, _numpy_words(7, 9, last + 1, 3))
+    with pytest.raises(ValueError, match="outside the port"):
+        rng._philox_words(7, 9, last + 3, 2)
+
+
+@pytest.mark.parametrize("block_words", [1, 5, 64, B])
+@pytest.mark.parametrize("source", ["port", "numpy"])
+def test_runs_straddling_word_blocks_give_the_stream_words(monkeypatch, block_words, source):
+    # Runs of every length mod 4, read into blocks that split them anywhere.
+    runs = [(3, 10), (70, 1), (4, 9), (B - 5, 11), (2**40 + 1, 6), (0, 4)]
+    total = sum(n for _, n in runs)
+    philox = rng.philox_for(rng.PHILOX_PORT_MAX + (source == "numpy"))
+    monkeypatch.setattr(rng, "BLOCK_WORDS", block_words)
+    got = rng.fill(np.empty(total, np.uint64), 11, 2, runs, _copy_words, philox)
+    want = np.concatenate([_numpy_words(11, 2, offset, n) for offset, n in runs])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("offset", _OFFSETS)

@@ -295,6 +295,27 @@ def test_cli_sketch_streams_its_records(tmp_path):
     assert sketch - bare < 0.6 * x.nbytes
 
 
+def test_cli_trp_stream_sketch_loads_no_numpy_random(tmp_path):
+    # A 40^4 stream (20.5 MB) of one full record and a 20-plane mode-1 slab
+    # record, TRP maps at r=5.  Every map draws its words through the port
+    # of Philox: about 30 MiB above the bare import, with the 8 MiB read
+    # buffer, the slab record held whole and TRP's first contraction.
+    # Drawn through numpy's Philox instead, the import of numpy.random
+    # (with hashlib and OpenSSL's libcrypto) read 35.5 MiB.
+    x = np.random.default_rng(11).normal(size=(40, 40, 40, 40))
+    path = tmp_path / "x.tkus"
+    write_update_stream(path, x.shape, [
+        FullUpdate(1.0, 1.0, x),
+        SlabUpdate(0.5, 2.0, mode=1, offset=5, slab=x[:, 5:25]),
+    ])
+    bare = _max_rss_bytes("-c", "import tuckersketch.cli")
+    sketch = _max_rss_bytes(
+        "-m", "tuckersketch.cli", "sketch", "--stream", str(path), "--rank", "5",
+        "--drm", "trp", "--out", str(tmp_path / "x.tksk"),
+    )
+    assert sketch - bare < 32.75 * 2**20
+
+
 def test_cli_two_pass_recover_streams_its_input(tmp_path, tensor_file):
     path, nbytes = tensor_file
     skfile = tmp_path / "x.tksk"

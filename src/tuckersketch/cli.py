@@ -120,8 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--input", help="TKTN1 tensor file (required for two-pass)")
     pr.add_argument("--trunc", type=_int_list, default=None,
                     help="compress to this Tucker rank after recovery")
-    pr.add_argument("--method", choices=("hooi", "st_hosvd", "hosvd"), default="hooi",
-                    help="fixed-rank compression method")
+    pr.add_argument("--method", choices=("hooi", "st_hosvd", "hosvd"), default=None,
+                    help="fixed-rank compression method for --trunc (default hooi)")
     pr.add_argument("--out", required=True, help="output factorization archive")
     pr.add_argument("--report", help="also write a JSON metrics report here")
     pr.set_defaults(func=_cmd_recover)
@@ -257,6 +257,10 @@ def _cmd_recover(args) -> int:
         print("error: --mode two-pass needs --input to make its second pass",
               file=sys.stderr)
         return 2
+    if args.method is not None and args.trunc is None:
+        print("error: --method chooses how --trunc compresses; it needs --trunc",
+              file=sys.stderr)
+        return 2
     sk = tkio.read_sketch(args.sketch)
     slabs = None
     if args.input is not None:
@@ -272,7 +276,7 @@ def _cmd_recover(args) -> int:
     fact = report.factorization
     if args.trunc is not None:
         r = per_mode(args.trunc, len(sk.shape), "--trunc")
-        fact = fixed_rank_truncate(fact, r, method=args.method)
+        fact = fixed_rank_truncate(fact, r, method=args.method or "hooi")
     elapsed = time.perf_counter() - start
     normalized_error = _normalized_error(slabs, fact) if slabs is not None else None
     tkio.write_tucker(args.out, fact)

@@ -173,12 +173,13 @@ def _check_operand(m, in_dim: int) -> np.ndarray:
 
 
 # Scalars a realization holds per word of the block it is generating, at
-# most: the words and what is derived from them (sparse sign: the uniforms'
-# precursor, the sign bits and the keep mask; Gaussian: the precursor, or
-# the ndtri port's temporaries, which it bounds by working a quarter of a
-# block at a time: 2.0 per word, the words included).  A block that spans
-# several runs of rows joins their words first: 2 per word, before any
-# value is derived.  The port of Philox draws the words of a map of at most
+# most, as a product counts them in its ``scratch``: the words and what is
+# derived from them (sparse sign: the uniforms' precursor, the sign bits
+# and the keep mask; Gaussian: the precursor, or the ndtri port's
+# temporaries, which it bounds by working a quarter of a block at a time:
+# 2.0 per word, the words included).  A block that spans several runs of
+# rows joins their words first: 2 per word, before any value is derived.
+# The port of Philox draws the words of a map of at most
 # rng.PHILOX_PORT_MAX words with 3 scalars of temporaries per word of a
 # piece of at most 2^14 words: 4 per word with the words themselves, less
 # for a block of several pieces.
@@ -227,11 +228,13 @@ class _DenseDrm:
     or a block past that budget, realizes the map whole, once, and the map
     keeps the entries.  So a pass that visits each row once generates each
     row once, and no sequence of requests generates more than twice the
-    map's entries in all.
+    map's entries in all.  Each product records its working memory in
+    ``scratch`` (see :meth:`apply_tensor`).
     """
 
     def __init__(self, spec: DrmSpec):
         self.spec = spec
+        self.scratch = 0  # scalars the last apply_tensor held at its peak
         self._entries = None
         self._generated = 0  # rows generated for block products so far
         if spec.kind == "ssrft":
@@ -266,19 +269,6 @@ class _DenseDrm:
         """Scalars of the entries the map holds: 0 until it is realized."""
         return 0 if self._entries is None else self._entries.size
 
-    def _block_rows(self, shape, mode: int, axis: int | None) -> int:
-        """Rows a product with a tensor of ``shape`` (a block along ``axis``)
-        generates for itself alone, or 0 when it uses the whole map.  It
-        does when the map holds no entries, ``axis`` is given (any axis of
-        the grid), and the block's rows keep the rows generated so far
-        within ``in_dim``: a whole grid, or a block that would pass that
-        total, realizes the map instead."""
-        if self._entries is not None or axis is None:
-            return 0
-        block = math.prod(shape) // shape[mode]
-        fits = block < self.spec.in_dim and self._generated + block <= self.spec.in_dim
-        return block if fits else 0
-
     def apply_right(self, m: np.ndarray) -> np.ndarray:
         """Compute ``m @ Omega`` for an ``(q, in_dim)`` operand."""
         return _check_operand(m, self.spec.in_dim) @ self.entries
@@ -291,44 +281,36 @@ class _DenseDrm:
         ``x`` covers only the block ``rows`` of the grid along its axis
         ``axis`` (the full extent there is what ``in_dim`` leaves), and the
         product is with the rows of ``Omega`` in that block, in order.
+        Sets ``scratch`` to the scalars held at the product's peak, for an
+        F-contiguous ``x``: the entries generated, and the larger of what
+        one block of their words needs and the contraction's scratch with
+        the copy of a block of kept entries, if one was made.
         """
         a, dims, g, rows = _grid(self.spec, x, mode, axis, rows)
-        if self._block_rows(a.shape, mode, axis):
+        k, in_dim = self.spec.out_dim, self.spec.in_dim
+        met = math.prod(a.shape[:mode] + a.shape[mode + 1 :])  # the map rows x meets
+        fits = met < in_dim and self._generated + met <= in_dim
+        if self._entries is None and g is not None and fits:
             w = self._rows(_block_runs(dims, g, rows))
-            self._generated += w.shape[0]
-            return contract(a, mode, w)
-        w = self.entries
-        if g is not None:
-            # A view with the grid axes reversed (C order, so axis 0 of the
-            # grid varies fastest); only the selected block is copied.  Runs
-            # of one row reshape to a strided view, which is copied too:
-            # matmul may round a product with a strided operand differently,
-            # and the block must give the bits of its generated rows.
-            grid = w.reshape((*dims[::-1], self.spec.out_dim))
-            block = grid[(slice(None),) * (len(dims) - 1 - g) + (rows,)]
-            w = np.ascontiguousarray(block.reshape((-1, self.spec.out_dim)))
-        return contract(a, mode, w)
-
-    def tensor_scratch(self, shape, mode: int, axis: int | None = None) -> int:
-        """Scalars of working memory :meth:`apply_tensor` holds at its peak
-        for an F-contiguous tensor (or slab) of ``shape``, a block along
-        ``axis`` if given: the entries it generates, if any (the block's
-        rows, or the whole map, which it keeps), and the larger of what one
-        block of words needs while they are generated and the contraction's
-        scratch, with the copy of a block of kept entries that is not one
-        run of rows."""
-        k = self.spec.out_dim
-        scratch = contract_scratch(shape, mode, k)
-        rows = math.prod(shape) // shape[mode]  # the map rows the tensor meets
-        if self._block_rows(shape, mode, axis):
-            size = rows * k
+            self._generated += met
+            generated, copied = w.size, 0
         else:
-            if axis is not None and rows < self.spec.in_dim:
-                # runs of the block: one per position on the grid axes above it
-                runs = math.prod(shape[axis + 1 :]) // (shape[mode] if mode > axis else 1)
-                scratch += rows * k if runs > 1 else 0
-            size = 0 if self._entries is not None else self.spec.in_dim * k
-        return size + max(scratch, _SCALARS_PER_WORD * min(size, rng.BLOCK_WORDS))
+            generated = 0 if self._entries is not None else in_dim * k
+            w = self.entries
+            if g is not None:
+                # A view with the grid axes reversed (C order, so axis 0 of
+                # the grid varies fastest).  A block of one run of rows stays
+                # a view; any other is copied, even one whose one-row runs
+                # reshape to a strided view: matmul may round a product with
+                # a strided operand differently, and the block must give the
+                # bits of its generated rows.
+                grid = w.reshape((*dims[::-1], k))
+                block = grid[(slice(None),) * (len(dims) - 1 - g) + (rows,)]
+                w = np.ascontiguousarray(block.reshape((-1, k)))
+            copied = 0 if np.may_share_memory(w, self._entries) else w.size
+        words = _SCALARS_PER_WORD * min(generated, rng.BLOCK_WORDS)
+        self.scratch = generated + max(contract_scratch(a.shape, mode, k) + copied, words)
+        return contract(a, mode, w)
 
     def materialize(self) -> np.ndarray:
         """A copy of the dense ``(in_dim, out_dim)`` entries."""
@@ -469,10 +451,11 @@ def apply_trp_factors(x, mode: int, factors: tuple[np.ndarray, ...]) -> np.ndarr
 
 class _TrpDrm:
     """Tensor random projection: Khatri-Rao of per-mode Gaussian factors,
-    stored and applied implicitly."""
+    stored and applied implicitly; ``scratch`` as in :class:`_DenseDrm`."""
 
     def __init__(self, spec: DrmSpec):
         self.spec = spec
+        self.scratch = 0
         self.factors = tuple(
             rng.gaussians(
                 rng.mix64(spec.seed, _TRP_FACTOR_TAG, j), _STREAM_ENTRIES, (d, spec.out_dim)
@@ -496,14 +479,10 @@ class _TrpDrm:
         factors = list(self.factors)
         if g is not None:
             factors[g] = factors[g][rows]
-        return apply_trp_factors(a, mode, tuple(factors))
-
-    def tensor_scratch(self, shape, mode, axis=None):
         # apply_trp_factors' first product: out_dim x (the tensor without
         # its last axis, or without axis 0 when ``mode`` is last).
-        shape = tuple(int(d) for d in shape)
-        first = 0 if mode == len(shape) - 1 else len(shape) - 1
-        return self.spec.out_dim * int(np.prod(shape, dtype=np.int64)) // shape[first]
+        self.scratch = self.spec.out_dim * a.size // a.shape[0 if mode == a.ndim - 1 else -1]
+        return apply_trp_factors(a, mode, tuple(factors))
 
     def materialize(self) -> np.ndarray:
         """The dense ``(in_dim, out_dim)`` equivalent: the Khatri-Rao product

@@ -48,7 +48,6 @@ import json
 import math
 import os
 import struct
-import tempfile
 import warnings
 import zipfile
 import zlib
@@ -82,10 +81,13 @@ def _atomic_write(path):
     """Yield a binary handle on a temporary file beside ``path``.
 
     The file is renamed onto ``path`` when the block finishes, and removed
-    if it raises.
+    if it raises.  It is made with mode 0o666 less the umask, as ``open``
+    would make ``path`` itself.
     """
     path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=os.path.dirname(path) or ".")
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh

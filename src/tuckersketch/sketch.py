@@ -191,11 +191,12 @@ class StreamingSketcher:
     once per update, and the sketch does not depend on the input layout.
     ``peak_aux_scalars`` is the most working memory any single update held
     at once: that F copy, if one was made, the entries of maps realized
-    during the update, and the largest step's scratch, which is a factor
-    map's (a generated row block or whole map with one block of
-    counter-stream words, then the kernel's batch product or TRP's first
-    contraction) or the core sketch's (its first, full-size contraction, or
-    the core itself).
+    during the update, and the largest step's scratch: the core sketch's
+    (its first, full-size contraction, or the core itself) or the
+    ``scratch`` a factor map records for the product it just ran (the rows
+    or whole map it generated, with one block of counter-stream words, then
+    the kernel's batch product with any block of kept entries it copied, or
+    TRP's first contraction).
     """
 
     def __init__(self, shape, params: SketchParams, *, init: TuckerSketch | None = None):
@@ -305,18 +306,17 @@ class StreamingSketcher:
         # hits the slab along `mode`.  Then the slab's own mode, whose map
         # acts on the other modes, which the slab covers in full: it needs
         # every row, so it comes last, and a map that realizes itself whole
-        # for it is not yet held while the others' rows are.  Entries a map
-        # realizes during the update count from then on.
+        # for it is not yet held while the others' rows are.  A map's scratch
+        # counts its own product; entries it realizes count from then on.
         before = self.held_map_scalars
         for n in [*range(mode), *range(mode + 1, len(self._omegas)), mode]:
             om = self._omegas[n]
-            axis = None if n == mode else mode
             kept = self.held_map_scalars - before
-            self._note_aux(held + kept + om.tensor_scratch(a.shape, n, axis))
             if n == mode:
                 self._v[n][rows] += theta2 * om.apply_tensor(a, n)
             else:
                 self._v[n] += theta2 * om.apply_tensor(a, n, axis=mode, rows=rows)
+            self._note_aux(held + kept + om.scratch)
 
     @property
     def held_map_scalars(self) -> int:

@@ -293,6 +293,15 @@ class TestRecoverCommand:
                    "--out", str(tmp_path / "f.tkz")])
         assert rc == 2
 
+    def test_method_without_trunc_is_usage_error(self, tmp_path, capsys, exact_tensor):
+        _, skfile = self._sketch_files(tmp_path, exact_tensor)
+        out = tmp_path / "f.tkz"
+        rc = main(["recover", "--sketch", str(skfile), "--method", "st_hosvd",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "--method" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_one_pass_with_truncation(self, tmp_path, exact_tensor):
         _, skfile = self._sketch_files(tmp_path, exact_tensor)
         out = tmp_path / "f.tkz"

@@ -3,6 +3,8 @@
 import gc
 import hashlib
 import json
+import os
+import stat
 import struct
 import zipfile
 import zlib
@@ -664,6 +666,23 @@ def test_atomic_write_leaves_no_partial_file(tmp_path):
         write_tensor(target, _tensor((2, 2)))
     assert not target.exists()
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_written_files_take_their_mode_from_the_umask(tmp_path, umask):
+    # as open() would make them: a worker's files stay readable by a merge
+    # run as another user unless the umask says otherwise
+    old = os.umask(umask)
+    try:
+        write_tensor(tmp_path / "x.tktn", _tensor((2, 3)))
+        write_sketch(tmp_path / "x.tksk", _golden_sketch())
+        write_update_stream(tmp_path / "x.tkus", (2, 3),
+                            [FullUpdate(1.0, 1.0, _tensor((2, 3)))])
+        write_tucker(tmp_path / "x.tkz", _golden_tucker())
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(["x.tktn", "x.tksk", "x.tkus", "x.tkz"], 0o666 & ~umask)
 
 
 def _ar(shape, start=0.0, dtype=np.float64):

@@ -139,8 +139,8 @@ def test_peak_aux_scalars_tracks_every_map_kind(om, layout, step, shape):
     "count", [rng.BLOCK_WORDS, rng.NDTRI_PORT_MAX + 1], ids=["ndtri-port", "scipy-ndtri"]
 )
 def test_gaussian_draw_stays_within_its_scalars_per_word(count):
-    # tensor_scratch counts _SCALARS_PER_WORD per word of one block for a
-    # map that generates entries; the port's temporaries must fit in it too.
+    # A product that generates entries counts _SCALARS_PER_WORD per word of
+    # one block in the map's scratch; the port's temporaries must fit in it too.
     rng.gaussians(1, 2, count)  # imports what the draw loads
     out, peak = _peak(lambda: rng.gaussians(1, 2, count))
     assert peak - out.nbytes <= 8 * _SCALARS_PER_WORD * min(count, rng.BLOCK_WORDS)

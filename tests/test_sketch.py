@@ -323,6 +323,91 @@ def test_mode_0_records_past_the_row_budget_fold_to_pinned_bytes(kind):
     assert _slab_digest(kind, (30, 20, 16), records, 2) == _BUDGET_PINS[kind]
 
 
+# Each update's own peak_aux_scalars, pass by pass, and the final
+# held_map_scalars, pinned while a second method of each map predicted the
+# scratch of its product (now each product records its own).  Two passes
+# fold a one-row slab and two wider ones along every mode, so the second
+# meets factor maps that keep their entries: a block of them is copied out
+# for the contraction unless it is one run of rows, and an SSRFT map keeps
+# its entries from the start.  k = 1-3, s = 2k + 1, Gaussian core maps.
+_AUX_PINS = {
+    ("gaussian", (6, 5, 4), 1): (119, "120 90 135 174 75 75 27 27 30",
+                                      "47 68 96 51 75 75 27 27 30"),
+    ("gaussian", (6, 5, 4), 2): (223, "220 165 210 324 173 173 125 125 125",
+                                      "145 165 185 149 173 173 125 125 125"),
+    ("gaussian", (6, 5, 4), 3): (327, "363 383 403 474 391 391 343 343 343",
+                                      "363 383 403 367 391 391 343 343 343"),
+    ("gaussian", (12, 9, 10), 1): (411, "540 700 840 828 600 600 27 108 135",
+                                        "117 590 702 150 600 600 27 108 135"),
+    ("gaussian", (12, 9, 10), 2): (791, "990 950 1140 1536 680 680 125 180 225",
+                                        "215 730 840 245 680 680 125 180 225"),
+    ("gaussian", (12, 9, 10), 3): (1171, "1440 1200 1440 2244 823 823 343 343 343",
+                                         "433 870 990 463 823 823 343 343 343"),
+    ("sparse_sign", (6, 5, 4), 1): (119, "120 90 135 174 75 75 27 27 30",
+                                         "47 68 96 51 75 75 27 27 30"),
+    ("sparse_sign", (6, 5, 4), 2): (223, "220 165 210 324 173 173 125 125 125",
+                                         "145 165 185 149 173 173 125 125 125"),
+    ("sparse_sign", (6, 5, 4), 3): (327, "363 383 403 474 391 391 343 343 343",
+                                         "363 383 403 367 391 391 343 343 343"),
+    ("sparse_sign", (12, 9, 10), 1): (411, "540 700 840 828 600 600 27 108 135",
+                                           "117 590 702 150 600 600 27 108 135"),
+    ("sparse_sign", (12, 9, 10), 2): (791, "990 950 1140 1536 680 680 125 180 225",
+                                           "215 730 840 245 680 680 125 180 225"),
+    ("sparse_sign", (12, 9, 10), 3): (1171, "1440 1200 1440 2244 823 823 343 343 343",
+                                            "433 870 990 463 823 823 343 343 343"),
+    ("ssrft", (6, 5, 4), 1): (119, "47 68 96 51 75 75 27 27 30",
+                                   "47 68 96 51 75 75 27 27 30"),
+    ("ssrft", (6, 5, 4), 2): (223, "145 165 185 149 173 173 125 125 125",
+                                   "145 165 185 149 173 173 125 125 125"),
+    ("ssrft", (6, 5, 4), 3): (327, "363 383 403 367 391 391 343 343 343",
+                                   "363 383 403 367 391 391 343 343 343"),
+    ("ssrft", (12, 9, 10), 1): (411, "117 590 702 150 600 600 27 108 135",
+                                     "117 590 702 150 600 600 27 108 135"),
+    ("ssrft", (12, 9, 10), 2): (791, "215 730 840 245 680 680 125 180 225",
+                                     "215 730 840 245 680 680 125 180 225"),
+    ("ssrft", (12, 9, 10), 3): (1171, "433 870 990 463 823 823 343 343 343",
+                                      "433 870 990 463 823 823 343 343 343"),
+    ("trp", (6, 5, 4), 1): (75, "47 67 96 51 75 75 30 30 30",
+                                "47 67 96 51 75 75 30 30 30"),
+    ("trp", (6, 5, 4), 2): (135, "145 165 185 149 173 173 125 125 125",
+                                 "145 165 185 149 173 173 125 125 125"),
+    ("trp", (6, 5, 4), 3): (195, "363 383 403 367 391 391 343 343 343",
+                                 "363 383 403 367 391 391 343 343 343"),
+    ("trp", (12, 9, 10), 1): (155, "180 585 702 150 600 600 108 108 135",
+                                   "180 585 702 150 600 600 108 108 135"),
+    ("trp", (12, 9, 10), 2): (279, "270 675 810 245 680 680 216 216 225",
+                                   "270 675 810 245 680 680 216 216 225"),
+    ("trp", (12, 9, 10), 3): (403, "433 793 918 463 823 823 343 343 343",
+                                   "433 793 918 463 823 823 343 343 343"),
+    ("gaussian", (5, 4, 3, 4), 2): (576, "673 721 721 940 685 745 705 705 705 625 625 625",
+                                         "673 721 721 685 685 745 705 705 705 625 625 625"),
+    ("sparse_sign", (5, 4, 3, 4), 2): (576, "673 721 721 940 685 745 705 705 705 625 625 625",
+                                            "673 721 721 685 685 745 705 705 705 625 625 625"),
+    ("ssrft", (5, 4, 3, 4), 2): (576, "673 721 721 685 685 745 705 705 705 625 625 625",
+                                      "673 721 721 685 685 745 705 705 705 625 625 625"),
+    ("trp", (5, 4, 3, 4), 2): (176, "673 721 721 685 685 745 705 705 705 625 625 625",
+                                    "673 721 721 685 685 745 705 705 705 625 625 625"),
+}
+
+
+@pytest.mark.parametrize("kind, shape, k", sorted(_AUX_PINS))
+def test_every_update_accounts_its_scratch_as_pinned(kind, shape, k):
+    n = len(shape)
+    params = SketchParams(k=(k,) * n, s=(2 * k + 1,) * n, master_seed=5, omega_kind=kind)
+    x = np.ones(shape, order="F")
+    acc = StreamingSketcher(shape, params)
+    peaks = []
+    for _ in range(2):
+        for mode, d in enumerate(shape):
+            for start, stop in [(0, 1), (1, (d + 1) // 2), ((d + 1) // 2, d)]:
+                acc.peak_aux_scalars = 0  # so each value is one update's own
+                acc.update_slab(mode, start, x[(slice(None),) * mode + (slice(start, stop),)])
+                peaks.append(acc.peak_aux_scalars)
+    held, *passes = _AUX_PINS[kind, shape, k]
+    assert peaks == [int(v) for p in passes for v in p.split()]
+    assert acc.held_map_scalars == held
+
+
 class TestMerge:
     def test_merge_adds_shards(self):
         params = _params()

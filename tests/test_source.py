@@ -3,7 +3,8 @@
 Each module of the package (``__init__.py`` aside, which only re-exports)
 is parsed with ``ast``.  A name counts as used when the module loads it
 somewhere outside the statement that defines it, so a helper that only
-calls itself counts as unused too.
+calls itself counts as unused too.  A private method counts as used when
+the module loads an attribute of its name outside the method itself.
 """
 
 import ast
@@ -15,15 +16,16 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tuckersketch"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
-def _loads(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
-    """Names loaded anywhere in ``tree`` except inside ``skip``."""
+def _loads(tree: ast.AST, skip: ast.AST | None = None, kind=ast.Name) -> set[str]:
+    """Names loaded anywhere in ``tree`` except inside ``skip``: plain
+    names, or the names of attributes with ``kind=ast.Attribute``."""
     names, stack = set(), [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
+        if isinstance(node, kind) and isinstance(node.ctx, ast.Load):
+            names.add(node.id if kind is ast.Name else node.attr)
         stack.extend(ast.iter_child_nodes(node))
     return names
 
@@ -69,3 +71,26 @@ def test_every_private_module_name_is_used(path):
         return not isinstance(stmt, (ast.Import, ast.ImportFrom))
 
     assert _unused(path, definitions) == []
+
+
+def _private_methods(tree: ast.AST) -> list[ast.FunctionDef]:
+    return [
+        fn
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and fn.name.startswith("_")
+        and not fn.name.startswith("__")
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_method_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unused = [
+        fn.name
+        for fn in _private_methods(tree)
+        if fn.name not in _loads(tree, skip=fn, kind=ast.Attribute)
+    ]
+    assert unused == []

@@ -5,10 +5,10 @@ Exit codes: 0 success, 2 bad arguments or non-finite data, 3 I/O failure,
 runtime failure.  Diagnostics go to stderr; output files are written
 atomically.
 
-``sketch --input`` and ``recover --input`` read the tensor file in
-last-mode slabs of at most 8 MiB (one plane of the last mode at the least),
-so the tensor is never held in memory whole.  ``sketch --stream`` reads
-every full record and every last-mode slab record in the same bounded
+``sketch --input`` reads the tensor file in last-mode slabs of at most
+8 MiB, ``recover --input`` in slabs of at most 1 MiB (one plane of the last
+mode at the least), so the tensor is never held in memory whole.  ``sketch
+--stream`` reads every full record and every last-mode slab record in 8 MiB
 pieces, from one reused buffer; a slab record along any other mode is held
 whole.  Every piece is folded with ``update_slab``.  A piece along mode
 ``m`` generates the rows of each Gaussian or sparse sign factor map
@@ -54,7 +54,7 @@ from .sketch import (
     StreamingSketcher,
     sketch_merge,
 )
-from .tensor import TuckerFactorization, fro_norm, per_mode, tucker_residual_norm
+from .tensor import TuckerFactorization, fro_norm, multi_mode_product, per_mode
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -102,8 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="factor map kind")
     ps.add_argument("--core-drm", choices=CORE_KINDS, default=None,
                     help="core map kind (default: same as --drm, or gaussian for trp)")
-    ps.add_argument("--density", type=float, default=0.1,
-                    help="nonzero fraction for sparse_sign maps")
+    ps.add_argument("--density", type=float, default=None,
+                    help="nonzero fraction for sparse_sign maps (default 0.1); needs "
+                    "--drm or --core-drm sparse_sign")
     ps.add_argument("--seed", type=int, default=0, help="master seed")
     ps.add_argument("--out", required=True, help="output TKSK1 sketch file")
     ps.add_argument("--report", help="also write a JSON report of the fold here")
@@ -162,11 +163,9 @@ def _core_kind(drm: str, core_drm: str | None) -> str:
 
 
 def _params_for(args, order: int) -> SketchParams:
-    kinds = {
-        "omega_kind": args.drm,
-        "phi_kind": _core_kind(args.drm, args.core_drm),
-        "density": args.density,
-    }
+    kinds = {"omega_kind": args.drm, "phi_kind": _core_kind(args.drm, args.core_drm)}
+    if args.density is not None:
+        kinds["density"] = args.density
     if args.rank is not None:
         return SketchParams.for_rank(args.rank, args.seed, order=order, **kinds)
     k = per_mode(args.k, order, "--k")
@@ -190,6 +189,10 @@ def _write_report(path: str, summary: dict) -> None:
 
 
 def _cmd_sketch(args) -> int:
+    if args.density is not None and "sparse_sign" not in (args.drm, args.core_drm):
+        print("error: --density sets the nonzero fraction of sparse_sign maps; it needs "
+              "--drm or --core-drm sparse_sign", file=sys.stderr)
+        return 2
     start = time.perf_counter()
     if args.input is not None:
         path = args.input
@@ -239,14 +242,18 @@ def _cmd_merge(args) -> int:
 def _normalized_error(slabs, fact: TuckerFactorization) -> float | None:
     """``||X - X_hat|| / ||X||`` with both sums of squares taken over the
     last-mode slabs of ``X`` (None when ``X`` is zero); raises ``ValueError``
-    when a sum is not finite (NaN or Inf in ``X``)."""
+    when a sum is not finite (NaN or Inf in ``X``).  Each slab is small (a
+    recovery slab), so its part of ``X_hat`` is expanded in one piece."""
     err = norm = 0.0
     last = fact.core.ndim - 1
+    head = list(enumerate(fact.factors[:last]))
     for offset, slab in slabs:
         rows = fact.factors[last][offset : offset + slab.shape[last]]
-        part = TuckerFactorization(core=fact.core, factors=fact.factors[:last] + (rows,))
-        err += tucker_residual_norm(slab, part) ** 2
+        diff = multi_mode_product(fact.core, head + [(last, rows)])
+        diff -= slab
+        err += fro_norm(diff) ** 2
         norm += fro_norm(slab) ** 2
+        del diff  # so the next slab's expansion is not made beside this one
     if not math.isfinite(err + norm):
         raise ValueError("the tensor's sum of squares is not finite (NaN or Inf in the data)")
     return math.sqrt(err) / math.sqrt(norm) if norm > 0 else None
@@ -265,7 +272,7 @@ def _cmd_recover(args) -> int:
     slabs = None
     if args.input is not None:
         # Checked now, read when scoring (two-pass also reads it for the core).
-        shape, slabs = tkio.read_tensor_slabs(args.input)
+        shape, slabs = tkio.read_tensor_slabs(args.input, recovery=True)
         if shape != sk.shape:
             raise ValueError(f"tensor has shape {shape} but sketch covers {sk.shape}")
     start = time.perf_counter()

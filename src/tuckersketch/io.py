@@ -16,7 +16,9 @@ mode at the least), all read into one reused buffer.  A slab record along
 any other mode arrives whole, in the same buffer when it fits.  The command
 line sketches and scores tensor files and streams this way
 (``read_tensor_slabs``, ``read_stream_pieces``), so no tensor or record is
-held in memory whole.
+held in memory whole.  A recovery's passes over a tensor file read pieces
+of at most 1 MiB instead: they contract each piece against k-column bases
+only, so their memory follows what they compute, not what they read.
 
 ``TKTN1`` tensor file::
 
@@ -52,7 +54,6 @@ import warnings
 import zipfile
 import zlib
 from dataclasses import dataclass
-from io import BytesIO
 from typing import Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
@@ -102,6 +103,10 @@ _WRITE_BLOCK_BYTES = 1 << 22
 # Tensor files and stream records are read in last-mode pieces of at most
 # this many scalars (8 MiB), or one plane of the last mode if a plane is larger.
 _READ_SLAB_SCALARS = 1 << 20
+# A recovery's passes over a tensor file (the two-pass core, the error score)
+# read last-mode pieces of at most this many scalars (1 MiB), one plane at
+# the least.
+_RECOVER_SLAB_SCALARS = 1 << 17
 # Payloads are read in pieces of this many bytes: a handle without a native
 # ``readinto`` (an archive member) copies through one piece at a time.
 _READ_CHUNK_BYTES = 1 << 16
@@ -129,7 +134,11 @@ def _tensor_header(a: np.ndarray) -> bytes:
     return MAGIC_TENSOR + struct.pack(f"<BB{a.ndim}Q", _SCALAR_F64, a.ndim, *a.shape)
 
 
-def _read_exact(fh, count: int, what: str) -> bytes:
+def _read_exact(fh, count: int, what: str, end: int | None = None) -> bytes:
+    """``count`` bytes from ``fh``, failing as a truncated file unless they
+    all lie before ``end`` (if given) and the file holds them."""
+    if end is not None:
+        _need(fh, count, end, what)
     pos = fh.tell()
     data = fh.read(count)
     if len(data) != count:
@@ -139,8 +148,8 @@ def _read_exact(fh, count: int, what: str) -> bytes:
     return data
 
 
-def _read_magic(fh, magic: bytes, what: str) -> None:
-    got = _read_exact(fh, len(magic), what)
+def _read_magic(fh, magic: bytes, what: str, end: int | None = None) -> None:
+    got = _read_exact(fh, len(magic), what, end)
     if got != magic:
         raise FileFormatError(f"{what}: bad magic {got!r} at byte 0, expected {magic!r}")
 
@@ -202,19 +211,19 @@ def _read_array(fh, shape: tuple[int, ...], end: int, what: str) -> np.ndarray:
 class _PieceReader:
     """Reads payloads of blocks of a tensor of ``shape`` from ``fh`` in pieces.
 
-    A block along the last mode is read in pieces of at most
-    ``_READ_SLAB_SCALARS`` scalars (one plane at the least), a block along
-    any other mode as one piece.  Pieces are F-order arrays in one reused
-    buffer, so a piece is valid only until the next is read; a piece larger
-    than the buffer's capacity gets an array of its own.  With
-    ``whole=True`` every block is one piece in an array of its own.
+    A block along the last mode is read in pieces of at most ``scalars``
+    scalars (one plane at the least), a block along any other mode as one
+    piece.  Pieces are F-order arrays in one reused buffer, so a piece is
+    valid only until the next is read; a piece larger than the buffer's
+    capacity gets an array of its own.  With ``scalars=None`` every block
+    is one piece in an array of its own.
     """
 
-    def __init__(self, fh, shape: tuple[int, ...], end: int, what: str, whole: bool = False):
+    def __init__(self, fh, shape: tuple[int, ...], end: int, what: str, scalars: int | None):
         self.fh, self.shape, self.end, self.what = fh, shape, end, what
         plane = math.prod(shape[:-1])
-        self.step = None if whole else max(1, _READ_SLAB_SCALARS // plane)
-        self.capacity = 0 if whole else plane * min(self.step, shape[-1])
+        self.step = None if scalars is None else max(1, scalars // plane)
+        self.capacity = 0 if scalars is None else plane * min(self.step, shape[-1])
         # Grown to the largest piece read so far, so it never outgrows
         # what the file has been checked to hold.
         self.buf = np.empty(0, dtype="<f8")
@@ -286,23 +295,29 @@ def read_tensor(path) -> np.ndarray:
         return _load_tensor(fh, _file_size(fh), os.fspath(path))
 
 
-def read_tensor_slabs(path) -> tuple[tuple[int, ...], Iterator[tuple[int, np.ndarray]]]:
+def read_tensor_slabs(
+    path, recovery: bool = False
+) -> tuple[tuple[int, ...], Iterator[tuple[int, np.ndarray]]]:
     """Open a TKTN1 file for reading in last-mode slabs.
 
     Returns the shape and a lazy iterator of ``(offset, slab)``: ``slab``
     holds rows ``offset:offset + c`` of the last mode, an F-order view of
     at most ``_READ_SLAB_SCALARS`` scalars (8 MiB), or of one plane of the
-    last mode if a plane is larger.  The payload is Fortran-order, so each
-    slab is one contiguous piece of the file.  The whole file is checked
-    (header, payload size, trailing bytes) before this returns.  Slabs are
-    read into one reused buffer, so a slab is valid only until the next is
-    requested.  The file closes when the iterator is exhausted or dropped.
+    last mode if a plane is larger.  With ``recovery=True`` slabs hold at
+    most ``_RECOVER_SLAB_SCALARS`` scalars (1 MiB), one plane at the least:
+    a recovery contracts each slab against bases of k columns, so a small
+    slab costs it little time and keeps its memory near its outputs.  The
+    payload is Fortran-order, so each slab is one contiguous piece of the
+    file.  The whole file is checked (header, payload size, trailing bytes)
+    before this returns.  Slabs are read into one reused buffer, so a slab
+    is valid only until the next is requested.  The file closes when the
+    iterator is exhausted or dropped.
     """
-    slabs = _iter_slabs(path)
+    slabs = _iter_slabs(path, _RECOVER_SLAB_SCALARS if recovery else _READ_SLAB_SCALARS)
     return next(slabs), slabs
 
 
-def _iter_slabs(path):
+def _iter_slabs(path, scalars: int):
     """Yield the checked shape, then the slabs.  Started by its first
     ``next``, the generator owns the open file from then on."""
     what = os.fspath(path)
@@ -310,7 +325,8 @@ def _iter_slabs(path):
         end = _file_size(fh)
         shape = _tensor_shape(fh, end, what)
         yield shape
-        yield from _PieceReader(fh, shape, end, what).pieces(len(shape) - 1, 0, shape[-1])
+        reader = _PieceReader(fh, shape, end, what, scalars)
+        yield from reader.pieces(len(shape) - 1, 0, shape[-1])
 
 
 class _Crc32Writer:
@@ -347,41 +363,48 @@ def read_sketch(path) -> TuckerSketch:
     A payload holding NaN or Inf is rejected: a sketch that is not finite
     would poison every merge and recovery made from it.
 
-    The body (all but the checksum) is read once and parsed from memory, so
-    it ends exactly where the checksum starts; a sketch is small by design.
+    The file is read twice: once in ``_READ_CHUNK_BYTES`` pieces for the
+    checksum, so a damaged file fails as a checksum mismatch before any
+    parse error, then parsed with every array read straight into place,
+    stopping where the checksum starts.  So the read holds the arrays it
+    parses (and the sketch's own copies of them), never the file body.
     """
     what = os.fspath(path)
     with open(path, "rb") as fh:
-        body = fh.read(max(_file_size(fh) - 4, 0))
-        tail = fh.read()
-    if len(tail) != 4:
-        raise FileFormatError(f"{what}: too short to hold a checksum")
-    if zlib.crc32(body) != struct.unpack("<I", tail)[0]:
-        raise FileFormatError(f"{what}: checksum mismatch, file is corrupt")
-    fh = BytesIO(body)
-    _read_magic(fh, MAGIC_SKETCH, what)
-    n, om_code, phi_code, _pad = _read_exact(fh, 4, what)
-    if n < 1:
-        raise FileFormatError(f"{what}: order must be >= 1")
-    if om_code not in _KIND_NAMES or phi_code not in _KIND_NAMES:
-        raise FileFormatError(f"{what}: unknown map kind code at byte 6")
-    (seed,) = struct.unpack("<Q", _read_exact(fh, 8, what))
-    (density,) = struct.unpack("<d", _read_exact(fh, 8, what))
-    shape, k, s = (struct.unpack(f"<{n}Q", _read_exact(fh, 8 * n, what)) for _ in range(3))
-    try:
-        with warnings.catch_warnings():
-            # s_n <= 2 k_n was warned about when the sketch was made.
-            warnings.simplefilter("ignore", UserWarning)
-            params = SketchParams(k=k, s=s, master_seed=seed, omega_kind=_KIND_NAMES[om_code],
-                                  phi_kind=_KIND_NAMES[phi_code], density=density)
-    except ValueError as exc:
-        raise FileFormatError(f"{what}: invalid parameters ({exc})") from exc
-    vs = tuple(_read_array(fh, (shape[i], k[i]), len(body), what) for i in range(n))
-    core = _read_array(fh, s, len(body), what)
-    _read_end(fh, len(body), what)
+        end = _file_size(fh) - 4
+        if end < 0:
+            raise FileFormatError(f"{what}: too short to hold a checksum")
+        crc = 0
+        for chunk in iter(lambda: fh.read(min(_READ_CHUNK_BYTES, end - fh.tell())), b""):
+            crc = zlib.crc32(chunk, crc)
+        if fh.read() != struct.pack("<I", crc):
+            raise FileFormatError(f"{what}: checksum mismatch, file is corrupt")
+        fh.seek(0)
+        _read_magic(fh, MAGIC_SKETCH, what, end)
+        n, om_code, phi_code, _pad = _read_exact(fh, 4, what, end)
+        if n < 1:
+            raise FileFormatError(f"{what}: order must be >= 1")
+        if om_code not in _KIND_NAMES or phi_code not in _KIND_NAMES:
+            raise FileFormatError(f"{what}: unknown map kind code at byte 6")
+        seed, density = struct.unpack("<Qd", _read_exact(fh, 16, what, end))
+        shape, k, s = (struct.unpack(f"<{n}Q", _read_exact(fh, 8 * n, what, end))
+                       for _ in range(3))
+        try:
+            with warnings.catch_warnings():
+                # s_n <= 2 k_n was warned about when the sketch was made.
+                warnings.simplefilter("ignore", UserWarning)
+                params = SketchParams(k=k, s=s, master_seed=seed,
+                                      omega_kind=_KIND_NAMES[om_code],
+                                      phi_kind=_KIND_NAMES[phi_code], density=density)
+        except ValueError as exc:
+            raise FileFormatError(f"{what}: invalid parameters ({exc})") from exc
+        vs = tuple(_read_array(fh, (shape[i], k[i]), end, what) for i in range(n))
+        core = _read_array(fh, s, end, what)
+        _read_end(fh, end, what)
     named = [(f"factor sketch {i}", v) for i, v in enumerate(vs)] + [("core sketch", core)]
     for name, a in named:
-        if not np.isfinite(a).all():
+        # min and max propagate NaN and hold no temporary the size of ``a``.
+        if not (math.isfinite(a.min()) and math.isfinite(a.max())):
             raise FileFormatError(f"{what}: non-finite values in the {name}")
     return TuckerSketch(params=params, shape=shape, factor_sketches=vs, core_sketch=core)
 
@@ -466,7 +489,7 @@ def read_update_stream(path) -> tuple[tuple[int, ...], Iterator[UpdateRecord]]:
     array of its own (its on-disk layout), which the sketcher contracts in
     place.  ``read_stream_pieces`` reads the same records in bounded pieces.
     """
-    pieces = _iter_stream(path, whole=True)
+    pieces = _iter_stream(path, None)
     return next(pieces), _as_records(pieces)
 
 
@@ -491,20 +514,21 @@ def read_stream_pieces(path) -> tuple[tuple[int, ...], Iterator[Piece]]:
     valid only until the next is requested.  The file closes when the
     iterator is exhausted or dropped.
     """
-    pieces = _iter_stream(path, whole=False)
+    pieces = _iter_stream(path, _READ_SLAB_SCALARS)
     shape = next(pieces)
     return shape, (p for _, p in pieces)
 
 
-def _iter_stream(path, whole: bool):
+def _iter_stream(path, scalars: int | None):
     """Yield the checked shape, then ``(full, piece)`` for every piece of
-    every record, ``full`` telling a full record from a slab record.  Started
-    by its first ``next``, the generator owns the open file from then on."""
+    every record (pieces of ``scalars``, as ``_PieceReader`` cuts them),
+    ``full`` telling a full record from a slab record.  Started by its first
+    ``next``, the generator owns the open file from then on."""
     what = os.fspath(path)
     with open(path, "rb") as fh:
         _, shape = _read_header(fh, MAGIC_STREAM, what)
         yield shape
-        reader = _PieceReader(fh, shape, _file_size(fh), what, whole)
+        reader = _PieceReader(fh, shape, _file_size(fh), what, scalars)
         for record in itertools.count():
             tag = fh.read(1)
             if tag == b"":

@@ -7,8 +7,8 @@ Two routes from a sketch:
   ``Q_n^T`` on every mode (so the reconstruction is the orthogonal
   projection of ``X`` onto the tensor product of the spans).  The core is
   linear in ``X``, so it is summed over last-mode slabs; a tensor file is
-  read in slabs of at most 8 MiB (one plane at the least) and never held
-  in memory whole.
+  read in slabs of at most 1 MiB (one plane at the least), never held in
+  memory whole, so the pass holds little more than its small outputs.
 * ``one_pass_recover`` touches only the sketch: it undoes the core map of
   each mode in the least squares sense, ``W = H x_n pinv(Phi_n^T Q_n)``,
   from one SVD of the small ``s_n x k_n`` system.
@@ -107,13 +107,14 @@ def two_pass_recover(x, sk: TuckerSketch) -> RecoveryReport:
 
     ``x`` is an array or the path of a TKTN1 file.  The core sums, over
     last-mode slabs of ``x``, each slab contracted with every ``Q_n^T``,
-    the last cut to the slab's rows.  A file is read in the slabs of
-    :func:`~tuckersketch.io.read_tensor_slabs`; an array is one slab.
+    the last cut to the slab's rows.  A file is read in the recovery slabs
+    of :func:`~tuckersketch.io.read_tensor_slabs` (at most 1 MiB, one plane
+    at the least); an array is one slab.
     Raises ``ValueError`` naming the slab after which the core is not
     finite (NaN or Inf in the data).
     """
     if isinstance(x, (str, os.PathLike)):
-        shape, slabs = read_tensor_slabs(x)
+        shape, slabs = read_tensor_slabs(x, recovery=True)
         where = f"{os.fspath(x)}: "
     else:
         a = np.asarray(x, dtype=np.float64)
@@ -148,6 +149,8 @@ def one_pass_recover(sk: TuckerSketch) -> RecoveryReport:
     solves ``(Phi_n^T Q_n) W = H`` in the least squares sense: one SVD of
     the small system gives its pseudo-inverse, which ``mode_product``
     applies to the core, and its condition number, which the report keeps.
+    The residual ``||new x_n Z - H||`` of each solve is taken in the
+    back-projection's own buffer.
     Raises :class:`RankDeficientCoreError` when a system is numerically
     singular (condition number past 1e12, or zero).
     """
@@ -166,8 +169,11 @@ def one_pass_recover(sk: TuckerSketch) -> RecoveryReport:
             )
         conditions.append(float(sv[0] / sv[-1]))
         new = mode_product(core, n, vt.T @ (u.T / sv[:, None]))
-        residuals.append(fro_norm(mode_product(new, n, z) - core))
+        back = mode_product(new, n, z)
+        back -= core
+        residuals.append(fro_norm(back))
         core = new
+        del back  # so it is not held beside the next mode's products
     fact = TuckerFactorization(core=core, factors=bases.matrices)
     return RecoveryReport(
         factorization=fact,

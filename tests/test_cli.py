@@ -128,6 +128,31 @@ class TestSketchCommand:
         assert data["payload_bytes_folded"] == slab.nbytes
         assert data["elapsed_seconds"] > 0
 
+    @pytest.mark.parametrize("maps", [["--drm", "trp"], ["--drm", "gaussian"],
+                                      ["--drm", "ssrft", "--core-drm", "gaussian"]])
+    def test_density_without_a_sparse_sign_map_is_usage_error(
+        self, tmp_path, capsys, exact_tensor, maps
+    ):
+        # The density would be written into the header and change nothing
+        # else, so merge would refuse two such shards as different sketches.
+        xfile, out = tmp_path / "x.tktn", tmp_path / "s.tksk"
+        write_tensor(xfile, exact_tensor)
+        rc = main(["sketch", "--input", str(xfile), "--rank", "3", *maps, "--density", "0.5",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "--density sets the nonzero fraction of sparse_sign maps" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("maps", [["--drm", "sparse_sign"],
+                                      ["--drm", "trp", "--core-drm", "sparse_sign"]])
+    def test_density_reaches_a_sparse_sign_map(self, tmp_path, exact_tensor, maps):
+        xfile, out = tmp_path / "x.tktn", tmp_path / "s.tksk"
+        write_tensor(xfile, exact_tensor)
+        rc = main(["sketch", "--input", str(xfile), "--rank", "3", *maps, "--density", "0.5",
+                   "--out", str(out)])
+        assert rc == 0
+        assert read_sketch(out).params.density == 0.5
+
     def test_missing_source_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "s.tksk"
         with pytest.raises(SystemExit) as err:
@@ -394,6 +419,7 @@ class TestStreamedInput:
     @pytest.fixture(autouse=True)
     def small_slabs(self, monkeypatch):
         monkeypatch.setattr(tkio, "_READ_SLAB_SCALARS", 3 * 13 * 13)
+        monkeypatch.setattr(tkio, "_RECOVER_SLAB_SCALARS", 3 * 13 * 13)
 
     @pytest.fixture
     def tensor(self):

@@ -271,6 +271,18 @@ class TestSketchFile:
         with pytest.raises(FileFormatError, match="checksum"):
             read_sketch(path)
 
+    def test_checksum_is_checked_before_the_header(self, tmp_path):
+        # A zero order byte would fail the parse; the checksum fails first.
+        sk = self._sketch()
+        path = tmp_path / "s.tksk"
+        write_sketch(path, sk)
+        raw = bytearray(path.read_bytes())
+        raw[5] = 0
+        raw[-1] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FileFormatError, match="checksum mismatch"):
+            read_sketch(path)
+
     @pytest.mark.parametrize("where", ["factor", "core"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_payload_rejected(self, tmp_path, where, value):
@@ -317,6 +329,17 @@ class TestSketchFile:
 
         with pytest.raises(FileFormatError, match=message):
             read_sketch(self._forged(tmp_path, edit))
+
+    @pytest.mark.parametrize("cut, message", [
+        (30, "truncated at byte 25 (needed 24 more, have 5)"),
+        (100, "truncated at byte 97 (needed 144 more, have 3)"),
+    ], ids=["header", "payload"])
+    def test_short_body_under_a_valid_checksum(self, tmp_path, cut, message):
+        # The parse stops where the checksum starts, never reading into it.
+        path = self._forged(tmp_path, lambda body: body[:cut])
+        with pytest.raises(FileFormatError) as err:
+            read_sketch(path)
+        assert str(err.value) == f"{path}: {message}"
 
     def test_trailing_bytes_under_a_valid_checksum(self, tmp_path):
         path = self._forged(tmp_path, lambda body: body + b"\0\0")

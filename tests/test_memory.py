@@ -18,20 +18,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tuckersketch import cli
 from tuckersketch.cli import main
 from tuckersketch.io import (
     FullUpdate,
     SlabUpdate,
+    read_sketch,
     read_tensor,
     read_tucker,
+    write_sketch,
     write_tensor,
     write_tucker,
     write_update_stream,
 )
-from tuckersketch.recovery import two_pass_recover
+from tuckersketch.recovery import one_pass_recover, two_pass_recover
 from tuckersketch import rng
 from tuckersketch.drm import _SCALARS_PER_WORD, FACTOR_KINDS, DrmSpec, make_drm
-from tuckersketch.sketch import SketchParams, StreamingSketcher, tucker_sketch
+from tuckersketch.sketch import SketchParams, StreamingSketcher, TuckerSketch, tucker_sketch
 from tuckersketch.tensor import (
     TuckerFactorization,
     fro_norm,
@@ -202,6 +205,34 @@ def test_two_pass_recover_reads_f_input_in_place(tensor, sketch):
     assert peak <= 0.25 * tensor.nbytes
 
 
+def test_read_sketch_holds_no_file_body(tmp_path, sketch):
+    # The arrays parsed from the file and the sketch's C-order copies of
+    # them (TuckerSketch copies what it is given); the checksum is taken in
+    # small chunks, and the file body is never held.
+    path = tmp_path / "x.tksk"
+    write_sketch(path, sketch)
+    back, peak = _peak(lambda: read_sketch(path))
+    arrays = sum(a.nbytes for a in (*back.factor_sketches, back.core_sketch))
+    assert peak <= 1.1 * (2 * arrays)
+    np.testing.assert_array_equal(back.core_sketch, sketch.core_sketch)
+
+
+def test_one_pass_recover_holds_one_core_size_temporary():
+    # Order 4, k=11, s=23: the first solve copies the C-order core sketch
+    # to F order beside its 11 x 23^3 product (1.48x the core sketch).  Each
+    # residual is taken in its back-projection's buffer, which is dropped
+    # before the next mode; with the residual in a new array the peak was
+    # 2.5x.
+    shape = (30, 30, 30, 30)
+    params = SketchParams.for_rank(5, master_seed=4, order=4)
+    gen = np.random.default_rng(5)
+    vs = tuple(gen.normal(size=(d, k)) for d, k in zip(shape, params.k))
+    sk = TuckerSketch(params, shape, vs, gen.normal(size=params.s))
+    one_pass_recover(sk)  # first-call allocations stay out of the peak
+    _, peak = _peak(lambda: one_pass_recover(sk))
+    assert peak <= 1.75 * sk.core_sketch.nbytes
+
+
 def test_residual_norm_is_bounded_and_exact(tensor, sketch):
     fact = two_pass_recover(tensor, sketch).factorization
     err, peak = _peak(lambda: tucker_residual_norm(tensor, fact))
@@ -265,6 +296,51 @@ def tensor_file(tmp_path_factory):
     return path, x.nbytes
 
 
+# A recovery reads a 160^3 file in pieces of 5 planes (1 MiB at most).
+_RECOVERY_PIECE = 8 * 160 * 160 * 5
+
+
+def test_two_pass_recover_of_a_file_holds_one_recovery_piece(tensor_file):
+    # One piece, the core and the bases, with a quarter piece to spare for
+    # the piece's first contraction (160 x 21 x 5).  Read in 8 MiB pieces,
+    # the pass peaked at 9.6 MB.
+    path, _ = tensor_file
+    sk = tucker_sketch(read_tensor(path), PARAMS)
+    two_pass_recover(path, sk)  # first-call allocations stay out of the peak
+    report, peak = _peak(lambda: two_pass_recover(path, sk))
+    fact = report.factorization
+    held = fact.core.nbytes + sum(f.nbytes for f in fact.factors)
+    assert peak <= 1.25 * _RECOVERY_PIECE + held
+
+
+@pytest.mark.parametrize("mode", ["one-pass", "two-pass"])
+def test_cli_scoring_holds_a_recovery_piece_and_its_expansion(
+    tmp_path, monkeypatch, tensor_file, mode
+):
+    # Each piece is scored against its part of the Tucker expansion, made
+    # in one piece beside it; a quarter piece more covers the expansion's
+    # intermediates.  Scored in 8 MiB pieces, the peak was 9.0 MB.
+    path, _ = tensor_file
+    skfile = tmp_path / "x.tksk"
+    assert main(["sketch", "--input", str(path), "--rank", "10", "--out", str(skfile)]) == 0
+    score, peaks = cli._normalized_error, []
+
+    def measured(slabs, fact):
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = score(slabs, fact)
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        return out
+
+    monkeypatch.setattr(cli, "_normalized_error", measured)
+    rc, _ = _peak(lambda: main([
+        "recover", "--sketch", str(skfile), "--mode", mode, "--input", str(path),
+        "--trunc", "10", "--out", str(tmp_path / "x.tkz"),
+    ]))
+    assert rc == 0
+    assert len(peaks) == 1 and peaks[0] <= 2.25 * _RECOVERY_PIECE
+
+
 def test_cli_sketch_streams_its_input(tmp_path, tensor_file):
     # The baseline holds what the command loads (its maps, 25600 x 5 at
     # most, draw through the ndtri port and load no scipy), so the
@@ -314,6 +390,21 @@ def test_cli_trp_stream_sketch_loads_no_numpy_random(tmp_path):
         "--drm", "trp", "--out", str(tmp_path / "x.tksk"),
     )
     assert sketch - bare < 32.75 * 2**20
+
+
+def test_cli_two_pass_recover_rss_holds_no_read_buffer(tmp_path, tensor, sketch):
+    # 200^3 (64 MB), r=10, as in the benchmark: two-pass recover reads the
+    # file twice (core, then score) in 1 MiB pieces, about 4.4 MiB above
+    # the bare import.  Read in 8 MiB pieces it read 11.1 MiB above it.
+    path, skfile = tmp_path / "x.tktn", tmp_path / "x.tksk"
+    write_tensor(path, tensor)
+    write_sketch(skfile, sketch)
+    bare = _max_rss_bytes("-c", "import tuckersketch.cli")
+    recover = _max_rss_bytes(
+        "-m", "tuckersketch.cli", "recover", "--sketch", str(skfile), "--mode", "two-pass",
+        "--input", str(path), "--trunc", "10", "--out", str(tmp_path / "x.tkz"),
+    )
+    assert recover - bare < 7 * 2**20
 
 
 def test_cli_two_pass_recover_streams_its_input(tmp_path, tensor_file):

@@ -4,7 +4,9 @@ fixed-rank truncation, and the rotation/truncation commutation."""
 import numpy as np
 import pytest
 
+from tuckersketch import io as tkio
 from tuckersketch.harness import SyntheticSpec, gen_synthetic
+from tuckersketch.io import write_tensor
 from tuckersketch.recovery import (
     RankDeficientCoreError,
     RankInfeasibleError,
@@ -108,6 +110,24 @@ class TestTwoPass:
         x[1, 2, 3] = np.inf
         with pytest.raises(ValueError, match="rows 0:16 of mode 2 made the two-pass core non-finite"):
             two_pass_recover(x, sk)
+
+
+    @pytest.mark.parametrize("planes, pieces", [(1, 11), (3, 4), (11, 1)],
+                             ids=["1-plane", "3-planes", "whole"])
+    def test_file_equals_in_memory(self, tmp_path, monkeypatch, planes, pieces):
+        # Order 4, last mode 11: pieces of 1 plane, of 3 planes (the last
+        # of 2), or the whole tensor, all summed into the same core.
+        x = np.random.default_rng(8).normal(size=(9, 8, 7, 11))
+        sk = tucker_sketch(x, SketchParams.for_rank(2, master_seed=8, order=4))
+        path = tmp_path / "x.tktn"
+        write_tensor(path, x)
+        monkeypatch.setattr(tkio, "_RECOVER_SLAB_SCALARS", planes * 9 * 8 * 7)
+        assert len(list(tkio.read_tensor_slabs(path, recovery=True)[1])) == pieces
+        got = two_pass_recover(path, sk).factorization
+        want = two_pass_recover(x, sk).factorization
+        assert np.abs(got.core - want.core).max() <= 1e-12 * np.abs(want.core).max()
+        for a, b in zip(got.factors, want.factors):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestOnePass:

@@ -9,16 +9,21 @@ atomically.
 8 MiB, ``recover --input`` in slabs of at most 1 MiB (one plane of the last
 mode at the least), so the tensor is never held in memory whole.  ``sketch
 --stream`` reads every full record and every last-mode slab record in 8 MiB
-pieces, from one reused buffer; a slab record along any other mode is held
-whole.  Every piece is folded with ``update_slab``.  A piece along mode
-``m`` generates the rows of each Gaussian or sparse sign factor map
-``Omega_n`` (n != m) that it touches, along any mode, and drops them; it
-contracts ``Omega_m``, the one map it needs whole, last.  So ``sketch
---input`` holds ``Omega_last``, the core maps, one slab and one row block,
-and a mode-0 shard holds ``Omega_0`` and the core maps.  ``sketch --report``
-writes the pieces and payload bytes folded, ``peak_aux_scalars``,
-``held_map_scalars`` (factor and core map entries held) and the elapsed
-time.  ``merge`` reads one sketch file at a time.
+pieces, and every slab record along another mode in boxes, its rows times a
+range of last-mode planes, of at most four core sketches (at most 8 MiB,
+one plane of the record at the least), all into one reused buffer.  Every
+piece is folded with ``update_slab``.  A piece generates the rows of each
+Gaussian or sparse sign factor map that it touches and drops them; a map it
+touches whole (``Omega_m`` for a slab along mode ``m``) is realized whole,
+and contracted last.  A box of fewer than all planes touches no map whole,
+and the rows of ``Omega_last`` it touches are the same for every box of
+its record, so they are kept for the record.  So ``sketch --input`` holds
+``Omega_last``, the core maps, one slab and one row block, and a mode-0
+shard holds the core maps, one box and the rows of ``Omega_last`` its
+record touches.
+``sketch --report`` writes the pieces and payload bytes folded,
+``peak_aux_scalars``, ``held_map_scalars`` (factor and core map entries
+held) and the elapsed time.  ``merge`` reads one sketch file at a time.
 
 A command imports scipy only to draw more than 2^20 Gaussian values in one
 array or map (``rng.ndtri_for``), and ``numpy.random`` only to draw more
@@ -146,7 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "(default 2k+1)")
     pb.add_argument("--drm", choices=FACTOR_KINDS, default="gaussian")
     pb.add_argument("--core-drm", choices=CORE_KINDS, default=None)
-    pb.add_argument("--density", type=float, default=0.1)
+    pb.add_argument("--density", type=float, default=None,
+                    help="nonzero fraction for sparse_sign maps (default 0.1); needs "
+                    "--drm or --core-drm sparse_sign")
     pb.add_argument("--trials", type=int, default=3)
     pb.add_argument("--seed", type=int, default=0)
     pb.add_argument("--trunc", action="store_true",
@@ -162,10 +169,26 @@ def _core_kind(drm: str, core_drm: str | None) -> str:
     return drm if drm in CORE_KINDS else "gaussian"
 
 
-def _params_for(args, order: int) -> SketchParams:
+def _map_kinds(args) -> dict:
+    """The ``SketchParams`` map kinds, and density if given, of ``args``."""
     kinds = {"omega_kind": args.drm, "phi_kind": _core_kind(args.drm, args.core_drm)}
     if args.density is not None:
         kinds["density"] = args.density
+    return kinds
+
+
+def _density_unused(args) -> bool:
+    """Whether ``--density`` is given with no sparse_sign map to use it; if
+    so, says so on stderr (the command exits 2)."""
+    if args.density is None or "sparse_sign" in (args.drm, args.core_drm):
+        return False
+    print("error: --density sets the nonzero fraction of sparse_sign maps; it needs "
+          "--drm or --core-drm sparse_sign", file=sys.stderr)
+    return True
+
+
+def _params_for(args, order: int) -> SketchParams:
+    kinds = _map_kinds(args)
     if args.rank is not None:
         return SketchParams.for_rank(args.rank, args.seed, order=order, **kinds)
     k = per_mode(args.k, order, "--k")
@@ -188,24 +211,32 @@ def _write_report(path: str, summary: dict) -> None:
         fh.write((json.dumps(summary, sort_keys=True, indent=2) + "\n").encode())
 
 
+# Each box of a stream record ends in a product the size of the core sketch,
+# added into it, so a box holds this many core sketches of data (at most
+# 8 MiB, one plane of the record at the least): the record is never held
+# whole, and that fixed cost stays a small share of each box's work.
+_BOX_CORE_SKETCHES = 4
+
+
 def _cmd_sketch(args) -> int:
-    if args.density is not None and "sparse_sign" not in (args.drm, args.core_drm):
-        print("error: --density sets the nonzero fraction of sparse_sign maps; it needs "
-              "--drm or --core-drm sparse_sign", file=sys.stderr)
+    if _density_unused(args):
         return 2
     start = time.perf_counter()
     if args.input is not None:
         path = args.input
         shape, slabs = tkio.read_tensor_slabs(path)
+        params = _params_for(args, len(shape))
         last = len(shape) - 1
         pieces = (tkio.Piece(0, last, offset, slab) for offset, slab in slabs)
     else:
         path = args.stream
-        shape, pieces = tkio.read_stream_pieces(path)
-    acc = StreamingSketcher(shape, _params_for(args, len(shape)))
+        shape = tkio.read_stream_shape(path)
+        params = _params_for(args, len(shape))
+        _, pieces = tkio.read_stream_pieces(path, _BOX_CORE_SKETCHES * math.prod(params.s))
+    acc = StreamingSketcher(shape, params)
     records = folded = payload = 0
     for p in pieces:
-        acc.update_slab(p.mode, p.offset, p.data, p.theta1, p.theta2)
+        acc.update_slab(p.mode, p.offset, p.data, p.theta1, p.theta2, p.last_offset)
         where = (f"rows {p.offset}:{p.offset + p.data.shape[p.mode]} of mode {p.mode}"
                  if args.input is not None else f"record {p.record}")
         _check_finite(acc, f"{path}: {where}")
@@ -314,6 +345,8 @@ def _cmd_bench(args) -> int:
     if args.trials < 1:
         print("error: --trials must be >= 1", file=sys.stderr)
         return 2
+    if _density_unused(args):
+        return 2
     ks = args.k if args.k is not None else (2 * args.rank + 1,)
     ss = args.s if args.s is not None else tuple(2 * k + 1 for k in ks)
     if len(ss) == 1:
@@ -344,9 +377,7 @@ def _cmd_bench(args) -> int:
                 k=(k,) * args.order,
                 s=(s,) * args.order,
                 master_seed=mix64(args.seed, 9001, cell),
-                omega_kind=args.drm,
-                phi_kind=_core_kind(args.drm, args.core_drm),
-                density=args.density,
+                **_map_kinds(args),
             )
             grid.append((data, params))
             cell += 1

@@ -6,19 +6,21 @@ Realizations are deterministic functions of the ``DrmSpec``, so two workers
 holding the same one apply the same map without ever exchanging it.  Every kind
 supports right application ``m @ Omega`` on an ``(q, in_dim)`` operand, and
 the unfolding product ``unfold(x, mode) @ Omega`` read straight from a tensor,
-optionally restricted to the rows of ``Omega`` whose position in the input
-grid lies in one block along one axis (what a slab update needs); both
-contract the tensor where it lies.  Gaussian, sparse sign and SSRFT maps are
-realized as their dense entries.  Gaussian and sparse sign entries are drawn
-one per counter-stream word, row by row, so any list of runs of rows is
-generated alone, a bounded block of words at a time (``rng.fill``): such a
-map holds no entries when it is made, and a product with a block along
-any axis of its input grid generates just the rows the block covers and
-drops them.  A block of ``c`` rows on grid axis ``g`` covers
-``prod(dims[g+1:])`` runs of ``c * prod(dims[:g])`` rows; a block on the
-slowest axis is one run.  The map realizes itself whole, and keeps the
-entries, when a whole grid or its entries are asked for, or once the rows
-generated for blocks would pass ``in_dim``.  An SSRFT map's entries are
+optionally from a box of it, with the rows of ``Omega`` whose position in
+the input grid lies in the box (what a slab update needs, or a box of a
+slab record); both contract the tensor where it lies.  Gaussian, sparse
+sign and SSRFT maps are realized as their dense entries.  Gaussian and
+sparse sign entries are drawn one per counter-stream word, row by row, so
+any list of runs of rows is generated alone, a bounded block of words at a
+time (``rng.fill``): such a map holds no entries when it is made, and a
+product with a box of its input grid generates just the rows the box
+covers and drops them (or keeps them for the next product, if asked).  A
+box that cuts grid axis ``g`` and no lower one is one run of
+``len(rows_g) * prod(dims[:g])`` rows for each of its positions on the axes
+above ``g``; a box that cuts only the slowest axis is one run.  The map
+realizes itself whole, and keeps the entries, when a whole grid or its
+entries are asked for, or once the rows generated for boxes would pass
+``in_dim``.  An SSRFT map's entries are
 generated when it is made, from the permutations, signs and coordinates
 that define it (:class:`SsrftTransform`), with ``numpy.fft``: at sketch
 widths far below ``in_dim``, one GEMM with those entries costs less than
@@ -122,7 +124,8 @@ def drm_storage_cost(spec: DrmSpec) -> DrmStorageCost:
     (``4 * in_dim + out_dim``), TRP its per-mode factors.  This is not the
     memory a realization holds: an SSRFT map holds its ``in_dim * out_dim``
     dense entries, and a Gaussian or sparse sign map holds them once it has
-    realized itself whole (until then, only the rows of one product).
+    realized itself whole (until then, only the rows of one product, or
+    of one kept box).
     """
     dense = spec.in_dim * spec.out_dim
     if spec.kind == "gaussian":
@@ -137,30 +140,28 @@ def drm_storage_cost(spec: DrmSpec) -> DrmStorageCost:
     return DrmStorageCost(scalars=scalars)
 
 
-def _grid(spec: DrmSpec, x, mode: int, axis: int | None, rows: slice | None):
-    """Validate a tensor operand of the map ``spec``; returns it, the full
-    input grid, the grid axis of the block (or None) and ``rows`` resolved."""
+def _grid(spec: DrmSpec, x, mode: int, shape, at):
+    """Validate a tensor operand of the map ``spec``: the box of a tensor of
+    ``shape`` (``x``'s own, if None) that starts at ``at`` (the origin, if
+    None).  Returns it, the full input grid and the box on that grid, one
+    ``slice`` per grid axis."""
     a = np.asarray(x, dtype=np.float64)
     if not 0 <= mode < a.ndim:
         raise ValueError(f"mode {mode} out of range for an order-{a.ndim} tensor")
     dims = a.shape[:mode] + a.shape[mode + 1 :]
     if min(dims, default=1) < 1:
         raise ValueError(f"tensor grid {dims} has an empty axis")
-    if axis is None:
-        if int(np.prod(dims, dtype=np.int64)) != spec.in_dim:
-            raise ValueError(f"tensor grid {dims} does not cover in_dim={spec.in_dim}")
-        return a, dims, None, None
-    if axis == mode or not 0 <= axis < a.ndim:
-        raise ValueError(f"axis {axis} is not a grid axis of mode {mode} in order {a.ndim}")
-    g = axis - (axis > mode)
-    full, rem = divmod(spec.in_dim, int(np.prod(dims, dtype=np.int64)) // dims[g])
-    start, stop, step = rows.indices(full)
-    if rem or step != 1 or stop - start != dims[g]:
-        raise ValueError(
-            f"rows {rows} of the grid axis {g} do not match the tensor's "
-            f"extent {dims[g]} on axis {axis} (grid {dims}, in_dim={spec.in_dim})"
-        )
-    return a, dims[:g] + (full,) + dims[g + 1 :], g, slice(start, stop)
+    full = a.shape if shape is None else tuple(int(d) for d in shape)
+    at = (0,) * a.ndim if at is None else tuple(int(o) for o in at)
+    if len(full) != a.ndim or len(at) != a.ndim or any(
+        o < 0 or o + c > d for o, c, d in zip(at, a.shape, full)
+    ):
+        raise ValueError(f"a box of extents {a.shape} at {at} does not fit the shape {full}")
+    dims = full[:mode] + full[mode + 1 :]
+    if math.prod(dims) != spec.in_dim:
+        raise ValueError(f"tensor grid {dims} does not cover in_dim={spec.in_dim}")
+    box = tuple(slice(o, o + c) for j, (o, c) in enumerate(zip(at, a.shape)) if j != mode)
+    return a, dims, box
 
 
 def _check_operand(m, in_dim: int) -> np.ndarray:
@@ -201,15 +202,20 @@ def _sparse_signs(density: float):
     return values
 
 
-def _block_runs(dims, g: int, rows: slice) -> list[tuple[int, int]]:
+def _block_runs(dims, box) -> list[tuple[int, int]]:
     """The rows ``(start, stop)`` of a map on the grid ``dims`` (axis 0
-    fastest) whose position on grid axis ``g`` lies in ``rows``, in the
-    order of the block's own grid: one run of ``len(rows) * prod(dims[:g])``
-    rows for each position on the axes above ``g``."""
+    fastest) whose position lies in ``box`` (a slice per axis, not all of
+    them whole), in the order of the box's own grid: with ``g`` the lowest
+    axis the box cuts, one run of ``len(box[g]) * prod(dims[:g])`` rows for
+    each position of the box on the axes above ``g``."""
+    g = next(j for j, (rows, d) in enumerate(zip(box, dims)) if rows.stop - rows.start < d)
     inner = math.prod(dims[:g])
-    stride = dims[g] * inner
-    start, stop = rows.start * inner, rows.stop * inner
-    return [(o + start, o + stop) for o in range(0, math.prod(dims[g:]) * inner, stride)]
+    starts, stride = [box[g].start * inner], dims[g] * inner
+    for rows, d in zip(box[g + 1 :], dims[g + 1 :]):
+        starts = [o + p * stride for p in range(rows.start, rows.stop) for o in starts]
+        stride *= d
+    run = (box[g].stop - box[g].start) * inner
+    return [(o, o + run) for o in starts]
 
 
 class _DenseDrm:
@@ -222,20 +228,22 @@ class _DenseDrm:
     :class:`SsrftTransform`, generated when the map is made.
 
     Gaussian and sparse sign entries are generated when first needed.  A
-    product with a block along any axis of the input grid generates just
-    the rows the block covers (runs of rows, see :func:`_block_runs`),
-    until the rows generated that way would pass ``in_dim``; a whole grid,
-    or a block past that budget, realizes the map whole, once, and the map
-    keeps the entries.  So a pass that visits each row once generates each
-    row once, and no sequence of requests generates more than twice the
-    map's entries in all.  Each product records its working memory in
-    ``scratch`` (see :meth:`apply_tensor`).
+    product with a box of the input grid generates just the rows the box
+    covers (runs of rows, see :func:`_block_runs`), until the rows
+    generated that way would pass ``in_dim``; a whole grid, or a box past
+    that budget, realizes the map whole, once, and the map keeps the
+    entries.  So a pass that visits each row once generates each row once,
+    and no sequence of requests generates more than twice the map's entries
+    in all.  A product asked to ``keep`` its rows holds them until the next
+    product, which reuses them if its box is the same.  Each product records
+    its working memory in ``scratch`` (see :meth:`apply_tensor`).
     """
 
     def __init__(self, spec: DrmSpec):
         self.spec = spec
         self.scratch = 0  # scalars the last apply_tensor held at its peak
         self._entries = None
+        self._block = None  # (box, rows) kept for the next product
         self._generated = 0  # rows generated for block products so far
         if spec.kind == "ssrft":
             self._entries = SsrftTransform(spec).materialize()
@@ -261,53 +269,61 @@ class _DenseDrm:
     def entries(self) -> np.ndarray:
         """The dense ``(in_dim, out_dim)`` entries, realized on first use and kept."""
         if self._entries is None:
+            self._block = None
             self._entries = self._rows([(0, self.spec.in_dim)])
         return self._entries
 
     @property
     def held_scalars(self) -> int:
-        """Scalars of the entries the map holds: 0 until it is realized."""
-        return 0 if self._entries is None else self._entries.size
+        """Scalars of the entries the map holds: the whole map once it is
+        realized, and the rows of a kept box."""
+        whole = 0 if self._entries is None else self._entries.size
+        return whole + (0 if self._block is None else self._block[1].size)
 
     def apply_right(self, m: np.ndarray) -> np.ndarray:
         """Compute ``m @ Omega`` for an ``(q, in_dim)`` operand."""
         return _check_operand(m, self.spec.in_dim) @ self.entries
 
-    def apply_tensor(self, x, mode: int, axis: int | None = None, rows: slice | None = None):
+    def apply_tensor(self, x, mode: int, shape=None, at=None, keep: bool = False):
         """Compute ``unfold(x, mode) @ Omega`` straight from the tensor.
 
-        The input grid is the extents of ``x`` other than ``mode`` (lowest
-        axis fastest, as in the unfolding).  With ``axis`` and ``rows``,
-        ``x`` covers only the block ``rows`` of the grid along its axis
-        ``axis`` (the full extent there is what ``in_dim`` leaves), and the
-        product is with the rows of ``Omega`` in that block, in order.
-        Sets ``scratch`` to the scalars held at the product's peak, for an
+        ``x`` is the box of a tensor of ``shape`` (by default, ``x`` is the
+        whole tensor) that starts at ``at``.  The input grid is the extents
+        of that tensor other than ``mode`` (lowest axis fastest, as in the
+        unfolding), and the product is with the rows of ``Omega`` that the
+        box covers on it, in order.  With ``keep``, generated rows are held
+        for the next product, which reuses them for the same box.  Sets
+        ``scratch`` to the scalars held at the product's peak, for an
         F-contiguous ``x``: the entries generated, and the larger of what
         one block of their words needs and the contraction's scratch with
-        the copy of a block of kept entries, if one was made.
+        the copy of a box of kept entries, if one was made.
         """
-        a, dims, g, rows = _grid(self.spec, x, mode, axis, rows)
+        a, dims, box = _grid(self.spec, x, mode, shape, at)
         k, in_dim = self.spec.out_dim, self.spec.in_dim
         met = math.prod(a.shape[:mode] + a.shape[mode + 1 :])  # the map rows x meets
+        w = self._block[1] if self._block is not None and self._block[0] == box else None
+        self._block = None  # rows not reused are dropped before any others are made
+        generated = copied = 0
         fits = met < in_dim and self._generated + met <= in_dim
-        if self._entries is None and g is not None and fits:
-            w = self._rows(_block_runs(dims, g, rows))
+        if w is None and self._entries is None and fits:
+            w = self._rows(_block_runs(dims, box))
             self._generated += met
-            generated, copied = w.size, 0
-        else:
+            generated = w.size
+        elif w is None:
             generated = 0 if self._entries is not None else in_dim * k
             w = self.entries
-            if g is not None:
+            if met < in_dim:
                 # A view with the grid axes reversed (C order, so axis 0 of
-                # the grid varies fastest).  A block of one run of rows stays
-                # a view; any other is copied, even one whose one-row runs
+                # the grid varies fastest).  A box of one run of rows stays a
+                # view; any other is copied, even one whose one-row runs
                 # reshape to a strided view: matmul may round a product with
-                # a strided operand differently, and the block must give the
+                # a strided operand differently, and the box must give the
                 # bits of its generated rows.
                 grid = w.reshape((*dims[::-1], k))
-                block = grid[(slice(None),) * (len(dims) - 1 - g) + (rows,)]
-                w = np.ascontiguousarray(block.reshape((-1, k)))
+                w = np.ascontiguousarray(grid[box[::-1]].reshape((-1, k)))
             copied = 0 if np.may_share_memory(w, self._entries) else w.size
+        if keep and self._entries is None:
+            self._block = (box, w)
         words = _SCALARS_PER_WORD * min(generated, rng.BLOCK_WORDS)
         self.scratch = generated + max(contract_scratch(a.shape, mode, k) + copied, words)
         return contract(a, mode, w)
@@ -472,17 +488,17 @@ class _TrpDrm:
         x = np.reshape(a, (a.shape[0], *self.spec.mode_dims), order="F")
         return apply_trp_factors(x, 0, self.factors)
 
-    def apply_tensor(self, x, mode, axis=None, rows=None):
-        a, dims, g, rows = _grid(self.spec, x, mode, axis, rows)
+    def apply_tensor(self, x, mode, shape=None, at=None, keep=False):
+        """As :meth:`_DenseDrm.apply_tensor`: each factor takes the box's
+        rows of its axis, and ``keep`` has nothing to keep."""
+        a, dims, box = _grid(self.spec, x, mode, shape, at)
         if dims != self.spec.mode_dims:
             raise ValueError(f"grid {dims} is not the trp grid {self.spec.mode_dims}")
-        factors = list(self.factors)
-        if g is not None:
-            factors[g] = factors[g][rows]
+        factors = tuple(f[rows] for f, rows in zip(self.factors, box))
         # apply_trp_factors' first product: out_dim x (the tensor without
         # its last axis, or without axis 0 when ``mode`` is last).
         self.scratch = self.spec.out_dim * a.size // a.shape[0 if mode == a.ndim - 1 else -1]
-        return apply_trp_factors(a, mode, tuple(factors))
+        return apply_trp_factors(a, mode, factors)
 
     def materialize(self) -> np.ndarray:
         """The dense ``(in_dim, out_dim)`` equivalent: the Khatri-Rao product

@@ -9,16 +9,19 @@ leaves a half-written file behind.  Every payload goes out through
 array in place.  Sizes are checked against the end of the file or archive
 member, without seeking, before anything is read.
 
-Tensor files and update streams are read through one piece reader: a
-tensor file, a full stream record and a stream slab record along the last
-mode arrive as last-mode pieces of at most 8 MiB (one plane of the last
-mode at the least), all read into one reused buffer.  A slab record along
-any other mode arrives whole, in the same buffer when it fits.  The command
-line sketches and scores tensor files and streams this way
-(``read_tensor_slabs``, ``read_stream_pieces``), so no tensor or record is
-held in memory whole.  A recovery's passes over a tensor file read pieces
-of at most 1 MiB instead: they contract each piece against k-column bases
-only, so their memory follows what they compute, not what they read.
+Tensor files and update streams are read through one piece reader, which
+cuts every payload along the last mode, where each range of planes is one
+contiguous run of it: a tensor file, a full stream record and a stream slab
+record along the last mode arrive as last-mode pieces of at most 8 MiB (one
+plane of the last mode at the least).  A slab record along any other mode
+arrives as boxes, its rows times a range of last-mode planes, of at most a
+size the caller gives (8 MiB at most, one plane of the record at the
+least).  All are read into one reused buffer.  The command line sketches
+and scores tensor files and streams this way (``read_tensor_slabs``,
+``read_stream_pieces``), so no tensor or record is held in memory whole.  A
+recovery's passes over a tensor file read pieces of at most 1 MiB instead:
+they contract each piece against k-column bases only, so their memory
+follows what they compute, not what they read.
 
 ``TKTN1`` tensor file::
 
@@ -211,37 +214,46 @@ def _read_array(fh, shape: tuple[int, ...], end: int, what: str) -> np.ndarray:
 class _PieceReader:
     """Reads payloads of blocks of a tensor of ``shape`` from ``fh`` in pieces.
 
-    A block along the last mode is read in pieces of at most ``scalars``
-    scalars (one plane at the least), a block along any other mode as one
-    piece.  Pieces are F-order arrays in one reused buffer, so a piece is
-    valid only until the next is read; a piece larger than the buffer's
-    capacity gets an array of its own.  With ``scalars=None`` every block
-    is one piece in an array of its own.
+    Every block is cut along the last mode, where each range of planes is
+    one contiguous run of its F-order payload.  A block along the last mode
+    comes in pieces of at most ``scalars`` scalars; a block along any other
+    mode comes in boxes, its rows of that mode times a range of last-mode
+    planes, of at most ``box`` scalars (``scalars`` if not given, and never
+    more).  One plane of the block is the floor.  Pieces are F-order arrays
+    in one reused buffer, so a piece is valid only until the next is read; a
+    piece larger than the buffer's capacity gets an array of its own.  With
+    ``scalars=None`` every block is one piece in an array of its own.
     """
 
-    def __init__(self, fh, shape: tuple[int, ...], end: int, what: str, scalars: int | None):
+    def __init__(self, fh, shape: tuple[int, ...], end: int, what: str, scalars: int | None,
+                 box: int | None = None):
         self.fh, self.shape, self.end, self.what = fh, shape, end, what
+        self.scalars = scalars
+        self.box = scalars if box is None or scalars is None else min(box, scalars)
         plane = math.prod(shape[:-1])
-        self.step = None if scalars is None else max(1, scalars // plane)
-        self.capacity = 0 if scalars is None else plane * min(self.step, shape[-1])
+        self.capacity = 0 if scalars is None else plane * min(max(1, scalars // plane), shape[-1])
         # Grown to the largest piece read so far, so it never outgrows
         # what the file has been checked to hold.
         self.buf = np.empty(0, dtype="<f8")
 
     def pieces(self, mode: int, offset: int, extent: int):
         """Yield rows ``offset:offset + extent`` of ``mode`` as ``(offset,
-        piece)`` pairs, after checking that the whole payload lies before
-        the end of the file."""
+        last_offset, piece)`` triples, after checking that the whole payload
+        lies before the end of the file.  Along the last mode ``offset`` is
+        each piece's own and ``last_offset`` is None; along any other,
+        ``last_offset`` is the first last-mode plane of each box."""
+        last = len(self.shape) - 1
         dims = self.shape[:mode] + (extent,) + self.shape[mode + 1 :]
-        row = math.prod(dims) // extent
-        _need(self.fh, 8 * row * extent, self.end, self.what)
-        step = self.step if self.step and mode == len(dims) - 1 else extent
-        for j in range(0, extent, step):
-            c = min(step, extent - j)
-            flat = self._flat(row * c)
+        plane = math.prod(dims[:-1])
+        _need(self.fh, 8 * plane * dims[-1], self.end, self.what)
+        budget = self.scalars if mode == last else self.box
+        step = dims[-1] if budget is None else max(1, budget // plane)
+        for j in range(0, dims[-1], step):
+            c = min(step, dims[-1] - j)
+            flat = self._flat(plane * c)
             _read_into(self.fh, flat, self.what)
-            piece = flat.reshape(dims[:mode] + (c,) + dims[mode + 1 :], order="F")
-            yield offset + j, piece.astype(np.float64, copy=False)
+            piece = flat.reshape(dims[:-1] + (c,), order="F").astype(np.float64, copy=False)
+            yield (offset + j, None, piece) if mode == last else (offset, j, piece)
 
     def _flat(self, n: int) -> np.ndarray:
         if n > self.capacity:
@@ -326,7 +338,8 @@ def _iter_slabs(path, scalars: int):
         shape = _tensor_shape(fh, end, what)
         yield shape
         reader = _PieceReader(fh, shape, end, what, scalars)
-        yield from reader.pieces(len(shape) - 1, 0, shape[-1])
+        for offset, _, slab in reader.pieces(len(shape) - 1, 0, shape[-1]):
+            yield offset, slab
 
 
 class _Crc32Writer:
@@ -437,7 +450,11 @@ class Piece(NamedTuple):
     ``theta1 * X + theta2 * data`` (``data`` zero-padded to the full shape).
 
     ``record`` is the index of the stream record the piece belongs to.  Only
-    a record's first piece carries its ``theta1``; the rest carry 1.
+    a record's first piece carries its ``theta1``; the rest carry 1.  A
+    piece of a record along a mode other than the last is a box: it covers
+    last-mode planes ``last_offset:last_offset + data.shape[-1]`` only
+    (``last_offset`` is None along the last mode).  ``update_slab`` takes
+    the fields in this order.
     """
 
     record: int
@@ -446,6 +463,7 @@ class Piece(NamedTuple):
     data: np.ndarray
     theta1: float = 1.0
     theta2: float = 1.0
+    last_offset: int | None = None
 
 
 _REC_FULL = 0
@@ -501,34 +519,45 @@ def _as_records(pieces):
             yield SlabUpdate(p.theta1, p.theta2, p.mode, p.offset, p.data)
 
 
-def read_stream_pieces(path) -> tuple[tuple[int, ...], Iterator[Piece]]:
+def read_stream_shape(path) -> tuple[int, ...]:
+    """The shape in a TKUS1 stream's header, checked."""
+    with open(path, "rb") as fh:
+        return _read_header(fh, MAGIC_STREAM, os.fspath(path))[1]
+
+
+def read_stream_pieces(
+    path, box_scalars: int | None = None
+) -> tuple[tuple[int, ...], Iterator[Piece]]:
     """Open a TKUS1 stream: returns the shape and a lazy iterator of pieces.
 
     A full record, or a slab record along the last mode, arrives as
     last-mode pieces of at most ``_READ_SLAB_SCALARS`` scalars (8 MiB), or
-    one plane if a plane is larger; a slab record along any other mode
-    arrives whole.  Folding every piece with ``update_slab`` folds the
-    stream.  Each record's payload is checked against the end of the file
-    before its first piece is read.  Pieces share one reused buffer (a
-    slab record too large for it gets an array of its own), so a piece is
-    valid only until the next is requested.  The file closes when the
+    one plane if a plane is larger.  A slab record along any other mode
+    arrives as boxes, its rows times a range of last-mode planes, of at
+    most ``box_scalars`` scalars (never more than 8 MiB), or one plane of
+    the record if that is larger.  Folding every piece with ``update_slab``
+    folds the stream.  Each record's payload is checked against the end of
+    the file before its first piece is read.  Pieces share one reused
+    buffer (a piece too large for it gets an array of its own), so a piece
+    is valid only until the next is requested.  The file closes when the
     iterator is exhausted or dropped.
     """
-    pieces = _iter_stream(path, _READ_SLAB_SCALARS)
+    pieces = _iter_stream(path, _READ_SLAB_SCALARS, box_scalars)
     shape = next(pieces)
     return shape, (p for _, p in pieces)
 
 
-def _iter_stream(path, scalars: int | None):
+def _iter_stream(path, scalars: int | None, box: int | None = None):
     """Yield the checked shape, then ``(full, piece)`` for every piece of
-    every record (pieces of ``scalars``, as ``_PieceReader`` cuts them),
-    ``full`` telling a full record from a slab record.  Started by its first
-    ``next``, the generator owns the open file from then on."""
+    every record (pieces of ``scalars`` and boxes of ``box``, as
+    ``_PieceReader`` cuts them), ``full`` telling a full record from a slab
+    record.  Started by its first ``next``, the generator owns the open
+    file from then on."""
     what = os.fspath(path)
     with open(path, "rb") as fh:
         _, shape = _read_header(fh, MAGIC_STREAM, what)
         yield shape
-        reader = _PieceReader(fh, shape, _file_size(fh), what, scalars)
+        reader = _PieceReader(fh, shape, _file_size(fh), what, scalars, box)
         for record in itertools.count():
             tag = fh.read(1)
             if tag == b"":
@@ -550,8 +579,9 @@ def _iter_stream(path, scalars: int | None):
                 raise FileFormatError(
                     f"{what}: unknown record type {kind} at byte {fh.tell() - 17}"
                 )
-            for at, data in reader.pieces(mode, offset, extent):
-                yield kind == _REC_FULL, Piece(record, mode, at, data, theta1, theta2)
+            for at, last_offset, data in reader.pieces(mode, offset, extent):
+                yield kind == _REC_FULL, Piece(record, mode, at, data, theta1, theta2,
+                                               last_offset)
                 theta1 = 1.0
 
 

@@ -9,11 +9,13 @@ shards simply add.
 
 Every map but a TRP factor map acts as its dense entries, TRP as its
 per-mode factors (see ``drm``); each contracts the tensor where it lies.
-Every update folds in as a slab: it asks each map for the row block the
-slab touches, and a dense update is the one slab that spans the last mode.
-A Gaussian or sparse sign factor map generates such a block from its seed,
-whatever mode the slab lies along, so it need not be held whole; only the
-map of the slab's own mode needs every row, and it is contracted last.
+Every update folds in as a box of the tensor: it asks each map for the
+rows the box touches.  A slab is a box cut along one mode, a box of a
+stream record one cut along its mode and the last, and a dense update the
+box that is the whole tensor.  A Gaussian or sparse sign factor map
+generates such rows from its seed, whatever the box, so it need not be held
+whole; only a map that the box touches whole (the map of a slab's own mode)
+needs every row, and it is contracted last.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import rng
 from .drm import CORE_KINDS, FACTOR_KINDS, DrmSpec, make_drm
-from .tensor import multi_mode_product, per_mode
+from .tensor import multi_mode_product, multi_mode_scratch, per_mode
 
 _ROLE_OMEGA = 101
 _ROLE_PHI = 202
@@ -183,8 +185,11 @@ class StreamingSketcher:
     full, realizes itself whole on first use and is kept, as is a map whose
     rows generated for slabs would pass its ``in_dim`` (see
     ``drm._DenseDrm``).  ``Omega_m`` is contracted after the other modes,
-    so the rows they generate are dropped before it is realized; each
-    ``V_n`` is its own product, so the order moves no bits.
+    so the rows they generate are dropped before it is realized.  A box of
+    a slab along mode ``m`` != last, cut to a range of last-mode planes
+    (``update_slab``'s ``last_offset``), touches no map whole: each map
+    generates its rows, and ``Omega_last``, whose rows depend only on the
+    box's rows of mode ``m``, keeps them for the next box of the record.
     ``held_map_scalars`` counts the map entries held.  Updates are
     contracted in Fortran order, the layout of every file payload: an
     F-contiguous update is read in place, any other layout is copied to F
@@ -192,11 +197,12 @@ class StreamingSketcher:
     ``peak_aux_scalars`` is the most working memory any single update held
     at once: that F copy, if one was made, the entries of maps realized
     during the update, and the largest step's scratch: the core sketch's
-    (its first, full-size contraction, or the core itself) or the
-    ``scratch`` a factor map records for the product it just ran (the rows
-    or whole map it generated, with one block of counter-stream words, then
-    the kernel's batch product with any block of kept entries it copied, or
-    TRP's first contraction).
+    (the largest pair of consecutive products in its chain, the core
+    itself included; see ``tensor.multi_mode_scratch``) or the ``scratch``
+    a factor map records for the product it just ran (the rows or whole map
+    it generated, with one block of counter-stream words, then the kernel's
+    batch product with any block of kept entries it copied, or TRP's first
+    contraction).
     """
 
     def __init__(self, shape, params: SketchParams, *, init: TuckerSketch | None = None):
@@ -251,16 +257,20 @@ class StreamingSketcher:
         a, held = self._fortran(f)
         if a.shape != self.shape:
             raise ValueError(f"update has shape {a.shape}, expected {self.shape}")
-        self._fold(a.ndim - 1, 0, a, held, theta1, theta2)
+        self._fold((0,) * a.ndim, a, held, theta1, theta2)
 
     def update_slab(
-        self, mode: int, offset: int, slab, theta1: float = 1.0, theta2: float = 1.0
+        self, mode: int, offset: int, slab, theta1: float = 1.0, theta2: float = 1.0,
+        last_offset: int | None = None,
     ) -> None:
         """Fold in an update supported on ``offset:offset+c`` along one mode.
 
-        ``slab`` carries full extents on every other mode.  Equivalent to
-        ``update_dense`` on the zero-padded tensor, at slab cost: each map
-        contracts the slab with only the rows of it that the slab touches.
+        ``slab`` carries full extents on every other mode, except that with
+        ``last_offset``, a slab along a mode other than the last covers only
+        planes ``last_offset:last_offset + slab.shape[-1]`` of the last mode:
+        a box, as a stream record is read.  Equivalent to ``update_dense`` on
+        the zero-padded tensor, at slab cost: each map contracts the slab
+        with only the rows of it that the slab touches.
         """
         a, held = self._fortran(slab)
         n_modes = len(self.shape)
@@ -268,54 +278,58 @@ class StreamingSketcher:
             raise ValueError(f"mode {mode} out of range")
         if a.ndim != n_modes:
             raise ValueError(f"slab has order {a.ndim}, expected {n_modes}")
-        c = a.shape[mode]
+        at = {mode: offset}
+        if last_offset is not None:
+            if mode == n_modes - 1:
+                raise ValueError("last_offset cuts a slab along another mode than the "
+                                 "last to a box of last-mode planes")
+            at[n_modes - 1] = last_offset
         for m in range(n_modes):
-            if m != mode and a.shape[m] != self.shape[m]:
+            if m not in at and a.shape[m] != self.shape[m]:
                 raise ValueError(
                     f"slab extent {a.shape[m]} in mode {m} does not match {self.shape[m]}"
                 )
-        if c < 1 or offset < 0 or offset + c > self.shape[mode]:
-            raise ValueError(
-                f"rows {offset}:{offset + c} fall outside extent {self.shape[mode]}"
-            )
-        self._fold(mode, offset, a, held, theta1, theta2)
+        for m, o in at.items():
+            c = a.shape[m]
+            if c < 1 or o < 0 or o + c > self.shape[m]:
+                raise ValueError(f"rows {o}:{o + c} fall outside extent {self.shape[m]}")
+        self._fold(tuple(at.get(m, 0) for m in range(n_modes)), a, held, theta1, theta2)
 
-    def _fold(
-        self, mode: int, offset: int, a: np.ndarray, held: int, theta1: float, theta2: float
-    ) -> None:
+    def _fold(self, at, a: np.ndarray, held: int, theta1: float, theta2: float) -> None:
         """Scale the sketch by ``theta1`` and add ``theta2`` times the sketch
-        of the checked F-contiguous slab ``a`` at ``offset`` along ``mode``;
-        ``held`` is the scalars of the copy made to get ``a``."""
+        of the checked F-contiguous box ``a`` of the tensor that starts at
+        ``at``; ``held`` is the scalars of the copy made to get ``a``."""
         self._scale(theta1)
-        rows = slice(offset, offset + a.shape[mode])
+        rows = [slice(o, o + c) for o, c in zip(at, a.shape)]
+        cut = {n for n, (c, d) in enumerate(zip(a.shape, self.shape)) if c < d}
 
-        # Core sketch: full maps on every mode except `mode`, where only the
-        # slab's row block of Phi_mode contributes.  A thin slab's block maps
-        # c <= s rows to s, so multi_mode_product applies it last.  It comes
-        # first, before any factor map realizes itself for good.
-        blocks = [(n, p.T) for n, p in enumerate(self._phis) if n != mode]
-        blocks.append((mode, self._phis[mode][rows].T))
-        first = a.size * min(m.shape[0] / a.shape[n] for n, m in blocks)
-        self._note_aux(held + max(first, self._h.size))
+        # Core sketch: each Phi_n restricted to the box's rows of mode n (a
+        # thin box's block maps c <= s rows to s, so multi_mode_product
+        # applies it last).  It comes first, before any factor map realizes
+        # itself for good.
+        blocks = [(n, p[r].T) for n, (p, r) in enumerate(zip(self._phis, rows))]
+        self._note_aux(held + multi_mode_scratch(a.shape, blocks))
         core = multi_mode_product(a, blocks)
         core *= theta2
         self._h += core
         del core
 
-        # Factor sketches of the other modes: the map rows whose multi-index
-        # hits the slab along `mode`.  Then the slab's own mode, whose map
-        # acts on the other modes, which the slab covers in full: it needs
-        # every row, so it comes last, and a map that realizes itself whole
-        # for it is not yet held while the others' rows are.  A map's scratch
-        # counts its own product; entries it realizes count from then on.
+        # Factor sketches: Omega_n contracts the box with the map rows whose
+        # multi-index hits it on every cut mode but n.  A map whose grid no
+        # mode cuts needs every row (the slab's own mode, or any mode of a
+        # dense update), so it comes last, and a map that realizes itself
+        # whole for it is not yet held while the others' rows are.  Omega_last
+        # keeps its rows for a box cut along the last mode: every box of a
+        # record along another mode meets the same rows of it.  A map's
+        # scratch counts its own product; entries it realizes count from
+        # then on.  Each V_n is its own product, so the order moves no bits.
         before = self.held_map_scalars
-        for n in [*range(mode), *range(mode + 1, len(self._omegas)), mode]:
+        last = len(self.shape) - 1
+        for n in sorted(range(len(self._omegas)), key=lambda n: not cut - {n}):
             om = self._omegas[n]
             kept = self.held_map_scalars - before
-            if n == mode:
-                self._v[n][rows] += theta2 * om.apply_tensor(a, n)
-            else:
-                self._v[n] += theta2 * om.apply_tensor(a, n, axis=mode, rows=rows)
+            part = om.apply_tensor(a, n, self.shape, at, keep=n == last and last in cut)
+            self._v[n][rows[n]] += theta2 * part
             self._note_aux(held + kept + om.scratch)
 
     @property

@@ -18,6 +18,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -220,10 +221,27 @@ def multi_mode_product(x, matrices: Iterable[tuple[int, np.ndarray]]) -> np.ndar
         _check_mode(a.ndim, mode)
         if m.ndim != 2:
             raise ValueError("mode_product expects a matrix")
-    pairs.sort(key=lambda p: (p[1].shape[0] / a.shape[p[0]], -p[0]))
-    for mode, m in pairs:
+    for mode, m in _product_order(a.shape, pairs):
         a = mode_product(a, mode, m)
     return a
+
+
+def _product_order(shape, pairs):
+    """``(mode, matrix)`` pairs in the order :func:`multi_mode_product`
+    applies them to a tensor of ``shape``."""
+    return sorted(pairs, key=lambda p: (p[1].shape[0] / shape[p[0]], -p[0]))
+
+
+def multi_mode_scratch(shape, matrices) -> int:
+    """Scalars :func:`multi_mode_product` holds at its peak for a tensor of
+    ``shape``, beyond the tensor: each product is made while the one before
+    it is alive, so the peak is the largest two consecutive intermediates
+    (the first product, and the result, included)."""
+    dims, sizes = list(shape), [0]
+    for mode, m in _product_order(shape, matrices):
+        dims[mode] = m.shape[0]
+        sizes.append(math.prod(dims))
+    return max(a + b for a, b in zip(sizes, sizes[1:]))
 
 
 def inner(x, y) -> float:

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tuckersketch import cli
 from tuckersketch import io as tkio
 from tuckersketch import rng
 from tuckersketch.cli import main
@@ -107,10 +108,13 @@ class TestSketchCommand:
             rtol=0, atol=1e-12 * max(1, np.abs(want.core_sketch).max()),
         )
 
-    def test_report_of_a_mode_0_shard_holds_one_factor_map(self, tmp_path):
+    def test_report_of_a_mode_0_shard_holds_no_factor_map_whole(self, tmp_path):
         # A 40-row mode-0 shard of a 160^3 tensor at r=10, as in the
-        # benchmark: Omega_1 and Omega_2 generate the quarter of their rows
-        # the shard touches, and only Omega_0 (25600 x 21) is held whole.
+        # benchmark: boxes of four 43^3 core sketches at most are 49 planes
+        # of 40 x 160, so the shard comes in 4 boxes.  Each generates the
+        # rows of Omega_0 and Omega_1 it touches and drops them; the rows of
+        # Omega_2 it touches (6400 x 21) are the same for every box, and
+        # are kept.  Folded whole, the shard held Omega_0 (25600 x 21).
         slab = np.random.default_rng(6).normal(size=(40, 160, 160))
         stream, out, report = tmp_path / "u.tkus", tmp_path / "s.tksk", tmp_path / "r.json"
         write_update_stream(stream, (160, 160, 160), [SlabUpdate(1.0, 1.0, 0, 40, slab)])
@@ -121,11 +125,16 @@ class TestSketchCommand:
         params = SketchParams.for_rank(10, 0, order=3, omega_kind="sparse_sign",
                                        phi_kind="ssrft")
         acc = StreamingSketcher((160, 160, 160), params)
-        acc.update_slab(0, 40, np.asfortranarray(slab))  # read in place, as the command does
-        assert data["held_map_scalars"] == 25600 * 21 + 3 * 160 * 43 == acc.held_map_scalars
+        for j in range(0, 160, 49):  # F-order boxes, as the command reads them
+            acc.update_slab(0, 40, np.asfortranarray(slab[..., j : j + 49]), 1.0, 1.0, j)
+        assert data["held_map_scalars"] == 6400 * 21 + 3 * 160 * 43 == acc.held_map_scalars
         assert data["peak_aux_scalars"] == acc.peak_aux_scalars
-        assert data["pieces_folded"] == 1
+        assert data["pieces_folded"] == 4
         assert data["payload_bytes_folded"] == slab.nbytes
+        got, want = read_sketch(out), acc.sketch()
+        for a, b in zip((*got.factor_sketches, got.core_sketch),
+                        (*want.factor_sketches, want.core_sketch)):
+            np.testing.assert_array_equal(a, b)
         assert data["elapsed_seconds"] > 0
 
     @pytest.mark.parametrize("maps", [["--drm", "trp"], ["--drm", "gaussian"],
@@ -678,6 +687,36 @@ class TestBenchCommand:
         rc = main(["bench", "--side", "8", "--rank", "2", "--trials", "0",
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("maps", [["--drm", "trp"], ["--drm", "gaussian"],
+                                      ["--drm", "ssrft", "--core-drm", "gaussian"]])
+    def test_density_without_a_sparse_sign_map_is_usage_error(self, tmp_path, capsys, maps):
+        # The CSV has no density column, so an unused density would pass
+        # unseen.
+        out = tmp_path / "b.csv"
+        rc = main(["bench", "--side", "12", "--rank", "2", "--trials", "1", *maps,
+                   "--density", "0.5", "--out", str(out)])
+        assert rc == 2
+        assert "--density sets the nonzero fraction of sparse_sign maps" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("maps, density", [
+        (["--drm", "sparse_sign", "--density", "0.5"], 0.5),
+        (["--drm", "trp", "--core-drm", "sparse_sign", "--density", "0.5"], 0.5),
+        (["--drm", "sparse_sign"], 0.1),
+    ], ids=["factor", "core", "default"])
+    def test_density_reaches_a_sparse_sign_map(self, tmp_path, monkeypatch, maps, density):
+        grids, run = [], cli.run_experiment
+
+        def recorded(grid, **kwargs):
+            grids.append(grid)
+            return run(grid, **kwargs)
+
+        monkeypatch.setattr(cli, "run_experiment", recorded)
+        out = tmp_path / "b.csv"
+        assert main(["bench", "--side", "12", "--rank", "2", "--trials", "1", *maps,
+                     "--out", str(out)]) == 0
+        assert [params.density for _, params in grids[0]] == [density]
 
 
     def test_poly_decay_scheme(self, tmp_path):

@@ -93,8 +93,8 @@ def test_top_raw_word_stays_below_one(monkeypatch, count):
     x = np.ones((1, 3, 1))  # rows 3:6 of a (3, 2) grid: its slowest axis
     sparse = DrmSpec("sparse_sign", 6, 2, seed=1, density=1.0)
     assert np.all(make_drm(sparse).entries == 1.0)
-    assert np.all(make_drm(sparse).apply_tensor(x, 0, axis=2, rows=slice(1, 2)) == 3.0)
-    block = make_drm(DrmSpec("gaussian", 6, 2, seed=1)).apply_tensor(x, 0, axis=2, rows=slice(1, 2))
+    assert np.all(make_drm(sparse).apply_tensor(x, 0, (1, 3, 2), (0, 0, 1)) == 3.0)
+    block = make_drm(DrmSpec("gaussian", 6, 2, seed=1)).apply_tensor(x, 0, (1, 3, 2), (0, 0, 1))
     assert np.all(np.isfinite(block))
 
 
@@ -348,30 +348,39 @@ def _block(entries, shape, mode, axis, r0, r1):
     return block.reshape((-1, entries.shape[1]))
 
 
+def _at(order, axis, start):
+    """The origin of a slab that starts at ``start`` along ``axis``."""
+    return tuple(start if j == axis else 0 for j in range(order))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_block_products_equal_products_with_whole_entries(data):
-    # A slab along any grid axis, at orders 3 and 4: its rows of the map are
-    # generated in runs, which cross word blocks anywhere; same bits.
+    # A box cut along one or more grid axes, at orders 3 and 4: its rows of
+    # the map are generated in runs, which cross word blocks anywhere; same
+    # bits.
     kind = data.draw(st.sampled_from(["gaussian", "sparse_sign"]))
     order = data.draw(st.sampled_from([3, 4]))
     shape = tuple(data.draw(st.lists(st.integers(1, 5), min_size=order, max_size=order)))
     mode = data.draw(st.integers(0, order - 1))
-    axis = data.draw(st.sampled_from([j for j in range(order) if j != mode]))
-    r0 = data.draw(st.integers(0, shape[axis] - 1))
-    r1 = data.draw(st.integers(r0 + 1, shape[axis]))
+    axes = data.draw(st.sets(st.sampled_from([j for j in range(order) if j != mode]),
+                             min_size=1))
+    at, sel = [0] * order, [slice(None)] * order
+    for axis in axes:
+        r0 = data.draw(st.integers(0, shape[axis] - 1))
+        r1 = data.draw(st.integers(r0 + 1, shape[axis]))
+        at[axis], sel[axis] = r0, slice(r0, r1)
     in_dim = int(np.prod(shape)) // shape[mode]
     spec = _counter_spec(kind, in_dim, data.draw(st.integers(1, 4)), data.draw(st.integers(0, 99)))
-    x = np.random.default_rng(r0).normal(size=shape)
-    sel = (slice(None),) * axis + (slice(r0, r1),)
+    x = np.random.default_rng(at[min(axes)]).normal(size=shape)[tuple(sel)]
     whole = make_drm(spec)
     whole.entries  # realized first: the product slices the kept entries
-    want = whole.apply_tensor(x[sel], mode, axis=axis, rows=slice(r0, r1))
+    want = whole.apply_tensor(x, mode, shape, at)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rng, "BLOCK_WORDS", data.draw(st.sampled_from([1, 5, 64])))
         d = make_drm(spec)
-        got = d.apply_tensor(x[sel], mode, axis=axis, rows=slice(r0, r1))
-    assert d.held_scalars == (spec.in_dim * spec.out_dim if r1 - r0 == shape[axis] else 0)
+        got = d.apply_tensor(x, mode, shape, at)
+    assert d.held_scalars == (spec.in_dim * spec.out_dim if x.size == int(np.prod(shape)) else 0)
     assert np.array_equal(_bits(got), _bits(want))
 
 
@@ -392,11 +401,12 @@ def test_one_row_runs_fold_the_same_bits_generated_or_kept(kind, shape, mode, ax
     # the kept entries' block must reach it as a C array, like generated rows.
     spec = _counter_spec(kind, math.prod(shape) // shape[mode], k, seed)
     x = np.random.default_rng(1).normal(size=shape)[(slice(None),) * axis + (rows,)]
+    at = _at(len(shape), axis, rows.start)
     whole = make_drm(spec)
     whole.entries
-    want = whole.apply_tensor(x, mode, axis=axis, rows=rows)
+    want = whole.apply_tensor(x, mode, shape, at)
     d = make_drm(spec)
-    got = d.apply_tensor(x, mode, axis=axis, rows=rows)
+    got = d.apply_tensor(x, mode, shape, at)
     assert d.held_scalars == 0
     assert np.array_equal(_bits(got), _bits(want))
 
@@ -415,14 +425,33 @@ def test_row_blocks_realize_the_map_only_past_in_dim(kind):
                 step = max(1, shape[axis] // 2)
                 for r in range(0, shape[axis], step):
                     sel = (slice(None),) * axis + (slice(r, r + step),)
-                    got = d.apply_tensor(x[sel], mode, axis=axis, rows=slice(r, r + step))
+                    got = d.apply_tensor(x[sel], mode, shape, _at(len(shape), axis, r))
                     want = contract(x[sel], mode, _block(ref, shape, mode, axis, r, r + step))
                     np.testing.assert_array_equal(got, want)
                     assert d.held_scalars == 0
                 sel = (slice(None),) * axis + (slice(0, 1),)
-                d.apply_tensor(x[sel], mode, axis=axis, rows=slice(0, 1))
+                d.apply_tensor(x[sel], mode, shape, _at(len(shape), axis, 0))
                 assert d.held_scalars == spec.in_dim * spec.out_dim
                 assert np.array_equal(_bits(d.entries), _bits(ref))
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "sparse_sign"])
+def test_a_kept_box_is_reused_and_held_until_another_box(kind, monkeypatch):
+    # Rows 1:3 of 4 on grid axis 0 of a (4, 6) grid: 12 rows, generated once
+    # for two products, and held (counted) in between.
+    spec = _counter_spec(kind, 4 * 6, 3, seed=2)
+    d, ref = make_drm(spec), make_drm(spec).entries
+    x = np.random.default_rng(1).normal(size=(2, 2, 6))
+    want = contract(x, 0, _block(ref, (2, 4, 6), 0, 1, 1, 3))
+    made, rows = [], d._rows
+    monkeypatch.setattr(d, "_rows", lambda runs: made.append(runs) or rows(runs))
+    for _ in range(2):
+        got = d.apply_tensor(x, 0, (2, 4, 6), (0, 1, 0), keep=True)
+        assert np.array_equal(_bits(got), _bits(want))
+        assert d.held_scalars == 12 * 3
+    assert len(made) == 1
+    d.apply_tensor(x[:, :1], 0, (2, 4, 6), (0, 0, 0))  # another box, not kept
+    assert d.held_scalars == 0 and len(made) == 2
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "sparse_sign"])
@@ -434,11 +463,11 @@ def test_other_requests_realize_the_map_whole(kind, request_):
         # A block on a grid axis that is not the slowest generates its rows
         # alone, as far as in_dim: rows 1:3 of 4 on axis 0 are 12 of 24.
         for _ in range(2):
-            d.apply_tensor(np.ones((2, 2, 6)), 0, axis=1, rows=slice(1, 3))
+            d.apply_tensor(np.ones((2, 2, 6)), 0, (2, 4, 6), (0, 1, 0))
             assert d.held_scalars == 0
-        d.apply_tensor(np.ones((2, 1, 6)), 0, axis=1, rows=slice(0, 1))  # 30 > 24
+        d.apply_tensor(np.ones((2, 1, 6)), 0, (2, 4, 6), (0, 0, 0))  # 30 > 24
     elif request_ == "all rows":
-        d.apply_tensor(np.ones((2, 4, 6)), 0, axis=2, rows=slice(0, 6))
+        d.apply_tensor(np.ones((2, 4, 6)), 0, (2, 4, 6), (0, 0, 0))
     elif request_ == "entries":
         d.entries
     else:
@@ -497,7 +526,7 @@ def test_apply_rows_matches_materialized_rows(spec, axis, rows):
     # mode 0 of x is the operand's row index; axes 1 and 2 are the grid block
     x = np.random.default_rng(2).normal(size=(3, *block.shape))
     d = make_drm(spec)
-    got = d.apply_tensor(x, 0, axis=axis + 1, rows=rows)
+    got = d.apply_tensor(x, 0, (3, *dims), _at(3, axis + 1, rows.start))
     ref = x.reshape((3, -1), order="F") @ d.materialize()[keep]
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * max(1.0, np.abs(ref).max()))
 
@@ -506,13 +535,13 @@ def test_apply_rows_matches_materialized_rows(spec, axis, rows):
 def test_apply_rows_rejects_bad_blocks(spec):
     d = make_drm(spec)
     with pytest.raises(ValueError):
-        d.apply_tensor(np.zeros((2, 4, 2)), 0, axis=2, rows=slice(0, 3))  # needs 3 rows
+        d.apply_tensor(np.zeros((2, 4, 2)), 0, (2, 4, 6), (0, 0, 5))  # runs past the end
     with pytest.raises(ValueError):
-        d.apply_tensor(np.zeros((2, 5, 2)), 0, axis=2, rows=slice(0, 2))  # grid misses in_dim
+        d.apply_tensor(np.zeros((2, 5, 2)), 0, (2, 5, 6), (0, 0, 0))  # grid misses in_dim
     with pytest.raises(ValueError):
-        d.apply_tensor(np.zeros((2, 4, 2)), 0, axis=3, rows=slice(0, 2))
+        d.apply_tensor(np.zeros((2, 4, 2)), 0, (2, 4, 6, 1), (0, 0, 0, 0))  # order differs
     with pytest.raises(ValueError):
-        d.apply_tensor(np.zeros((2, 4, 0)), 0, axis=2, rows=slice(3, 3))
+        d.apply_tensor(np.zeros((2, 4, 0)), 0, (2, 4, 6), (0, 0, 3))
 
 
 def test_spec_validation():
@@ -664,7 +693,7 @@ class TestSsrft:
             sel = (slice(None),) * axis + (rows,)
             padded = np.zeros(shape)
             padded[sel] = x[sel]
-            got = realized.apply_tensor(x[sel], mode, axis=axis, rows=rows)
+            got = realized.apply_tensor(x[sel], mode, shape, _at(3, axis, rows.start))
             want = ref.transform_rows(unfold(padded, mode).T).T
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import json
+import math
 import os
 import stat
 import struct
@@ -492,8 +493,9 @@ class TestUpdateStream:
 
 class TestStreamPieces:
     def test_pieces_cover_every_record(self, tmp_path, monkeypatch):
-        # Pieces of at most 2 planes: the full record of 5 planes comes in
-        # 3, the last-mode slab of 3 planes in 2, the mode-1 slab whole.
+        # Pieces of at most 2 planes of 12: the full record of 5 planes
+        # comes in 3, the last-mode slab of 3 planes in 2; the mode-1 slab
+        # (planes of 8) in boxes of 3 planes and 2.
         monkeypatch.setattr(tkio, "_READ_SLAB_SCALARS", 2 * 4 * 3)
         shape = (4, 3, 5)
         recs = [
@@ -505,21 +507,92 @@ class TestStreamPieces:
         write_update_stream(path, shape, recs)
         got_shape, pieces = tkio.read_stream_pieces(path)
         assert got_shape == shape
-        got = [(p.record, p.mode, p.offset, p.data.shape, p.theta1, p.theta2, p.data.copy())
-               for p in pieces]
-        assert [g[:6] for g in got] == [
-            (0, 1, 1, (4, 2, 5), 0.9, -2.0),
-            (1, 2, 0, (4, 3, 2), 0.5, 3.0),
-            (1, 2, 2, (4, 3, 2), 1.0, 3.0),
-            (1, 2, 4, (4, 3, 1), 1.0, 3.0),
-            (2, 2, 2, (4, 3, 2), 0.7, 1.5),
-            (2, 2, 4, (4, 3, 1), 1.0, 1.5),
+        got = [(p.record, p.mode, p.offset, p.data.shape, p.theta1, p.theta2, p.last_offset,
+                p.data.copy()) for p in pieces]
+        assert [g[:7] for g in got] == [
+            (0, 1, 1, (4, 2, 3), 0.9, -2.0, 0),
+            (0, 1, 1, (4, 2, 2), 1.0, -2.0, 3),
+            (1, 2, 0, (4, 3, 2), 0.5, 3.0, None),
+            (1, 2, 2, (4, 3, 2), 1.0, 3.0, None),
+            (1, 2, 4, (4, 3, 1), 1.0, 3.0, None),
+            (2, 2, 2, (4, 3, 2), 0.7, 1.5, None),
+            (2, 2, 4, (4, 3, 1), 1.0, 1.5, None),
         ]
-        np.testing.assert_array_equal(got[0][6], recs[0].slab)
-        np.testing.assert_array_equal(np.concatenate([g[6] for g in got[1:4]], axis=2),
+        np.testing.assert_array_equal(np.concatenate([g[7] for g in got[:2]], axis=2),
+                                      recs[0].slab)
+        np.testing.assert_array_equal(np.concatenate([g[7] for g in got[2:5]], axis=2),
                                       recs[1].tensor)
-        np.testing.assert_array_equal(np.concatenate([g[6] for g in got[4:]], axis=2),
+        np.testing.assert_array_equal(np.concatenate([g[7] for g in got[5:]], axis=2),
                                       recs[2].slab)
+
+    @pytest.mark.parametrize("box", [1, 20, 45, 200, None])
+    def test_boxes_cover_each_record_once_in_order(self, tmp_path, monkeypatch, box):
+        # Boxes of at most `box` scalars, never more than 60 (5 planes of
+        # 12), one plane of the record at the least: a mode-0 record's
+        # plane is 3 x 4 = 12, a mode-1 record's 5 x 2 = 10.
+        monkeypatch.setattr(tkio, "_READ_SLAB_SCALARS", 5 * 12)
+        shape = (5, 4, 7)
+        recs = [
+            SlabUpdate(0.5, 2.0, mode=0, offset=1, slab=_tensor((3, 4, 7), 1)),
+            SlabUpdate(1.0, -1.0, mode=1, offset=2, slab=_tensor((5, 2, 7), 2)),
+        ]
+        path = tmp_path / "u.tkus"
+        write_update_stream(path, shape, recs)
+        _, pieces = tkio.read_stream_pieces(path, box)
+        got = [(p.record, p.mode, p.offset, p.last_offset, p.data.copy()) for p in pieces]
+        for i, rec in enumerate(recs):
+            mine = [g for g in got if g[0] == i]
+            plane = rec.slab[..., 0].size
+            limit = max(plane, min(box or math.inf, 5 * 12))
+            assert all(g[1:3] == (rec.mode, rec.offset) for g in mine)
+            planes = [g[4].shape[-1] for g in mine]
+            assert [g[3] for g in mine] == [sum(planes[:i]) for i in range(len(planes))]
+            assert all(g[4].size <= limit for g in mine)
+            assert len(mine) == -(-7 // (limit // plane))  # as few boxes as fit
+            np.testing.assert_array_equal(np.concatenate([g[4] for g in mine], axis=2), rec.slab)
+        assert [g[0] for g in got] == sorted(g[0] for g in got)
+
+    def test_theta1_applies_once_per_record(self, tmp_path):
+        # Only a record's first box carries its theta1, so folding the boxes
+        # decays the sketch once, as folding the record whole does.
+        shape = (6, 5, 8)
+        x = _tensor(shape, 3)
+        path = tmp_path / "u.tkus"
+        write_update_stream(path, shape, [
+            FullUpdate(1.0, 1.0, x),
+            SlabUpdate(0.5, 2.0, mode=1, offset=1, slab=_tensor((6, 3, 8), 4)),
+        ])
+        _, pieces = tkio.read_stream_pieces(path, 3 * 6 * 3)
+        params = SketchParams.for_rank(1, 4, order=3)
+        boxed, whole = StreamingSketcher(shape, params), StreamingSketcher(shape, params)
+        thetas = []
+        for p in pieces:
+            boxed.update_slab(p.mode, p.offset, p.data, p.theta1, p.theta2, p.last_offset)
+            thetas.append((p.record, p.theta1, p.theta2))
+        assert thetas == [(0, 1.0, 1.0), (1, 0.5, 2.0), (1, 1.0, 2.0), (1, 1.0, 2.0)]
+        _, records = read_update_stream(path)
+        for rec in records:
+            if isinstance(rec, FullUpdate):
+                whole.update_dense(rec.tensor, rec.theta1, rec.theta2)
+            else:
+                whole.update_slab(rec.mode, rec.offset, rec.slab, rec.theta1, rec.theta2)
+        for a, b in zip((*boxed.sketch().factor_sketches, boxed.sketch().core_sketch),
+                        (*whole.sketch().factor_sketches, whole.sketch().core_sketch)):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * np.abs(b).max())
+
+    def test_truncated_box_record_fails_before_its_first_box(self, tmp_path):
+        # A mode-0 record that would come in boxes of one plane each.
+        shape = (4, 3, 5)
+        path = tmp_path / "u.tkus"
+        write_update_stream(path, shape, [SlabUpdate(1.0, 1.0, 0, 1, _tensor((2, 3, 5)))])
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(FileFormatError) as want:
+            list(read_update_stream(path)[1])
+        _, pieces = tkio.read_stream_pieces(path, 1)
+        with pytest.raises(FileFormatError) as got:
+            next(pieces)
+        assert str(got.value) == str(want.value)
+        assert "truncated at byte 64 (needed 240 more, have 239)" in str(got.value)
 
     def test_pieces_share_one_buffer(self, tmp_path, monkeypatch):
         # A mode-0 slab that fits the buffer is read into it too.

@@ -104,6 +104,28 @@ def test_mode_0_slab_holds_one_factor_map(kind):
     assert peak < slab.nbytes
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "sparse_sign"])
+def test_boxed_record_holds_no_factor_map_whole(kind):
+    # The same slab as a record in 4 boxes of 40 planes: Omega_0 and
+    # Omega_1 generate the rows each box touches and drop them, and Omega_2
+    # keeps the rows the record touches (6400 x 21), the same for every box.
+    # Folded whole, the slab held Omega_0 (25600 x 21, 4.3 MB).
+    shape = (160, 160, 160)
+    params = SketchParams.for_rank(10, master_seed=17, order=3, omega_kind=kind, phi_kind=kind)
+    slab = np.random.default_rng(7).normal(size=(40, 160, 160))
+    boxes = [(j, np.asfortranarray(slab[..., j : j + 40])) for j in range(0, 160, 40)]
+
+    def fold(acc):
+        for j, box in boxes:
+            acc.update_slab(0, 40, box, 1.0, 1.0, j)
+
+    fold(StreamingSketcher(shape, params))  # first-call allocations
+    acc = StreamingSketcher(shape, params)
+    _, peak = _peak(lambda: fold(acc))
+    assert peak < 8 * params.omega_spec(shape, 0).in_dim * params.k[0]
+    assert acc.held_map_scalars == 40 * 160 * 21 + 3 * 160 * 43
+
+
 def test_update_dense_reads_f_input_in_place(tensor):
     acc = StreamingSketcher(SHAPE, PARAMS)
     _, peak = _peak(lambda: acc.update_dense(tensor))
@@ -136,6 +158,30 @@ def test_peak_aux_scalars_tracks_every_map_kind(om, layout, step, shape):
         _, peak = _peak(lambda: acc.update_slab(1, 10, x[:, 10:14, :]))
     reported = 8 * acc.peak_aux_scalars
     assert peak / 2 <= reported <= 2 * peak
+
+
+@pytest.mark.parametrize("piece", ["last-mode", "box"])
+def test_peak_aux_scalars_counts_both_first_core_products(piece):
+    # 40^4, TRP maps at r=5 (s=23): the core step's first two products
+    # (40^3 x 23 x 16 planes, then 40^2 x 23^2 x 16) are alive together;
+    # counting only the first, a 16-plane last-mode piece reported 704,000
+    # scalars against tracemalloc's 927,607.
+    shape = (40, 40, 40, 40)
+    x = np.asfortranarray(np.random.default_rng(12).normal(size=shape))
+    params = SketchParams.for_rank(5, master_seed=3, order=4, omega_kind="trp")
+    box = np.asfortranarray(x[:, 8:16, :, 8:24])  # 8 rows of mode 1 times 16 planes
+
+    def update(acc):
+        if piece == "last-mode":
+            acc.update_slab(3, 8, x[..., 8:24])
+        else:
+            acc.update_slab(1, 8, box, 1.0, 1.0, 8)
+
+    update(StreamingSketcher(shape, params))  # first-call allocations
+    acc = StreamingSketcher(shape, params)
+    _, peak = _peak(lambda: update(acc))
+    reported = 8 * acc.peak_aux_scalars
+    assert peak / 1.25 <= reported <= 1.25 * peak
 
 
 @pytest.mark.parametrize(
@@ -369,6 +415,23 @@ def test_cli_sketch_streams_its_records(tmp_path):
         "--out", str(tmp_path / "x.tksk"),
     )
     assert sketch - bare < 0.6 * x.nbytes
+
+
+def test_cli_sketch_of_a_mode_0_shard_holds_neither_record_nor_map(tmp_path):
+    # One 40-row mode-0 record of a 160^3 tensor (8.2 MB), sparse_sign and
+    # SSRFT maps at r=10, as a benchmark shard.  Read and folded in boxes of
+    # 49 planes, it read 8.1 MiB above the bare import; read whole beside
+    # Omega_0 (4.3 MB), 16.7 MiB.  The factor maps have more than 2^16
+    # words, so numpy.random loads in both.
+    slab = np.random.default_rng(10).normal(size=(40, 160, 160))
+    path = tmp_path / "shard.tkus"
+    write_update_stream(path, (160, 160, 160), [SlabUpdate(1.0, 1.0, 0, 40, slab)])
+    bare = _max_rss_bytes("-c", "import tuckersketch.cli, numpy.random")
+    sketch = _max_rss_bytes(
+        "-m", "tuckersketch.cli", "sketch", "--stream", str(path), "--rank", "10",
+        "--drm", "sparse_sign", "--core-drm", "ssrft", "--out", str(tmp_path / "x.tksk"),
+    )
+    assert sketch - bare < 1.5 * slab.nbytes
 
 
 def test_cli_trp_stream_sketch_loads_no_numpy_random(tmp_path):

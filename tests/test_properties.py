@@ -3,7 +3,10 @@
 For each factor map kind (Omega) and core map kind (Phi), over random
 orders 2-4, extents, slab positions and update weights:
 
-* a slab update equals the dense update of the zero-padded slab;
+* a slab update equals the dense update of the zero-padded slab, and so
+  does a box update (a slab cut to a range of last-mode planes, as a stream
+  record is read), at mode 0 and at a middle mode of an order-4 tensor;
+* a record's boxes sum to its whole slab update;
 * the sketch is linear in the data;
 * sketches of slab shards merge to the sketch of the whole, in any grouping;
 * the sketch does not depend on the input's memory layout, bit for bit.
@@ -34,9 +37,10 @@ weights = st.floats(-3.0, 3.0)
 
 
 @st.composite
-def cases(draw, om, phi):
-    """A shape, sketch parameters valid for it, and a seed for the data."""
-    shape = tuple(draw(st.lists(st.integers(2, 6), min_size=2, max_size=4)))
+def cases(draw, om, phi, orders=(2, 4)):
+    """A shape of an order in ``orders``, sketch parameters valid for it,
+    and a seed for the data."""
+    shape = tuple(draw(st.lists(st.integers(2, 6), min_size=orders[0], max_size=orders[1])))
     k = tuple(draw(st.integers(1, min(2, d))) for d in shape)
     s = tuple(draw(st.integers(kn, d)) for kn, d in zip(k, shape))
     with warnings.catch_warnings():
@@ -56,8 +60,18 @@ def slabs(draw, shape):
     return mode, offset, c
 
 
+@st.composite
+def spans(draw, extent):
+    """``(offset, c)``: rows ``offset:offset + c`` of an extent."""
+    offset = draw(st.integers(0, extent - 1))
+    return offset, draw(st.integers(1, extent - offset))
+
+
 def _block(ndim, mode, offset, c):
     return tuple(slice(offset, offset + c) if m == mode else slice(None) for m in range(ndim))
+
+
+BOX_MODES = pytest.mark.parametrize("mode", [0, 1], ids=["mode-0", "middle-mode"])
 
 
 def _assert_sketch_close(got, want, tol=1e-11):
@@ -84,6 +98,49 @@ def test_slab_update_equals_padded_dense_update(om, phi, data):
     dense_acc = StreamingSketcher(shape, params, init=base)
     dense_acc.update_dense(padded, theta1, theta2)
     _assert_sketch_close(slab_acc.sketch(), dense_acc.sketch())
+
+
+@KIND_PAIRS
+@BOX_MODES
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_box_update_equals_padded_dense_update(om, phi, mode, data):
+    shape, params, seed = data.draw(cases(om, phi, orders=(4, 4)))
+    (offset, c), (start, q) = data.draw(spans(shape[mode])), data.draw(spans(shape[-1]))
+    theta1, theta2 = data.draw(weights), data.draw(weights)
+    gen = np.random.default_rng(seed)
+    base = tucker_sketch(gen.normal(size=shape), params)
+    sel = _block(4, mode, offset, c)[:-1] + (slice(start, start + q),)
+    padded = np.zeros(shape)
+    padded[sel] = gen.normal(size=padded[sel].shape)
+    box_acc = StreamingSketcher(shape, params, init=base)
+    box_acc.update_slab(mode, offset, padded[sel], theta1, theta2, start)
+    dense_acc = StreamingSketcher(shape, params, init=base)
+    dense_acc.update_dense(padded, theta1, theta2)
+    _assert_sketch_close(box_acc.sketch(), dense_acc.sketch())
+
+
+@KIND_PAIRS
+@BOX_MODES
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_record_boxes_sum_to_its_slab_update(om, phi, mode, data):
+    # Only the first box carries the record's theta1, as the reader hands
+    # them out.
+    shape, params, seed = data.draw(cases(om, phi, orders=(4, 4)))
+    offset, c = data.draw(spans(shape[mode]))
+    cuts = sorted(set(data.draw(st.lists(st.integers(1, shape[-1] - 1), max_size=3))))
+    theta1, theta2 = data.draw(weights), data.draw(weights)
+    gen = np.random.default_rng(seed)
+    base = tucker_sketch(gen.normal(size=shape), params)
+    slab = gen.normal(size=tuple(c if m == mode else d for m, d in enumerate(shape)))
+    whole = StreamingSketcher(shape, params, init=base)
+    whole.update_slab(mode, offset, slab, theta1, theta2)
+    boxed = StreamingSketcher(shape, params, init=base)
+    bounds = [0, *cuts, shape[-1]]
+    for lo, hi in zip(bounds, bounds[1:]):
+        boxed.update_slab(mode, offset, slab[..., lo:hi], theta1 if lo == 0 else 1.0, theta2, lo)
+    _assert_sketch_close(boxed.sketch(), whole.sketch(), tol=1e-12)
 
 
 @KIND_PAIRS

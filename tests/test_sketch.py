@@ -255,6 +255,15 @@ def test_slab_validation():
         acc.update_slab(1, 0, _tensor(0, (8, 3)))
     with pytest.raises(ValueError, match=r"update has shape \(8, 9, 11\)"):
         acc.update_dense(_tensor(0, (8, 9, 11)))
+    # A box of last-mode planes: only a slab along another mode is cut to
+    # one, within the last mode, and without last_offset the last mode is
+    # whole.
+    with pytest.raises(ValueError, match="last_offset cuts a slab along another mode"):
+        acc.update_slab(2, 0, _tensor(0, (8, 9, 4)), 1.0, 1.0, 0)
+    with pytest.raises(ValueError, match="rows 8:12 fall outside extent 10"):
+        acc.update_slab(1, 0, _tensor(0, (8, 3, 4)), 1.0, 1.0, 8)
+    with pytest.raises(ValueError, match="slab extent 4 in mode 2 does not match 10"):
+        acc.update_slab(1, 0, _tensor(0, (8, 3, 4)))
 
 
 def test_structured_maps_never_materialize(monkeypatch):
@@ -331,62 +340,62 @@ def test_mode_0_records_past_the_row_budget_fold_to_pinned_bytes(kind):
 # for the contraction unless it is one run of rows, and an SSRFT map keeps
 # its entries from the start.  k = 1-3, s = 2k + 1, Gaussian core maps.
 _AUX_PINS = {
-    ("gaussian", (6, 5, 4), 1): (119, "120 90 135 174 75 75 27 27 30",
-                                      "47 68 96 51 75 75 27 27 30"),
-    ("gaussian", (6, 5, 4), 2): (223, "220 165 210 324 173 173 125 125 125",
-                                      "145 165 185 149 173 173 125 125 125"),
-    ("gaussian", (6, 5, 4), 3): (327, "363 383 403 474 391 391 343 343 343",
-                                      "363 383 403 367 391 391 343 343 343"),
-    ("gaussian", (12, 9, 10), 1): (411, "540 700 840 828 600 600 27 108 135",
-                                        "117 590 702 150 600 600 27 108 135"),
-    ("gaussian", (12, 9, 10), 2): (791, "990 950 1140 1536 680 680 125 180 225",
-                                        "215 730 840 245 680 680 125 180 225"),
-    ("gaussian", (12, 9, 10), 3): (1171, "1440 1200 1440 2244 823 823 343 343 343",
-                                         "433 870 990 463 823 823 343 343 343"),
-    ("sparse_sign", (6, 5, 4), 1): (119, "120 90 135 174 75 75 27 27 30",
-                                         "47 68 96 51 75 75 27 27 30"),
-    ("sparse_sign", (6, 5, 4), 2): (223, "220 165 210 324 173 173 125 125 125",
-                                         "145 165 185 149 173 173 125 125 125"),
-    ("sparse_sign", (6, 5, 4), 3): (327, "363 383 403 474 391 391 343 343 343",
-                                         "363 383 403 367 391 391 343 343 343"),
-    ("sparse_sign", (12, 9, 10), 1): (411, "540 700 840 828 600 600 27 108 135",
-                                           "117 590 702 150 600 600 27 108 135"),
-    ("sparse_sign", (12, 9, 10), 2): (791, "990 950 1140 1536 680 680 125 180 225",
-                                           "215 730 840 245 680 680 125 180 225"),
-    ("sparse_sign", (12, 9, 10), 3): (1171, "1440 1200 1440 2244 823 823 343 343 343",
-                                            "433 870 990 463 823 823 343 343 343"),
-    ("ssrft", (6, 5, 4), 1): (119, "47 68 96 51 75 75 27 27 30",
-                                   "47 68 96 51 75 75 27 27 30"),
-    ("ssrft", (6, 5, 4), 2): (223, "145 165 185 149 173 173 125 125 125",
-                                   "145 165 185 149 173 173 125 125 125"),
-    ("ssrft", (6, 5, 4), 3): (327, "363 383 403 367 391 391 343 343 343",
-                                   "363 383 403 367 391 391 343 343 343"),
-    ("ssrft", (12, 9, 10), 1): (411, "117 590 702 150 600 600 27 108 135",
-                                     "117 590 702 150 600 600 27 108 135"),
-    ("ssrft", (12, 9, 10), 2): (791, "215 730 840 245 680 680 125 180 225",
-                                     "215 730 840 245 680 680 125 180 225"),
-    ("ssrft", (12, 9, 10), 3): (1171, "433 870 990 463 823 823 343 343 343",
-                                      "433 870 990 463 823 823 343 343 343"),
-    ("trp", (6, 5, 4), 1): (75, "47 67 96 51 75 75 30 30 30",
-                                "47 67 96 51 75 75 30 30 30"),
-    ("trp", (6, 5, 4), 2): (135, "145 165 185 149 173 173 125 125 125",
-                                 "145 165 185 149 173 173 125 125 125"),
-    ("trp", (6, 5, 4), 3): (195, "363 383 403 367 391 391 343 343 343",
-                                 "363 383 403 367 391 391 343 343 343"),
-    ("trp", (12, 9, 10), 1): (155, "180 585 702 150 600 600 108 108 135",
-                                   "180 585 702 150 600 600 108 108 135"),
-    ("trp", (12, 9, 10), 2): (279, "270 675 810 245 680 680 216 216 225",
-                                   "270 675 810 245 680 680 216 216 225"),
-    ("trp", (12, 9, 10), 3): (403, "433 793 918 463 823 823 343 343 343",
-                                   "433 793 918 463 823 823 343 343 343"),
-    ("gaussian", (5, 4, 3, 4), 2): (576, "673 721 721 940 685 745 705 705 705 625 625 625",
-                                         "673 721 721 685 685 745 705 705 705 625 625 625"),
-    ("sparse_sign", (5, 4, 3, 4), 2): (576, "673 721 721 940 685 745 705 705 705 625 625 625",
-                                            "673 721 721 685 685 745 705 705 705 625 625 625"),
-    ("ssrft", (5, 4, 3, 4), 2): (576, "673 721 721 685 685 745 705 705 705 625 625 625",
-                                      "673 721 721 685 685 745 705 705 705 625 625 625"),
-    ("trp", (5, 4, 3, 4), 2): (176, "673 721 721 685 685 745 705 705 705 625 625 625",
-                                    "673 721 721 685 685 745 705 705 705 625 625 625"),
+    ("gaussian", (6, 5, 4), 1): (119, "120 90 135 174 93 93 36 36 48",
+                                      "56 85 123 60 93 93 36 36 48"),
+    ("gaussian", (6, 5, 4), 2): (223, "220 215 260 324 223 223 150 150 175",
+                                      "170 215 260 174 223 223 150 150 175"),
+    ("gaussian", (6, 5, 4), 3): (327, "412 481 550 474 489 489 392 392 441",
+                                      "412 481 550 416 489 489 392 392 441"),
+    ("gaussian", (12, 9, 10), 1): (411, "540 700 840 828 636 636 36 144 180",
+                                        "126 630 756 159 636 636 36 144 180"),
+    ("gaussian", (12, 9, 10), 2): (791, "990 950 1140 1536 780 780 150 280 350",
+                                        "240 800 960 270 780 780 150 280 350"),
+    ("gaussian", (12, 9, 10), 3): (1171, "1440 1200 1440 2244 1019 1019 392 539 588",
+                                         "482 1038 1212 512 1019 1019 392 539 588"),
+    ("sparse_sign", (6, 5, 4), 1): (119, "120 90 135 174 93 93 36 36 48",
+                                         "56 85 123 60 93 93 36 36 48"),
+    ("sparse_sign", (6, 5, 4), 2): (223, "220 215 260 324 223 223 150 150 175",
+                                         "170 215 260 174 223 223 150 150 175"),
+    ("sparse_sign", (6, 5, 4), 3): (327, "412 481 550 474 489 489 392 392 441",
+                                         "412 481 550 416 489 489 392 392 441"),
+    ("sparse_sign", (12, 9, 10), 1): (411, "540 700 840 828 636 636 36 144 180",
+                                           "126 630 756 159 636 636 36 144 180"),
+    ("sparse_sign", (12, 9, 10), 2): (791, "990 950 1140 1536 780 780 150 280 350",
+                                           "240 800 960 270 780 780 150 280 350"),
+    ("sparse_sign", (12, 9, 10), 3): (1171, "1440 1200 1440 2244 1019 1019 392 539 588",
+                                            "482 1038 1212 512 1019 1019 392 539 588"),
+    ("ssrft", (6, 5, 4), 1): (119, "56 85 123 60 93 93 36 36 48",
+                                   "56 85 123 60 93 93 36 36 48"),
+    ("ssrft", (6, 5, 4), 2): (223, "170 215 260 174 223 223 150 150 175",
+                                   "170 215 260 174 223 223 150 150 175"),
+    ("ssrft", (6, 5, 4), 3): (327, "412 481 550 416 489 489 392 392 441",
+                                   "412 481 550 416 489 489 392 392 441"),
+    ("ssrft", (12, 9, 10), 1): (411, "126 630 756 159 636 636 36 144 180",
+                                     "126 630 756 159 636 636 36 144 180"),
+    ("ssrft", (12, 9, 10), 2): (791, "240 800 960 270 780 780 150 280 350",
+                                     "240 800 960 270 780 780 150 280 350"),
+    ("ssrft", (12, 9, 10), 3): (1171, "482 1038 1212 512 1019 1019 392 539 588",
+                                      "482 1038 1212 512 1019 1019 392 539 588"),
+    ("trp", (6, 5, 4), 1): (75, "56 85 123 60 93 93 36 36 48",
+                                "56 85 123 60 93 93 36 36 48"),
+    ("trp", (6, 5, 4), 2): (135, "170 215 260 174 223 223 150 150 175",
+                                 "170 215 260 174 223 223 150 150 175"),
+    ("trp", (6, 5, 4), 3): (195, "412 481 550 416 489 489 392 392 441",
+                                 "412 481 550 416 489 489 392 392 441"),
+    ("trp", (12, 9, 10), 1): (155, "180 630 756 159 636 636 108 144 180",
+                                   "180 630 756 159 636 636 108 144 180"),
+    ("trp", (12, 9, 10), 2): (279, "270 800 960 270 780 780 216 280 350",
+                                   "270 800 960 270 780 780 216 280 350"),
+    ("trp", (12, 9, 10), 3): (403, "482 1038 1212 512 1019 1019 392 539 588",
+                                   "482 1038 1212 512 1019 1019 392 539 588"),
+    ("gaussian", (5, 4, 3, 4), 2): (576, "798 971 971 940 810 995 830 830 830 750 750 875",
+                                         "798 971 971 810 810 995 830 830 830 750 750 875"),
+    ("sparse_sign", (5, 4, 3, 4), 2): (576, "798 971 971 940 810 995 830 830 830 750 750 875",
+                                            "798 971 971 810 810 995 830 830 830 750 750 875"),
+    ("ssrft", (5, 4, 3, 4), 2): (576, "798 971 971 810 810 995 830 830 830 750 750 875",
+                                      "798 971 971 810 810 995 830 830 830 750 750 875"),
+    ("trp", (5, 4, 3, 4), 2): (176, "798 971 971 810 810 995 830 830 830 750 750 875",
+                                    "798 971 971 810 810 995 830 830 830 750 750 875"),
 }
 
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 bad arguments or non-finite data, 3 I/O failure,
 4 malformed file, 5 merge parameter mismatch, 6 infeasible rank, 1 other
-runtime failure.  Diagnostics go to stderr; output files are written
+runtime failure (a rank-deficient core, or a file whose sketch does not fit
+in memory).  Diagnostics go to stderr; output files are written
 atomically.
 
 ``sketch --input`` reads the tensor file in last-mode slabs of at most
@@ -37,6 +38,7 @@ neither.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -233,9 +235,12 @@ def _cmd_sketch(args) -> int:
         shape = tkio.read_stream_shape(path)
         params = _params_for(args, len(shape))
         _, pieces = tkio.read_stream_pieces(path, _BOX_CORE_SKETCHES * math.prod(params.s))
+    # The first piece checks its record against the file, so a forged header
+    # extent fails as a malformed file before the sketcher allocates for it.
+    first = next(pieces, None)
     acc = StreamingSketcher(shape, params)
     records = folded = payload = 0
-    for p in pieces:
+    for p in itertools.chain(() if first is None else (first,), pieces):
         acc.update_slab(p.mode, p.offset, p.data, p.theta1, p.theta2, p.last_offset)
         where = (f"rows {p.offset}:{p.offset + p.data.shape[p.mode]} of mode {p.mode}"
                  if args.input is not None else f"record {p.record}")
@@ -395,6 +400,7 @@ _EXIT_CODES = (
     (RankDeficientCoreError, 1),
     (ValueError, 2),
     (OSError, 3),
+    (MemoryError, 1),
 )
 
 

@@ -139,8 +139,9 @@ class SketchParams:
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    """A read-only C-order copy, so the caller's array stays its own."""
-    a = np.array(a, order="C")
+    """A read-only copy in F order, the layout of file payloads and of the
+    tensor kernels, so the caller's array stays its own."""
+    a = np.array(a, order="F")
     a.flags.writeable = False
     return a
 

@@ -14,6 +14,9 @@ Conventions used throughout the package:
   an F-contiguous tensor in place and copy any other layout to F once, so
   their results do not depend on the input layout; ``mode_product``
   returns F-contiguous tensors, so chained products never copy.
+* :func:`matmul` makes every GEMM: when each matrix product has more than
+  2**19 multiply-adds and the whole at most 2**24, as one-thread BLAS blocks
+  cut from the shapes alone, else as one ``np.matmul`` (called nowhere else).
 """
 
 from __future__ import annotations
@@ -69,9 +72,7 @@ def _fortran(x) -> np.ndarray:
 
 def _split(shape: tuple[int, ...], mode: int) -> tuple[int, int, int]:
     """``(L, I_mode, R)``: the products of the extents before and after ``mode``."""
-    lead = int(np.prod(shape[:mode], dtype=np.int64))
-    trail = int(np.prod(shape[mode + 1 :], dtype=np.int64))
-    return lead, shape[mode], trail
+    return math.prod(shape[:mode]), shape[mode], math.prod(shape[mode + 1 :])
 
 
 # OpenBLAS keeps a GEMM of up to 2**19 multiply-adds on the calling thread
@@ -85,28 +86,31 @@ _SPLIT_MACS = 1 << 24
 
 
 def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``a @ b`` for two matrices, into ``out`` if given.  A product of
-    2**19 to 2**24 multiply-adds runs in blocks along its longest side, each
-    small enough for BLAS to keep on the calling thread."""
-    m, inner = a.shape
-    n = b.shape[1]
+    """``a @ b`` for matrices or stacks of them (a matrix is shared by every
+    item of a stack), into ``out`` if given, cut as the module docstring says:
+    item by item, each in one-thread blocks along its longest side."""
+    m, inner = a.shape[-2:]
+    n = b.shape[-1]
+    stack = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     macs = m * inner * n
-    if not _ONE_THREAD_MACS < macs <= _SPLIT_MACS:
+    if not (_ONE_THREAD_MACS < macs and macs * math.prod(stack) <= _SPLIT_MACS):
         return np.matmul(a, b, out=out)
     if out is None:
-        out = np.empty((m, n))
+        out = np.empty(stack + (m, n))
     side = max(m, inner, n)
     step = max(1, _ONE_THREAD_MACS * side // macs)
-    if side == m:
-        for r in range(0, m, step):
-            np.matmul(a[r : r + step], b, out=out[r : r + step])
-    elif side == n:
-        for c in range(0, n, step):
-            np.matmul(a, b[:, c : c + step], out=out[:, c : c + step])
-    else:
-        np.matmul(a[:, :step], b[:step], out=out)
-        for i in range(step, inner, step):
-            out += a[:, i : i + step] @ b[i : i + step]
+    for t in np.ndindex(stack):
+        x, y, z = a[t] if a.ndim > 2 else a, b[t] if b.ndim > 2 else b, out[t]
+        if side == m:
+            for r in range(0, m, step):
+                np.matmul(x[r : r + step], y, out=z[r : r + step])
+        elif side == n:
+            for c in range(0, n, step):
+                np.matmul(x, y[:, c : c + step], out=z[:, c : c + step])
+        else:
+            np.matmul(x[:, :step], y[:step], out=z)
+            for i in range(step, inner, step):
+                z += x[:, i : i + step] @ y[i : i + step]
     return out
 
 
@@ -159,7 +163,7 @@ def contract(x, mode: int, w) -> np.ndarray:
     out = np.zeros((extent, k))
     step = _batch_len(a.shape, mode, k)
     for r0 in range(0, trail, step):
-        batch = np.matmul(x3[:, :, r0 : r0 + step].transpose(2, 1, 0), w3[r0 : r0 + step])
+        batch = matmul(x3[:, :, r0 : r0 + step].transpose(2, 1, 0), w3[r0 : r0 + step])
         out += batch.sum(axis=0)
     return out
 
@@ -169,8 +173,8 @@ def mode_product(x, mode: int, matrix) -> np.ndarray:
 
     Equivalent to ``fold(matrix @ unfold(x, mode), mode, new_shape)``.  The
     result is F-contiguous, and an F-contiguous ``x`` is read in place:
-    mode 0 and the last mode are one GEMM each, a middle mode a batch of
-    GEMMs over the trailing modes.
+    mode 0 is one GEMM, any other mode a stack of GEMMs over the trailing
+    modes (one GEMM for the last mode).
     """
     a = _fortran(x)
     _check_mode(a.ndim, mode)
@@ -185,18 +189,8 @@ def mode_product(x, mode: int, matrix) -> np.ndarray:
     x3 = a.reshape((lead, extent, trail), order="F")
     if lead == 1:
         y = matmul(x3[0].T, m.T).T
-    elif trail == 1:
-        y = matmul(m, x3[:, :, 0].T).T
     else:
-        # One GEMM per trailing index; see matmul for when they are split.
-        item = m.shape[0] * extent * lead
-        if _ONE_THREAD_MACS < item and item * trail <= _SPLIT_MACS:
-            y = np.empty((trail, m.shape[0], lead))
-            for t in range(trail):
-                matmul(m, x3[:, :, t].T, out=y[t])
-        else:
-            y = np.matmul(m, x3.transpose(2, 1, 0))
-        y = y.transpose(2, 1, 0)
+        y = matmul(m, x3.transpose(2, 1, 0)).transpose(2, 1, 0)
     new_shape = a.shape[:mode] + (m.shape[0],) + a.shape[mode + 1 :]
     return y.reshape(new_shape, order="F")
 
@@ -338,35 +332,3 @@ def tucker_to_dense(t: TuckerFactorization) -> np.ndarray:
     """Expand a Tucker factorization to a dense tensor."""
     return multi_mode_product(t.core, list(enumerate(t.factors)))
 
-
-def tucker_residual_norm(x, t: TuckerFactorization) -> float:
-    """``fro_norm(x - tucker_to_dense(t))`` without a full-size temporary.
-
-    Sums the squared error over blocks of at most 1/16 of ``x`` each.  A
-    block is a range of mode ``m`` at fixed indices of every mode after it,
-    where ``m`` is the highest mode whose leading slices (all modes before
-    it) fit that budget; so each block is an F-contiguous view of ``x``, and
-    its part of the Tucker expansion uses only its rows of the factors of
-    modes ``m`` and up.
-    """
-    a = _fortran(x)
-    if a.shape != t.shape:
-        raise ValueError(f"tensor has shape {a.shape} but the factorization {t.shape}")
-    budget = max(1, a.size // 16)
-    m, lead = 0, 1
-    while m < a.ndim - 1 and lead * a.shape[m] <= budget:
-        lead *= a.shape[m]
-        m += 1
-    step = max(1, min(a.shape[m], budget // lead))
-    full = list(enumerate(t.factors[:m]))
-    total = 0.0
-    for idx in np.ndindex(a.shape[m + 1 :]):
-        tail = [slice(i, i + 1) for i in idx]
-        for c0 in range(0, a.shape[m], step):
-            sel = [slice(c0, c0 + step)] + tail
-            rows = [(m + j, t.factors[m + j][r]) for j, r in enumerate(sel)]
-            err = multi_mode_product(t.core, full + rows)
-            err -= a[(Ellipsis, *sel)]
-            flat = err.ravel(order="K")
-            total += float(flat @ flat)
-    return float(np.sqrt(total))

@@ -35,7 +35,7 @@ from tuckersketch.sketch import (
     TuckerSketch,
     tucker_sketch,
 )
-from tuckersketch.tensor import fro_norm, tucker_residual_norm
+from tuckersketch.tensor import fro_norm, tucker_to_dense
 
 
 @pytest.fixture
@@ -213,6 +213,49 @@ class TestSketchCommand:
         rc = main(["sketch", "--stream", str(stream), "--rank", "1", "--out", str(out)])
         assert rc == 4
         assert f"error: {stream}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("extent", [10**6, 10**7, 10**9])
+    def test_forged_stream_extent_exits_4_before_the_sketcher(
+        self, tmp_path, monkeypatch, capsys, extent
+    ):
+        # A 9x8x7 stream (one full record, then slab records along modes 2
+        # and 0) whose header claims `extent` rows of mode 0: the first
+        # record must fail against the file before any sketch is allocated.
+        x = np.random.default_rng(8).normal(size=(9, 8, 7))
+        stream = tmp_path / "u.tkus"
+        write_update_stream(stream, x.shape, [
+            FullUpdate(1.0, 1.0, x),
+            SlabUpdate(1.0, 0.5, mode=2, offset=3, slab=x[:, :, 3:5]),
+            SlabUpdate(1.0, 2.0, mode=0, offset=4, slab=x[4:6]),
+        ])
+        data = bytearray(stream.read_bytes())
+        at = len(tkio.MAGIC_STREAM) + 1
+        data[at : at + 8] = struct.pack("<Q", extent)
+        stream.write_bytes(bytes(data))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sketcher made before the first record was checked")
+
+        monkeypatch.setattr(cli, "StreamingSketcher", refuse)
+        out = tmp_path / "s.tksk"
+        rc = main(["sketch", "--stream", str(stream), "--rank", "2", "--out", str(out)])
+        assert rc == 4
+        assert f"error: {stream}: truncated at byte" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_memory_error_exits_1(self, tmp_path, monkeypatch, capsys, exact_tensor):
+        xfile, out = tmp_path / "x.tktn", tmp_path / "x.tksk"
+        write_tensor(xfile, exact_tensor)
+
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 82.0 GiB")
+
+        monkeypatch.setattr(cli, "StreamingSketcher", too_large)
+        rc = main(["sketch", "--input", str(xfile), "--rank", "2", "--out", str(out)])
+        assert rc == 1
+        assert "error: Unable to allocate 82.0 GiB" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -476,7 +519,7 @@ class TestStreamedInput:
                    "--trunc", "2", "--out", str(out), "--report", str(report)])
         assert rc == 0
         got = json.loads(report.read_text())["normalized_error"]
-        want = tucker_residual_norm(tensor, read_tucker(out)) / fro_norm(tensor)
+        want = fro_norm(tensor - tucker_to_dense(read_tucker(out))) / fro_norm(tensor)
         assert got == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("damage", ["truncated", "trailing"])

@@ -35,12 +35,7 @@ from tuckersketch.recovery import one_pass_recover, two_pass_recover
 from tuckersketch import rng
 from tuckersketch.drm import _SCALARS_PER_WORD, FACTOR_KINDS, DrmSpec, make_drm
 from tuckersketch.sketch import SketchParams, StreamingSketcher, TuckerSketch, tucker_sketch
-from tuckersketch.tensor import (
-    TuckerFactorization,
-    fro_norm,
-    tucker_residual_norm,
-    tucker_to_dense,
-)
+from tuckersketch.tensor import TuckerFactorization
 
 ROOT = Path(__file__).resolve().parents[1]
 SHAPE = (200, 200, 200)
@@ -277,26 +272,6 @@ def test_one_pass_recover_holds_one_core_size_temporary():
     one_pass_recover(sk)  # first-call allocations stay out of the peak
     _, peak = _peak(lambda: one_pass_recover(sk))
     assert peak <= 1.75 * sk.core_sketch.nbytes
-
-
-def test_residual_norm_is_bounded_and_exact(tensor, sketch):
-    fact = two_pass_recover(tensor, sketch).factorization
-    err, peak = _peak(lambda: tucker_residual_norm(tensor, fact))
-    assert peak <= 0.25 * tensor.nbytes
-    assert err == pytest.approx(fro_norm(tensor - tucker_to_dense(fact)), rel=1e-12)
-
-
-def test_residual_norm_small_last_mode():
-    # One last-mode column is half the tensor, so blocks split mode 1 too.
-    rng = np.random.default_rng(3)
-    x = np.asfortranarray(rng.normal(size=(400, 400, 2)))
-    fact = TuckerFactorization(
-        core=rng.normal(size=(2, 2, 2)),
-        factors=tuple(rng.normal(size=(d, 2)) for d in x.shape),
-    )
-    err, peak = _peak(lambda: tucker_residual_norm(x, fact))
-    assert peak <= 0.25 * x.nbytes
-    assert err == pytest.approx(fro_norm(x - tucker_to_dense(fact)), rel=1e-12)
 
 
 def test_ssrft_factor_map_slab_update():

@@ -164,7 +164,7 @@ def test_sketch_leaves_the_callers_arrays_alone():
     for mine, held in zip([*vs, h], [*sk.factor_sketches, sk.core_sketch]):
         assert mine.flags.writeable
         assert not np.shares_memory(mine, held)
-        assert held.flags.c_contiguous and not held.flags.writeable
+        assert held.flags.f_contiguous and not held.flags.writeable
         mine[(0,) * mine.ndim] = 5.0
         assert held[(0,) * held.ndim] == 1.0
 

@@ -1,4 +1,5 @@
-"""Source hygiene: no module keeps an import or a private helper it never uses.
+"""Source hygiene: no module keeps an import or a private helper it never uses,
+and one function makes every BLAS product.
 
 Each module of the package (``__init__.py`` aside, which only re-exports)
 is parsed with ``ast``.  A name counts as used when the module loads it
@@ -94,3 +95,28 @@ def test_every_private_method_is_used(path):
         if fn.name not in _loads(tree, skip=fn, kind=ast.Attribute)
     ]
     assert unused == []
+
+
+def _np_matmul_sites() -> list[str]:
+    """``module.function`` of every reference to ``np.matmul`` in the
+    package (``module`` alone at module level)."""
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        stack = [(ast.parse(path.read_text(), filename=str(path)), path.stem)]
+        while stack:
+            node, where = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where = f"{path.stem}.{node.name}"
+            if (isinstance(node, ast.Attribute) and node.attr == "matmul"
+                    and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+                sites.append(where)
+            if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                sites += [where for a in node.names if a.name == "matmul"]
+            stack.extend((child, where) for child in ast.iter_child_nodes(node))
+    return sites
+
+
+def test_np_matmul_is_called_in_tensor_matmul_alone():
+    # tensor.matmul decides how every GEMM is cut into BLAS calls, so no
+    # other function may call np.matmul past it.
+    assert set(_np_matmul_sites()) == {"tensor.matmul"}

@@ -1,5 +1,6 @@
 """Tensor kernel tests against brute-force index-enumeration oracles."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -20,7 +21,6 @@ from tuckersketch.tensor import (
     multi_mode_product,
     per_mode,
     superdiag,
-    tucker_residual_norm,
     tucker_to_dense,
     unfold,
 )
@@ -267,19 +267,65 @@ class TestContractionKernel:
         np.testing.assert_allclose(contract(x, 1, w), unfold(x, 1) @ w, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("dims", [(40, 3, 5), (3, 40, 5), (3, 5, 40), (6, 6, 6)])
-    @pytest.mark.parametrize("layout", ["C", "F", "sliced"])
-    def test_matmul_blocks_equal_one_product(self, monkeypatch, dims, layout):
+    @pytest.mark.parametrize("layout, stacked", [
+        pytest.param(layout, stacked, id="-".join(filter(None, (layout, name))))
+        for stacked, name in [("", ""), ("a", "shared-right"), ("b", "shared-left"),
+                              ("ab", "both-stacked")]
+        for layout in ["C", "F", "sliced"]
+    ])
+    def test_matmul_blocks_equal_one_product(self, monkeypatch, dims, layout, stacked):
         monkeypatch.setattr(tensor_mod, "_ONE_THREAD_MACS", 64)  # blocks of 1 to 4 rows or columns
         m, inner, n = dims
         a, b = _filled((m, 2 * inner), seed=1), _filled((2 * inner, n), seed=2)
+        # A stacked operand has three items, each a multiple of the matrix.
+        a = np.stack([a, -a, 0.5 * a]) if "a" in stacked else a
+        b = np.stack([b, 2.0 * b, -b]) if "b" in stacked else b
         if layout == "sliced":
-            a, b = a[:, ::2], b[::2]
+            a, b = a[..., ::2], b[..., ::2, :]
         else:
-            a, b = np.asarray(a[:, :inner], order=layout), np.asarray(b[:inner], order=layout)
-        np.testing.assert_allclose(matmul(a, b), a @ b, rtol=0, atol=1e-12)
-        out = np.empty((m, n))
+            a = np.asarray(a[..., :inner], order=layout)
+            b = np.asarray(b[..., :inner, :], order=layout)
+        want = np.matmul(a, b)
+        np.testing.assert_allclose(matmul(a, b), want, rtol=0, atol=1e-12)
+        out = np.empty(want.shape)
         assert matmul(a, b, out=out) is out
-        np.testing.assert_allclose(out, a @ b, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+
+    # sha256 of contract and mode_product outputs under the real block sizes,
+    # one case for each way matmul cuts a product: (function, shape, mode,
+    # columns of w or rows of the matrix), and the digest.  Each digest is
+    # the same under one and two OpenBLAS threads; a change to the plan
+    # shows here as the cases whose blocks it moves.
+    _PLAN_PINS = {
+        "row split": (("contract", (2000, 6, 5), 0, 10),
+                      "cf48f5b6f62ec3e99fb9aa71a658627c9f854b4d408afba46c57f464500b8b9e"),
+        "column split": (("mode_product", (20, 15), 0, 2000),
+                         "390439965f7508447cbac115bc46076244b7d404f1819daf566195433385277e"),
+        "inner split": (("contract", (100, 60, 10), 2, 10),
+                        "d73291dc91af7220e5a05fce3aeb7cd9224f34f4eb54abd34bc6ddd8cc37bdb5"),
+        "item by item": (("mode_product", (100, 60, 4), 1, 100),
+                         "3c92629493488ba90fe4f1d0420354caaa403b69ebd1c7d8a0cabe3793a06d3c"),
+        "item by item batch": (("contract", (2000, 30, 4), 1, 10),
+                               "0e002ecc7193b6adcc4c656d30338c9bbc894866c3b36eb660d76cc675034f33"),
+        "whole stack": (("mode_product", (30, 20, 10), 1, 5),
+                        "e89a489d10a66d71604f7726d0062c5f20ea2a75ddb4116306fe424c53299fc8"),
+        "whole stack of large items": (
+            ("mode_product", (10, 3000, 40), 1, 20),
+            "7057537dcb1544742c25de83fbb73706cf38ea07079fdd7b6d73ab430907d88a"),
+        "summed batch": (("contract", (30, 20, 10), 1, 3),
+                         "8e5d9db3bcc2bf0c03a657ab1d643850e57d9616abced909219b994da778ab48"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(_PLAN_PINS))
+    def test_products_keep_their_pinned_bytes(self, case):
+        (fn, shape, mode, k), digest = self._PLAN_PINS[case]
+        gen = np.random.default_rng(len(case))
+        x = np.asfortranarray(gen.normal(size=shape))
+        if fn == "contract":
+            y = contract(x, mode, gen.normal(size=(x.size // shape[mode], k)))
+        else:
+            y = mode_product(x, mode, gen.normal(size=(k, shape[mode])))
+        assert hashlib.sha256(y.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("mode", [0, 1, 2, 3])
     def test_split_contractions_equal_unfold_products(self, monkeypatch, mode):
@@ -299,22 +345,3 @@ class TestContractionKernel:
     def test_rejects_wrong_map_height(self):
         with pytest.raises(ValueError):
             contract(_filled((3, 4, 5)), 1, np.zeros((19, 2)))
-
-
-class TestResidualNorm:
-    @pytest.mark.parametrize("shape", [(7,), (5, 40), (9, 8, 35), (4, 3, 5, 20)])
-    def test_equals_dense_residual(self, shape):
-        rank = tuple(min(2, d) for d in shape)
-        t = TuckerFactorization(
-            core=_filled(rank, seed=30),
-            factors=tuple(_filled((d, r), seed=31 + n) for n, (d, r) in enumerate(zip(shape, rank))),
-        )
-        x = tucker_to_dense(t) + 0.3 * _filled(shape, seed=40)
-        want = fro_norm(x - tucker_to_dense(t))
-        assert tucker_residual_norm(x, t) == pytest.approx(want, rel=1e-12)
-        assert tucker_residual_norm(np.ascontiguousarray(x), t) == pytest.approx(want, rel=1e-12)
-
-    def test_rejects_shape_mismatch(self):
-        t = TuckerFactorization(core=_filled((2, 2)), factors=(_filled((5, 2)), _filled((6, 2))))
-        with pytest.raises(ValueError):
-            tucker_residual_norm(_filled((5, 7)), t)

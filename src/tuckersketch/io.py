@@ -106,9 +106,10 @@ _WRITE_BLOCK_BYTES = 1 << 22
 # Tensor files and stream records are read in last-mode pieces of at most
 # this many scalars (8 MiB), or one plane of the last mode if a plane is larger.
 _READ_SLAB_SCALARS = 1 << 20
-# A recovery's passes over a tensor file (the two-pass core, the error score)
-# read last-mode pieces of at most this many scalars (1 MiB), one plane at
-# the least.
+# A recovery's passes over a tensor file (the two-pass core, which also
+# scores a two-pass error, and the expansion that scores the rest) read
+# last-mode pieces of at most this many scalars (1 MiB), one plane at the
+# least.
 _RECOVER_SLAB_SCALARS = 1 << 17
 # Payloads are read in pieces of this many bytes: a handle without a native
 # ``readinto`` (an archive member) copies through one piece at a time.
@@ -379,8 +380,8 @@ def read_sketch(path) -> TuckerSketch:
     The file is read twice: once in ``_READ_CHUNK_BYTES`` pieces for the
     checksum, so a damaged file fails as a checksum mismatch before any
     parse error, then parsed with every array read straight into place,
-    stopping where the checksum starts.  So the read holds the arrays it
-    parses (and the sketch's own copies of them), never the file body.
+    stopping where the checksum starts.  The sketch takes over the arrays
+    it parses, so the read holds them once, never the file body.
     """
     what = os.fspath(path)
     with open(path, "rb") as fh:
@@ -419,7 +420,8 @@ def read_sketch(path) -> TuckerSketch:
         # min and max propagate NaN and hold no temporary the size of ``a``.
         if not (math.isfinite(a.min()) and math.isfinite(a.max())):
             raise FileFormatError(f"{what}: non-finite values in the {name}")
-    return TuckerSketch(params=params, shape=shape, factor_sketches=vs, core_sketch=core)
+    return TuckerSketch(params=params, shape=shape, factor_sketches=vs, core_sketch=core,
+                        _owned=True)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ Two routes from a sketch:
   projection of ``X`` onto the tensor product of the spans).  The core is
   linear in ``X``, so it is summed over last-mode slabs; a tensor file is
   read in slabs of at most 1 MiB (one plane at the least), never held in
-  memory whole, so the pass holds little more than its small outputs.
+  memory whole, so the pass holds little more than its small outputs.  The
+  same pass sums ``||X||^2``, so the error of any factorization in the
+  spans can be scored without reading ``X`` again.
 * ``one_pass_recover`` touches only the sketch: it undoes the core map of
   each mode in the least squares sense, ``W = H x_n pinv(Phi_n^T Q_n)``,
   from one SVD of the small ``s_n x k_n`` system.
@@ -37,6 +39,7 @@ from .tensor import (
     mode_product,
     multi_mode_product,
     per_mode,
+    sum_sq,
     unfold,
 )
 
@@ -76,7 +79,9 @@ class RecoveryReport:
     ``qr_diag_ratios`` and ``degenerate_modes`` are those of
     :class:`FactorBases`.  ``core_conditions`` holds, for a one-pass
     recovery, the condition number ``sigma_1 / sigma_k`` of each mode's
-    core system ``Phi_n^T Q_n``.
+    core system ``Phi_n^T Q_n``; ``tensor_sq_norm``, for a two-pass
+    recovery, the tensor's sum of squares ``||X||^2``, taken in the same
+    pass as the core.
     """
 
     factorization: TuckerFactorization
@@ -85,6 +90,7 @@ class RecoveryReport:
     qr_diag_ratios: tuple[float, ...]
     core_solver_residuals: tuple[float, ...] = ()
     core_conditions: tuple[float, ...] = ()
+    tensor_sq_norm: float | None = None
 
 
 def factor_bases(sk: TuckerSketch) -> FactorBases:
@@ -107,8 +113,9 @@ def two_pass_recover(x, sk: TuckerSketch) -> RecoveryReport:
 
     ``x`` is an array or the path of a TKTN1 file.  The core sums, over
     last-mode slabs of ``x``, each slab contracted with every ``Q_n^T``,
-    the last cut to the slab's rows.  A file is read in the recovery slabs
-    of :func:`~tuckersketch.io.read_tensor_slabs` (at most 1 MiB, one plane
+    the last cut to the slab's rows; the same pass sums the slabs' squares
+    into ``tensor_sq_norm``.  A file is read in the recovery slabs of
+    :func:`~tuckersketch.io.read_tensor_slabs` (at most 1 MiB, one plane
     at the least); an array is one slab.
     Raises ``ValueError`` naming the slab after which the core is not
     finite (NaN or Inf in the data).
@@ -125,9 +132,11 @@ def two_pass_recover(x, sk: TuckerSketch) -> RecoveryReport:
     *head, q_last = bases.matrices
     blocks = [(n, q.T) for n, q in enumerate(head)]
     core = np.zeros(tuple(q.shape[1] for q in bases.matrices), order="F")
+    sq = 0.0
     for offset, slab in slabs:
         rows = q_last[offset : offset + slab.shape[-1]]
         core += multi_mode_product(slab, blocks + [(len(head), rows.T)])
+        sq += sum_sq(slab)
         if not np.isfinite(core).all():
             raise ValueError(
                 f"{where}rows {offset}:{offset + len(rows)} of mode {len(head)} made "
@@ -139,6 +148,7 @@ def two_pass_recover(x, sk: TuckerSketch) -> RecoveryReport:
         passes=2,
         degenerate_modes=bases.degenerate_modes,
         qr_diag_ratios=bases.qr_diag_ratios,
+        tensor_sq_norm=sq,
     )
 
 

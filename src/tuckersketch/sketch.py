@@ -21,7 +21,7 @@ needs every row, and it is contracted last.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -138,24 +138,31 @@ class SketchParams:
         return make_drm(self.phi_spec(shape, mode)).entries
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    """A read-only copy in F order, the layout of file payloads and of the
-    tensor kernels, so the caller's array stays its own."""
-    a = np.array(a, order="F")
+def _freeze(a: np.ndarray, owned: bool = False) -> np.ndarray:
+    """``a`` read-only in F order, the layout of file payloads and of the
+    tensor kernels: a copy, so the caller's array stays its own, unless
+    nothing else holds ``a`` (``owned``) and it is in F order already."""
+    a = np.array(a, order="F", copy=None if owned else True)
     a.flags.writeable = False
     return a
 
 
 @dataclass(frozen=True)
 class TuckerSketch:
-    """Immutable sketch state: factor sketches plus the core sketch."""
+    """Immutable sketch state: factor sketches plus the core sketch.
+
+    The arrays given are copied, so the caller's stay its own; the package
+    passes ``_owned=True`` for arrays nothing else holds (just parsed from
+    a file, or just summed), which are made read-only where they lie.
+    """
 
     params: SketchParams
     shape: tuple[int, ...]
     factor_sketches: tuple[np.ndarray, ...]
     core_sketch: np.ndarray
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _owned):
         shape = tuple(int(d) for d in self.shape)
         if len(shape) != self.params.order:
             raise ValueError("shape order does not match params")
@@ -170,8 +177,8 @@ class TuckerSketch:
         if h.shape != self.params.s:
             raise ValueError(f"core sketch has shape {h.shape}, expected {self.params.s}")
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "factor_sketches", tuple(_freeze(v) for v in vs))
-        object.__setattr__(self, "core_sketch", _freeze(h))
+        object.__setattr__(self, "factor_sketches", tuple(_freeze(v, _owned) for v in vs))
+        object.__setattr__(self, "core_sketch", _freeze(h, _owned))
 
 
 class StreamingSketcher:
@@ -379,6 +386,7 @@ def sketch_merge(a: TuckerSketch, b: TuckerSketch) -> TuckerSketch:
             va + vb for va, vb in zip(a.factor_sketches, b.factor_sketches)
         ),
         core_sketch=a.core_sketch + b.core_sketch,
+        _owned=True,
     )
 
 

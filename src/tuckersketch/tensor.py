@@ -252,6 +252,13 @@ def fro_norm(x) -> float:
     return float(np.linalg.norm(np.asarray(x, dtype=np.float64).ravel(order="K")))
 
 
+def sum_sq(a: np.ndarray) -> float:
+    """``||a||^2`` as one dot product of the flat view of ``a`` (a copy only
+    if ``a`` is not contiguous); inf, not an exception, past the float range."""
+    flat = a.ravel(order="K")
+    return float(np.dot(flat, flat))
+
+
 def khatri_rao(a, b) -> np.ndarray:
     """Column-wise Kronecker product; operands must agree in column count."""
     am = np.asarray(a, dtype=np.float64)

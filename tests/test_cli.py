@@ -15,6 +15,7 @@ import pytest
 
 from tuckersketch import cli
 from tuckersketch import io as tkio
+from tuckersketch import recovery
 from tuckersketch import rng
 from tuckersketch.cli import main
 from tuckersketch.drm import FACTOR_KINDS
@@ -521,6 +522,86 @@ class TestStreamedInput:
         got = json.loads(report.read_text())["normalized_error"]
         want = fro_norm(tensor - tucker_to_dense(read_tucker(out))) / fro_norm(tensor)
         assert got == pytest.approx(want, rel=1e-12)
+
+    @staticmethod
+    def _count_slabs(monkeypatch) -> list:
+        """Record the offset of every slab any reader of the file yields."""
+        read, offsets = tkio.read_tensor_slabs, []
+
+        def counted(path, recovery=False):
+            shape, slabs = read(path, recovery)
+            return shape, ((offsets.append(offset), (offset, slab))[1]
+                           for offset, slab in slabs)
+
+        monkeypatch.setattr(tkio, "read_tensor_slabs", counted)
+        monkeypatch.setattr(recovery, "read_tensor_slabs", counted)
+        return offsets
+
+    @pytest.mark.parametrize("mode", ["one-pass", "two-pass"])
+    def test_noisy_input_is_read_once(self, tmp_path, monkeypatch, tensor, mode):
+        # 13 last-mode planes in slabs of 3: one-pass scores by expansion
+        # in its one read, two-pass from the pass that makes its core.
+        xfile, skfile = tmp_path / "x.tktn", tmp_path / "x.tksk"
+        write_tensor(xfile, tensor)
+        assert main(["sketch", "--input", str(xfile), "--rank", "3", "--out", str(skfile)]) == 0
+        offsets = self._count_slabs(monkeypatch)
+        rc = main(["recover", "--sketch", str(skfile), "--mode", mode, "--input", str(xfile),
+                   "--trunc", "2", "--out", str(tmp_path / "f.tkz")])
+        assert rc == 0
+        assert offsets == [0, 3, 6, 9, 12]
+
+    def test_exact_input_is_scored_again_by_expansion(self, tmp_path, monkeypatch):
+        # A projected error below 1e-3 has cancelled in ||X||^2 - ||W||^2,
+        # so the file is read a second time and the error expanded.
+        x = gen_synthetic(SyntheticSpec("low_rank_noise", 13, 3, 3, seed=4, gamma=0.0))
+        xfile, skfile = tmp_path / "x.tktn", tmp_path / "x.tksk"
+        write_tensor(xfile, x)
+        assert main(["sketch", "--input", str(xfile), "--rank", "3", "--out", str(skfile)]) == 0
+        offsets = self._count_slabs(monkeypatch)
+        out, report = tmp_path / "f.tkz", tmp_path / "r.json"
+        rc = main(["recover", "--sketch", str(skfile), "--mode", "two-pass", "--input",
+                   str(xfile), "--out", str(out), "--report", str(report)])
+        assert rc == 0
+        assert offsets == [0, 3, 6, 9, 12] * 2
+        assert json.loads(report.read_text())["normalized_error"] <= 1e-9
+
+    @pytest.mark.parametrize("trunc", [[], ["--trunc", "3"]], ids=["rank-k", "trunc"])
+    @pytest.mark.parametrize("gamma", [1e-1, 1e-2, 1e-3])
+    def test_projected_error_matches_expansion(self, tmp_path, monkeypatch, gamma, trunc):
+        # Errors from 1.3e-3 to 0.2: two-pass scores them all from the
+        # pass that makes its core.
+        x = gen_synthetic(SyntheticSpec("low_rank_noise", 13, 3, 3, seed=4, gamma=gamma))
+        xfile, skfile = tmp_path / "x.tktn", tmp_path / "x.tksk"
+        write_tensor(xfile, x)
+        assert main(["sketch", "--input", str(xfile), "--rank", "3", "--out", str(skfile)]) == 0
+
+        def expanded(slabs, fact):
+            raise AssertionError("scored by expansion")
+
+        monkeypatch.setattr(cli, "_normalized_error", expanded)
+        out, report = tmp_path / "f.tkz", tmp_path / "r.json"
+        rc = main(["recover", "--sketch", str(skfile), "--mode", "two-pass", "--input",
+                   str(xfile), *trunc, "--out", str(out), "--report", str(report)])
+        assert rc == 0
+        got = json.loads(report.read_text())["normalized_error"]
+        want = fro_norm(x - tucker_to_dense(read_tucker(out))) / fro_norm(x)
+        assert got == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("mode", ["one-pass", "two-pass"])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_overflowing_squares_exit_2(self, tmp_path, capsys, tensor, mode):
+        # Finite data whose squares pass the float range.
+        xfile, skfile = tmp_path / "x.tktn", tmp_path / "x.tksk"
+        write_tensor(xfile, tensor / np.abs(tensor).max() * 1e200)
+        assert main(["sketch", "--input", str(xfile), "--rank", "3", "--out", str(skfile)]) == 0
+        out, report = tmp_path / "f.tkz", tmp_path / "r.json"
+        capsys.readouterr()
+        rc = main(["recover", "--sketch", str(skfile), "--mode", mode, "--input", str(xfile),
+                   "--out", str(out), "--report", str(report)])
+        assert rc == 2
+        assert "sum of squares is not finite" in capsys.readouterr().err
+        assert not out.exists() and not report.exists()
 
     @pytest.mark.parametrize("damage", ["truncated", "trailing"])
     @pytest.mark.parametrize("command", ["sketch", "recover"])

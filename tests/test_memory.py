@@ -247,14 +247,16 @@ def test_two_pass_recover_reads_f_input_in_place(tensor, sketch):
 
 
 def test_read_sketch_holds_no_file_body(tmp_path, sketch):
-    # The arrays parsed from the file and the sketch's C-order copies of
-    # them (TuckerSketch copies what it is given); the checksum is taken in
+    # The arrays parsed from the file, which the sketch takes over as they
+    # lie (2.03x at r=10 when it copied them); the checksum is taken in
     # small chunks, and the file body is never held.
     path = tmp_path / "x.tksk"
     write_sketch(path, sketch)
     back, peak = _peak(lambda: read_sketch(path))
     arrays = sum(a.nbytes for a in (*back.factor_sketches, back.core_sketch))
-    assert peak <= 1.1 * (2 * arrays)
+    assert peak <= 1.1 * arrays
+    for a in (*back.factor_sketches, back.core_sketch):
+        assert a.flags.f_contiguous and not a.flags.writeable
     np.testing.assert_array_equal(back.core_sketch, sketch.core_sketch)
 
 
@@ -334,14 +336,28 @@ def test_two_pass_recover_of_a_file_holds_one_recovery_piece(tensor_file):
     assert peak <= 1.25 * _RECOVERY_PIECE + held
 
 
+@pytest.fixture(scope="module")
+def exact_tensor_file(tmp_path_factory):
+    """A 160^3 TKTN1 file of Tucker rank 5, which a rank-10 sketch recovers
+    exactly."""
+    gen = np.random.default_rng(11)
+    core = gen.normal(size=(5, 5, 5))
+    factors = tuple(np.linalg.qr(gen.normal(size=(160, 5)))[0] for _ in range(3))
+    path = tmp_path_factory.mktemp("exact") / "x.tktn"
+    write_tensor(path, TuckerFactorization(core=core, factors=factors).to_dense())
+    return path
+
+
 @pytest.mark.parametrize("mode", ["one-pass", "two-pass"])
 def test_cli_scoring_holds_a_recovery_piece_and_its_expansion(
-    tmp_path, monkeypatch, tensor_file, mode
+    tmp_path, monkeypatch, exact_tensor_file, mode
 ):
-    # Each piece is scored against its part of the Tucker expansion, made
-    # in one piece beside it; a quarter piece more covers the expansion's
-    # intermediates.  Scored in 8 MiB pieces, the peak was 9.0 MB.
-    path, _ = tensor_file
+    # One-pass scores by expansion; so does two-pass when its projected
+    # error has cancelled, as an exact recovery's has.  Each piece is scored
+    # against its part of the Tucker expansion, made in one piece beside
+    # it; a quarter piece more covers the expansion's intermediates.
+    # Scored in 8 MiB pieces, the peak was 9.0 MB.
+    path = exact_tensor_file
     skfile = tmp_path / "x.tksk"
     assert main(["sketch", "--input", str(path), "--rank", "10", "--out", str(skfile)]) == 0
     score, peaks = cli._normalized_error, []
@@ -360,6 +376,40 @@ def test_cli_scoring_holds_a_recovery_piece_and_its_expansion(
     ]))
     assert rc == 0
     assert len(peaks) == 1 and peaks[0] <= 2.25 * _RECOVERY_PIECE
+
+
+def test_cli_two_pass_scoring_of_a_noisy_file_is_its_core_pass(
+    tmp_path, monkeypatch, tensor_file
+):
+    # The pass that makes the two-pass core also scores the error: it
+    # holds one piece, the core and the bases, and no piece is expanded.
+    path, _ = tensor_file
+    skfile = tmp_path / "x.tksk"
+    assert main(["sketch", "--input", str(path), "--rank", "10", "--out", str(skfile)]) == 0
+    recover, peaks = cli.two_pass_recover, []
+
+    def measured(x, sk):
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        report = recover(x, sk)
+        fact = report.factorization
+        held = fact.core.nbytes + sum(f.nbytes for f in fact.factors)
+        peaks.append((tracemalloc.get_traced_memory()[1] - base, held))
+        return report
+
+    def expanded(slabs, fact):
+        raise AssertionError("scored by expansion")
+
+    monkeypatch.setattr(cli, "two_pass_recover", measured)
+    monkeypatch.setattr(cli, "_normalized_error", expanded)
+    rc, _ = _peak(lambda: main([
+        "recover", "--sketch", str(skfile), "--mode", "two-pass", "--input", str(path),
+        "--trunc", "10", "--out", str(tmp_path / "x.tkz"),
+    ]))
+    assert rc == 0
+    assert len(peaks) == 1
+    peak, held = peaks[0]
+    assert peak <= 1.25 * _RECOVERY_PIECE + held
 
 
 def test_cli_sketch_streams_its_input(tmp_path, tensor_file):

@@ -18,7 +18,7 @@ from tuckersketch.recovery import (
     st_hosvd,
     two_pass_recover,
 )
-from tuckersketch.sketch import SketchParams, tucker_sketch
+from tuckersketch.sketch import SketchParams, TuckerSketch, tucker_sketch
 from tuckersketch.tensor import (
     TuckerFactorization,
     fro_norm,
@@ -80,6 +80,23 @@ class TestFactorBases:
                 np.testing.assert_allclose(ratios[n], want, rtol=1e-12, atol=1e-30)
 
 
+    @pytest.mark.parametrize("sketches", ["random", "degenerate", "all-zero"])
+    def test_bases_are_orthonormal_to_rounding(self, sketches):
+        # Scoring a recovery from its projection needs Q_n^T Q_n = I.
+        params = SketchParams.for_rank(3, master_seed=5, order=3)
+        shape = (16, 12, 9)
+        gen = np.random.default_rng(6)
+        vs = [gen.normal(size=(d, k)) for d, k in zip(shape, params.k)]
+        if sketches == "degenerate":  # rank 2 of 7, and one zero column
+            vs = [v[:, :2] @ gen.normal(size=(2, v.shape[1])) for v in vs]
+            vs[1][:, 3] = 0.0
+        elif sketches == "all-zero":
+            vs = [np.zeros_like(v) for v in vs]
+        sk = TuckerSketch(params, shape, tuple(vs), gen.normal(size=params.s))
+        for q in factor_bases(sk).matrices:
+            assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-13
+
+
 class TestTwoPass:
     def test_full_width_sketch_reconstructs_exactly(self):
         # k_n = I_n makes Q_n square orthonormal, so the projection is the identity
@@ -111,6 +128,18 @@ class TestTwoPass:
         with pytest.raises(ValueError, match="rows 0:16 of mode 2 made the two-pass core non-finite"):
             two_pass_recover(x, sk)
 
+
+    @pytest.mark.parametrize("source", ["array", "file"])
+    def test_report_keeps_the_sum_of_squares(self, tmp_path, monkeypatch, source):
+        # Taken in the pass that makes the core: 11 pieces of one plane.
+        x = np.random.default_rng(8).normal(size=(9, 8, 7, 11))
+        sk = tucker_sketch(x, SketchParams.for_rank(2, master_seed=8, order=4))
+        path = tmp_path / "x.tktn"
+        write_tensor(path, x)
+        monkeypatch.setattr(tkio, "_RECOVER_SLAB_SCALARS", 9 * 8 * 7)
+        report = two_pass_recover(x if source == "array" else path, sk)
+        assert report.tensor_sq_norm == pytest.approx(np.sum(x * x), rel=1e-13)
+        assert one_pass_recover(sk).tensor_sq_norm is None
 
     @pytest.mark.parametrize("planes, pieces", [(1, 11), (3, 4), (11, 1)],
                              ids=["1-plane", "3-planes", "whole"])

@@ -39,6 +39,12 @@ map imports them when it is made.  ``sketch`` of a 200^3 tensor at rank 10
 loads no scipy; ``merge``, two-pass ``recover``, and a TRP ``sketch`` or a
 one-pass ``recover`` whose TRP factors and core maps are that small load
 neither.
+
+Each command loads only the package modules it runs.  Every command needs
+``io``, ``sketch`` and ``tensor``.  ``sketch`` loads the map modules
+``drm`` and ``rng`` when it makes its sketcher; ``recover`` loads
+``recovery``, and one-pass also the map modules, for its core maps;
+``bench`` loads ``harness`` and all the rest.  ``merge`` loads no other.
 """
 
 from __future__ import annotations
@@ -49,26 +55,23 @@ import json
 import math
 import sys
 import time
+from typing import TYPE_CHECKING
 
 from . import io as tkio
-from .drm import CORE_KINDS, FACTOR_KINDS
-from .harness import SyntheticSpec, one_pass_inflation, run_experiment
-from .recovery import (
+from .sketch import (
+    CORE_KINDS,
+    FACTOR_KINDS,
+    ParamsMismatchError,
     RankDeficientCoreError,
     RankInfeasibleError,
-    RecoveryReport,
-    fixed_rank_truncate,
-    one_pass_recover,
-    two_pass_recover,
-)
-from .rng import mix64
-from .sketch import (
-    ParamsMismatchError,
     SketchParams,
     StreamingSketcher,
     sketch_merge,
 )
 from .tensor import TuckerFactorization, fro_norm, multi_mode_product, per_mode, sum_sq
+
+if TYPE_CHECKING:
+    from .recovery import RecoveryReport
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -339,6 +342,19 @@ def _cmd_recover(args) -> int:
         print("error: --method chooses how --trunc compresses; it needs --trunc",
               file=sys.stderr)
         return 2
+    if args.mode == "one-pass":
+        # The map modules, for the core maps, load first: loaded after the
+        # recovery module or the sketch, the memory their compilation frees
+        # was not reused, and a recovery at 160^3 or 200^3, r=10 read 0.2 to
+        # 0.6 MB more max RSS.
+        from . import drm  # noqa: F401
+    from .recovery import (
+        fixed_rank_truncate,
+        one_pass_inflation,
+        one_pass_recover,
+        two_pass_recover,
+    )
+
     sk = tkio.read_sketch(args.sketch)
     slabs = None
     if args.input is not None:
@@ -393,6 +409,9 @@ def _cmd_bench(args) -> int:
         return 2
     if _density_unused(args):
         return 2
+    from .harness import SyntheticSpec, run_experiment
+    from .rng import mix64
+
     ks = args.k if args.k is not None else (2 * args.rank + 1,)
     ss = args.s if args.s is not None else tuple(2 * k + 1 for k in ks)
     if len(ss) == 1:

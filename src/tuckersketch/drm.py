@@ -52,12 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
+from .sketch import FACTOR_KINDS
 from .tensor import contract, contract_scratch, khatri_rao, matmul
-
-FACTOR_KINDS = ("gaussian", "sparse_sign", "ssrft", "trp")
-"""Every map kind; all of them can serve as factor maps."""
-CORE_KINDS = ("gaussian", "sparse_sign", "ssrft")
-"""Kinds that can serve as core maps (a single-mode trp is just its factor)."""
 
 # Sub-stream labels inside one map's seed, so the draws for distinct pieces
 # of state never overlap.
@@ -174,16 +170,16 @@ def _check_operand(m, in_dim: int) -> np.ndarray:
 
 
 # Scalars a realization holds per word of the block it is generating, at
-# most, as a product counts them in its ``scratch``: the words and what is
-# derived from them (sparse sign: the uniforms' precursor, the sign bits
-# and the keep mask; Gaussian: the precursor, or the ndtri port's
-# temporaries, which it bounds by working a quarter of a block at a time:
-# 2.0 per word, the words included).  A block that spans several runs of
-# rows joins their words first: 2 per word, before any value is derived.
-# The port of Philox draws the words of a map of at most
-# rng.PHILOX_PORT_MAX words with 3 scalars of temporaries per word of a
-# piece of at most 2^14 words: 4 per word with the words themselves, less
-# for a block of several pieces.
+# most, as a product counts them in its ``scratch``, beside the block that
+# ``rng.fill`` draws the words into: a run's words as drawn, until they are
+# copied in, and then what is derived from them (sparse sign: the sign
+# bits and signs, then the uniforms' precursor and the keep mask, 2.0 per
+# word; Gaussian: the precursor, or the ndtri port's temporaries, which it
+# bounds by working a quarter of a block at a time: 1.0 per word).  The
+# port of Philox draws the words of a map of at most rng.PHILOX_PORT_MAX
+# words with 3 scalars of temporaries per word of a piece of at most 2^14
+# words: 4 per word with the words themselves, less for a block of
+# several pieces.
 _SCALARS_PER_WORD = 4
 
 
@@ -194,9 +190,10 @@ def _sparse_signs(density: float):
     by_low_bit = np.array([-scale, scale])
 
     def values(words, dst):
+        # The signs first: the uniforms are written over the words.
+        sign = by_low_bit.take((words & np.uint64(1)).view(np.int64), mode="clip")
         keep = rng.unit_doubles(words, out=dst) < density
-        by_low_bit.take((words & np.uint64(1)).view(np.int64), out=dst, mode="clip")
-        np.multiply(dst, keep, out=dst)
+        np.multiply(sign, keep, out=dst)
         dst += 0.0  # a dropped negative sign is -0.0: make it +0.0
 
     return values

@@ -22,7 +22,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .recovery import fixed_rank_truncate, hooi, hosvd, one_pass_recover, two_pass_recover
+from .recovery import (
+    fixed_rank_truncate,
+    hooi,
+    hosvd,
+    one_pass_inflation,
+    one_pass_recover,
+    two_pass_recover,
+)
 from .sketch import tucker_sketch
 from .tensor import (
     TuckerFactorization,
@@ -164,15 +171,6 @@ def bound_two_pass(profile: SpectrumProfile, k) -> float:
         )
         total += best
     return total
-
-
-def one_pass_inflation(k, s) -> float | None:
-    """``1 + max_n k_n / (s_n - k_n - 1)``: the factor by which the one-pass
-    bound exceeds the two-pass one, or None when some ``s_n <= k_n + 1``,
-    where it is undefined."""
-    if any(s_n <= k_n + 1 for k_n, s_n in zip(k, s)):
-        return None
-    return 1.0 + max(k_n / (s_n - k_n - 1) for k_n, s_n in zip(k, s))
 
 
 def bound_one_pass(profile: SpectrumProfile, k, s) -> float:

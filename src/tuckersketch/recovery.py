@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .io import read_tensor_slabs
-from .sketch import TuckerSketch
+from .sketch import RankDeficientCoreError, RankInfeasibleError, TuckerSketch
 from .tensor import (
     TuckerFactorization,
     fro_norm,
@@ -45,14 +45,6 @@ from .tensor import (
 
 _QR_DIAG_RTOL = 1e-12
 _COND_LIMIT = 1e12
-
-
-class RankInfeasibleError(ValueError):
-    """Requested rank exceeds what the data or sketch can support."""
-
-
-class RankDeficientCoreError(RuntimeError):
-    """The one-pass core solve met a numerically rank-deficient system."""
 
 
 @dataclass(frozen=True)
@@ -99,8 +91,14 @@ def factor_bases(sk: TuckerSketch) -> FactorBases:
     ratios = []
     for v in sk.factor_sketches:
         q, r = np.linalg.qr(v, mode="reduced")
-        scale = np.linalg.norm(v)
-        ratios.append(float(np.abs(np.diag(r)).min() / scale) if scale > 0.0 else 0.0)
+        # Both terms over the power of two at the largest entry: the same
+        # ratio to the bit, but a sum of squares that cannot overflow.
+        top = np.abs(v).max()
+        if top > 0.0:
+            unit = np.ldexp(1.0, np.frexp(top)[1])
+            ratios.append(float(np.abs(np.diag(r)).min() / unit / np.linalg.norm(v / unit)))
+        else:
+            ratios.append(0.0)
         mats.append(q)
     degenerate = tuple(n for n, ratio in enumerate(ratios) if ratio <= _QR_DIAG_RTOL)
     return FactorBases(
@@ -193,6 +191,15 @@ def one_pass_recover(sk: TuckerSketch) -> RecoveryReport:
         core_solver_residuals=tuple(residuals),
         core_conditions=tuple(conditions),
     )
+
+
+def one_pass_inflation(k, s) -> float | None:
+    """``1 + max_n k_n / (s_n - k_n - 1)``: the factor by which the one-pass
+    bound exceeds the two-pass one, or None when some ``s_n <= k_n + 1``,
+    where it is undefined."""
+    if any(s_n <= k_n + 1 for k_n, s_n in zip(k, s)):
+        return None
+    return 1.0 + max(k_n / (s_n - k_n - 1) for k_n, s_n in zip(k, s))
 
 
 def _leading_left_singular(m: np.ndarray, r: int) -> np.ndarray:

@@ -189,8 +189,8 @@ def raw(seed: int, stream: int, count: int) -> np.ndarray:
 
 
 def fill(out: np.ndarray, seed: int, stream: int, runs, values, philox=None) -> np.ndarray:
-    """Fill the C-contiguous ``out`` from runs of words of the stream, one
-    element per word, and return it.
+    """Fill the C-contiguous ``out`` (float64 or uint64) from runs of words
+    of the stream, one element per word, and return it.
 
     ``runs`` is a sequence of ``(offset, count)`` pairs, each the words
     ``offset`` to ``offset + count - 1``, with counts that sum to
@@ -199,8 +199,10 @@ def fill(out: np.ndarray, seed: int, stream: int, runs, values, philox=None) -> 
     whole array or map the runs belong to; by default, that of ``out``.
     ``values(words, dst)`` writes the values of ``words`` into ``dst``; it
     is called on one block of at most :data:`BLOCK_WORDS` words at a time,
-    which may span several runs or part of one, so the words and whatever
-    ``values`` derives from them stay that small, however thin the runs.
+    which may span several runs or part of one, so whatever ``values``
+    derives from them stays that small, however thin the runs.  The words
+    are drawn into the block itself (``words`` is ``dst`` read as uint64),
+    so ``values`` reads every word it needs before it writes ``dst``.
     """
     flat = out.reshape(-1)
     read = (philox or philox_for(flat.size))(seed, stream)
@@ -208,15 +210,14 @@ def fill(out: np.ndarray, seed: int, stream: int, runs, values, philox=None) -> 
     left = 0  # words of the current run not yet drawn
     for j in range(0, flat.size, BLOCK_WORDS):
         dst = flat[j : j + BLOCK_WORDS]
-        parts, need = [], dst.size
-        while need:
+        words = dst.view(np.uint64)
+        at = 0
+        while at < words.size:
             if not left:
                 offset, left = next(runs)
-            parts.append(read(offset, min(need, left)))
-            drawn = parts[-1].size
-            offset, need, left = offset + drawn, need - drawn, left - drawn
-        words = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        del parts
+            n = min(words.size - at, left)
+            words[at : at + n] = read(offset, n)
+            offset, left, at = offset + n, left - n, at + n
         values(words, dst)
     return out
 

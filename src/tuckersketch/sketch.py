@@ -22,12 +22,19 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import InitVar, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import rng
-from .drm import CORE_KINDS, FACTOR_KINDS, DrmSpec, make_drm
 from .tensor import multi_mode_product, multi_mode_scratch, per_mode
+
+if TYPE_CHECKING:
+    from .drm import DrmSpec
+
+FACTOR_KINDS = ("gaussian", "sparse_sign", "ssrft", "trp")
+"""Every map kind; all of them can serve as factor maps."""
+CORE_KINDS = ("gaussian", "sparse_sign", "ssrft")
+"""Kinds that can serve as core maps (a single-mode trp is just its factor)."""
 
 _ROLE_OMEGA = 101
 _ROLE_PHI = 202
@@ -35,6 +42,14 @@ _ROLE_PHI = 202
 
 class ParamsMismatchError(ValueError):
     """Raised when combining sketches whose parameters differ."""
+
+
+class RankInfeasibleError(ValueError):
+    """Requested rank exceeds what the data or sketch can support."""
+
+
+class RankDeficientCoreError(RuntimeError):
+    """The one-pass core solve met a numerically rank-deficient system."""
 
 
 @dataclass(frozen=True)
@@ -110,31 +125,41 @@ class SketchParams:
     def _density_for(self, kind: str) -> float | None:
         return self.density if kind == "sparse_sign" else None
 
+    # The map modules load with the first map specified, so a command that
+    # makes none (merge, two-pass recovery) does not load them.
     def omega_spec(self, shape: tuple[int, ...], mode: int) -> DrmSpec:
         """Spec of the factor-sketch map for one mode of a tensor of ``shape``."""
+        from .drm import DrmSpec
+        from .rng import mix64
+
         rest = tuple(d for m, d in enumerate(shape) if m != mode)
         in_dim = int(np.prod(rest, dtype=np.int64))
         return DrmSpec(
             kind=self.omega_kind,
             in_dim=in_dim,
             out_dim=self.k[mode],
-            seed=rng.mix64(self.master_seed, _ROLE_OMEGA, mode),
+            seed=mix64(self.master_seed, _ROLE_OMEGA, mode),
             density=self._density_for(self.omega_kind),
             mode_dims=rest if self.omega_kind == "trp" else None,
         )
 
     def phi_spec(self, shape: tuple[int, ...], mode: int) -> DrmSpec:
         """Spec of the core-sketch map for one mode."""
+        from .drm import DrmSpec
+        from .rng import mix64
+
         return DrmSpec(
             kind=self.phi_kind,
             in_dim=shape[mode],
             out_dim=self.s[mode],
-            seed=rng.mix64(self.master_seed, _ROLE_PHI, mode),
+            seed=mix64(self.master_seed, _ROLE_PHI, mode),
             density=self._density_for(self.phi_kind),
         )
 
     def phi_matrix(self, shape: tuple[int, ...], mode: int) -> np.ndarray:
         """The core-sketch map for one mode as a dense ``(I_mode, s_mode)`` matrix."""
+        from .drm import make_drm
+
         return make_drm(self.phi_spec(shape, mode)).entries
 
 
@@ -226,6 +251,8 @@ class StreamingSketcher:
                 raise ValueError(
                     f"factor sketch width k_{n}={kn} exceeds the mode extent {d}"
                 )
+        from .drm import make_drm
+
         self.shape = shape
         self.params = params
         self._omegas = [make_drm(params.omega_spec(shape, n)) for n in range(len(shape))]

@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 from tuckersketch import cli
+from tuckersketch import harness
 from tuckersketch import io as tkio
 from tuckersketch import recovery
 from tuckersketch import rng
 from tuckersketch.cli import main
-from tuckersketch.drm import FACTOR_KINDS
 from tuckersketch.harness import SyntheticSpec, gen_synthetic
 from tuckersketch.io import (
     FullUpdate,
@@ -31,6 +31,7 @@ from tuckersketch.io import (
 )
 from tuckersketch.recovery import fixed_rank_truncate, one_pass_recover, two_pass_recover
 from tuckersketch.sketch import (
+    FACTOR_KINDS,
     SketchParams,
     StreamingSketcher,
     TuckerSketch,
@@ -830,13 +831,13 @@ class TestBenchCommand:
         (["--drm", "sparse_sign"], 0.1),
     ], ids=["factor", "core", "default"])
     def test_density_reaches_a_sparse_sign_map(self, tmp_path, monkeypatch, maps, density):
-        grids, run = [], cli.run_experiment
+        grids, run = [], harness.run_experiment
 
         def recorded(grid, **kwargs):
             grids.append(grid)
             return run(grid, **kwargs)
 
-        monkeypatch.setattr(cli, "run_experiment", recorded)
+        monkeypatch.setattr(harness, "run_experiment", recorded)
         out = tmp_path / "b.csv"
         assert main(["bench", "--side", "12", "--rank", "2", "--trials", "1", *maps,
                      "--out", str(out)]) == 0
@@ -945,6 +946,51 @@ def test_merge_and_two_pass_recover_leave_scipy_out(tmp_path):
         f"'--out', {str(tmp_path / 'f.tkz')!r}]) == 0"
     )
     assert _loaded_modules(script, "scipy") == []
+
+
+def test_package_import_loads_no_submodule():
+    # Each public name loads the module that defines it on first use;
+    # listing the names loads none.
+    script = (
+        "import tuckersketch\n"
+        "assert set(tuckersketch.__all__) <= set(dir(tuckersketch))"
+    )
+    assert _loaded_modules(script, "tuckersketch") == ["tuckersketch"]
+
+
+# The package modules every command loads (the command line, the file
+# formats, the sketch and the tensor kernels), and those each loads besides.
+_CLI_MODULES = ("cli", "io", "sketch", "tensor")
+_COMMAND_MODULES = {
+    "sketch": ("drm", "rng"),
+    "merge": (),
+    "one-pass": ("drm", "recovery", "rng"),
+    "two-pass": ("recovery",),
+    "bench": ("drm", "harness", "recovery", "rng"),
+}
+
+
+@pytest.mark.parametrize("command", list(_COMMAND_MODULES))
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
+    # Merging and two-pass recovery make no map, so they load no map
+    # module; only bench loads the harness.
+    x = np.random.default_rng(5).normal(size=(10, 9, 8))
+    xfile, skfile = tmp_path / "x.tktn", tmp_path / "x.tksk"
+    write_tensor(xfile, x)
+    assert main(["sketch", "--input", str(xfile), "--rank", "2", "--out", str(skfile)]) == 0
+    out = str(tmp_path / "out")
+    argv = {
+        "sketch": ["sketch", "--input", str(xfile), "--rank", "2", "--out", out],
+        "merge": ["merge", str(skfile), str(skfile), "--out", out],
+        "one-pass": ["recover", "--sketch", str(skfile), "--out", out],
+        "two-pass": ["recover", "--sketch", str(skfile), "--mode", "two-pass",
+                     "--input", str(xfile), "--trunc", "2", "--out", out],
+        "bench": ["bench", "--side", "8", "--rank", "1", "--trials", "1", "--out", out],
+    }[command]
+    script = f"from tuckersketch.cli import main\nassert main({argv!r}) == 0"
+    modules = _CLI_MODULES + _COMMAND_MODULES[command]
+    want = ["tuckersketch"] + [f"tuckersketch.{m}" for m in modules]
+    assert _loaded_modules(script, "tuckersketch") == sorted(want)
 
 
 @pytest.mark.parametrize(

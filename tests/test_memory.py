@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tuckersketch import cli
+from tuckersketch import cli, recovery
 from tuckersketch.cli import main
 from tuckersketch.io import (
     FullUpdate,
@@ -33,8 +33,14 @@ from tuckersketch.io import (
 )
 from tuckersketch.recovery import one_pass_recover, two_pass_recover
 from tuckersketch import rng
-from tuckersketch.drm import _SCALARS_PER_WORD, FACTOR_KINDS, DrmSpec, make_drm
-from tuckersketch.sketch import SketchParams, StreamingSketcher, TuckerSketch, tucker_sketch
+from tuckersketch.drm import _SCALARS_PER_WORD, DrmSpec, make_drm
+from tuckersketch.sketch import (
+    FACTOR_KINDS,
+    SketchParams,
+    StreamingSketcher,
+    TuckerSketch,
+    tucker_sketch,
+)
 from tuckersketch.tensor import TuckerFactorization
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -386,7 +392,7 @@ def test_cli_two_pass_scoring_of_a_noisy_file_is_its_core_pass(
     path, _ = tensor_file
     skfile = tmp_path / "x.tksk"
     assert main(["sketch", "--input", str(path), "--rank", "10", "--out", str(skfile)]) == 0
-    recover, peaks = cli.two_pass_recover, []
+    recover, peaks = recovery.two_pass_recover, []
 
     def measured(x, sk):
         base = tracemalloc.get_traced_memory()[0]
@@ -400,7 +406,7 @@ def test_cli_two_pass_scoring_of_a_noisy_file_is_its_core_pass(
     def expanded(slabs, fact):
         raise AssertionError("scored by expansion")
 
-    monkeypatch.setattr(cli, "two_pass_recover", measured)
+    monkeypatch.setattr(recovery, "two_pass_recover", measured)
     monkeypatch.setattr(cli, "_normalized_error", expanded)
     rc, _ = _peak(lambda: main([
         "recover", "--sketch", str(skfile), "--mode", "two-pass", "--input", str(path),
@@ -413,9 +419,10 @@ def test_cli_two_pass_scoring_of_a_noisy_file_is_its_core_pass(
 
 
 def test_cli_sketch_streams_its_input(tmp_path, tensor_file):
-    # The baseline holds what the command loads (its maps, 25600 x 5 at
-    # most, draw through the ndtri port and load no scipy), so the
-    # difference is the sketch's own working memory.
+    # The baseline is the bare import, which loads neither the map modules
+    # (drm and rng) nor numpy.random, so the difference counts them beside
+    # the sketch's own working memory (its maps, 25600 x 5 at most, draw
+    # through the ndtri port and load no scipy).
     path, nbytes = tensor_file
     bare = _max_rss_bytes("-c", "import tuckersketch.cli")
     sketch = _max_rss_bytes(

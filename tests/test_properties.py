@@ -20,8 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tuckersketch.drm import CORE_KINDS, FACTOR_KINDS
 from tuckersketch.sketch import (
+    CORE_KINDS,
+    FACTOR_KINDS,
     SketchParams,
     StreamingSketcher,
     TuckerSketch,

@@ -1,6 +1,8 @@
 """Recovery tests: bases, exactness on exact-rank data, baseline algorithms,
 fixed-rank truncation, and the rotation/truncation commutation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,28 @@ class TestFactorBases:
         assert bases.degenerate_modes == (0, 1, 2)
         for q in bases.matrices:
             np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-10)
+
+    def test_ratios_are_min_diag_over_the_norm(self):
+        x = _noisy_tensor(seed=6)
+        sk = tucker_sketch(x, SketchParams(k=(5, 4, 6), s=(11, 9, 13), master_seed=7))
+        for ratio, v in zip(factor_bases(sk).qr_diag_ratios, sk.factor_sketches):
+            r = np.linalg.qr(v, mode="r")
+            assert ratio == pytest.approx(np.abs(np.diag(r)).min() / np.linalg.norm(v),
+                                          rel=1e-15)
+
+    def test_huge_sketch_keeps_its_ratios(self):
+        # Entries past about 1e154 overflow the plain sum of squares ||V_n||^2,
+        # which read every ratio 0 and every mode degenerate.
+        x = _noisy_tensor(side=13, seed=5)
+        params = SketchParams.for_rank(2, 3, order=3)
+        want = factor_bases(tucker_sketch(x, params)).qr_diag_ratios
+        sk = tucker_sketch(x * 1e200, params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bases = factor_bases(sk)
+        assert bases.degenerate_modes == ()
+        assert min(bases.qr_diag_ratios) > 0.0
+        np.testing.assert_allclose(bases.qr_diag_ratios, want, rtol=1e-12)
 
     def test_reports_carry_the_qr_diag_ratios(self):
         # k above the true rank in mode 1 only: its sketch has rank 2 < 6

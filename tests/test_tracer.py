@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from tuckersketch.cli import main
-from tuckersketch.drm import FACTOR_KINDS
+from tuckersketch.sketch import FACTOR_KINDS
 from tuckersketch.io import FullUpdate, SlabUpdate, write_update_stream
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -30,7 +30,12 @@ shard holds the core maps, one box and the rows of ``Omega_last`` its
 record touches.
 ``sketch --report`` writes the pieces and payload bytes folded,
 ``peak_aux_scalars``, ``held_map_scalars`` (factor and core map entries
-held) and the elapsed time.  ``merge`` reads one sketch file at a time.
+held) and the elapsed time.  ``merge`` reads one sketch file at a time,
+whole.  ``recover`` never holds the core sketch whole: it checks the sketch
+file a core slab (at most 256 KiB) at a time, two-pass then keeps only the
+factor sketches, and one-pass reads the core again slab by slab.
+``recover --report`` writes ``peak_aux_scalars``, the working memory of
+the recovery's largest step counted from shapes.
 
 A command imports scipy only to draw more than 2^20 Gaussian values in one
 array or map (``rng.ndtri_for``), and ``numpy.random`` only to draw more
@@ -355,7 +360,9 @@ def _cmd_recover(args) -> int:
         two_pass_recover,
     )
 
-    sk = tkio.read_sketch(args.sketch)
+    # Checked whole, a core slab at a time, before any tensor is opened;
+    # the recovery reads the file again and holds no more of its core.
+    sk = tkio.read_sketch_slabs(args.sketch)[0]
     slabs = None
     if args.input is not None:
         # Checked now, read when scoring (two-pass also reads it for the core).
@@ -364,9 +371,9 @@ def _cmd_recover(args) -> int:
             raise ValueError(f"tensor has shape {shape} but sketch covers {sk.shape}")
     start = time.perf_counter()
     if args.mode == "two-pass":
-        report = two_pass_recover(args.input, sk)
+        report = two_pass_recover(args.input, args.sketch)
     else:
-        report = one_pass_recover(sk)
+        report = one_pass_recover(args.sketch)
     fact = report.factorization
     if args.trunc is not None:
         r = per_mode(args.trunc, len(sk.shape), "--trunc")
@@ -393,6 +400,7 @@ def _cmd_recover(args) -> int:
         "core_conditions": list(report.core_conditions),
         "one_pass_inflation": one_pass_inflation(sk.params.k, sk.params.s),
         "normalized_error": normalized_error,
+        "peak_aux_scalars": report.peak_aux_scalars,
         "elapsed_seconds": elapsed,
     }
     if args.report:

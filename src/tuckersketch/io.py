@@ -21,7 +21,9 @@ and scores tensor files and streams this way (``read_tensor_slabs``,
 ``read_stream_pieces``), so no tensor or record is held in memory whole.  A
 recovery's passes over a tensor file read pieces of at most 1 MiB instead:
 they contract each piece against k-column bases only, so their memory
-follows what they compute, not what they read.
+follows what they compute, not what they read.  A sketch file's core
+sketch is checked, and read for one-pass recovery, in last-mode slabs of at
+most 256 KiB (``read_sketch_slabs``); ``read_sketch`` reads it whole.
 
 ``TKTN1`` tensor file::
 
@@ -111,6 +113,11 @@ _READ_SLAB_SCALARS = 1 << 20
 # last-mode pieces of at most this many scalars (1 MiB), one plane at the
 # least.
 _RECOVER_SLAB_SCALARS = 1 << 17
+# A sketch file's core sketch is checked, and one-pass recovery reads it, in
+# last-mode slabs of at most this many scalars (256 KiB), one plane at the
+# least: a slab goes through products no larger than itself, so a small one
+# keeps a recovery's memory near its outputs.
+_SKETCH_SLAB_SCALARS = 1 << 15
 # Payloads are read in pieces of this many bytes: a handle without a native
 # ``readinto`` (an archive member) copies through one piece at a time.
 _READ_CHUNK_BYTES = 1 << 16
@@ -181,12 +188,6 @@ def _need(fh, nbytes: int, end: int, what: str) -> None:
         raise FileFormatError(
             f"{what}: truncated at byte {pos} (needed {nbytes} more, have {end - pos})"
         )
-
-
-def _read_end(fh, end: int, what: str) -> None:
-    extra = end - fh.tell()
-    if extra:
-        raise FileFormatError(f"{what}: {extra} trailing bytes at byte {fh.tell()}")
 
 
 def _read_into(fh, flat: np.ndarray, what: str) -> None:
@@ -371,17 +372,65 @@ def write_sketch(path, sk: TuckerSketch) -> None:
         fh.write(struct.pack("<I", out.crc))
 
 
+class SketchHead(NamedTuple):
+    """What a TKSK1 file holds beside its core sketch."""
+
+    params: SketchParams
+    shape: tuple[int, ...]
+    factor_sketches: tuple[np.ndarray, ...]
+
+
 def read_sketch(path) -> TuckerSketch:
     """Read and validate a TKSK1 file (including its checksum).
 
     A payload holding NaN or Inf is rejected: a sketch that is not finite
     would poison every merge and recovery made from it.
 
-    The file is read twice: once in ``_READ_CHUNK_BYTES`` pieces for the
-    checksum, so a damaged file fails as a checksum mismatch before any
-    parse error, then parsed with every array read straight into place,
-    stopping where the checksum starts.  The sketch takes over the arrays
-    it parses, so the read holds them once, never the file body.
+    This is :func:`read_sketch_slabs` with the core sketch read as one
+    piece into its own array, which the sketch takes over: the read holds
+    the arrays it parses once, never the file body.
+    """
+    slabs = _sketch_slabs(path, None)
+    head = next(slabs)
+    (_, h), = slabs
+    return TuckerSketch(params=head.params, shape=head.shape,
+                        factor_sketches=head.factor_sketches, core_sketch=h, _owned=True)
+
+
+def read_sketch_slabs(path) -> tuple[SketchHead, Iterator[tuple[int, np.ndarray]]]:
+    """Open a TKSK1 file for reading its core sketch in last-mode slabs.
+
+    Every check of :func:`read_sketch` runs, in the same order, before this
+    returns the parameters, shape and factor sketches: the core sketch is
+    checked for finiteness a slab at a time and dropped.  The lazy iterator
+    then reads it again as ``(offset, slab)``: planes ``offset:offset + c``
+    of the last mode, F-order arrays of at most ``_SKETCH_SLAB_SCALARS``
+    scalars (256 KiB), one plane at the least, in one reused buffer, so a
+    slab is valid only until the next is requested.  The file closes when
+    the iterator is exhausted or dropped.
+    """
+    slabs = _sketch_slabs(path, _SKETCH_SLAB_SCALARS)
+    return next(slabs), slabs
+
+
+def sketch_core_slabs(core: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """The slabs :func:`read_sketch_slabs` reads, as views of an F-order
+    core sketch in memory."""
+    step = max(1, _SKETCH_SLAB_SCALARS // math.prod(core.shape[:-1]))
+    return ((j, core[..., j : j + step]) for j in range(0, core.shape[-1], step))
+
+
+def _sketch_slabs(path, scalars: int | None):
+    """Check a TKSK1 file and yield its head, then its core sketch's
+    last-mode slabs of at most ``scalars`` scalars (``None``: one slab, read
+    once, into its own array).  Started by its first ``next``, the generator
+    owns the open file from then on.
+
+    The checksum is taken in ``_READ_CHUNK_BYTES`` pieces, so a damaged file
+    fails as a checksum mismatch before any parse error.  The parse then
+    reads every array straight into place and stops where the checksum
+    starts: header, parameters, factor sketches, the core sketch's size
+    with no trailing bytes, then the finiteness of every array.
     """
     what = os.fspath(path)
     with open(path, "rb") as fh:
@@ -413,15 +462,29 @@ def read_sketch(path) -> TuckerSketch:
         except ValueError as exc:
             raise FileFormatError(f"{what}: invalid parameters ({exc})") from exc
         vs = tuple(_read_array(fh, (shape[i], k[i]), end, what) for i in range(n))
-        core = _read_array(fh, s, end, what)
-        _read_end(fh, end, what)
-    named = [(f"factor sketch {i}", v) for i, v in enumerate(vs)] + [("core sketch", core)]
-    for name, a in named:
-        # min and max propagate NaN and hold no temporary the size of ``a``.
-        if not (math.isfinite(a.min()) and math.isfinite(a.max())):
-            raise FileFormatError(f"{what}: non-finite values in the {name}")
-    return TuckerSketch(params=params, shape=shape, factor_sketches=vs, core_sketch=core,
-                        _owned=True)
+        core_at, nbytes = fh.tell(), 8 * math.prod(s)
+        _need(fh, nbytes, end, what)
+        extra = end - core_at - nbytes
+        if extra:
+            raise FileFormatError(f"{what}: {extra} trailing bytes at byte {core_at + nbytes}")
+        for i, v in enumerate(vs):
+            _check_finite(v, what, f"factor sketch {i}")
+        reader = _PieceReader(fh, s, end, what, scalars)
+        for _, _, slab in reader.pieces(n - 1, 0, s[-1]):
+            _check_finite(slab, what, "core sketch")
+        yield SketchHead(params, shape, vs)
+        if scalars is None:  # the one slab, in its own array
+            yield 0, slab
+            return
+        fh.seek(core_at)
+        for offset, _, slab in reader.pieces(n - 1, 0, s[-1]):
+            yield offset, slab
+
+
+def _check_finite(a: np.ndarray, what: str, name: str) -> None:
+    # min and max propagate NaN and hold no temporary the size of ``a``.
+    if not (math.isfinite(a.min()) and math.isfinite(a.max())):
+        raise FileFormatError(f"{what}: non-finite values in the {name}")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,9 @@ Two routes from a sketch:
   spans can be scored without reading ``X`` again.
 * ``one_pass_recover`` touches only the sketch: it undoes the core map of
   each mode in the least squares sense, ``W = H x_n pinv(Phi_n^T Q_n)``,
-  from one SVD of the small ``s_n x k_n`` system.
+  from one SVD of the small ``s_n x k_n`` system.  Every mode but the last
+  is undone on each last-mode slab of ``H`` (256 KiB at most), so a
+  sketch file's ``H`` is read a slab at a time and never held whole.
 
 Both return a rank-``k`` factorization; ``fixed_rank_truncate`` compresses
 that to a target rank ``r`` by running HOOI (or ST-HOSVD, or HOSVD: its
@@ -26,18 +28,20 @@ and double as the comparison baselines; ``hosvd`` is HOOI with no sweeps.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .io import read_tensor_slabs
+from .io import SketchHead, read_sketch_slabs, read_tensor_slabs, sketch_core_slabs
 from .sketch import RankDeficientCoreError, RankInfeasibleError, TuckerSketch
 from .tensor import (
     TuckerFactorization,
     fro_norm,
     mode_product,
     multi_mode_product,
+    multi_mode_scratch,
     per_mode,
     sum_sq,
     unfold,
@@ -73,7 +77,8 @@ class RecoveryReport:
     recovery, the condition number ``sigma_1 / sigma_k`` of each mode's
     core system ``Phi_n^T Q_n``; ``tensor_sq_norm``, for a two-pass
     recovery, the tensor's sum of squares ``||X||^2``, taken in the same
-    pass as the core.
+    pass as the core.  ``peak_aux_scalars`` is the working memory of the
+    recovery's largest step, counted from shapes as each recovery says.
     """
 
     factorization: TuckerFactorization
@@ -83,9 +88,10 @@ class RecoveryReport:
     core_solver_residuals: tuple[float, ...] = ()
     core_conditions: tuple[float, ...] = ()
     tensor_sq_norm: float | None = None
+    peak_aux_scalars: int = 0
 
 
-def factor_bases(sk: TuckerSketch) -> FactorBases:
+def factor_bases(sk: TuckerSketch | SketchHead) -> FactorBases:
     """Orthonormalize each factor sketch by QR, flagging rank deficiency."""
     mats = []
     ratios = []
@@ -106,18 +112,31 @@ def factor_bases(sk: TuckerSketch) -> FactorBases:
     )
 
 
-def two_pass_recover(x, sk: TuckerSketch) -> RecoveryReport:
+def _head_and_slabs(sk: TuckerSketch | str | os.PathLike):
+    """The parameters, shape and factor sketches of a sketch or of a TKSK1
+    file (checked whole first), and its core sketch's last-mode slabs."""
+    if isinstance(sk, (str, os.PathLike)):
+        return read_sketch_slabs(sk)
+    return sk, sketch_core_slabs(sk.core_sketch)
+
+
+def two_pass_recover(x, sk: TuckerSketch | str | os.PathLike) -> RecoveryReport:
     """Rank-``k`` recovery using one more pass over the tensor itself.
 
-    ``x`` is an array or the path of a TKTN1 file.  The core sums, over
-    last-mode slabs of ``x``, each slab contracted with every ``Q_n^T``,
-    the last cut to the slab's rows; the same pass sums the slabs' squares
-    into ``tensor_sq_norm``.  A file is read in the recovery slabs of
-    :func:`~tuckersketch.io.read_tensor_slabs` (at most 1 MiB, one plane
-    at the least); an array is one slab.
+    ``x`` is an array or the path of a TKTN1 file, ``sk`` a sketch or the
+    path of a TKSK1 file, of which only the factor sketches are kept (the
+    file is checked first, its core sketch a slab at a time).  The core
+    sums, over last-mode slabs of ``x``, each slab contracted with every
+    ``Q_n^T``, the last cut to the slab's rows; the same pass sums the
+    slabs' squares into ``tensor_sq_norm``.  A file is read in the recovery
+    slabs of :func:`~tuckersketch.io.read_tensor_slabs` (at most 1 MiB, one
+    plane at the least); an array is one slab.  ``peak_aux_scalars`` counts
+    the largest slab (the array itself, for an array) with its products
+    (``tensor.multi_mode_scratch``).
     Raises ``ValueError`` naming the slab after which the core is not
     finite (NaN or Inf in the data).
     """
+    sk = _head_and_slabs(sk)[0]
     if isinstance(x, (str, os.PathLike)):
         shape, slabs = read_tensor_slabs(x, recovery=True)
         where = f"{os.fspath(x)}: "
@@ -131,9 +150,12 @@ def two_pass_recover(x, sk: TuckerSketch) -> RecoveryReport:
     blocks = [(n, q.T) for n, q in enumerate(head)]
     core = np.zeros(tuple(q.shape[1] for q in bases.matrices), order="F")
     sq = 0.0
+    aux = 0
     for offset, slab in slabs:
         rows = q_last[offset : offset + slab.shape[-1]]
-        core += multi_mode_product(slab, blocks + [(len(head), rows.T)])
+        products = blocks + [(len(head), rows.T)]
+        aux = max(aux, slab.size + multi_mode_scratch(slab.shape, products))
+        core += multi_mode_product(slab, products)
         sq += sum_sq(slab)
         if not np.isfinite(core).all():
             raise ValueError(
@@ -147,24 +169,32 @@ def two_pass_recover(x, sk: TuckerSketch) -> RecoveryReport:
         degenerate_modes=bases.degenerate_modes,
         qr_diag_ratios=bases.qr_diag_ratios,
         tensor_sq_norm=sq,
+        peak_aux_scalars=aux,
     )
 
 
-def one_pass_recover(sk: TuckerSketch) -> RecoveryReport:
+def one_pass_recover(sk: TuckerSketch | str | os.PathLike) -> RecoveryReport:
     """Rank-``k`` recovery from the sketch alone.
 
-    Regenerates the core maps from the sketch parameters, then for each mode
-    solves ``(Phi_n^T Q_n) W = H`` in the least squares sense: one SVD of
-    the small system gives its pseudo-inverse, which ``mode_product``
-    applies to the core, and its condition number, which the report keeps.
-    The residual ``||new x_n Z - H||`` of each solve is taken in the
-    back-projection's own buffer.
+    ``sk`` is a sketch or the path of a TKSK1 file, which is checked whole
+    before anything is computed.  One SVD of each mode's small system
+    ``Phi_n^T Q_n`` (the core maps regenerated from the parameters) gives
+    its pseudo-inverse, and the condition number the report keeps.  Then
+    ``(Phi_n^T Q_n) W = H`` is solved in the least squares sense, mode by
+    mode: modes ``0 .. N-2`` on each last-mode slab of the core sketch
+    ``H`` (as :func:`~tuckersketch.io.read_sketch_slabs` reads a file's, or
+    views of a sketch's cut alike, so both give the same bits), the last
+    mode on the small ``k_0 x ... x k_{N-2} x s_{N-1}`` array the slabs
+    make up.  Each mode's residual ``||new x_n Z - H||`` sums the squares
+    of its back-projections.  ``peak_aux_scalars`` counts that array and
+    the larger of a slab's step (the slab with its products, as
+    :func:`_solve_scratch` counts them) and the last mode's.
     Raises :class:`RankDeficientCoreError` when a system is numerically
     singular (condition number past 1e12, or zero).
     """
+    sk, slabs = _head_and_slabs(sk)
     bases = factor_bases(sk)
-    core = sk.core_sketch
-    residuals = []
+    solves = []
     conditions = []
     for n, q in enumerate(bases.matrices):
         z = sk.params.phi_matrix(sk.shape, n).T @ q  # (s_n, k_n), s_n >= k_n
@@ -176,21 +206,55 @@ def one_pass_recover(sk: TuckerSketch) -> RecoveryReport:
                 f"(rank {rank} of {sv.size}); enlarge s_{n} or reseed"
             )
         conditions.append(float(sv[0] / sv[-1]))
-        new = mode_product(core, n, vt.T @ (u.T / sv[:, None]))
-        back = mode_product(new, n, z)
-        back -= core
-        residuals.append(fro_norm(back))
-        core = new
-        del back  # so it is not held beside the next mode's products
+        solves.append((vt.T @ (u.T / sv[:, None]), z))
+    k = tuple(q.shape[1] for q in bases.matrices)
+    last = len(k) - 1
+    sq = [0.0] * len(k)
+    core = np.empty(k[:-1] + sk.params.s[-1:], order="F")
+    step = 0
+    for offset, slab in slabs:
+        step = max(step, slab.size + _solve_scratch(slab.shape, range(last), k))
+        part = slab
+        for n in range(last):
+            part = _solve(part, n, solves[n], sq)
+        core[..., offset : offset + part.shape[-1]] = part
+    del slab, part  # the last slab, and with it the file's read buffer
+    aux = core.size + max(step, _solve_scratch(core.shape, [last], k))
+    core = _solve(core, last, solves[last], sq)
     fact = TuckerFactorization(core=core, factors=bases.matrices)
     return RecoveryReport(
         factorization=fact,
         passes=1,
         degenerate_modes=bases.degenerate_modes,
         qr_diag_ratios=bases.qr_diag_ratios,
-        core_solver_residuals=tuple(residuals),
+        core_solver_residuals=tuple(math.sqrt(v) for v in sq),
         core_conditions=tuple(conditions),
+        peak_aux_scalars=aux,
     )
+
+
+def _solve(cur: np.ndarray, n: int, solve, sq: list) -> np.ndarray:
+    """``cur x_n pinv``, with the squares of ``new x_n Z - cur`` added to ``sq[n]``."""
+    pinv, z = solve
+    new = mode_product(cur, n, pinv)
+    back = mode_product(new, n, z)
+    back -= cur
+    sq[n] += sum_sq(back)
+    return new
+
+
+def _solve_scratch(shape, modes, k) -> int:
+    """Scalars :func:`_solve` holds at its peak over ``modes`` of an input
+    of ``shape``, beyond the input: each mode's product and back-projection
+    beside the product of the mode before."""
+    dims, peak, held = list(shape), 0, 0
+    for n in modes:
+        cur = math.prod(dims)
+        dims[n] = k[n]
+        new = math.prod(dims)
+        peak = max(peak, held + new + cur)
+        held = new
+    return peak
 
 
 def one_pass_inflation(k, s) -> float | None:

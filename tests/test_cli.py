@@ -27,6 +27,7 @@ from tuckersketch.io import (
     read_tucker,
     write_sketch,
     write_tensor,
+    write_tucker,
     write_update_stream,
 )
 from tuckersketch.recovery import fixed_rank_truncate, one_pass_recover, two_pass_recover
@@ -460,6 +461,67 @@ class TestRecoverCommand:
         skfile.write_bytes(bytes(raw))
         rc = main(["recover", "--sketch", str(skfile), "--out", str(tmp_path / "f.tkz")])
         assert rc == 4
+
+    # --rank 3 on 14^3: the core sketch is 15^3 from byte 2449 to 29449, read
+    # here in 8 slabs of 2 planes, the last of 1.
+    _CORE_AT, _CORE_BYTES = 5 + 4 + 16 + 72 + 8 * 3 * 14 * 7, 8 * 15**3
+
+    @pytest.mark.parametrize("mode", ["one-pass", "two-pass"])
+    @pytest.mark.parametrize("damage", [
+        "nan-in-the-last-slab", "truncated-core", "trailing", "nan-under-a-bad-checksum",
+    ])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_damaged_core_exits_4(self, tmp_path, monkeypatch, capsys, exact_tensor, mode,
+                                  damage):
+        monkeypatch.setattr(tkio, "_SKETCH_SLAB_SCALARS", 2 * 15 * 15)
+        xfile, skfile = self._sketch_files(tmp_path, exact_tensor)
+        sk = read_sketch(skfile)
+        core = sk.core_sketch.copy()
+        if damage.startswith("nan"):
+            core[4, 9, 14] = np.nan
+        write_sketch(skfile, TuckerSketch(sk.params, sk.shape, sk.factor_sketches, core))
+        body = bytearray(skfile.read_bytes()[:-4])
+        if damage == "truncated-core":
+            body = body[: self._CORE_AT + 100]
+        elif damage == "trailing":
+            body += b"\0\0"
+        crc = zlib.crc32(body) ^ (damage == "nan-under-a-bad-checksum")
+        skfile.write_bytes(bytes(body) + struct.pack("<I", crc))
+        message = {
+            "nan-in-the-last-slab": "non-finite values in the core sketch",
+            "truncated-core": f"truncated at byte {self._CORE_AT} "
+                              f"(needed {self._CORE_BYTES} more, have 100)",
+            "trailing": f"2 trailing bytes at byte {self._CORE_AT + self._CORE_BYTES}",
+            "nan-under-a-bad-checksum": "checksum mismatch, file is corrupt",
+        }[damage]
+        out = tmp_path / "f.tkz"
+        capsys.readouterr()
+        rc = main(["recover", "--sketch", str(skfile), "--mode", mode, "--input", str(xfile),
+                   "--out", str(out)])
+        assert rc == 4
+        assert capsys.readouterr().err == f"error: {skfile}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["one-pass", "two-pass"])
+    def test_archive_and_report_are_the_library_results(self, tmp_path, monkeypatch,
+                                                        exact_tensor, mode):
+        # The command passes the sketch file's path to the recovery, which
+        # reads its core sketch in slabs (8 here); the library recovers the
+        # sketch read whole, in views of the same slabs.
+        monkeypatch.setattr(tkio, "_SKETCH_SLAB_SCALARS", 2 * 15 * 15)
+        xfile, skfile = self._sketch_files(tmp_path, exact_tensor)
+        out, report = tmp_path / "f.tkz", tmp_path / "r.json"
+        argv = ["recover", "--sketch", str(skfile), "--out", str(out), "--report", str(report)]
+        if mode == "two-pass":
+            argv += ["--mode", "two-pass", "--input", str(xfile)]
+        assert main(argv) == 0
+        sk = read_sketch(skfile)
+        want = one_pass_recover(sk) if mode == "one-pass" else two_pass_recover(xfile, sk)
+        write_tucker(tmp_path / "want.tkz", want.factorization)
+        assert out.read_bytes() == (tmp_path / "want.tkz").read_bytes()
+        data = json.loads(report.read_text())
+        assert data["core_solver_residuals"] == list(want.core_solver_residuals)
+        assert data["peak_aux_scalars"] == want.peak_aux_scalars > 0
 
 
 def _close(got, want, rtol):

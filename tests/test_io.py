@@ -19,10 +19,12 @@ from tuckersketch.io import (
     FullUpdate,
     SlabUpdate,
     read_sketch,
+    read_sketch_slabs,
     read_tensor,
     read_tensor_slabs,
     read_tucker,
     read_update_stream,
+    sketch_core_slabs,
     write_sketch,
     write_tensor,
     write_tucker,
@@ -356,6 +358,100 @@ class TestSketchFile:
         a = two_pass_recover(x, sk).factorization.to_dense()
         b = two_pass_recover(x, read_sketch(path)).factorization.to_dense()
         np.testing.assert_array_equal(a, b)
+
+    # The core sketch of ``_sketch`` is 7 x 7 x 7 from byte 601 to 3345;
+    # slabs of 2 planes cut it into 4, the last one plane.
+    _CORE_AT, _CORE_END = 5 + 4 + 16 + 3 * 24 + 8 * 3 * (6 + 7 + 8), 5 + 4 + 16 + 72 + 8 * 406
+
+    @pytest.mark.parametrize("s, planes", [
+        ((7, 7, 7), 2),  # last extent not a multiple of the slab
+        ((5, 6, 7, 5), 2),
+        ((9,), 4),  # order 1: a plane is one scalar
+        ((6, 5, 7), 1),
+    ])
+    def test_core_slabs_cover_the_core(self, tmp_path, monkeypatch, s, planes):
+        monkeypatch.setattr(tkio, "_SKETCH_SLAB_SCALARS", planes * math.prod(s[:-1]))
+        shape = tuple(range(4, 4 + len(s)))
+        gen = np.random.default_rng(8)
+        params = SketchParams(k=(2,) * len(s), s=s, master_seed=6)
+        sk = TuckerSketch(params, shape, [gen.normal(size=(d, 2)) for d in shape],
+                          gen.normal(size=s))
+        path = tmp_path / "s.tksk"
+        write_sketch(path, sk)
+        head, slabs = read_sketch_slabs(path)
+        assert (head.params, head.shape) == (sk.params, sk.shape)
+        for a, b in zip(head.factor_sketches, sk.factor_sketches):
+            np.testing.assert_array_equal(a, b)
+        got = [(offset, slab.flags.f_contiguous, slab.copy()) for offset, slab in slabs]
+        views = list(sketch_core_slabs(sk.core_sketch))
+        assert [o for o, *_ in got] == [o for o, _ in views] == list(range(0, s[-1], planes))
+        for (offset, fortran, slab), (_, view) in zip(got, views):
+            assert fortran and view.flags.f_contiguous
+            assert slab.shape == view.shape == s[:-1] + (min(planes, s[-1] - offset),)
+            assert np.shares_memory(view, sk.core_sketch)
+            np.testing.assert_array_equal(slab, view)
+
+    def test_core_plane_larger_than_the_slab_is_the_floor(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tkio, "_SKETCH_SLAB_SCALARS", 5)
+        path = tmp_path / "s.tksk"
+        write_sketch(path, self._sketch())
+        assert [s.shape for _, s in read_sketch_slabs(path)[1]] == [(7, 7, 1)] * 7
+        assert [v.shape for _, v in sketch_core_slabs(read_sketch(path).core_sketch)] == (
+            [(7, 7, 1)] * 7)
+
+    def test_core_slabs_share_one_buffer(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tkio, "_SKETCH_SLAB_SCALARS", 2 * 49)
+        path = tmp_path / "s.tksk"
+        write_sketch(path, self._sketch())
+        bases = {s.__array_interface__["data"][0] for _, s in read_sketch_slabs(path)[1]}
+        assert len(bases) == 1
+
+    def test_dropped_core_slabs_close_the_file(self, tmp_path):
+        path = tmp_path / "s.tksk"
+        write_sketch(path, self._sketch())
+        _, slabs = read_sketch_slabs(path)
+        next(slabs)
+        del slabs
+        gc.collect()
+
+    @pytest.mark.parametrize("damage", [
+        "checksum", "order", "truncated-core", "trailing", "nan-in-a-factor",
+        "nan-in-the-last-slab", "nan-under-a-bad-checksum",
+    ])
+    def test_core_slab_reader_checks_as_read_sketch(self, tmp_path, monkeypatch, damage):
+        # Every check, in the same order and with the same message, runs
+        # before read_sketch_slabs returns; a checksum mismatch comes first.
+        monkeypatch.setattr(tkio, "_SKETCH_SLAB_SCALARS", 2 * 49)
+        sk = self._sketch()
+        vs, core = [v.copy() for v in sk.factor_sketches], sk.core_sketch.copy()
+        if damage == "nan-in-a-factor":
+            vs[2][7, 1] = np.nan
+        elif damage.startswith("nan"):
+            core[3, 1, 6] = np.nan
+        path = tmp_path / "s.tksk"
+        write_sketch(path, TuckerSketch(sk.params, sk.shape, vs, core))
+        body = bytearray(path.read_bytes()[:-4])
+        if damage == "order":
+            body[5] = 0
+        elif damage == "truncated-core":
+            body = body[: self._CORE_AT + 100]
+        elif damage == "trailing":
+            body += b"\0\0"
+        crc = zlib.crc32(body) ^ (damage in ("checksum", "nan-under-a-bad-checksum"))
+        path.write_bytes(bytes(body) + struct.pack("<I", crc))
+        message = {
+            "checksum": "checksum mismatch, file is corrupt",
+            "order": "order must be >= 1",
+            "truncated-core": f"truncated at byte {self._CORE_AT} (needed 2744 more, have 100)",
+            "trailing": f"2 trailing bytes at byte {self._CORE_END}",
+            "nan-in-a-factor": "non-finite values in the factor sketch 2",
+            "nan-in-the-last-slab": "non-finite values in the core sketch",
+            "nan-under-a-bad-checksum": "checksum mismatch, file is corrupt",
+        }[damage]
+        for read in (read_sketch, read_sketch_slabs):
+            with pytest.raises(FileFormatError) as err:
+                read(path)
+            assert str(err.value) == f"{path}: {message}"
 
 
 class TestUpdateStream:

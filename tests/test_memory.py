@@ -282,6 +282,67 @@ def test_one_pass_recover_holds_one_core_size_temporary():
     assert peak <= 1.75 * sk.core_sketch.nbytes
 
 
+def test_one_pass_recover_of_a_sketch_holds_one_slab_step():
+    # The same sketch: modes 0-2 are solved on views of 2-plane slabs of the
+    # core sketch (24,334 scalars), whose results make up the 11^3 x 23
+    # array the last mode is solved on; about 0.29x the core sketch, which
+    # is never copied.
+    shape = (30, 30, 30, 30)
+    params = SketchParams.for_rank(5, master_seed=4, order=4)
+    gen = np.random.default_rng(5)
+    vs = tuple(gen.normal(size=(d, k)) for d, k in zip(shape, params.k))
+    sk = TuckerSketch(params, shape, vs, gen.normal(size=params.s))
+    one_pass_recover(sk)  # first-call allocations stay out of the peak
+    _, peak = _peak(lambda: one_pass_recover(sk))
+    assert peak <= 0.4 * sk.core_sketch.nbytes
+
+
+@pytest.fixture(scope="module")
+def order_4_files(tmp_path_factory):
+    """A 30^4 TKTN1 file (6.5 MB) and its TKSK1 sketch at r=5 (k=11, s=23),
+    whose core sketch (23^4 scalars, 2.24 MB) is far larger than what a
+    recovery computes from it; and the core sketch's bytes."""
+    x = np.random.default_rng(13).normal(size=(30, 30, 30, 30))
+    d = tmp_path_factory.mktemp("order4")
+    params = SketchParams.for_rank(5, master_seed=13, order=4)
+    write_tensor(d / "x.tktn", x)
+    write_sketch(d / "x.tksk", tucker_sketch(x, params))
+    return d / "x.tktn", d / "x.tksk", 8 * int(np.prod(params.s))
+
+
+@pytest.mark.parametrize("mode", ["one-pass", "two-pass"])
+def test_cli_recover_holds_no_core_sketch(tmp_path, order_4_files, mode):
+    # The sketch file is checked a core slab at a time, and only one-pass
+    # reads its core again, a slab at a time.  One-pass held about 0.38x
+    # the core sketch, two-pass 0.67x (its 4-plane pieces of the tensor
+    # file); reading the core sketch whole, 2.51x and 1.67x.
+    xfile, skfile, core_bytes = order_4_files
+    argv = ["recover", "--sketch", str(skfile), "--trunc", "5", "--out", str(tmp_path / "x.tkz")]
+    if mode == "two-pass":
+        argv += ["--mode", "two-pass", "--input", str(xfile)]
+    assert main(argv) == 0  # first-call allocations stay out of the peak
+    rc, peak = _peak(lambda: main(argv))
+    assert rc == 0
+    assert peak < core_bytes
+
+
+@pytest.mark.parametrize("call", ["one-pass-file", "one-pass-sketch", "two-pass-file"])
+def test_recovery_peak_stays_within_its_reported_scalars(order_4_files, call):
+    # peak_aux_scalars, counted from shapes: a core slab's step or the last
+    # mode's for one-pass, a tensor piece and its products for two-pass.
+    # tracemalloc read 1.10x, 0.88x (the slab is a view) and 1.11x of it.
+    xfile, skfile, _ = order_4_files
+    sk = read_sketch(skfile)
+    run = {
+        "one-pass-file": lambda: one_pass_recover(skfile),
+        "one-pass-sketch": lambda: one_pass_recover(sk),
+        "two-pass-file": lambda: two_pass_recover(xfile, skfile),
+    }[call]
+    run()  # first-call allocations stay out of the peak
+    report, peak = _peak(run)
+    assert peak <= 1.25 * 8 * report.peak_aux_scalars
+
+
 def test_ssrft_factor_map_slab_update():
     shape = (60, 60, 60)
     params = SketchParams.for_rank(2, master_seed=3, order=3, omega_kind="ssrft")

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from tuckersketch import io as tkio
+from tuckersketch import recovery
 from tuckersketch.harness import SyntheticSpec, gen_synthetic
-from tuckersketch.io import write_tensor
+from tuckersketch.io import read_sketch, write_sketch, write_tensor
 from tuckersketch.recovery import (
     RankDeficientCoreError,
     RankInfeasibleError,
@@ -24,6 +25,7 @@ from tuckersketch.sketch import SketchParams, TuckerSketch, tucker_sketch
 from tuckersketch.tensor import (
     TuckerFactorization,
     fro_norm,
+    mode_product,
     multi_mode_product,
     tucker_to_dense,
 )
@@ -225,6 +227,112 @@ class TestOnePass:
             )
         with pytest.raises(RankDeficientCoreError, match="mode"):
             one_pass_recover(tucker_sketch(x, params))
+
+
+def _whole_core_solve(sk):
+    """The one-pass core and residuals solved on the whole core sketch,
+    mode by mode."""
+    core, residuals = sk.core_sketch, []
+    for n, q in enumerate(factor_bases(sk).matrices):
+        z = sk.params.phi_matrix(sk.shape, n).T @ q
+        new = mode_product(core, n, np.linalg.pinv(z))
+        residuals.append(fro_norm(mode_product(new, n, z) - core))
+        core = new
+    return core, residuals
+
+
+def _same_report(a, b):
+    """Whether two recoveries agree to the bit."""
+    fa, fb = a.factorization, b.factorization
+    return (fa.core.tobytes("F") == fb.core.tobytes("F")
+            and all(x.tobytes() == y.tobytes() for x, y in zip(fa.factors, fb.factors))
+            and a.core_solver_residuals == b.core_solver_residuals
+            and a.core_conditions == b.core_conditions
+            and a.peak_aux_scalars == b.peak_aux_scalars)
+
+
+class TestOnePassFromAFile:
+    """``one_pass_recover`` of a TKSK1 path reads the core sketch in
+    last-mode slabs; of a sketch, it cuts the core into views of the same
+    slabs, so both give the same bits."""
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5])
+    @pytest.mark.parametrize("phi", ["gaussian", "sparse_sign", "ssrft"])
+    @pytest.mark.parametrize("omega", ["same", "trp"])
+    def test_a_file_and_its_sketch_recover_alike(self, tmp_path, monkeypatch, order, phi,
+                                                 omega):
+        # s = 7 in every mode, in slabs of 2 planes: 4 slabs, the last of 1.
+        monkeypatch.setattr(tkio, "_SKETCH_SLAB_SCALARS", 2 * 7 ** (order - 1))
+        x = _noisy_tensor(side=8, order=order, rank=2, seed=order)
+        params = SketchParams(k=(3,) * order, s=(7,) * order, master_seed=order,
+                              omega_kind=phi if omega == "same" else omega, phi_kind=phi,
+                              density=0.5)
+        path = tmp_path / "x.tksk"
+        write_sketch(path, tucker_sketch(x, params))
+        assert [v.shape[-1] for _, v in tkio.read_sketch_slabs(path)[1]] == [2, 2, 2, 1]
+        sk = read_sketch(path)
+        got = one_pass_recover(path)
+        assert _same_report(got, one_pass_recover(sk))
+        core, residuals = _whole_core_solve(sk)
+        want = np.abs(core).max()
+        assert np.abs(got.factorization.core - core).max() <= 1e-10 * want
+        np.testing.assert_allclose(got.core_solver_residuals, residuals, rtol=1e-10)
+
+    def test_a_core_plane_past_the_slab_size_is_one_slab(self, tmp_path):
+        # 182 x 182 planes (33,124 scalars) pass the 2^15 of a slab: five
+        # slabs of one plane.
+        x = _noisy_tensor(side=4, order=3, rank=2, seed=3)
+        params = SketchParams(k=(2, 2, 2), s=(182, 182, 5), master_seed=3)
+        path = tmp_path / "x.tksk"
+        write_sketch(path, tucker_sketch(x, params))
+        shapes = [v.shape for _, v in tkio.read_sketch_slabs(path)[1]]
+        assert shapes == [(182, 182, 1)] * 5
+        got = one_pass_recover(path)
+        assert _same_report(got, one_pass_recover(read_sketch(path)))
+        core, residuals = _whole_core_solve(read_sketch(path))
+        assert np.abs(got.factorization.core - core).max() <= 1e-10 * np.abs(core).max()
+        np.testing.assert_allclose(got.core_solver_residuals, residuals, rtol=1e-10)
+
+    def test_two_pass_reads_the_factor_sketches_of_a_path(self, tmp_path):
+        x = _noisy_tensor(side=9, order=3, rank=2, seed=4)
+        path = tmp_path / "x.tksk"
+        write_sketch(path, tucker_sketch(x, SketchParams.for_rank(2, master_seed=4, order=3)))
+        assert _same_report(two_pass_recover(x, path), two_pass_recover(x, read_sketch(path)))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_a_damaged_file_fails_before_anything_is_computed(self, tmp_path, monkeypatch):
+        # A NaN in the last of 4 core slabs: neither recovery makes a core
+        # map or opens the tensor.
+        monkeypatch.setattr(tkio, "_SKETCH_SLAB_SCALARS", 2 * 49)
+        x = _noisy_tensor(side=9, order=3, rank=2, seed=5)
+        sk = tucker_sketch(x, SketchParams(k=(3,) * 3, s=(7,) * 3, master_seed=5))
+        core = sk.core_sketch.copy()
+        core[2, 3, 6] = np.nan
+        path = tmp_path / "x.tksk"
+        write_sketch(path, TuckerSketch(sk.params, sk.shape, sk.factor_sketches, core))
+
+        def computed(*args, **kwargs):
+            raise AssertionError("computed before the sketch file was checked")
+
+        monkeypatch.setattr(SketchParams, "phi_matrix", computed)
+        monkeypatch.setattr(recovery, "read_tensor_slabs", computed)
+        with pytest.raises(tkio.FileFormatError, match="non-finite values in the core sketch"):
+            one_pass_recover(path)
+        with pytest.raises(tkio.FileFormatError, match="non-finite values in the core sketch"):
+            two_pass_recover(tmp_path / "x.tktn", path)
+
+    def test_peak_aux_scalars_counts_the_largest_step(self):
+        # Order 4, k = 11, s = 23: slabs of 2 planes of 23^3.  A slab
+        # (24,334) with its mode-0 product (11,638) and back-projection
+        # (24,334) is the largest slab step, 60,306; the last mode's step
+        # on the 11^3 x 23 array (30,613) holds its product (14,641) and
+        # back-projection (30,613), 45,254.  So 30,613 + 60,306.
+        shape = (30, 30, 30, 30)
+        params = SketchParams.for_rank(5, master_seed=4, order=4)
+        gen = np.random.default_rng(5)
+        vs = tuple(gen.normal(size=(d, k)) for d, k in zip(shape, params.k))
+        sk = TuckerSketch(params, shape, vs, gen.normal(size=params.s))
+        assert one_pass_recover(sk).peak_aux_scalars == 90_919
 
 
 class TestHosvdFamily:

@@ -30,10 +30,10 @@ shard holds the core maps, one box and the rows of ``Omega_last`` its
 record touches.
 ``sketch --report`` writes the pieces and payload bytes folded,
 ``peak_aux_scalars``, ``held_map_scalars`` (factor and core map entries
-held) and the elapsed time.  ``merge`` reads one sketch file at a time,
-whole.  ``recover`` never holds the core sketch whole: it checks the sketch
-file a core slab (at most 256 KiB) at a time, two-pass then keeps only the
-factor sketches, and one-pass reads the core again slab by slab.
+held) and the elapsed time.  ``merge`` checks each sketch file whole, then
+adds it in core slabs (256 KiB at most) to one running sum.  ``recover``
+never holds the core sketch whole: the recovery checks the file once,
+two-pass keeps the factor sketches, one-pass reads the core slab by slab.
 ``recover --report`` writes ``peak_aux_scalars``, the working memory of
 the recovery's largest step counted from shapes.
 
@@ -71,7 +71,7 @@ from .sketch import (
     RankInfeasibleError,
     SketchParams,
     StreamingSketcher,
-    sketch_merge,
+    sum_sketches,
 )
 from .tensor import TuckerFactorization, fro_norm, multi_mode_product, per_mode, sum_sq
 
@@ -282,9 +282,8 @@ def _cmd_sketch(args) -> int:
 
 
 def _cmd_merge(args) -> int:
-    merged = tkio.read_sketch(args.inputs[0])
-    for path in args.inputs[1:]:
-        merged = sketch_merge(merged, tkio.read_sketch(path))
+    # Lazy: each file is opened once the one before it is added and closed.
+    merged = sum_sketches(tkio.read_sketch_slabs(path) for path in args.inputs)
     tkio.write_sketch(args.out, merged)
     print(f"merged {len(args.inputs)} sketches into {args.out}", file=sys.stderr)
     return 0
@@ -360,45 +359,39 @@ def _cmd_recover(args) -> int:
         two_pass_recover,
     )
 
-    # Checked whole, a core slab at a time, before any tensor is opened;
-    # the recovery reads the file again and holds no more of its core.
-    sk = tkio.read_sketch_slabs(args.sketch)[0]
-    slabs = None
-    if args.input is not None:
-        # Checked now, read when scoring (two-pass also reads it for the core).
-        shape, slabs = tkio.read_tensor_slabs(args.input, recovery=True)
-        if shape != sk.shape:
-            raise ValueError(f"tensor has shape {shape} but sketch covers {sk.shape}")
     start = time.perf_counter()
     if args.mode == "two-pass":
         report = two_pass_recover(args.input, args.sketch)
     else:
         report = one_pass_recover(args.sketch)
-    fact = report.factorization
+    params, fact = report.params, report.factorization
     if args.trunc is not None:
-        r = per_mode(args.trunc, len(sk.shape), "--trunc")
+        r = per_mode(args.trunc, params.order, "--trunc")
         fact = fixed_rank_truncate(fact, r, method=args.method or "hooi")
     elapsed = time.perf_counter() - start
     normalized_error = None
     if args.mode == "two-pass":
         normalized_error = _projected_error(report, fact)
-    if slabs is not None and (normalized_error is None
-                              or normalized_error < _PROJECTED_ERROR_FLOOR):
+    if args.input is not None and (normalized_error is None
+                                   or normalized_error < _PROJECTED_ERROR_FLOOR):
         # One-pass, or a two-pass score that has cancelled: expand.
+        shape, slabs = tkio.read_tensor_slabs(args.input, recovery=True)
+        if shape != fact.shape:
+            raise ValueError(f"tensor has shape {shape} but sketch covers {fact.shape}")
         normalized_error = _normalized_error(slabs, fact)
     tkio.write_tucker(args.out, fact)
     summary = {
         "mode": args.mode,
         "passes": report.passes,
-        "shape": list(sk.shape),
-        "k": list(sk.params.k),
-        "s": list(sk.params.s),
+        "shape": list(fact.shape),
+        "k": list(params.k),
+        "s": list(params.s),
         "rank": list(fact.rank),
         "degenerate_modes": list(report.degenerate_modes),
         "qr_diag_ratios": list(report.qr_diag_ratios),
         "core_solver_residuals": list(report.core_solver_residuals),
         "core_conditions": list(report.core_conditions),
-        "one_pass_inflation": one_pass_inflation(sk.params.k, sk.params.s),
+        "one_pass_inflation": one_pass_inflation(params.k, params.s),
         "normalized_error": normalized_error,
         "peak_aux_scalars": report.peak_aux_scalars,
         "elapsed_seconds": elapsed,

@@ -22,8 +22,8 @@ and scores tensor files and streams this way (``read_tensor_slabs``,
 recovery's passes over a tensor file read pieces of at most 1 MiB instead:
 they contract each piece against k-column bases only, so their memory
 follows what they compute, not what they read.  A sketch file's core
-sketch is checked, and read for one-pass recovery, in last-mode slabs of at
-most 256 KiB (``read_sketch_slabs``); ``read_sketch`` reads it whole.
+sketch is checked, and read for merging and one-pass recovery, in last-mode
+slabs of at most 256 KiB (``read_sketch_slabs``); ``read_sketch`` reads it whole.
 
 ``TKTN1`` tensor file::
 
@@ -113,10 +113,10 @@ _READ_SLAB_SCALARS = 1 << 20
 # last-mode pieces of at most this many scalars (1 MiB), one plane at the
 # least.
 _RECOVER_SLAB_SCALARS = 1 << 17
-# A sketch file's core sketch is checked, and one-pass recovery reads it, in
-# last-mode slabs of at most this many scalars (256 KiB), one plane at the
-# least: a slab goes through products no larger than itself, so a small one
-# keeps a recovery's memory near its outputs.
+# A sketch file's core sketch is checked, and merge and one-pass recovery
+# read it, in last-mode slabs of at most this many scalars (256 KiB), one
+# plane at the least: a slab goes through products no larger than itself,
+# so a small one keeps a merge's or a recovery's memory near its outputs.
 _SKETCH_SLAB_SCALARS = 1 << 15
 # Payloads are read in pieces of this many bytes: a handle without a native
 # ``readinto`` (an archive member) copies through one piece at a time.

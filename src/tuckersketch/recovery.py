@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .io import SketchHead, read_sketch_slabs, read_tensor_slabs, sketch_core_slabs
-from .sketch import RankDeficientCoreError, RankInfeasibleError, TuckerSketch
+from .sketch import RankDeficientCoreError, RankInfeasibleError, SketchParams, TuckerSketch
 from .tensor import (
     TuckerFactorization,
     fro_norm,
@@ -72,8 +72,8 @@ class FactorBases:
 class RecoveryReport:
     """What a recovery did and how well its internal solves went.
 
-    ``qr_diag_ratios`` and ``degenerate_modes`` are those of
-    :class:`FactorBases`.  ``core_conditions`` holds, for a one-pass
+    ``params`` are the sketch's, ``qr_diag_ratios`` and ``degenerate_modes``
+    those of :class:`FactorBases`.  ``core_conditions`` holds, for a one-pass
     recovery, the condition number ``sigma_1 / sigma_k`` of each mode's
     core system ``Phi_n^T Q_n``; ``tensor_sq_norm``, for a two-pass
     recovery, the tensor's sum of squares ``||X||^2``, taken in the same
@@ -85,6 +85,7 @@ class RecoveryReport:
     passes: int
     degenerate_modes: tuple[int, ...]
     qr_diag_ratios: tuple[float, ...]
+    params: SketchParams
     core_solver_residuals: tuple[float, ...] = ()
     core_conditions: tuple[float, ...] = ()
     tensor_sq_norm: float | None = None
@@ -168,6 +169,7 @@ def two_pass_recover(x, sk: TuckerSketch | str | os.PathLike) -> RecoveryReport:
         passes=2,
         degenerate_modes=bases.degenerate_modes,
         qr_diag_ratios=bases.qr_diag_ratios,
+        params=sk.params,
         tensor_sq_norm=sq,
         peak_aux_scalars=aux,
     )
@@ -227,6 +229,7 @@ def one_pass_recover(sk: TuckerSketch | str | os.PathLike) -> RecoveryReport:
         passes=1,
         degenerate_modes=bases.degenerate_modes,
         qr_diag_ratios=bases.qr_diag_ratios,
+        params=sk.params,
         core_solver_residuals=tuple(math.sqrt(v) for v in sq),
         core_conditions=tuple(conditions),
         peak_aux_scalars=aux,

@@ -263,10 +263,10 @@ class StreamingSketcher:
                     "initial sketch was built under different parameters or shape"
                 )
             self._v = [v.copy() for v in init.factor_sketches]
-            self._h = init.core_sketch.copy()
+            self._h = init.core_sketch.copy(order="F")
         else:
             self._v = [np.zeros((shape[n], params.k[n])) for n in range(len(shape))]
-            self._h = np.zeros(params.s)
+            self._h = np.zeros(params.s, order="F")
         self.peak_aux_scalars = 0
 
     def _note_aux(self, count: int) -> None:
@@ -396,25 +396,34 @@ def tucker_sketch(x, params: SketchParams) -> TuckerSketch:
     return sk.sketch()
 
 
+def sum_sketches(pairs) -> TuckerSketch:
+    """Sum sketches taken one at a time from an iterator of ``(head, core_slabs)``:
+    a ``TuckerSketch`` or ``io.read_sketch_slabs`` head and ``(offset, slab)``
+    last-mode slabs of its core.  The first is copied (a ``-0.0`` keeps its
+    sign); each later one is checked against it and added slab by slab."""
+    first, slabs = next(pairs)
+    vs = [np.array(v, order="F") for v in first.factor_sketches]
+    h = np.empty(first.params.s, order="F")
+    for offset, slab in slabs:
+        h[..., offset : offset + slab.shape[-1]] = slab
+    for head, slabs in pairs:
+        if head.params != first.params:
+            raise ParamsMismatchError("sketches were built under different parameters; "
+                                      "refusing to merge")
+        if head.shape != first.shape:
+            raise ParamsMismatchError(f"sketches cover different shapes {first.shape} vs "
+                                      f"{head.shape}")
+        for v, w in zip(vs, head.factor_sketches):
+            v += w
+        for offset, slab in slabs:
+            h[..., offset : offset + slab.shape[-1]] += slab
+    return TuckerSketch(params=first.params, shape=first.shape,
+                        factor_sketches=tuple(vs), core_sketch=h, _owned=True)
+
+
 def sketch_merge(a: TuckerSketch, b: TuckerSketch) -> TuckerSketch:
     """Combine sketches of shards: valid only under identical params and shape."""
-    if a.params != b.params:
-        raise ParamsMismatchError(
-            "sketches were built under different parameters; refusing to merge"
-        )
-    if a.shape != b.shape:
-        raise ParamsMismatchError(
-            f"sketches cover different shapes {a.shape} vs {b.shape}"
-        )
-    return TuckerSketch(
-        params=a.params,
-        shape=a.shape,
-        factor_sketches=tuple(
-            va + vb for va, vb in zip(a.factor_sketches, b.factor_sketches)
-        ),
-        core_sketch=a.core_sketch + b.core_sketch,
-        _owned=True,
-    )
+    return sum_sketches((sk, ((0, sk.core_sketch),)) for sk in (a, b))
 
 
 def sketch_storage(sk: TuckerSketch) -> int:

@@ -1,12 +1,15 @@
 """End-to-end command line tests: files in, files out, exit codes."""
 
 import csv
+import functools
 import json
+import operator
 import os
 import struct
 import subprocess
 import sys
 import warnings
+import weakref
 import zlib
 from pathlib import Path
 
@@ -36,6 +39,7 @@ from tuckersketch.sketch import (
     SketchParams,
     StreamingSketcher,
     TuckerSketch,
+    sketch_merge,
     tucker_sketch,
 )
 from tuckersketch.tensor import fro_norm, tucker_to_dense
@@ -303,6 +307,75 @@ class TestMergeCommand:
         assert "unknown map kind code at byte 6" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    @pytest.mark.parametrize("kinds", [("gaussian", "gaussian"), ("sparse_sign", "sparse_sign"),
+                                       ("ssrft", "ssrft"), ("trp", "gaussian")],
+                             ids=["gaussian", "sparse_sign", "ssrft", "trp"])
+    def test_merge_equals_pairwise_sketch_merge_bit_for_bit(self, tmp_path, monkeypatch,
+                                                            kinds, count):
+        # Each file's core is read in slabs of two planes (the last of one),
+        # and every input holds a -0.0 in the same entries, which a sum
+        # started from zeros would turn into +0.0.
+        monkeypatch.setattr(tkio, "_SKETCH_SLAB_SCALARS", 2 * 9 * 9)
+        params = SketchParams(k=(4,) * 3, s=(9,) * 3, master_seed=5,
+                              omega_kind=kinds[0], phi_kind=kinds[1])
+        sks, paths = [], []
+        for i in range(count):
+            sk = tucker_sketch(np.random.default_rng(40 + i).normal(size=(12, 11, 10)), params)
+            vs = [v.copy() for v in sk.factor_sketches]
+            core = sk.core_sketch.copy()
+            vs[0][0, 0] = core[1, 2, 3] = -0.0
+            sks.append(TuckerSketch(params, sk.shape, vs, core))
+            paths.append(tmp_path / f"{i}.tksk")
+            write_sketch(paths[-1], sks[-1])
+        out, want = tmp_path / "m.tksk", tmp_path / "want.tksk"
+        assert main(["merge", *map(str, paths), "--out", str(out)]) == 0
+        pairwise = functools.reduce(sketch_merge, sks)
+        write_sketch(want, pairwise)
+        assert out.read_bytes() == want.read_bytes()
+        # sketch_merge adds as numpy does, left to right.
+        cores = functools.reduce(operator.add, (sk.core_sketch for sk in sks))
+        assert pairwise.core_sketch.tobytes() == cores.tobytes()
+        assert np.signbit(pairwise.core_sketch[1, 2, 3])
+        assert np.signbit(pairwise.factor_sketches[0][0, 0])
+
+    @pytest.mark.parametrize("second", ["good", "mismatched"])
+    def test_merge_checks_each_input_before_the_next(self, tmp_path, monkeypatch, capsys,
+                                                     second):
+        # The third input is corrupt.  After two good inputs it fails the
+        # merge as corrupt; after a mismatched second, the mismatch stops the
+        # merge before the third file is opened.
+        x = np.random.default_rng(6).normal(size=(8, 8, 8))
+        paths = [tmp_path / f"{i}.tksk" for i in range(3)]
+        for i, path in enumerate(paths):
+            seed = 2 if i == 1 and second == "mismatched" else 1
+            params = SketchParams(k=(4,) * 3, s=(9,) * 3, master_seed=seed)
+            write_sketch(path, tucker_sketch(x, params))
+        raw = bytearray(paths[2].read_bytes())
+        raw[len(raw) // 2] ^= 0x55
+        paths[2].write_bytes(bytes(raw))
+        opened, parse = [], tkio._sketch_slabs
+
+        def recorded(path, scalars):
+            opened.append(path)
+            return parse(path, scalars)
+
+        monkeypatch.setattr(tkio, "_sketch_slabs", recorded)
+        out = tmp_path / "m.tksk"
+        capsys.readouterr()
+        rc = main(["merge", *map(str, paths), "--out", str(out)])
+        err = capsys.readouterr().err
+        if second == "good":
+            assert rc == 4
+            assert err == f"error: {paths[2]}: checksum mismatch, file is corrupt\n"
+            assert opened == [str(p) for p in paths]
+        else:
+            assert rc == 5
+            assert err == ("error: sketches were built under different parameters; "
+                           "refusing to merge\n")
+            assert opened == [str(p) for p in paths[:2]]
+        assert not out.exists()
+
 
 class TestRecoverCommand:
     def _sketch_files(self, tmp_path, x, seed=21):
@@ -453,6 +526,35 @@ class TestRecoverCommand:
             assert main(["recover", "--sketch", str(skfile), "--out", str(out)]) == 1
         assert "rank deficient" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["one-pass", "two-pass"])
+    def test_sketch_file_is_checked_once(self, tmp_path, monkeypatch, mode):
+        # The recovery parses the sketch file once, and closes it before the
+        # tensor file is opened, once: by two-pass for its core (a noisy
+        # tensor's projected score needs no second read), by one-pass to score.
+        x = np.random.default_rng(9).normal(size=(12, 11, 10))
+        xfile, skfile = self._sketch_files(tmp_path, x)
+        parsed, opened, readers = [], [], []
+        parse, open_slabs = tkio._sketch_slabs, tkio._iter_slabs
+
+        def parsing(path, scalars):
+            parsed.append(path)
+            reader = parse(path, scalars)
+            readers.append(weakref.ref(reader))
+            return reader
+
+        def opening(path, scalars):
+            assert all(r() is None or r().gi_frame is None for r in readers)
+            opened.append(path)
+            return open_slabs(path, scalars)
+
+        monkeypatch.setattr(tkio, "_sketch_slabs", parsing)
+        monkeypatch.setattr(tkio, "_iter_slabs", opening)
+        rc = main(["recover", "--sketch", str(skfile), "--mode", mode, "--input", str(xfile),
+                   "--out", str(tmp_path / "f.tkz")])
+        assert rc == 0
+        assert parsed == [str(skfile)]
+        assert opened == [str(xfile)]
 
     def test_corrupt_sketch_exits_4(self, tmp_path, exact_tensor):
         _, skfile = self._sketch_files(tmp_path, exact_tensor)
@@ -838,8 +940,10 @@ def test_nan_in_stream_record_names_the_record(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["merge", "recover"])
-def test_nan_in_sketch_file_exits_4(tmp_path, command):
+@pytest.mark.parametrize(
+    "command", ["merge", "recover", "merge-third", "one-pass-input", "two-pass-input"]
+)
+def test_nan_in_sketch_file_exits_4(tmp_path, capsys, command):
     x = np.random.default_rng(8).normal(size=(8, 8, 8))
     params = SketchParams(k=(3,) * 3, s=(7,) * 3, master_seed=4)
     good = tucker_sketch(x, params)
@@ -848,12 +952,22 @@ def test_nan_in_sketch_file_exits_4(tmp_path, command):
     bad = tmp_path / "bad.tksk"
     write_sketch(bad, TuckerSketch(params, good.shape, good.factor_sketches, core))
     write_sketch(tmp_path / "good.tksk", good)
-    out = tmp_path / "out"
-    if command == "merge":
-        argv = ["merge", str(tmp_path / "good.tksk"), str(bad), "--out", str(out)]
-    else:
-        argv = ["recover", "--sketch", str(bad), "--out", str(out)]
-    assert main(argv) == 4
+    # A truncated tensor file fails too, but the sketch is checked first.
+    xfile = tmp_path / "x.tktn"
+    write_tensor(xfile, x)
+    xfile.write_bytes(xfile.read_bytes()[:-8])
+    out, ok = tmp_path / "out", str(tmp_path / "good.tksk")
+    argv = {
+        "merge": ["merge", ok, str(bad)],
+        "merge-third": ["merge", ok, ok, str(bad)],
+        "recover": ["recover", "--sketch", str(bad)],
+        "one-pass-input": ["recover", "--sketch", str(bad), "--input", str(xfile)],
+        "two-pass-input": ["recover", "--sketch", str(bad), "--mode", "two-pass",
+                           "--input", str(xfile)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == 4
+    assert capsys.readouterr().err == f"error: {bad}: non-finite values in the core sketch\n"
     assert not out.exists()
 
 

@@ -326,6 +326,19 @@ def test_cli_recover_holds_no_core_sketch(tmp_path, order_4_files, mode):
     assert peak < core_bytes
 
 
+def test_cli_merge_holds_one_sum(tmp_path, order_4_files):
+    # Three inputs (one file given three times): each is checked a core
+    # slab at a time, then added slab by slab into one running sum.  The
+    # peak read 1.22x the core sketch; each input read whole and a new sum
+    # made for it, 3.04x.
+    _, skfile, core_bytes = order_4_files
+    argv = ["merge", *[str(skfile)] * 3, "--out", str(tmp_path / "m.tksk")]
+    assert main(argv) == 0  # first-call allocations stay out of the peak
+    rc, peak = _peak(lambda: main(argv))
+    assert rc == 0
+    assert peak <= 1.5 * core_bytes
+
+
 @pytest.mark.parametrize("call", ["one-pass-file", "one-pass-sketch", "two-pass-file"])
 def test_recovery_peak_stays_within_its_reported_scalars(order_4_files, call):
     # peak_aux_scalars, counted from shapes: a core slab's step or the last

@@ -1,5 +1,6 @@
 """Source hygiene: no module keeps an import or a private helper it never uses,
-and one function makes every BLAS product.
+one function makes every BLAS product, and commands read and sum sketch
+files one way.
 
 Each module of the package (``__init__.py`` aside, which only re-exports)
 is parsed with ``ast``.  A name counts as used when the module loads it
@@ -120,3 +121,14 @@ def test_np_matmul_is_called_in_tensor_matmul_alone():
     # tensor.matmul decides how every GEMM is cut into BLAS calls, so no
     # other function may call np.matmul past it.
     assert set(_np_matmul_sites()) == {"tensor.matmul"}
+
+
+def test_cli_reads_and_sums_sketches_one_way():
+    # Every command reads a sketch file through io.read_sketch_slabs and
+    # sums sketches through sketch.sum_sketches, so none may name the
+    # whole-file read or the pairwise merge.
+    tree = ast.parse((PACKAGE / "cli.py").read_text(), filename="cli.py")
+    names = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for a in node.names}
+    names |= _loads(tree) | _loads(tree, kind=ast.Attribute)
+    assert not names & {"read_sketch", "sketch_merge"}

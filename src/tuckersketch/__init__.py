@@ -45,6 +45,7 @@ _EXPORTS = {
         "two_pass_recover",
         "one_pass_recover",
         "fixed_rank_truncate",
+        "normalized_error",
         "hosvd",
         "st_hosvd",
         "hooi",

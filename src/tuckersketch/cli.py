@@ -9,33 +9,29 @@ atomically.
 ``sketch --input`` reads the tensor file in last-mode slabs of at most
 8 MiB, ``recover --input`` in slabs of at most 1 MiB (one plane of the last
 mode at the least), so the tensor is never held in memory whole.
-``recover --input`` reads the file once in either mode.  One-pass scores
-the error by expanding the factorization piece by piece beside the file's
-pieces.  Two-pass scores it from the pass that makes its core (the
-projection onto the factor bases) and the sum of squares that pass takes;
-only an error below 1e-3, where that score has cancelled, reads the file
-again to expand it.  ``sketch
---stream`` reads every full record and every last-mode slab record in 8 MiB
-pieces, and every slab record along another mode in boxes, its rows times a
-range of last-mode planes, of at most four core sketches (at most 8 MiB,
-one plane of the record at the least), all into one reused buffer.  Every
-piece is folded with ``update_slab``.  A piece generates the rows of each
-Gaussian or sparse sign factor map that it touches and drops them; a map it
-touches whole (``Omega_m`` for a slab along mode ``m``) is realized whole,
-and contracted last.  A box of fewer than all planes touches no map whole,
-and the rows of ``Omega_last`` it touches are the same for every box of
-its record, so they are kept for the record.  So ``sketch --input`` holds
-``Omega_last``, the core maps, one slab and one row block, and a mode-0
-shard holds the core maps, one box and the rows of ``Omega_last`` its
-record touches.
-``sketch --report`` writes the pieces and payload bytes folded,
-``peak_aux_scalars``, ``held_map_scalars`` (factor and core map entries
-held) and the elapsed time.  ``merge`` checks each sketch file whole, then
-adds it in core slabs (256 KiB at most) to one running sum.  ``recover``
-never holds the core sketch whole: the recovery checks the file once,
-two-pass keeps the factor sketches, one-pass reads the core slab by slab.
-``recover --report`` writes ``peak_aux_scalars``, the working memory of
-the recovery's largest step counted from shapes.
+``sketch --stream`` reads every full record and every last-mode slab record
+in 8 MiB pieces, and every slab record along another mode in boxes, its
+rows times a range of last-mode planes, of at most four core sketches (at
+most 8 MiB, one plane of the record at the least), all into one reused
+buffer.  Every piece is folded with ``update_slab``, and ``sketch`` stops
+at the first that leaves NaN or Inf in the sketch (``check_finite``).  A
+piece generates the rows of each Gaussian or sparse sign factor map that it
+touches and drops them; a map it touches whole (``Omega_m`` for a slab
+along mode ``m``) is realized whole, and contracted last.  A box of fewer
+than all planes touches no map whole, and the rows of ``Omega_last`` it
+touches are the same for every box of its record, so they are kept for the
+record.  So ``sketch --input`` holds ``Omega_last``, the core maps, one
+slab and one row block, and a mode-0 shard holds the core maps, one box and
+the rows of ``Omega_last`` its record touches.  ``sketch --report`` writes
+the pieces and payload bytes folded, ``peak_aux_scalars``,
+``held_map_scalars`` (factor and core map entries held) and the elapsed
+time.  ``merge`` checks each sketch file whole, then adds it in core slabs
+(256 KiB at most) to one running sum.  ``recover`` never holds the core
+sketch whole: the recovery checks the file once, two-pass keeps the factor
+sketches, one-pass reads the core slab by slab.  ``recover --report``
+writes ``peak_aux_scalars``, the working memory of the recovery's largest
+step counted from shapes, and, given ``--input``, the error that
+``recovery.normalized_error`` scores.
 
 A command imports scipy only to draw more than 2^20 Gaussian values in one
 array or map (``rng.ndtri_for``), and ``numpy.random`` only to draw more
@@ -60,7 +56,6 @@ import json
 import math
 import sys
 import time
-from typing import TYPE_CHECKING
 
 from . import io as tkio
 from .sketch import (
@@ -73,10 +68,7 @@ from .sketch import (
     StreamingSketcher,
     sum_sketches,
 )
-from .tensor import TuckerFactorization, fro_norm, multi_mode_product, per_mode, sum_sq
-
-if TYPE_CHECKING:
-    from .recovery import RecoveryReport
+from .tensor import per_mode
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -180,15 +172,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _core_kind(drm: str, core_drm: str | None) -> str:
-    if core_drm is not None:
-        return core_drm
-    return drm if drm in CORE_KINDS else "gaussian"
-
-
 def _map_kinds(args) -> dict:
-    """The ``SketchParams`` map kinds, and density if given, of ``args``."""
-    kinds = {"omega_kind": args.drm, "phi_kind": _core_kind(args.drm, args.core_drm)}
+    """The ``SketchParams`` map kinds, and density if given, of ``args``: the
+    core map kind defaults to the factor map's, or Gaussian for TRP."""
+    core = args.core_drm or (args.drm if args.drm in CORE_KINDS else "gaussian")
+    kinds = {"omega_kind": args.drm, "phi_kind": core}
     if args.density is not None:
         kinds["density"] = args.density
     return kinds
@@ -209,17 +197,8 @@ def _params_for(args, order: int) -> SketchParams:
     if args.rank is not None:
         return SketchParams.for_rank(args.rank, args.seed, order=order, **kinds)
     k = per_mode(args.k, order, "--k")
-    if args.s is not None:
-        s = per_mode(args.s, order, "--s")
-    else:
-        s = tuple(2 * v + 1 for v in k)
+    s = tuple(2 * v + 1 for v in k) if args.s is None else per_mode(args.s, order, "--s")
     return SketchParams(k=k, s=s, master_seed=args.seed, **kinds)
-
-
-def _check_finite(acc: StreamingSketcher, where: str) -> None:
-    """Stop at the first update that leaves NaN or Inf in the sketch."""
-    if not acc.all_finite():
-        raise ValueError(f"{where} made the sketch non-finite (NaN or Inf in the data)")
 
 
 def _write_report(path: str, summary: dict) -> None:
@@ -259,7 +238,7 @@ def _cmd_sketch(args) -> int:
         acc.update_slab(p.mode, p.offset, p.data, p.theta1, p.theta2, p.last_offset)
         where = (f"rows {p.offset}:{p.offset + p.data.shape[p.mode]} of mode {p.mode}"
                  if args.input is not None else f"record {p.record}")
-        _check_finite(acc, f"{path}: {where}")
+        acc.check_finite(f"{path}: {where}")
         records = p.record + 1
         folded += 1
         payload += p.data.nbytes
@@ -289,54 +268,6 @@ def _cmd_merge(args) -> int:
     return 0
 
 
-def _normalized_error(slabs, fact: TuckerFactorization) -> float | None:
-    """``||X - X_hat|| / ||X||`` with both sums of squares taken over the
-    last-mode slabs of ``X`` (None when ``X`` is zero); raises ``ValueError``
-    when a sum is not finite (NaN or Inf in ``X``).  Each slab is small (a
-    recovery slab), so its part of ``X_hat`` is expanded in one piece."""
-    err = norm = 0.0
-    last = fact.core.ndim - 1
-    head = list(enumerate(fact.factors[:last]))
-    for offset, slab in slabs:
-        rows = fact.factors[last][offset : offset + slab.shape[last]]
-        diff = multi_mode_product(fact.core, head + [(last, rows)])
-        diff -= slab
-        err += fro_norm(diff) ** 2
-        norm += fro_norm(slab) ** 2
-        del diff  # so the next slab's expansion is not made beside this one
-    if not math.isfinite(err + norm):
-        raise ValueError("the tensor's sum of squares is not finite (NaN or Inf in the data)")
-    return math.sqrt(err) / math.sqrt(norm) if norm > 0 else None
-
-
-# Below this relative error the projected score has lost its digits to the
-# subtraction ||X||^2 - ||W||^2 (a noise-free tensor scores anywhere from 0
-# to about 2e-8 where the expansion gives 1e-15), so the tensor is read
-# again and scored by expansion.  Above it the two agreed within 1e-9
-# relative on 13^3, 60^3 and 200^3 tensors (1.3e-10 at 200^3 and an error of
-# 1.4e-3); the rounding of ||X||^2 grows with the number of entries, so a
-# far larger tensor may need a higher floor.
-_PROJECTED_ERROR_FLOOR = 1e-3
-
-
-def _projected_error(report: RecoveryReport, fact: TuckerFactorization) -> float | None:
-    """``||X - X_hat|| / ||X||`` from a two-pass ``report`` alone: its core
-    is ``W = X x_n Q_n^T`` for orthonormal ``Q_n`` whose spans hold every
-    factor of ``fact``, so ``||X - X_hat||^2 = ||X||^2 - ||W||^2 +
-    ||W - W_hat||^2`` with the small ``W_hat = core x_n (Q_n^T F_n)``.
-    None when ``X`` is zero; ``ValueError`` when a sum is not finite, as
-    for the expansion."""
-    w, bases, sq = report.factorization.core, report.factorization.factors, report.tensor_sq_norm
-    w_hat = multi_mode_product(
-        fact.core, [(n, q.T @ f) for n, (q, f) in enumerate(zip(bases, fact.factors))]
-    )
-    w_hat -= w
-    err = sq - sum_sq(w) + sum_sq(w_hat)
-    if not math.isfinite(err):
-        raise ValueError("the tensor's sum of squares is not finite (NaN or Inf in the data)")
-    return math.sqrt(max(err, 0.0) / sq) if sq > 0 else None
-
-
 def _cmd_recover(args) -> int:
     if args.mode == "two-pass" and args.input is None:
         print("error: --mode two-pass needs --input to make its second pass",
@@ -354,6 +285,7 @@ def _cmd_recover(args) -> int:
         from . import drm  # noqa: F401
     from .recovery import (
         fixed_rank_truncate,
+        normalized_error,
         one_pass_inflation,
         one_pass_recover,
         two_pass_recover,
@@ -369,16 +301,7 @@ def _cmd_recover(args) -> int:
         r = per_mode(args.trunc, params.order, "--trunc")
         fact = fixed_rank_truncate(fact, r, method=args.method or "hooi")
     elapsed = time.perf_counter() - start
-    normalized_error = None
-    if args.mode == "two-pass":
-        normalized_error = _projected_error(report, fact)
-    if args.input is not None and (normalized_error is None
-                                   or normalized_error < _PROJECTED_ERROR_FLOOR):
-        # One-pass, or a two-pass score that has cancelled: expand.
-        shape, slabs = tkio.read_tensor_slabs(args.input, recovery=True)
-        if shape != fact.shape:
-            raise ValueError(f"tensor has shape {shape} but sketch covers {fact.shape}")
-        normalized_error = _normalized_error(slabs, fact)
+    error = None if args.input is None else normalized_error(report, fact, args.input)
     tkio.write_tucker(args.out, fact)
     summary = {
         "mode": args.mode,
@@ -392,14 +315,14 @@ def _cmd_recover(args) -> int:
         "core_solver_residuals": list(report.core_solver_residuals),
         "core_conditions": list(report.core_conditions),
         "one_pass_inflation": one_pass_inflation(params.k, params.s),
-        "normalized_error": normalized_error,
+        "normalized_error": error,
         "peak_aux_scalars": report.peak_aux_scalars,
         "elapsed_seconds": elapsed,
     }
     if args.report:
         _write_report(args.report, summary)
     print(f"recovered rank {fact.rank} factorization -> {args.out}"
-          + (f" (normalized error {normalized_error:.3e})" if normalized_error is not None else ""),
+          + (f" (normalized error {error:.3e})" if error is not None else ""),
           file=sys.stderr)
     return 0
 

@@ -52,7 +52,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .sketch import FACTOR_KINDS
 from .tensor import contract, contract_scratch, khatri_rao, matmul
 
 # Sub-stream labels inside one map's seed, so the draws for distinct pieces
@@ -78,7 +77,7 @@ class DrmSpec:
     mode_dims: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in FACTOR_KINDS:
+        if self.kind not in _REALIZERS:
             raise ValueError(f"unknown drm kind {self.kind!r}")
         if self.in_dim < 1 or self.out_dim < 1:
             raise ValueError("map dimensions must be positive")

@@ -9,8 +9,9 @@ Two routes from a sketch:
   linear in ``X``, so it is summed over last-mode slabs; a tensor file is
   read in slabs of at most 1 MiB (one plane at the least), never held in
   memory whole, so the pass holds little more than its small outputs.  The
-  same pass sums ``||X||^2``, so the error of any factorization in the
-  spans can be scored without reading ``X`` again.
+  same pass sums ``||X||^2``, so ``normalized_error`` scores any
+  factorization in the spans without reading ``X`` again; it scores any
+  other (a one-pass one) by expanding it beside the slabs of ``X``.
 * ``one_pass_recover`` touches only the sketch: it undoes the core map of
   each mode in the least squares sense, ``W = H x_n pinv(Phi_n^T Q_n)``,
   from one SVD of the small ``s_n x k_n`` system.  Every mode but the last
@@ -258,6 +259,72 @@ def _solve_scratch(shape, modes, k) -> int:
         peak = max(peak, held + new + cur)
         held = new
     return peak
+
+
+def normalized_error(report: RecoveryReport, fact: TuckerFactorization, path) -> float | None:
+    """``||X - X_hat|| / ||X||`` of ``fact``, recovered (perhaps truncated)
+    from ``report``, where the TKTN1 file ``path`` holds ``X``, the tensor
+    ``report`` recovered; None when ``X`` is zero.  A two-pass report scores
+    it from its own pass, unless that score has cancelled; else the file is
+    read in recovery slabs and ``fact`` expanded beside each.  ``ValueError``
+    for a shape mismatch, or a sum of squares that is not finite (NaN or Inf
+    in ``X``)."""
+    score = None if report.tensor_sq_norm is None else _projected_error(report, fact)
+    if score is None or score < _PROJECTED_ERROR_FLOOR:
+        # One-pass, or a two-pass score that has cancelled: expand.
+        shape, slabs = read_tensor_slabs(path, recovery=True)
+        if shape != fact.shape:
+            raise ValueError(f"tensor has shape {shape} but sketch covers {fact.shape}")
+        score = _expanded_error(slabs, fact)
+    return score
+
+
+def _expanded_error(slabs, fact: TuckerFactorization) -> float | None:
+    """``||X - X_hat|| / ||X||`` with both sums of squares taken over the
+    last-mode slabs of ``X`` (None when ``X`` is zero); raises ``ValueError``
+    when a sum is not finite (NaN or Inf in ``X``).  Each slab is small (a
+    recovery slab), so its part of ``X_hat`` is expanded in one piece."""
+    err = norm = 0.0
+    last = fact.core.ndim - 1
+    head = list(enumerate(fact.factors[:last]))
+    for offset, slab in slabs:
+        rows = fact.factors[last][offset : offset + slab.shape[last]]
+        diff = multi_mode_product(fact.core, head + [(last, rows)])
+        diff -= slab
+        err += fro_norm(diff) ** 2
+        norm += fro_norm(slab) ** 2
+        del diff  # so the next slab's expansion is not made beside this one
+    if not math.isfinite(err + norm):
+        raise ValueError("the tensor's sum of squares is not finite (NaN or Inf in the data)")
+    return math.sqrt(err) / math.sqrt(norm) if norm > 0 else None
+
+
+# Below this relative error the projected score has lost its digits to the
+# subtraction ||X||^2 - ||W||^2 (a noise-free tensor scores anywhere from 0
+# to about 2e-8 where the expansion gives 1e-15), so the tensor is read
+# again and scored by expansion.  Above it the two agreed within 1e-9
+# relative on 13^3, 60^3 and 200^3 tensors (1.3e-10 at 200^3 and an error of
+# 1.4e-3); the rounding of ||X||^2 grows with the number of entries, so a
+# far larger tensor may need a higher floor.
+_PROJECTED_ERROR_FLOOR = 1e-3
+
+
+def _projected_error(report: RecoveryReport, fact: TuckerFactorization) -> float | None:
+    """``||X - X_hat|| / ||X||`` from a two-pass ``report`` alone: its core
+    is ``W = X x_n Q_n^T`` for orthonormal ``Q_n`` whose spans hold every
+    factor of ``fact``, so ``||X - X_hat||^2 = ||X||^2 - ||W||^2 +
+    ||W - W_hat||^2`` with the small ``W_hat = core x_n (Q_n^T F_n)``.
+    None when ``X`` is zero; ``ValueError`` when a sum is not finite, as
+    for the expansion."""
+    w, bases, sq = report.factorization.core, report.factorization.factors, report.tensor_sq_norm
+    w_hat = multi_mode_product(
+        fact.core, [(n, q.T @ f) for n, (q, f) in enumerate(zip(bases, fact.factors))]
+    )
+    w_hat -= w
+    err = sq - sum_sq(w) + sum_sq(w_hat)
+    if not math.isfinite(err):
+        raise ValueError("the tensor's sum of squares is not finite (NaN or Inf in the data)")
+    return math.sqrt(max(err, 0.0) / sq) if sq > 0 else None
 
 
 def one_pass_inflation(k, s) -> float | None:

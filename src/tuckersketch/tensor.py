@@ -85,18 +85,17 @@ _ONE_THREAD_MACS = 1 << 19
 _SPLIT_MACS = 1 << 24
 
 
-def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` for matrices or stacks of them (a matrix is shared by every
-    item of a stack), into ``out`` if given, cut as the module docstring says:
-    item by item, each in one-thread blocks along its longest side."""
+    item of a stack), cut as the module docstring says: item by item, each
+    in one-thread blocks along its longest side."""
     m, inner = a.shape[-2:]
     n = b.shape[-1]
     stack = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     macs = m * inner * n
     if not (_ONE_THREAD_MACS < macs and macs * math.prod(stack) <= _SPLIT_MACS):
-        return np.matmul(a, b, out=out)
-    if out is None:
-        out = np.empty(stack + (m, n))
+        return np.matmul(a, b)
+    out = np.empty(stack + (m, n))
     side = max(m, inner, n)
     step = max(1, _ONE_THREAD_MACS * side // macs)
     for t in np.ndindex(stack):

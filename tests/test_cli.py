@@ -743,7 +743,7 @@ class TestStreamedInput:
         def expanded(slabs, fact):
             raise AssertionError("scored by expansion")
 
-        monkeypatch.setattr(cli, "_normalized_error", expanded)
+        monkeypatch.setattr(recovery, "_expanded_error", expanded)
         out, report = tmp_path / "f.tkz", tmp_path / "r.json"
         rc = main(["recover", "--sketch", str(skfile), "--mode", "two-pass", "--input",
                    str(xfile), *trunc, "--out", str(out), "--report", str(report)])

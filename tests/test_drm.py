@@ -11,8 +11,10 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tuckersketch.drm as drm_mod
 import tuckersketch.tensor as tensor_mod
 from tuckersketch import rng
+from tuckersketch.sketch import FACTOR_KINDS
 from tuckersketch.tensor import contract, unfold
 from tuckersketch.drm import (
     DrmSpec,
@@ -544,8 +546,14 @@ def test_apply_rows_rejects_bad_blocks(spec):
         d.apply_tensor(np.zeros((2, 4, 0)), 0, (2, 4, 6), (0, 0, 3))
 
 
+def test_every_factor_kind_has_a_realizer():
+    # The command line offers sketch.FACTOR_KINDS and DrmSpec accepts the
+    # kinds drm can realize: the two lists must name the same kinds.
+    assert set(FACTOR_KINDS) == set(drm_mod._REALIZERS)
+
+
 def test_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown drm kind 'fourier'"):
         DrmSpec("fourier", 8, 4, seed=0)
     with pytest.raises(ValueError):
         DrmSpec("ssrft", 8, 9, seed=0)  # cannot expand

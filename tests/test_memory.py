@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tuckersketch import cli, recovery
+from tuckersketch import recovery
 from tuckersketch.cli import main
 from tuckersketch.io import (
     FullUpdate,
@@ -183,6 +183,16 @@ def test_peak_aux_scalars_counts_both_first_core_products(piece):
     _, peak = _peak(lambda: update(acc))
     reported = 8 * acc.peak_aux_scalars
     assert peak / 1.25 <= reported <= 1.25 * peak
+
+
+def test_finiteness_check_holds_no_core_size_temporary():
+    # A 30^4 sketcher at r=5, whose core sketch is 23^4 scalars (2.24 MB):
+    # testing it in chunks held 34 KB, where testing it whole held a
+    # boolean copy of it, 280 KB.
+    acc = StreamingSketcher((30, 30, 30, 30), SketchParams.for_rank(5, master_seed=3, order=4))
+    acc.update_slab(3, 0, np.random.default_rng(4).normal(size=(30, 30, 30, 2)))
+    _, peak = _peak(lambda: acc.check_finite("slab"))
+    assert peak <= 64 * 1024
 
 
 @pytest.mark.parametrize(
@@ -440,7 +450,7 @@ def test_cli_scoring_holds_a_recovery_piece_and_its_expansion(
     path = exact_tensor_file
     skfile = tmp_path / "x.tksk"
     assert main(["sketch", "--input", str(path), "--rank", "10", "--out", str(skfile)]) == 0
-    score, peaks = cli._normalized_error, []
+    score, peaks = recovery._expanded_error, []
 
     def measured(slabs, fact):
         base = tracemalloc.get_traced_memory()[0]
@@ -449,7 +459,7 @@ def test_cli_scoring_holds_a_recovery_piece_and_its_expansion(
         peaks.append(tracemalloc.get_traced_memory()[1] - base)
         return out
 
-    monkeypatch.setattr(cli, "_normalized_error", measured)
+    monkeypatch.setattr(recovery, "_expanded_error", measured)
     rc, _ = _peak(lambda: main([
         "recover", "--sketch", str(skfile), "--mode", mode, "--input", str(path),
         "--trunc", "10", "--out", str(tmp_path / "x.tkz"),
@@ -481,7 +491,7 @@ def test_cli_two_pass_scoring_of_a_noisy_file_is_its_core_pass(
         raise AssertionError("scored by expansion")
 
     monkeypatch.setattr(recovery, "two_pass_recover", measured)
-    monkeypatch.setattr(cli, "_normalized_error", expanded)
+    monkeypatch.setattr(recovery, "_expanded_error", expanded)
     rc, _ = _peak(lambda: main([
         "recover", "--sketch", str(skfile), "--mode", "two-pass", "--input", str(path),
         "--trunc", "10", "--out", str(tmp_path / "x.tkz"),

@@ -3,7 +3,9 @@
 For each factor map kind (Omega) and core map kind (Phi), over random
 orders 2-4, extents, slab positions and update weights:
 
-* a slab update equals the dense update of the zero-padded slab, and so
+* a slab update equals the dense update of the zero-padded slab (also at
+  orders 5-6 with core sketches up to twice the extents, so that the sketch
+  outgrows the tensor), and so
   does a box update (a slab cut to a range of last-mode planes, as a stream
   record is read), at mode 0 and at a middle mode of an order-4 tensor;
 * a record's boxes sum to its whole slab update;
@@ -38,12 +40,16 @@ weights = st.floats(-3.0, 3.0)
 
 
 @st.composite
-def cases(draw, om, phi, orders=(2, 4)):
-    """A shape of an order in ``orders``, sketch parameters valid for it,
-    and a seed for the data."""
-    shape = tuple(draw(st.lists(st.integers(2, 6), min_size=orders[0], max_size=orders[1])))
+def cases(draw, om, phi, orders=(2, 4), extents=(2, 6), growth=1):
+    """A shape of an order in ``orders`` and extents in ``extents``, sketch
+    parameters valid for it, and a seed for the data.  Each ``s_n`` is at
+    most ``growth`` times ``I_n``, or ``I_n`` for an SSRFT core map, which
+    cannot expand a mode."""
+    shape = tuple(draw(st.lists(st.integers(*extents), min_size=orders[0],
+                                max_size=orders[1])))
     k = tuple(draw(st.integers(1, min(2, d))) for d in shape)
-    s = tuple(draw(st.integers(kn, d)) for kn, d in zip(k, shape))
+    cap = 1 if phi == "ssrft" else growth
+    s = tuple(draw(st.integers(kn, cap * d)) for kn, d in zip(k, shape))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # s_n <= 2 k_n is allowed here
         params = SketchParams(
@@ -82,11 +88,9 @@ def _assert_sketch_close(got, want, tol=1e-11):
         np.testing.assert_allclose(a, b, rtol=0, atol=tol * max(1.0, float(np.abs(b).max())))
 
 
-@KIND_PAIRS
-@PROPERTY_SETTINGS
-@given(data=st.data())
-def test_slab_update_equals_padded_dense_update(om, phi, data):
-    shape, params, seed = data.draw(cases(om, phi))
+def _check_slab_update(data, shape, params, seed):
+    """A slab update from a non-zero base equals the dense update of the
+    zero-padded slab."""
     mode, offset, c = data.draw(slabs(shape))
     theta1, theta2 = data.draw(weights), data.draw(weights)
     gen = np.random.default_rng(seed)
@@ -99,6 +103,24 @@ def test_slab_update_equals_padded_dense_update(om, phi, data):
     dense_acc = StreamingSketcher(shape, params, init=base)
     dense_acc.update_dense(padded, theta1, theta2)
     _assert_sketch_close(slab_acc.sketch(), dense_acc.sketch())
+
+
+@KIND_PAIRS
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_slab_update_equals_padded_dense_update(om, phi, data):
+    _check_slab_update(data, *data.draw(cases(om, phi)))
+
+
+@KIND_PAIRS
+@settings(PROPERTY_SETTINGS, max_examples=6)
+@given(data=st.data())
+def test_slab_update_equals_padded_dense_update_as_the_sketch_outgrows_the_tensor(
+    om, phi, data
+):
+    # Orders 5-6 of extents 2-4 with s_n up to 2 I_n: the core maps expand
+    # their modes, so each product of the core chain grows.
+    _check_slab_update(data, *data.draw(cases(om, phi, (5, 6), (2, 4), growth=2)))
 
 
 @KIND_PAIRS

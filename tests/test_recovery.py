@@ -1,5 +1,6 @@
-"""Recovery tests: bases, exactness on exact-rank data, baseline algorithms,
-fixed-rank truncation, and the rotation/truncation commutation."""
+"""Recovery tests: bases, exactness on exact-rank data, the error score of a
+tensor file, baseline algorithms, fixed-rank truncation, and the
+rotation/truncation commutation."""
 
 import warnings
 
@@ -333,6 +334,61 @@ class TestOnePassFromAFile:
         vs = tuple(gen.normal(size=(d, k)) for d, k in zip(shape, params.k))
         sk = TuckerSketch(params, shape, vs, gen.normal(size=params.s))
         assert one_pass_recover(sk).peak_aux_scalars == 90_919
+
+
+class TestNormalizedError:
+    @pytest.fixture
+    def files(self, tmp_path, monkeypatch):
+        """A writer of 13^3 tensor files read in recovery slabs of 3 planes."""
+        monkeypatch.setattr(tkio, "_RECOVER_SLAB_SCALARS", 3 * 13 * 13)
+
+        def write(x, name="x.tktn"):
+            write_tensor(tmp_path / name, x)
+            return tmp_path / name
+
+        return write
+
+    @pytest.fixture
+    def expansions(self, monkeypatch):
+        """The factorizations ``_expanded_error`` scores, in call order."""
+        expand, seen = recovery._expanded_error, []
+
+        def counted(slabs, fact):
+            seen.append(fact)
+            return expand(slabs, fact)
+
+        monkeypatch.setattr(recovery, "_expanded_error", counted)
+        return seen
+
+    @pytest.mark.parametrize("mode", ["one-pass", "two-pass"])
+    def test_a_noisy_tensor_scores_its_residual(self, files, expansions, mode):
+        # One-pass expands; two-pass scores from its own pass alone.
+        x = _noisy_tensor(side=13, seed=9, gamma=0.1)
+        path = files(x)
+        sk = tucker_sketch(x, SketchParams.for_rank(3, master_seed=9, order=3))
+        report = two_pass_recover(path, sk) if mode == "two-pass" else one_pass_recover(sk)
+        fact = fixed_rank_truncate(report.factorization, 2)
+        want = fro_norm(x - fact.to_dense()) / fro_norm(x)
+        assert recovery.normalized_error(report, fact, path) == pytest.approx(want, rel=1e-9)
+        assert len(expansions) == (1 if mode == "one-pass" else 0)
+
+    def test_a_cancelled_projection_is_expanded(self, files, expansions):
+        # An exact recovery's projected error is below 1e-3, all rounding.
+        x = _exact_rank_tensor(side=13, seed=9)
+        path = files(x)
+        sk = tucker_sketch(x, SketchParams.for_rank(3, master_seed=9, order=3))
+        report = two_pass_recover(path, sk)
+        assert recovery.normalized_error(report, report.factorization, path) <= 1e-9
+        assert expansions == [report.factorization]
+
+    def test_a_zero_tensor_scores_none_and_a_wrong_shape_fails(self, files):
+        x = np.zeros((13, 13, 13))
+        sk = tucker_sketch(x, SketchParams.for_rank(3, master_seed=9, order=3))
+        report = two_pass_recover(files(x), sk)
+        assert recovery.normalized_error(report, report.factorization, files(x)) is None
+        with pytest.raises(ValueError, match=r"tensor has shape \(13, 13, 12\) but sketch"):
+            recovery.normalized_error(report, report.factorization,
+                                      files(x[..., :12], "short.tktn"))
 
 
 class TestHosvdFamily:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import tuckersketch.drm as drm_mod
+import tuckersketch.sketch as sketch_mod
 from tuckersketch.drm import make_drm
 from tuckersketch.sketch import (
     ParamsMismatchError,
@@ -264,6 +265,21 @@ def test_slab_validation():
         acc.update_slab(1, 0, _tensor(0, (8, 3, 4)), 1.0, 1.0, 8)
     with pytest.raises(ValueError, match="slab extent 4 in mode 2 does not match 10"):
         acc.update_slab(1, 0, _tensor(0, (8, 3, 4)))
+
+
+@pytest.mark.parametrize("array, index", [("factor", 0), ("core", 0), ("core", -1)])
+def test_check_finite_finds_nan_or_inf_in_any_chunk(monkeypatch, array, index):
+    # Chunks of 7 scalars: H (8^3) ends in a part chunk, and a factor
+    # sketch is tested as well as H.
+    monkeypatch.setattr(sketch_mod, "_FINITE_CHUNK", 7)
+    acc = StreamingSketcher(SHAPE, _params())
+    acc.update_dense(_tensor(0))
+    acc.check_finite("update 1")
+    target = acc._v[2] if array == "factor" else acc._h
+    target.ravel(order="K")[index] = np.inf if index else np.nan
+    with pytest.raises(ValueError, match=r"^update 2 made the sketch non-finite "
+                       r"\(NaN or Inf in the data\)$"):
+        acc.check_finite("update 2")
 
 
 def test_structured_maps_never_materialize(monkeypatch):

@@ -1,6 +1,7 @@
 """Source hygiene: no module keeps an import or a private helper it never uses,
-one function makes every BLAS product, and commands read and sum sketch
-files one way.
+one function makes every BLAS product, commands read and sum sketch files
+one way and keep no numerics of their own, the maps import nothing from
+the sketch, and listing the package's names loads none of its modules.
 
 Each module of the package (``__init__.py`` aside, which only re-exports)
 is parsed with ``ast``.  A name counts as used when the module loads it
@@ -10,9 +11,12 @@ the module loads an attribute of its name outside the method itself.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
+
+import tuckersketch
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tuckersketch"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -123,12 +127,58 @@ def test_np_matmul_is_called_in_tensor_matmul_alone():
     assert set(_np_matmul_sites()) == {"tensor.matmul"}
 
 
+def _tree(module: str) -> ast.Module:
+    path = PACKAGE / f"{module}.py"
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _names(module: str) -> set[str]:
+    """Every name ``module`` imports, defines or loads, attributes included."""
+    tree = _tree(module)
+    names = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for a in node.names}
+    names |= {node.name for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    return names | _loads(tree) | _loads(tree, kind=ast.Attribute)
+
+
+def _imports_from(module: str, source: str) -> set[str]:
+    """What package module ``module`` imports from package module
+    ``source``: the names of ``from .source import ...``, and ``source``
+    itself for ``from . import source``."""
+    got = set()
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module == source:
+                got |= {a.name for a in node.names}
+            elif node.module is None:
+                got |= {a.name for a in node.names if a.name == source}
+    return got
+
+
 def test_cli_reads_and_sums_sketches_one_way():
     # Every command reads a sketch file through io.read_sketch_slabs and
     # sums sketches through sketch.sum_sketches, so none may name the
     # whole-file read or the pairwise merge.
-    tree = ast.parse((PACKAGE / "cli.py").read_text(), filename="cli.py")
-    names = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-             for a in node.names}
-    names |= _loads(tree) | _loads(tree, kind=ast.Attribute)
-    assert not names & {"read_sketch", "sketch_merge"}
+    assert not _names("cli") & {"read_sketch", "sketch_merge"}
+
+
+def test_cli_keeps_no_numerics():
+    # The error score is recovery.normalized_error and the finiteness check
+    # StreamingSketcher.check_finite, so the command line takes only
+    # per_mode from the tensor kernels and names no scorer of its own.
+    assert _imports_from("cli", "tensor") == {"per_mode"}
+    assert not _names("cli") & {"_projected_error", "_expanded_error",
+                                "_normalized_error", "_check_finite"}
+
+
+def test_drm_imports_nothing_from_sketch():
+    # The sketch is built on the maps, never the other way round.
+    assert _imports_from("drm", "sketch") == set()
+
+
+def test_dir_lists_every_public_name_without_loading_a_module():
+    before = set(sys.modules)
+    listed = dir(tuckersketch)
+    assert set(tuckersketch.__all__) <= set(listed)
+    assert set(sys.modules) == before

@@ -24,14 +24,17 @@ record.  So ``sketch --input`` holds ``Omega_last``, the core maps, one
 slab and one row block, and a mode-0 shard holds the core maps, one box and
 the rows of ``Omega_last`` its record touches.  ``sketch --report`` writes
 the pieces and payload bytes folded, ``peak_aux_scalars``,
-``held_map_scalars`` (factor and core map entries held) and the elapsed
+``held_map_scalars`` (factor and core map entries held), ``sketch_scalars``
+and ``tensor_scalars`` (``sketch_storage`` against the tensor's entries:
+``sketch`` says so on stderr when the sketch holds more) and the elapsed
 time.  ``merge`` checks each sketch file whole, then adds it in core slabs
-(256 KiB at most) to one running sum.  ``recover`` never holds the core
-sketch whole: the recovery checks the file once, two-pass keeps the factor
-sketches, one-pass reads the core slab by slab.  ``recover --report``
-writes ``peak_aux_scalars``, the working memory of the recovery's largest
-step counted from shapes, and, given ``--input``, the error that
-``recovery.normalized_error`` scores.
+(256 KiB at most) to one running sum, and refuses a sum that overflowed
+(exit 2).  ``recover`` never holds the core sketch whole: the recovery
+checks the file once, two-pass keeps the factor sketches, one-pass reads
+the core slab by slab.  ``recover --report`` writes ``peak_aux_scalars``,
+the working memory of the recovery's largest step counted from shapes,
+and, given ``--input``, the error that ``recovery.normalized_error``
+scores, at any scale of the tensor.
 
 A command imports scipy only to draw more than 2^20 Gaussian values in one
 array or map (``rng.ndtri_for``), and ``numpy.random`` only to draw more
@@ -66,6 +69,7 @@ from .sketch import (
     RankInfeasibleError,
     SketchParams,
     StreamingSketcher,
+    sketch_storage,
     sum_sketches,
 )
 from .tensor import per_mode
@@ -247,12 +251,18 @@ def _cmd_sketch(args) -> int:
         print(f"folded {records} updates", file=sys.stderr)
     sk = acc.sketch()
     tkio.write_sketch(args.out, sk)
+    stored, scalars = sketch_storage(sk), math.prod(shape)
+    if stored > scalars:
+        print(f"note: the sketch holds {stored} scalars, more than the tensor's {scalars}",
+              file=sys.stderr)
     if args.report:
         _write_report(args.report, {
             "pieces_folded": folded,
             "payload_bytes_folded": payload,
             "peak_aux_scalars": acc.peak_aux_scalars,
             "held_map_scalars": acc.held_map_scalars,
+            "sketch_scalars": stored,
+            "tensor_scalars": scalars,
             "elapsed_seconds": elapsed,
         })
     print(f"wrote sketch {args.out} (shape {sk.shape}, k {sk.params.k}, "

@@ -64,7 +64,7 @@ from typing import Iterable, Iterator, NamedTuple, Union
 import numpy as np
 
 from .sketch import SketchParams, TuckerSketch
-from .tensor import TuckerFactorization
+from .tensor import TuckerFactorization, all_finite
 
 MAGIC_TENSOR = b"TKTN1"
 MAGIC_SKETCH = b"TKSK1"
@@ -429,8 +429,9 @@ def _sketch_slabs(path, scalars: int | None):
     The checksum is taken in ``_READ_CHUNK_BYTES`` pieces, so a damaged file
     fails as a checksum mismatch before any parse error.  The parse then
     reads every array straight into place and stops where the checksum
-    starts: header, parameters, factor sketches, the core sketch's size
-    with no trailing bytes, then the finiteness of every array.
+    starts: header (positive extents), parameters, factor sketches, the
+    core sketch's size with no trailing bytes, then the finiteness of every
+    array (``tensor.all_finite``; the core sketch's a slab at a time).
     """
     what = os.fspath(path)
     with open(path, "rb") as fh:
@@ -452,6 +453,8 @@ def _sketch_slabs(path, scalars: int | None):
         seed, density = struct.unpack("<Qd", _read_exact(fh, 16, what, end))
         shape, k, s = (struct.unpack(f"<{n}Q", _read_exact(fh, 8 * n, what, end))
                        for _ in range(3))
+        if 0 in shape:
+            raise FileFormatError(f"{what}: nonpositive extent in {shape}")
         try:
             with warnings.catch_warnings():
                 # s_n <= 2 k_n was warned about when the sketch was made.
@@ -468,10 +471,12 @@ def _sketch_slabs(path, scalars: int | None):
         if extra:
             raise FileFormatError(f"{what}: {extra} trailing bytes at byte {core_at + nbytes}")
         for i, v in enumerate(vs):
-            _check_finite(v, what, f"factor sketch {i}")
+            if not all_finite(v):
+                raise FileFormatError(f"{what}: non-finite values in the factor sketch {i}")
         reader = _PieceReader(fh, s, end, what, scalars)
         for _, _, slab in reader.pieces(n - 1, 0, s[-1]):
-            _check_finite(slab, what, "core sketch")
+            if not all_finite(slab):
+                raise FileFormatError(f"{what}: non-finite values in the core sketch")
         yield SketchHead(params, shape, vs)
         if scalars is None:  # the one slab, in its own array
             yield 0, slab
@@ -479,12 +484,6 @@ def _sketch_slabs(path, scalars: int | None):
         fh.seek(core_at)
         for offset, _, slab in reader.pieces(n - 1, 0, s[-1]):
             yield offset, slab
-
-
-def _check_finite(a: np.ndarray, what: str, name: str) -> None:
-    # min and max propagate NaN and hold no temporary the size of ``a``.
-    if not (math.isfinite(a.min()) and math.isfinite(a.max())):
-        raise FileFormatError(f"{what}: non-finite values in the {name}")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ Two routes from a sketch:
   memory whole, so the pass holds little more than its small outputs.  The
   same pass sums ``||X||^2``, so ``normalized_error`` scores any
   factorization in the spans without reading ``X`` again; it scores any
-  other (a one-pass one) by expanding it beside the slabs of ``X``.
+  other (a one-pass one), or any whose ``||X||^2`` passed the float range,
+  by expanding it beside the slabs of ``X`` in units that hold at any
+  scale of ``X``.
 * ``one_pass_recover`` touches only the sketch: it undoes the core map of
   each mode in the least squares sense, ``W = H x_n pinv(Phi_n^T Q_n)``,
   from one SVD of the small ``s_n x k_n`` system.  Every mode but the last
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +42,7 @@ from .io import SketchHead, read_sketch_slabs, read_tensor_slabs, sketch_core_sl
 from .sketch import RankDeficientCoreError, RankInfeasibleError, SketchParams, TuckerSketch
 from .tensor import (
     TuckerFactorization,
+    all_finite,
     fro_norm,
     mode_product,
     multi_mode_product,
@@ -158,8 +162,9 @@ def two_pass_recover(x, sk: TuckerSketch | str | os.PathLike) -> RecoveryReport:
         products = blocks + [(len(head), rows.T)]
         aux = max(aux, slab.size + multi_mode_scratch(slab.shape, products))
         core += multi_mode_product(slab, products)
-        sq += sum_sq(slab)
-        if not np.isfinite(core).all():
+        with np.errstate(over="ignore"):  # past the float range: scored by expansion
+            sq += sum_sq(slab)
+        if not all_finite(core):
             raise ValueError(
                 f"{where}rows {offset}:{offset + len(rows)} of mode {len(head)} made "
                 "the two-pass core non-finite (NaN or Inf in the data)"
@@ -265,13 +270,17 @@ def normalized_error(report: RecoveryReport, fact: TuckerFactorization, path) ->
     """``||X - X_hat|| / ||X||`` of ``fact``, recovered (perhaps truncated)
     from ``report``, where the TKTN1 file ``path`` holds ``X``, the tensor
     ``report`` recovered; None when ``X`` is zero.  A two-pass report scores
-    it from its own pass, unless that score has cancelled; else the file is
-    read in recovery slabs and ``fact`` expanded beside each.  ``ValueError``
-    for a shape mismatch, or a sum of squares that is not finite (NaN or Inf
-    in ``X``)."""
-    score = None if report.tensor_sq_norm is None else _projected_error(report, fact)
-    if score is None or score < _PROJECTED_ERROR_FLOOR:
-        # One-pass, or a two-pass score that has cancelled: expand.
+    it from its own pass, unless its ``||X||^2`` is not a finite normal
+    double (the squares overflowed or underflowed) or that score has
+    cancelled or is not finite; else the file is read in recovery slabs and
+    ``fact`` expanded beside each, which holds at any scale of ``X``.
+    ``ValueError`` for a shape mismatch, or a sum of squares that is not
+    finite (NaN or Inf in ``X``)."""
+    sq, score = report.tensor_sq_norm, None
+    if sq is not None and sys.float_info.min <= sq < math.inf:
+        score = _projected_error(report, fact)
+    if score is None or not _PROJECTED_ERROR_FLOOR <= score < math.inf:
+        # One-pass, or a two-pass score that cannot be trusted: expand.
         shape, slabs = read_tensor_slabs(path, recovery=True)
         if shape != fact.shape:
             raise ValueError(f"tensor has shape {shape} but sketch covers {fact.shape}")
@@ -283,13 +292,21 @@ def _expanded_error(slabs, fact: TuckerFactorization) -> float | None:
     """``||X - X_hat|| / ||X||`` with both sums of squares taken over the
     last-mode slabs of ``X`` (None when ``X`` is zero); raises ``ValueError``
     when a sum is not finite (NaN or Inf in ``X``).  Each slab is small (a
-    recovery slab), so its part of ``X_hat`` is expanded in one piece."""
+    recovery slab), so its part of ``X_hat`` is expanded in one piece.  Both
+    sums are taken in units of the power of two at the largest entry of the
+    core, so they neither overflow nor underflow with the scale of ``X``; the
+    scaling is exact, so the score keeps its bits.  Each slab is scaled where
+    it lies."""
+    top = np.abs(fact.core).max()
+    exp = -int(np.frexp(top)[1]) if 0.0 < top < math.inf else 0
+    core = np.ldexp(fact.core, exp)
     err = norm = 0.0
     last = fact.core.ndim - 1
     head = list(enumerate(fact.factors[:last]))
     for offset, slab in slabs:
+        np.ldexp(slab, exp, out=slab)
         rows = fact.factors[last][offset : offset + slab.shape[last]]
-        diff = multi_mode_product(fact.core, head + [(last, rows)])
+        diff = multi_mode_product(core, head + [(last, rows)])
         diff -= slab
         err += fro_norm(diff) ** 2
         norm += fro_norm(slab) ** 2
@@ -309,22 +326,20 @@ def _expanded_error(slabs, fact: TuckerFactorization) -> float | None:
 _PROJECTED_ERROR_FLOOR = 1e-3
 
 
-def _projected_error(report: RecoveryReport, fact: TuckerFactorization) -> float | None:
+def _projected_error(report: RecoveryReport, fact: TuckerFactorization) -> float:
     """``||X - X_hat|| / ||X||`` from a two-pass ``report`` alone: its core
     is ``W = X x_n Q_n^T`` for orthonormal ``Q_n`` whose spans hold every
     factor of ``fact``, so ``||X - X_hat||^2 = ||X||^2 - ||W||^2 +
     ||W - W_hat||^2`` with the small ``W_hat = core x_n (Q_n^T F_n)``.
-    None when ``X`` is zero; ``ValueError`` when a sum is not finite, as
-    for the expansion."""
+    ``||X||^2`` must be positive; the score is NaN or Inf when a sum is not
+    finite."""
     w, bases, sq = report.factorization.core, report.factorization.factors, report.tensor_sq_norm
     w_hat = multi_mode_product(
         fact.core, [(n, q.T @ f) for n, (q, f) in enumerate(zip(bases, fact.factors))]
     )
     w_hat -= w
     err = sq - sum_sq(w) + sum_sq(w_hat)
-    if not math.isfinite(err):
-        raise ValueError("the tensor's sum of squares is not finite (NaN or Inf in the data)")
-    return math.sqrt(max(err, 0.0) / sq) if sq > 0 else None
+    return math.sqrt(max(err, 0.0) / sq)
 
 
 def one_pass_inflation(k, s) -> float | None:

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .tensor import multi_mode_product, multi_mode_scratch, per_mode
+from .tensor import all_finite, multi_mode_product, multi_mode_scratch, per_mode
 
 if TYPE_CHECKING:
     from .drm import DrmSpec
@@ -38,10 +38,6 @@ CORE_KINDS = ("gaussian", "sparse_sign", "ssrft")
 
 _ROLE_OMEGA = 101
 _ROLE_PHI = 202
-
-# check_finite tests this many scalars at a time: a 32 KiB temporary, not one
-# byte per scalar of H, and as fast as one whole-array test at a 23^4 core.
-_FINITE_CHUNK = 1 << 15
 
 
 class ParamsMismatchError(ValueError):
@@ -379,13 +375,9 @@ class StreamingSketcher:
 
     def check_finite(self, where: str) -> None:
         """Raise ``ValueError`` naming ``where`` if a sketch array holds NaN or
-        Inf (no later update removes one).  Each array's flat view is tested
-        in chunks, so the test holds no temporary that grows with H."""
-        for a in (*self._v, self._h):
-            flat = a.ravel(order="K")
-            if not all(np.isfinite(flat[i : i + _FINITE_CHUNK]).all()
-                       for i in range(0, flat.size, _FINITE_CHUNK)):
-                raise ValueError(f"{where} made the sketch non-finite (NaN or Inf in the data)")
+        Inf (no later update removes one; ``tensor.all_finite`` tests each)."""
+        if not all(map(all_finite, (*self._v, self._h))):
+            raise ValueError(f"{where} made the sketch non-finite (NaN or Inf in the data)")
 
     def sketch(self) -> TuckerSketch:
         """Snapshot the accumulated state as an immutable sketch."""
@@ -409,7 +401,9 @@ def sum_sketches(pairs) -> TuckerSketch:
     """Sum sketches taken one at a time from an iterator of ``(head, core_slabs)``:
     a ``TuckerSketch`` or ``io.read_sketch_slabs`` head and ``(offset, slab)``
     last-mode slabs of its core.  The first is copied (a ``-0.0`` keeps its
-    sign); each later one is checked against it and added slab by slab."""
+    sign); each later one is checked against it and added slab by slab.
+    Raises ``ValueError`` when the sum is not finite (an entry overflowed),
+    as no reader would accept it."""
     first, slabs = next(pairs)
     vs = [np.array(v, order="F") for v in first.factor_sketches]
     h = np.empty(first.params.s, order="F")
@@ -422,10 +416,13 @@ def sum_sketches(pairs) -> TuckerSketch:
         if head.shape != first.shape:
             raise ParamsMismatchError(f"sketches cover different shapes {first.shape} vs "
                                       f"{head.shape}")
-        for v, w in zip(vs, head.factor_sketches):
-            v += w
-        for offset, slab in slabs:
-            h[..., offset : offset + slab.shape[-1]] += slab
+        with np.errstate(over="ignore"):
+            for v, w in zip(vs, head.factor_sketches):
+                v += w
+            for offset, slab in slabs:
+                h[..., offset : offset + slab.shape[-1]] += slab
+    if not all(map(all_finite, (*vs, h))):
+        raise ValueError("the merged sketch is not finite (an entry overflowed)")
     return TuckerSketch(params=first.params, shape=first.shape,
                         factor_sketches=tuple(vs), core_sketch=h, _owned=True)
 

@@ -40,6 +40,7 @@ from tuckersketch.sketch import (
     StreamingSketcher,
     TuckerSketch,
     sketch_merge,
+    sketch_storage,
     tucker_sketch,
 )
 from tuckersketch.tensor import fro_norm, tucker_to_dense
@@ -143,6 +144,24 @@ class TestSketchCommand:
                         (*want.factor_sketches, want.core_sketch)):
             np.testing.assert_array_equal(a, b)
         assert data["elapsed_seconds"] > 0
+
+    @pytest.mark.parametrize("side", [3, 8])
+    def test_report_counts_the_sketch_against_the_tensor(self, tmp_path, capsys, side):
+        # At rank 1 (k = 3, s = 7) an order-5 sketch holds 5 * side * 3 + 7^5
+        # scalars: 16,852 against a 3^5 tensor's 243, which stderr notes, but
+        # fewer than an 8^5 tensor's 32,768.
+        xfile, out, report = tmp_path / "x.tktn", tmp_path / "x.tksk", tmp_path / "r.json"
+        write_tensor(xfile, np.random.default_rng(8).normal(size=(side,) * 5))
+        capsys.readouterr()
+        rc = main(["sketch", "--input", str(xfile), "--rank", "1", "--out", str(out),
+                   "--report", str(report)])
+        assert rc == 0
+        data = json.loads(report.read_text())
+        stored = 5 * side * 3 + 7**5
+        assert stored == sketch_storage(read_sketch(out))
+        assert (data["sketch_scalars"], data["tensor_scalars"]) == (stored, side**5)
+        note = f"note: the sketch holds {stored} scalars, more than the tensor's {side**5}\n"
+        assert (note in capsys.readouterr().err) == (side == 3)
 
     @pytest.mark.parametrize("maps", [["--drm", "trp"], ["--drm", "gaussian"],
                                       ["--drm", "ssrft", "--core-drm", "gaussian"]])
@@ -305,6 +324,21 @@ class TestMergeCommand:
         rc = main(["merge", str(good), str(bad), "--out", str(out)])
         assert rc == 4
         assert "unknown map kind code at byte 6" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_sum_exits_2(self, tmp_path, capsys):
+        # An 8^3 sketch filled with 1.5e308 is finite and passes the reader;
+        # its sum with itself is not, and nothing could read it.
+        params = SketchParams(k=(3,) * 3, s=(7,) * 3, master_seed=1)
+        path, out = tmp_path / "a.tksk", tmp_path / "m.tksk"
+        write_sketch(path, TuckerSketch(params, (8, 8, 8), [np.full((8, 3), 1.5e308)] * 3,
+                                        np.full((7, 7, 7), 1.5e308)))
+        read_sketch(path)
+        capsys.readouterr()
+        rc = main(["merge", str(path), str(path), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == ("error: the merged sketch is not finite "
+                                           "(an entry overflowed)\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("count", [1, 2, 3])
@@ -753,20 +787,27 @@ class TestStreamedInput:
         assert got == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.parametrize("mode", ["one-pass", "two-pass"])
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_overflowing_squares_exit_2(self, tmp_path, capsys, tensor, mode):
-        # Finite data whose squares pass the float range.
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # the one-pass residuals
+    def test_score_is_scale_free(self, tmp_path, mode):
+        # The squares of x * 2^530 pass the float range and those of
+        # x * 2^-560 underflow to zero; the score is that of x at both.
+        x = np.random.default_rng(0).standard_normal((20, 21, 22))
         xfile, skfile = tmp_path / "x.tktn", tmp_path / "x.tksk"
-        write_tensor(xfile, tensor / np.abs(tensor).max() * 1e200)
-        assert main(["sketch", "--input", str(xfile), "--rank", "3", "--out", str(skfile)]) == 0
         out, report = tmp_path / "f.tkz", tmp_path / "r.json"
-        capsys.readouterr()
-        rc = main(["recover", "--sketch", str(skfile), "--mode", mode, "--input", str(xfile),
-                   "--out", str(out), "--report", str(report)])
-        assert rc == 2
-        assert "sum of squares is not finite" in capsys.readouterr().err
-        assert not out.exists() and not report.exists()
+        scores = []
+        for exp in (0, 530, -560):
+            write_tensor(xfile, np.ldexp(x, exp))
+            assert main(["sketch", "--input", str(xfile), "--rank", "2", "--seed", "4",
+                         "--out", str(skfile)]) == 0
+            assert main(["recover", "--sketch", str(skfile), "--mode", mode, "--input",
+                         str(xfile), "--out", str(out), "--report", str(report)]) == 0
+            scores.append(json.loads(report.read_text())["normalized_error"])
+        if mode == "one-pass":  # the expansion at every scale, exactly scaled
+            assert scores == [pytest.approx(1.3863910988119252, rel=1e-12)] * 3
+            assert len(set(scores)) == 1
+        else:  # the projection, then the expansion
+            assert scores[0] == pytest.approx(0.9910264963904537, rel=1e-12)
+            assert scores[1:] == [pytest.approx(scores[0], abs=1e-9)] * 2
 
     @pytest.mark.parametrize("damage", ["truncated", "trailing"])
     @pytest.mark.parametrize("command", ["sketch", "recover"])

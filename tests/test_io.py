@@ -324,7 +324,10 @@ class TestSketchFile:
         (7, 99, "unknown map kind code at byte 6"),
         # s_0 (after the shape and k of 3 modes) below k_0 = 3
         (5 + 4 + 8 + 8 + 6 * 8, 2, r"invalid parameters \(core sketch needs s_n >= k_n"),
-    ], ids=["order", "factor-kind", "core-kind", "s-below-k"])
+        # I_0 = 6 (the first byte of the shape) made 0: refused before any
+        # finiteness test, which an empty factor sketch would pass
+        (5 + 4 + 8 + 8, 0, r"nonpositive extent in \(0, 7, 8\)"),
+    ], ids=["order", "factor-kind", "core-kind", "s-below-k", "zero-extent"])
     def test_bad_header_under_a_valid_checksum(self, tmp_path, byte, value, message):
         def edit(body):
             body[byte] = value

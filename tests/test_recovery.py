@@ -2,6 +2,7 @@
 tensor file, baseline algorithms, fixed-rank truncation, and the
 rotation/truncation commutation."""
 
+import math
 import warnings
 
 import numpy as np
@@ -379,6 +380,22 @@ class TestNormalizedError:
         sk = tucker_sketch(x, SketchParams.for_rank(3, master_seed=9, order=3))
         report = two_pass_recover(path, sk)
         assert recovery.normalized_error(report, report.factorization, path) <= 1e-9
+        assert expansions == [report.factorization]
+
+    @pytest.mark.parametrize("exp", [530, -560])
+    def test_squares_past_the_float_range_are_expanded(self, files, expansions, exp):
+        # ||X||^2 of x * 2^530 overflows, and of x * 2^-560 underflows to 0,
+        # so the two-pass pass cannot score; the expansion scores as for x.
+        x = _noisy_tensor(side=13, seed=9, gamma=0.1)
+        params = SketchParams.for_rank(3, master_seed=9, order=3)
+        plain = two_pass_recover(files(x), tucker_sketch(x, params))
+        want = recovery.normalized_error(plain, plain.factorization, files(x))
+        scaled = np.ldexp(x, exp)
+        path = files(scaled, "scaled.tktn")
+        report = two_pass_recover(path, tucker_sketch(scaled, params))
+        assert report.tensor_sq_norm in (math.inf, 0.0)
+        got = recovery.normalized_error(report, report.factorization, path)
+        assert got == pytest.approx(want, rel=1e-9)
         assert expansions == [report.factorization]
 
     def test_a_zero_tensor_scores_none_and_a_wrong_shape_fails(self, files):

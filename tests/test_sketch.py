@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import tuckersketch.drm as drm_mod
-import tuckersketch.sketch as sketch_mod
+import tuckersketch.tensor as tensor_mod
 from tuckersketch.drm import make_drm
 from tuckersketch.sketch import (
     ParamsMismatchError,
@@ -271,7 +271,7 @@ def test_slab_validation():
 def test_check_finite_finds_nan_or_inf_in_any_chunk(monkeypatch, array, index):
     # Chunks of 7 scalars: H (8^3) ends in a part chunk, and a factor
     # sketch is tested as well as H.
-    monkeypatch.setattr(sketch_mod, "_FINITE_CHUNK", 7)
+    monkeypatch.setattr(tensor_mod, "_FINITE_CHUNK", 7)
     acc = StreamingSketcher(SHAPE, _params())
     acc.update_dense(_tensor(0))
     acc.check_finite("update 1")
@@ -462,6 +462,16 @@ class TestMerge:
         ]:
             with pytest.raises(ParamsMismatchError):
                 sketch_merge(base, other)
+
+    def test_merge_refuses_a_sum_that_overflows(self):
+        # Two finite sketches whose sum passes the float range: no reader
+        # would accept the merged sketch.
+        params = SketchParams(k=(3,) * 3, s=(7,) * 3, master_seed=1)
+        big = TuckerSketch(params, (8, 8, 8), [np.full((8, 3), 1.5e308)] * 3,
+                           np.full((7, 7, 7), 1.5e308))
+        with pytest.raises(ValueError, match=r"^the merged sketch is not finite "
+                           r"\(an entry overflowed\)$"):
+            sketch_merge(big, big)
 
     def test_merge_rejects_mismatched_shape(self):
         params = _params()

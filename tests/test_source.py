@@ -1,7 +1,8 @@
 """Source hygiene: no module keeps an import or a private helper it never uses,
-one function makes every BLAS product, commands read and sum sketch files
-one way and keep no numerics of their own, the maps import nothing from
-the sketch, and listing the package's names loads none of its modules.
+one function makes every BLAS product and one tests finiteness, commands
+read and sum sketch files one way and keep no numerics of their own, the
+maps import nothing from the sketch, and listing the package's names loads
+none of its modules.
 
 Each module of the package (``__init__.py`` aside, which only re-exports)
 is parsed with ``ast``.  A name counts as used when the module loads it
@@ -102,8 +103,8 @@ def test_every_private_method_is_used(path):
     assert unused == []
 
 
-def _np_matmul_sites() -> list[str]:
-    """``module.function`` of every reference to ``np.matmul`` in the
+def _np_sites(attr: str) -> list[str]:
+    """``module.function`` of every reference to numpy's ``attr`` in the
     package (``module`` alone at module level)."""
     sites = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -112,11 +113,11 @@ def _np_matmul_sites() -> list[str]:
             node, where = stack.pop()
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 where = f"{path.stem}.{node.name}"
-            if (isinstance(node, ast.Attribute) and node.attr == "matmul"
+            if (isinstance(node, ast.Attribute) and node.attr == attr
                     and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
                 sites.append(where)
             if isinstance(node, ast.ImportFrom) and node.module == "numpy":
-                sites += [where for a in node.names if a.name == "matmul"]
+                sites += [where for a in node.names if a.name == attr]
             stack.extend((child, where) for child in ast.iter_child_nodes(node))
     return sites
 
@@ -124,7 +125,20 @@ def _np_matmul_sites() -> list[str]:
 def test_np_matmul_is_called_in_tensor_matmul_alone():
     # tensor.matmul decides how every GEMM is cut into BLAS calls, so no
     # other function may call np.matmul past it.
-    assert set(_np_matmul_sites()) == {"tensor.matmul"}
+    assert set(_np_sites("matmul")) == {"tensor.matmul"}
+
+
+def test_np_isfinite_is_called_in_tensor_all_finite_alone():
+    # tensor.all_finite is the one finiteness test of an array (the
+    # sketcher's, the sketch-file reader's, merge's and two-pass recovery's),
+    # so no other function may call np.isfinite, and the reader and the
+    # sketcher keep no finiteness helper or chunk size of their own.
+    assert set(_np_sites("isfinite")) == {"tensor.all_finite"}
+    for module in ("io", "sketch"):
+        own = [name for stmt in _tree(module).body
+               if not isinstance(stmt, (ast.Import, ast.ImportFrom))
+               for name in _bound(stmt) if "finite" in name.lower()]
+        assert own == []
 
 
 def _tree(module: str) -> ast.Module:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import tuckersketch.tensor as tensor_mod
 from tuckersketch.tensor import (
     TuckerFactorization,
+    all_finite,
     contract,
     fold,
     fro_norm,
@@ -137,6 +138,19 @@ class TestInnerAndNorm:
     def test_fro_norm_is_sqrt_self_inner(self):
         x = _filled((4, 5), seed=12)
         assert fro_norm(x) == pytest.approx(np.sqrt(inner(x, x)), rel=1e-12)
+
+
+class TestAllFinite:
+    @pytest.mark.parametrize("order", ["F", "C"])
+    @pytest.mark.parametrize("index", [0, 30, 59], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_finds_nan_or_inf_in_any_chunk(self, monkeypatch, order, index, value):
+        # Chunks of 7 scalars: 60 scalars are 9 chunks, the last of 4.
+        monkeypatch.setattr(tensor_mod, "_FINITE_CHUNK", 7)
+        a = np.asarray(_filled((5, 4, 3), seed=2), order=order)
+        assert all_finite(a)
+        a.ravel(order="K")[index] = value
+        assert not all_finite(a)
 
 
 class TestKronAndFriends:

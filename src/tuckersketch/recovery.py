@@ -12,8 +12,7 @@ Two routes from a sketch:
   same pass sums ``||X||^2``, so ``normalized_error`` scores any
   factorization in the spans without reading ``X`` again; it scores any
   other (a one-pass one), or any whose ``||X||^2`` passed the float range,
-  by expanding it beside the slabs of ``X`` in units that hold at any
-  scale of ``X``.
+  by expanding it beside the slabs of ``X``.
 * ``one_pass_recover`` touches only the sketch: it undoes the core map of
   each mode in the least squares sense, ``W = H x_n pinv(Phi_n^T Q_n)``,
   from one SVD of the small ``s_n x k_n`` system.  Every mode but the last
@@ -27,6 +26,8 @@ factors, ``P_n = Q_n U_n``.
 
 ``hosvd``, ``st_hosvd`` and ``hooi`` also work directly on dense tensors
 and double as the comparison baselines; ``hosvd`` is HOOI with no sweeps.
+Every step that sums squares works in the units of ``tensor.in_units``, so
+recovery commutes with scaling the data by ``2**e``.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .tensor import (
     TuckerFactorization,
     all_finite,
     fro_norm,
+    in_units,
     mode_product,
     multi_mode_product,
     multi_mode_scratch,
@@ -98,19 +100,14 @@ class RecoveryReport:
 
 
 def factor_bases(sk: TuckerSketch | SketchHead) -> FactorBases:
-    """Orthonormalize each factor sketch by QR, flagging rank deficiency."""
+    """Orthonormalize each factor sketch in units by QR, flagging rank deficiency."""
     mats = []
     ratios = []
     for v in sk.factor_sketches:
+        v = in_units(v)[0]
         q, r = np.linalg.qr(v, mode="reduced")
-        # Both terms over the power of two at the largest entry: the same
-        # ratio to the bit, but a sum of squares that cannot overflow.
-        top = np.abs(v).max()
-        if top > 0.0:
-            unit = np.ldexp(1.0, np.frexp(top)[1])
-            ratios.append(float(np.abs(np.diag(r)).min() / unit / np.linalg.norm(v / unit)))
-        else:
-            ratios.append(0.0)
+        norm = fro_norm(v)
+        ratios.append(float(np.abs(np.diag(r)).min() / norm) if norm > 0.0 else 0.0)
         mats.append(q)
     degenerate = tuple(n for n, ratio in enumerate(ratios) if ratio <= _QR_DIAG_RTOL)
     return FactorBases(
@@ -194,9 +191,10 @@ def one_pass_recover(sk: TuckerSketch | str | os.PathLike) -> RecoveryReport:
     views of a sketch's cut alike, so both give the same bits), the last
     mode on the small ``k_0 x ... x k_{N-2} x s_{N-1}`` array the slabs
     make up.  Each mode's residual ``||new x_n Z - H||`` sums the squares
-    of its back-projections.  ``peak_aux_scalars`` counts that array and
-    the larger of a slab's step (the slab with its products, as
-    :func:`_solve_scratch` counts them) and the last mode's.
+    of its back-projections in the largest unit of the factor sketches.
+    ``peak_aux_scalars`` counts that array and the larger of a slab's step
+    (the slab with its products, as :func:`_solve_scratch` counts them) and
+    the last mode's.
     Raises :class:`RankDeficientCoreError` when a system is numerically
     singular (condition number past 1e12, or zero).
     """
@@ -215,6 +213,7 @@ def one_pass_recover(sk: TuckerSketch | str | os.PathLike) -> RecoveryReport:
             )
         conditions.append(float(sv[0] / sv[-1]))
         solves.append((vt.T @ (u.T / sv[:, None]), z))
+    unit = max(in_units(v)[1] for v in sk.factor_sketches)
     k = tuple(q.shape[1] for q in bases.matrices)
     last = len(k) - 1
     sq = [0.0] * len(k)
@@ -224,11 +223,11 @@ def one_pass_recover(sk: TuckerSketch | str | os.PathLike) -> RecoveryReport:
         step = max(step, slab.size + _solve_scratch(slab.shape, range(last), k))
         part = slab
         for n in range(last):
-            part = _solve(part, n, solves[n], sq)
+            part = _solve(part, n, solves[n], sq, unit)
         core[..., offset : offset + part.shape[-1]] = part
     del slab, part  # the last slab, and with it the file's read buffer
     aux = core.size + max(step, _solve_scratch(core.shape, [last], k))
-    core = _solve(core, last, solves[last], sq)
+    core = _solve(core, last, solves[last], sq, unit)
     fact = TuckerFactorization(core=core, factors=bases.matrices)
     return RecoveryReport(
         factorization=fact,
@@ -236,19 +235,19 @@ def one_pass_recover(sk: TuckerSketch | str | os.PathLike) -> RecoveryReport:
         degenerate_modes=bases.degenerate_modes,
         qr_diag_ratios=bases.qr_diag_ratios,
         params=sk.params,
-        core_solver_residuals=tuple(math.sqrt(v) for v in sq),
+        core_solver_residuals=tuple(np.ldexp(np.sqrt(sq), unit).tolist()),
         core_conditions=tuple(conditions),
         peak_aux_scalars=aux,
     )
 
 
-def _solve(cur: np.ndarray, n: int, solve, sq: list) -> np.ndarray:
-    """``cur x_n pinv``, with the squares of ``new x_n Z - cur`` added to ``sq[n]``."""
+def _solve(cur: np.ndarray, n: int, solve, sq: list, unit: int) -> np.ndarray:
+    """``cur x_n pinv``, adding the squares of ``(new x_n Z - cur) / 2**unit`` to ``sq[n]``."""
     pinv, z = solve
     new = mode_product(cur, n, pinv)
     back = mode_product(new, n, z)
     back -= cur
-    sq[n] += sum_sq(back)
+    sq[n] += sum_sq(np.ldexp(back, -unit, out=back))
     return new
 
 
@@ -293,18 +292,13 @@ def _expanded_error(slabs, fact: TuckerFactorization) -> float | None:
     last-mode slabs of ``X`` (None when ``X`` is zero); raises ``ValueError``
     when a sum is not finite (NaN or Inf in ``X``).  Each slab is small (a
     recovery slab), so its part of ``X_hat`` is expanded in one piece.  Both
-    sums are taken in units of the power of two at the largest entry of the
-    core, so they neither overflow nor underflow with the scale of ``X``; the
-    scaling is exact, so the score keeps its bits.  Each slab is scaled where
-    it lies."""
-    top = np.abs(fact.core).max()
-    exp = -int(np.frexp(top)[1]) if 0.0 < top < math.inf else 0
-    core = np.ldexp(fact.core, exp)
+    sums are taken in the units of the core, each slab scaled where it lies."""
+    core, unit = in_units(fact.core)
     err = norm = 0.0
     last = fact.core.ndim - 1
     head = list(enumerate(fact.factors[:last]))
     for offset, slab in slabs:
-        np.ldexp(slab, exp, out=slab)
+        np.ldexp(slab, -unit, out=slab)
         rows = fact.factors[last][offset : offset + slab.shape[last]]
         diff = multi_mode_product(core, head + [(last, rows)])
         diff -= slab
@@ -378,8 +372,8 @@ def hosvd(x, rank) -> TuckerFactorization:
 
 
 def st_hosvd(x, rank) -> TuckerFactorization:
-    """Sequentially truncated HOSVD: shrink the tensor after each mode."""
-    a = np.asarray(x, dtype=np.float64)
+    """Sequentially truncated HOSVD: shrink ``x``, in units, after each mode."""
+    a, unit = in_units(np.asarray(x, dtype=np.float64))
     r = _check_rank(rank, a.ndim, a.shape, "tensor extent")
     factors = []
     cur = a
@@ -387,7 +381,7 @@ def st_hosvd(x, rank) -> TuckerFactorization:
         u = _leading_left_singular(unfold(cur, n), r[n])
         factors.append(u)
         cur = mode_product(cur, n, u.T)
-    return TuckerFactorization(core=cur, factors=tuple(factors))
+    return TuckerFactorization(core=np.ldexp(cur, unit), factors=tuple(factors))
 
 
 def hooi(
@@ -399,12 +393,12 @@ def hooi(
 ):
     """Higher-order orthogonal iteration from an HOSVD start.
 
-    Alternates per-mode subspace updates; each sweep cannot increase the
-    reconstruction error.  Stops when a sweep improves the error by less
-    than ``tol * ||x||`` or after ``max_iters`` sweeps.  With
+    Alternates per-mode subspace updates on ``x`` in units; no sweep can
+    increase the reconstruction error.  Stops when a sweep improves it by
+    less than ``tol * ||x||`` or after ``max_iters`` sweeps.  With
     ``return_objectives=True`` also returns the error after every sweep.
     """
-    a = np.asarray(x, dtype=np.float64)
+    a, unit = in_units(np.asarray(x, dtype=np.float64))
     r = _check_rank(rank, a.ndim, a.shape, "tensor extent")
     factors = [_leading_left_singular(unfold(a, n), r[n]) for n in range(a.ndim)]
     norm_x = fro_norm(a)
@@ -422,14 +416,14 @@ def hooi(
         gap = max(norm_x**2 - fro_norm(core) ** 2, 0.0)
         obj = float(np.sqrt(gap))
         objectives.append(obj)
-        if prev is not None and prev - obj <= tol * max(norm_x, 1e-300):
+        if prev is not None and prev - obj <= tol * norm_x:
             break
         prev = obj
     if core is None:  # max_iters == 0: the HOSVD start point
         core = multi_mode_product(a, [(n, u.T) for n, u in enumerate(factors)])
-    fact = TuckerFactorization(core=core, factors=tuple(factors))
+    fact = TuckerFactorization(core=np.ldexp(core, unit), factors=tuple(factors))
     if return_objectives:
-        return fact, objectives
+        return fact, np.ldexp(objectives, unit).tolist()
     return fact
 
 

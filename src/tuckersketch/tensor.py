@@ -247,15 +247,27 @@ def inner(x, y) -> float:
 
 
 def fro_norm(x) -> float:
-    """Frobenius norm, any order; a contiguous ``x`` is not copied."""
-    return float(np.linalg.norm(np.asarray(x, dtype=np.float64).ravel(order="K")))
+    """Frobenius norm, any order: the square root of :func:`sum_sq`."""
+    return math.sqrt(sum_sq(np.asarray(x, dtype=np.float64)))
 
 
 def sum_sq(a: np.ndarray) -> float:
-    """``||a||^2`` as one dot product of the flat view of ``a`` (a copy only
-    if ``a`` is not contiguous); inf, not an exception, past the float range."""
+    """``||a||^2``, the package's one sum of squares: one dot product of the
+    flat view of ``a`` (a copy only if it is not contiguous); inf past the float range."""
     flat = a.ravel(order="K")
     return float(np.dot(flat, flat))
+
+
+def in_units(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(a * 2**-e, e)``, with ``2**e`` the power of two just above the
+    largest entry of ``a`` (``e = 0`` when ``a`` is zero or not finite): the
+    package's one choice of unit.  Squares of the scaled entries neither
+    overflow nor underflow with the scale of ``a``, and scaling by a power
+    of two is exact, so a result computed in units and scaled back by
+    ``2**e`` has the bits it has at any other scale of ``a``."""
+    top = np.abs(a).max()
+    e = int(np.frexp(top)[1]) if 0.0 < top < math.inf else 0
+    return np.ldexp(a, -e), e
 
 
 _FINITE_CHUNK = 1 << 15

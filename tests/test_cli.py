@@ -3,6 +3,7 @@
 import csv
 import functools
 import json
+import math
 import operator
 import os
 import struct
@@ -787,7 +788,6 @@ class TestStreamedInput:
         assert got == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.parametrize("mode", ["one-pass", "two-pass"])
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # the one-pass residuals
     def test_score_is_scale_free(self, tmp_path, mode):
         # The squares of x * 2^530 pass the float range and those of
         # x * 2^-560 underflow to zero; the score is that of x at both.
@@ -808,6 +808,34 @@ class TestStreamedInput:
         else:  # the projection, then the expansion
             assert scores[0] == pytest.approx(0.9910264963904537, rel=1e-12)
             assert scores[1:] == [pytest.approx(scores[0], abs=1e-9)] * 2
+
+    def test_report_and_archive_scale_exactly(self, tmp_path):
+        # The one-pass residuals of x * 2^530 are past the float range when
+        # squared, those of x * 2^-560 underflow; in units they are those
+        # of x times 2^e, strict JSON, and the archive's core scales alike.
+        def strict(const):
+            raise ValueError(f"{const} is not strict JSON")
+
+        x = np.random.default_rng(0).standard_normal((20, 21, 22))
+        xfile, skfile = tmp_path / "x.tktn", tmp_path / "x.tksk"
+        out, report = tmp_path / "f.tkz", tmp_path / "r.json"
+        got = {}
+        for exp in (0, 530, -560):
+            write_tensor(xfile, np.ldexp(x, exp))
+            assert main(["sketch", "--input", str(xfile), "--rank", "2", "--seed", "4",
+                         "--out", str(skfile)]) == 0
+            assert main(["recover", "--sketch", str(skfile), "--out", str(out),
+                         "--report", str(report)]) == 0
+            summary = json.loads(report.read_text(), parse_constant=strict)
+            got[exp] = summary["core_solver_residuals"], read_tucker(out)
+        residuals, fact = got[0]
+        assert residuals == pytest.approx(
+            [2261.893737158333, 504.0070260673223, 194.29976450992805], rel=1e-12)
+        for exp in (530, -560):
+            assert got[exp][0] == [math.ldexp(v, exp) for v in residuals]
+            np.testing.assert_array_equal(got[exp][1].core, np.ldexp(fact.core, exp))
+            for a, b in zip(got[exp][1].factors, fact.factors):
+                np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("damage", ["truncated", "trailing"])
     @pytest.mark.parametrize("command", ["sketch", "recover"])

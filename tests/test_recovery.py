@@ -494,6 +494,65 @@ class TestHooi:
         for ua, ub in zip(a.factors, b.factors):
             np.testing.assert_array_equal(ua, ub)
 
+    @pytest.mark.filterwarnings("error")
+    def test_any_scale(self):
+        # Squared, a core of 2^530 overflows and one of 2^-530 goes
+        # subnormal; in units, every sweep is the sweep at 2^0 scaled.
+        core = np.random.default_rng(0).standard_normal((7, 7, 7))
+        want, objectives = hooi(core, 2, return_objectives=True)
+        assert len(objectives) == 30
+        assert objectives[-1] == pytest.approx(16.70082539211655, rel=1e-12)
+        for exp in (530, -530):
+            got, scaled = hooi(np.ldexp(core, exp), 2, return_objectives=True)
+            assert scaled == [math.ldexp(v, exp) for v in objectives]
+            _assert_scaled(got, want, exp)
+
+
+def _assert_scaled(got: TuckerFactorization, want: TuckerFactorization, exp: int):
+    """``got`` is ``want`` with its core times ``2^exp``, bit for bit."""
+    np.testing.assert_array_equal(got.core, np.ldexp(want.core, exp))
+    for a, b in zip(got.factors, want.factors):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.filterwarnings("error")
+class TestScaling:
+    """Recovery commutes with scaling the data by 2^e: the sketch, the cores
+    and the residuals scale by 2^e, the factors and the scale-free numbers
+    keep their bits, far past where plain squares overflow or underflow."""
+
+    @pytest.fixture(params=["low-rank-3d", "normal-4d"])
+    def case(self, request):
+        if request.param == "low-rank-3d":
+            x = _noisy_tensor(side=12, rank=2, seed=8, gamma=0.1)
+            params = SketchParams(k=(4, 5, 4), s=(9, 11, 9), master_seed=9)
+        else:
+            x = np.random.default_rng(10).standard_normal((6, 7, 5, 6))
+            params = SketchParams(k=(3, 3, 2, 3), s=(7, 7, 5, 7), master_seed=11)
+        return x, params
+
+    @pytest.mark.parametrize("exp", [-530, 530])
+    def test_recovery_scales_exactly(self, case, exp):
+        x, params = case
+        sk, sk_e = tucker_sketch(x, params), tucker_sketch(np.ldexp(x, exp), params)
+        np.testing.assert_array_equal(sk_e.core_sketch, np.ldexp(sk.core_sketch, exp))
+        for a, b in zip(sk_e.factor_sketches, sk.factor_sketches):
+            np.testing.assert_array_equal(a, np.ldexp(b, exp))
+
+        one, one_e = one_pass_recover(sk), one_pass_recover(sk_e)
+        _assert_scaled(one_e.factorization, one.factorization, exp)
+        assert one_e.core_solver_residuals == tuple(
+            math.ldexp(v, exp) for v in one.core_solver_residuals)
+        assert one_e.qr_diag_ratios == one.qr_diag_ratios
+        assert one_e.core_conditions == one.core_conditions
+
+        two = two_pass_recover(x, sk).factorization
+        _assert_scaled(two_pass_recover(np.ldexp(x, exp), sk_e).factorization, two, exp)
+
+        for method in ("hooi", "hosvd", "st_hosvd"):
+            _assert_scaled(fixed_rank_truncate(one_e.factorization, 2, method),
+                           fixed_rank_truncate(one.factorization, 2, method), exp)
+
 
 class TestFixedRank:
     def test_truncated_factors_stay_orthonormal(self):

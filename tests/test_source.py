@@ -104,8 +104,8 @@ def test_every_private_method_is_used(path):
 
 
 def _np_sites(attr: str) -> list[str]:
-    """``module.function`` of every reference to numpy's ``attr`` in the
-    package (``module`` alone at module level)."""
+    """``module.function`` of every reference to numpy's ``attr`` (dotted,
+    as ``linalg.norm``) in the package (``module`` alone at module level)."""
     sites = []
     for path in sorted(PACKAGE.glob("*.py")):
         stack = [(ast.parse(path.read_text(), filename=str(path)), path.stem)]
@@ -113,8 +113,8 @@ def _np_sites(attr: str) -> list[str]:
             node, where = stack.pop()
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 where = f"{path.stem}.{node.name}"
-            if (isinstance(node, ast.Attribute) and node.attr == attr
-                    and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            if (isinstance(node, ast.Attribute)
+                    and ast.unparse(node) in (f"np.{attr}", f"numpy.{attr}")):
                 sites.append(where)
             if isinstance(node, ast.ImportFrom) and node.module == "numpy":
                 sites += [where for a in node.names if a.name == attr]
@@ -139,6 +139,14 @@ def test_np_isfinite_is_called_in_tensor_all_finite_alone():
                if not isinstance(stmt, (ast.Import, ast.ImportFrom))
                for name in _bound(stmt) if "finite" in name.lower()]
         assert own == []
+
+
+def test_squares_are_summed_and_units_picked_in_tensor_alone():
+    # tensor.sum_sq is the one sum of squares (fro_norm is its square root)
+    # and tensor.in_units the one choice of a power-of-two unit, so nothing
+    # calls np.linalg.norm, and no other function calls np.frexp.
+    assert _np_sites("linalg.norm") == []
+    assert set(_np_sites("frexp")) == {"tensor.in_units"}
 
 
 def _tree(module: str) -> ast.Module:

@@ -15,12 +15,14 @@ from tuckersketch.tensor import (
     contract,
     fold,
     fro_norm,
+    in_units,
     inner,
     khatri_rao,
     matmul,
     mode_product,
     multi_mode_product,
     per_mode,
+    sum_sq,
     superdiag,
     tucker_to_dense,
     unfold,
@@ -138,6 +140,29 @@ class TestInnerAndNorm:
     def test_fro_norm_is_sqrt_self_inner(self):
         x = _filled((4, 5), seed=12)
         assert fro_norm(x) == pytest.approx(np.sqrt(inner(x, x)), rel=1e-12)
+
+    @pytest.mark.parametrize("order", ["F", "C", "strided"])
+    def test_fro_norm_is_the_root_of_sum_sq_bit_for_bit(self, order):
+        x = np.asarray(_filled((6, 5, 4), seed=13), order="C" if order == "C" else "F")
+        x = x[::2] if order == "strided" else x
+        assert fro_norm(x) == np.sqrt(sum_sq(x)) == np.linalg.norm(x.ravel(order="K"))
+
+
+class TestInUnits:
+    @pytest.mark.parametrize("top,e", [(1.0, 1), (0.75, 0), (3.0, 2), (1.5e308, 1024),
+                                       (5e-324, -1073)])
+    def test_the_largest_entry_is_in_half_to_one(self, top, e):
+        a = np.array([[top / 3, -top], [0.0, top / 7]])
+        scaled, got = in_units(a)
+        assert got == e and 0.5 <= np.abs(scaled).max() < 1.0
+        np.testing.assert_array_equal(np.ldexp(scaled, e), a)
+
+    @pytest.mark.parametrize("value", [0.0, np.nan, np.inf])
+    def test_zero_or_non_finite_is_its_own_unit(self, value):
+        a = np.full((2, 3), value)
+        scaled, e = in_units(a)
+        assert e == 0
+        np.testing.assert_array_equal(scaled, a)
 
 
 class TestAllFinite:

@@ -14,7 +14,9 @@ port of Philox (:func:`_philox_words`), and a larger one through numpy's
 ``Philox``, which imports ``numpy.random`` (:func:`philox_for`).  The
 inverse CDF is Cephes ``ndtri``: scipy's for large arrays, and for arrays
 of at most :data:`NDTRI_PORT_MAX` values a port with the same bits
-(:func:`_ndtri`), so drawing them loads no scipy.
+(:func:`_ndtri`), so drawing them loads no scipy.  The port's tail logs
+are libm's ``log``, taken from numpy's plain loop (:func:`_libm_log`); if a
+check at its first use finds otherwise, scipy draws every array.
 
 Values derived one per word are generated straight into their destination
 from any list of runs of the stream, :data:`BLOCK_WORDS` words at a time
@@ -24,9 +26,8 @@ the whole.
 
 from __future__ import annotations
 
+import functools
 import math
-import platform
-import sys
 
 import numpy as np
 
@@ -247,17 +248,17 @@ def ndtri_for(count: int):
     function that overwrites an array of uniforms with their normals.
 
     Up to :data:`NDTRI_PORT_MAX` values it is :func:`_ndtri`, which loads
-    nothing; a larger array uses ``scipy.special.ndtri`` (imported here),
-    whose ufunc costs about a third as much per value.  The two agree bit
-    for bit, so the choice only moves where and when scipy is imported.  At
-    the limit, the three factor maps of an order-3 sketch draw about 3.1 M
-    values, and the port's extra cost on them stays under that of
-    importing ``scipy.special`` (about 0.25 s); past it, the per-value gap
-    outweighs the import.  The choice is made once for a whole array or
-    map, by its size: by row blocks, a large map would draw through the
-    port at three times the cost.
+    nothing, if its ``log`` is libm's (:func:`_libm_log_holds`); a larger
+    array, or any array if not, uses ``scipy.special.ndtri`` (imported
+    here).  The two agree bit for bit, so the choice only moves where and
+    when scipy is imported.  The port takes about 20 ns per value and
+    scipy's ufunc about 14 ns: the gap outweighs importing ``scipy.special``
+    (about 0.2 s) only past about 2**24 values, and at the limit the three
+    factor maps of an order-3 sketch (about 3.1 M values) cost about 20 ms
+    more through the port.  The choice is made once for a whole array or
+    map, by its size: by row blocks, a large map would draw through the port.
     """
-    if count <= NDTRI_PORT_MAX:
+    if count <= NDTRI_PORT_MAX and _libm_log_holds():
         return _ndtri
     from scipy.special import ndtri
 
@@ -346,44 +347,35 @@ def _ratio(z: np.ndarray, p, q) -> np.ndarray:
     return r
 
 
-_X87 = np.finfo(np.longdouble).nmant == 63 and sys.byteorder == "little"
-_LOG_MARGIN = 0.47 if _X87 and platform.libc_ver()[0] == "glibc" else 0.0
-"""A long-double ``log`` within this many ulps of a double D settles libm's
-``log`` as D: glibc's ``log`` errs by at most about 0.52 ulp where
-``|log x| > 1/16`` (both tail logs of ndtri have ``|log x| >= 0.69``), and
-x87 ``logl`` by far less than 0.01 ulp of a double, so libm cannot return
-a neighbour of D, 1 ulp away.  It is 0, which settles no value and sends
-every ``log`` through ``math.log``, unless the long double is x87 extended
-(64-bit significand, little-endian) and libm is glibc."""
-_MANTISSA = np.uint64((1 << 52) - 1)
 _NDTRI_PIECE = 1 << 14
 """Values :func:`_ndtri` computes at a time, so its temporaries stay a
 bounded share of a block of words whichever branches the values take."""
 
 
 def _libm_log(x: np.ndarray) -> np.ndarray:
-    """``log`` of each value of the 1-D ``x`` by libm, the ``log`` Cephes
-    calls; numpy's SIMD ``log`` differs from it in the last bit on some CPUs.
+    """``log`` of each value of the C-contiguous 1-D ``x`` by libm, the
+    ``log`` Cephes calls; numpy's SIMD ``log`` differs from it in the last
+    bit on some CPUs.
 
-    ``np.log`` of the values as long doubles (x87 ``logl``) is rounded to a
-    double D; where it lies within :data:`_LOG_MARGIN` ulp of D, and D is
-    not a power of two (whose ulp below is half the one above), libm's
-    ``log`` is D.  The rest, about 6% of the values, go through ``math.log``.
+    numpy runs its plain loop, which calls libm's ``log``, when one operand
+    runs backwards: the log is written into a reversed view of its output,
+    which is returned reversed back.  (Both reversed, numpy flips them and
+    runs the SIMD loop again.)  :func:`ndtri_for` checks once per process
+    that this is libm's ``log`` (:func:`_libm_log_holds`).
     """
-    wide = x.astype(np.longdouble)
-    np.log(wide, out=wide)
-    out = wide.astype(np.float64)
-    # The low 11 of the 64 significand bits (the first 8 bytes of an x87
-    # long double): how far past the double below it the long double lies,
-    # in 2048ths of an ulp.  Unsure: at least the margin away from both
-    # doubles around it, or D a power of two.
-    significand = np.ndarray(x.shape, np.uint64, wide, strides=(wide.itemsize,))
-    from_tie = np.subtract(significand & np.uint64(0x7FF), 1024.0)
-    unsure = np.abs(from_tie, out=from_tie) <= 1024 * (1 - 2 * _LOG_MARGIN)
-    unsure |= (out.view(np.uint64) & _MANTISSA) == 0
-    redo = np.flatnonzero(unsure)
-    out[redo] = np.fromiter(map(math.log, memoryview(x[redo])), np.float64, redo.size)
-    return out
+    out = np.empty_like(x)
+    np.log(x, out=out[::-1])
+    return out[::-1]
+
+
+@functools.cache
+def _libm_log_holds() -> bool:
+    """Whether :func:`_libm_log` gives ``math.log``'s bits on 4,096 seeded
+    values in [0.5, 2), where numpy's SIMD ``log`` differs from libm's on
+    about 1 value in 200 on AVX-512 hosts.  Run once per process."""
+    x = uniforms(0, 0, 4096) * 1.5 + 0.5
+    want = np.fromiter(map(math.log, memoryview(x)), np.float64, x.size)
+    return np.array_equal(_libm_log(x).view(np.uint64), want.view(np.uint64))
 
 
 def _ndtri(y: np.ndarray) -> np.ndarray:
@@ -407,15 +399,18 @@ def _ndtri_piece(y: np.ndarray) -> None:
     the tail is written back over it.  Elementwise IEEE arithmetic gives
     each value the same bits whatever its neighbours are, and Q0 has no
     root for c^2 in [0, 1/4], so the middle branch of a tail value is
-    harmless."""
+    harmless.
+
+    The reflection is ``min(y, 1 - y)``: ``1 - y`` is exact above 1/2, and
+    below exp(-2) the minimum is ``y``.  The sign is that of ``y - 1/2``:
+    ``x0 - x1 >= 1.1`` on the tail, so copying it negates where Cephes does.
+    """
     tail = np.flatnonzero((y <= _EXPM2) | (y > 1.0 - _EXPM2))
     t = y[tail]
-    upper = t > 1.0 - _EXPM2  # reflected to 1 - y, and not negated
-    np.subtract(1.0, t, out=t, where=upper)
-    x = _libm_log(t)
-    del t
-    x *= -2.0
-    np.sqrt(x, out=x)
+    sign = t - 0.5
+    np.minimum(t, 1.0 - t, out=t)
+    np.multiply(_libm_log(t), -2.0, out=t)
+    x = np.sqrt(t, out=t)  # C-contiguous, as _libm_log takes it
     x0 = _libm_log(x)
     x0 /= x
     np.subtract(x, x0, out=x0)
@@ -424,8 +419,8 @@ def _ndtri_piece(y: np.ndarray) -> None:
     x1 = _ratio(z, _P1, _Q1)
     x1[far] = _ratio(z[far], _P2, _Q2)
     x0 -= x1
-    np.negative(x0, out=x0, where=~upper)
-    del x, z, x1, upper
+    np.copysign(x0, sign, out=x0)
+    del t, x, z, x1, sign
     c = np.subtract(y, 0.5, out=y)
     c2 = c * c
     x = _ratio(c2, _P0, _Q0)

@@ -231,7 +231,7 @@ def test_ndtri_port_equals_scipy_bit_for_bit():
 def _ulps_to_nearest_double(x):
     """How far the long-double log of each ``x`` lies from its nearest
     double, in ulps of that double (at most 1/2), read from the low 11
-    significand bits as ``_libm_log`` reads them."""
+    significand bits of an x87 long double."""
     wide = np.log(x.astype(np.longdouble))
     significand = np.ndarray(x.shape, np.uint64, wide, strides=(wide.itemsize,))
     low = (significand & np.uint64(0x7FF)).astype(np.int64)
@@ -245,7 +245,7 @@ def _around(x0, steps):
 
 
 def _ndtri_hard_logs():
-    """Uniforms whose first or second tail log is hard to settle: the
+    """Uniforms whose first or second tail log is hard to round: the
     long-double log lies 0.45 to 0.5 ulp from its double, or the log is
     near a power of two (log y = -4, -8, -16, -32; log x = 1, 2)."""
     y = rng.uniforms(rng.mix64(9, 12), 1, 1 << 20)
@@ -258,31 +258,76 @@ def _ndtri_hard_logs():
     return np.concatenate([y[near_tie]] + [_around(e, 3000) for e in edges])
 
 
-@pytest.mark.skipif(rng._LOG_MARGIN == 0, reason="no long-double log to settle libm's")
-def test_libm_log_settles_only_what_libm_agrees_with():
-    # Values whose long-double log lies near a tie between two doubles, or
-    # whose log is a power of two, are where a settled value could differ.
+def _math_log(x):
+    return np.fromiter(map(math.log, x), np.float64, x.size)
+
+
+def _simd_log_is_libms():
+    """Whether numpy's log of a contiguous array, the SIMD loop where the
+    CPU has one, gives libm's bits on 2**16 values in [0.5, 1.5)."""
+    x = rng.uniforms(3, 0, 1 << 16) + 0.5
+    return np.array_equal(np.log(x).view(np.uint64), _math_log(x).view(np.uint64))
+
+
+def test_libm_log_is_libms_where_its_logs_are_hard():
+    # Values whose log lies near a tie between two doubles, or whose log is
+    # near a power of two, are where a log other than libm's differs first.
     y = _ndtri_hard_logs()
-    x = np.sqrt(-2.0 * np.array([math.log(v) for v in y]))
-    band = _ulps_to_nearest_double(np.concatenate([y, x]))
-    assert np.any((band > 0.45) & (band < rng._LOG_MARGIN))  # settled side
-    assert np.any(band >= rng._LOG_MARGIN)  # math.log side
+    x = np.sqrt(-2.0 * _math_log(y))
     for v in (y, x):
-        want = np.array([math.log(e) for e in v])
-        assert np.array_equal(rng._libm_log(v).view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(rng._libm_log(v).view(np.uint64), _math_log(v).view(np.uint64))
+    if _simd_log_is_libms():
+        pytest.skip("numpy's SIMD log is libm's on this host")
+    # The sample is hard: numpy's SIMD log misses libm's bits on it.
+    v = np.concatenate([y, x])
+    assert not np.array_equal(np.log(v).view(np.uint64), _math_log(v).view(np.uint64))
 
 
-@pytest.mark.parametrize("margin", ["platform", 0.0])
-def test_ndtri_port_equals_scipy_where_its_logs_are_hard(monkeypatch, margin):
-    # Margin 0 settles no value: every log is math.log's, with the same bits.
+@pytest.mark.parametrize("fake", ["one-ulp-off", "contiguous-np-log"])
+def test_log_probe_fails_on_a_log_that_is_not_libms(monkeypatch, fake):
+    if fake == "one-ulp-off":
+        def log(x):
+            out = _math_log(x)
+            out[2048] = np.nextafter(out[2048], np.inf)
+            return out
+    elif _simd_log_is_libms():
+        pytest.skip("numpy's SIMD log is libm's on this host")
+    else:
+        log = np.log
+    monkeypatch.setattr(rng, "_libm_log", log)
+    assert not rng._libm_log_holds.__wrapped__()
+
+
+@pytest.mark.parametrize("holds", [True, False], ids=["probe-holds", "probe-fails"])
+def test_ndtri_port_equals_scipy_where_its_logs_are_hard(monkeypatch, holds):
+    # The port draws where the probe finds libm's log, scipy where it does
+    # not: either way the normals have scipy's bits.
     import scipy.special
 
-    if margin != "platform":
-        monkeypatch.setattr(rng, "_LOG_MARGIN", margin)
+    if not holds:
+        monkeypatch.setattr(rng, "_libm_log_holds", lambda: False)
+    elif not rng._libm_log_holds():
+        pytest.skip("the port's log is not libm's on this host")
     u = np.concatenate([_ndtri_hard_logs(), _ndtri_edges()])
+    ndtri = rng.ndtri_for(u.size)
+    assert (ndtri is rng._ndtri) == holds
     want = scipy.special.ndtri(u)
-    got = rng._ndtri(u.copy())
+    got = ndtri(u.copy())
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_a_failed_log_probe_draws_every_array_through_scipy(monkeypatch):
+    import scipy.special
+
+    monkeypatch.setattr(rng, "_libm_log_holds", lambda: False)
+    u = _ndtri_edges()
+    for count in (4, rng.NDTRI_PORT_MAX):
+        ndtri = rng.ndtri_for(count)
+        assert ndtri is not rng._ndtri
+        assert np.array_equal(ndtri(u.copy()).view(np.uint64),
+                              scipy.special.ndtri(u).view(np.uint64))
+    digest = "e68f1d7bea3a26818302fe7de3e4758bcf778d437e546852f6001b068fb0ae25"
+    assert hashlib.sha256(rng.gaussians(12, 3, B).tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("count, digest", [

@@ -149,6 +149,23 @@ def test_squares_are_summed_and_units_picked_in_tensor_alone():
     assert set(_np_sites("frexp")) == {"tensor.in_units"}
 
 
+def test_np_log_is_called_in_rng_libm_log_alone():
+    # rng._libm_log takes libm's log, the one Cephes ndtri calls, from
+    # numpy's plain loop; any other np.log in rng could run the SIMD loop,
+    # whose last bit differs from libm's on some CPUs.  No long double or
+    # platform test decides which log the port gets.
+    assert [s for s in _np_sites("log") if s.split(".")[0] == "rng"] == ["rng._libm_log"]
+    assert _np_sites("longdouble") == []
+    imported = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert "platform" not in imported
+
+
 def _tree(module: str) -> ast.Module:
     path = PACKAGE / f"{module}.py"
     return ast.parse(path.read_text(), filename=str(path))

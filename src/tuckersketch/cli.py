@@ -34,7 +34,8 @@ checks the file once, two-pass keeps the factor sketches, one-pass reads
 the core slab by slab.  ``recover --report`` writes ``peak_aux_scalars``,
 the working memory of the recovery's largest step counted from shapes,
 and, given ``--input``, the error that ``recovery.normalized_error``
-scores, at any scale of the tensor.
+scores, at any scale of the tensor.  Every report is strict JSON: a value
+past the float range (a residual of a sketch near its top) is null.
 
 A command imports scipy only to draw more than 2^20 Gaussian values in one
 array or map (``rng.ndtri_for``), and ``numpy.random`` only to draw more
@@ -208,7 +209,7 @@ def _params_for(args, order: int) -> SketchParams:
 def _write_report(path: str, summary: dict) -> None:
     """Write a command's ``--report`` JSON, atomically."""
     with tkio._atomic_write(path) as fh:
-        fh.write((json.dumps(summary, sort_keys=True, indent=2) + "\n").encode())
+        fh.write((json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n").encode())
 
 
 # Each box of a stream record ends in a product the size of the core sketch,

@@ -24,12 +24,13 @@ entries are asked for, or once the rows generated for boxes would pass
 generated when it is made, from the permutations, signs and coordinates
 that define it (:class:`SsrftTransform`), with ``numpy.fft``: at sketch
 widths far below ``in_dim``, one GEMM with those entries costs less than
-two DCTs of the operand.  Only a Gaussian map (or TRP factor, which is
-Gaussian) of more than ``rng.NDTRI_PORT_MAX`` (2^20) entries loads scipy,
-for ``ndtri``, and it does so when it is made; smaller ones, such as the
-core maps and the factor maps of a 200^3 sketch at rank 10, draw through
-a bit-exact port (``rng.ndtri_for``).  Likewise only a map, TRP factor or
-SSRFT permutation or sign vector of more than ``rng.PHILOX_PORT_MAX``
+two DCTs of the operand, so only the tests apply the transform itself
+(with ``scipy.fft``), as the reference for the entries.  Only a Gaussian
+map (or TRP factor, which is Gaussian) of more than ``rng.NDTRI_PORT_MAX``
+(2^20) entries loads scipy, for ``ndtri``, when it is made; smaller ones,
+such as the core maps and the factor maps of a 200^3 sketch at rank 10,
+draw through a bit-exact port (``rng.ndtri_for``).  Likewise only a map,
+TRP factor or SSRFT permutation or sign vector of more than ``rng.PHILOX_PORT_MAX``
 (2^16) words loads ``numpy.random``, for its ``Philox``, when it is made;
 smaller ones, such as the core maps and every TRP factor of the usual
 sketches, draw their words through a port with the same words
@@ -330,16 +331,15 @@ class _DenseDrm:
 
 
 class SsrftTransform:
-    """Subsampled randomized Fourier-type transform, by its definition.
+    """Subsampled randomized Fourier-type transform.
 
     Two rounds of (row permutation, sign flip, orthonormal DCT-II) followed
     by a uniform row subsample.  Its state is just the permutations, signs
     and coordinates.  :meth:`materialize` generates the dense entries that
-    an SSRFT map is realized with, by a numpy DCT (:func:`_idct`);
-    :meth:`transform_rows` applies the transform itself, the definition
-    those entries are checked against.  Only :meth:`transform_rows` uses
-    scipy (``scipy.fft.dct``, imported on first use), and only tests call
-    it, so no command with an SSRFT map loads scipy for it.
+    an SSRFT map is realized with, by a numpy DCT (:func:`_idct`).  The
+    tests keep the transform itself, applied by ``scipy.fft.dct`` from this
+    state, as the reference those entries are checked against, so nothing
+    in the package loads scipy for an SSRFT map.
     """
 
     def __init__(self, spec: DrmSpec):
@@ -350,22 +350,6 @@ class SsrftTransform:
         self.sgn1 = rng.signs(spec.seed, _STREAM_SIGN1, n)
         self.sgn2 = rng.signs(spec.seed, _STREAM_SIGN2, n)
         self.coords = rng.index_subset(spec.seed, _STREAM_COORDS, n, spec.out_dim)
-
-    def transform_rows(self, b: np.ndarray) -> np.ndarray:
-        """Apply the (out_dim, in_dim) transform to the rows of ``b``.
-
-        Each round gathers into a new array and transforms it in place, so
-        at most two operand-sized arrays are alive at once.
-        """
-        import scipy.fft
-
-        y = b[self.perm1]
-        y *= self.sgn1[:, None]
-        y = scipy.fft.dct(y, type=2, axis=0, norm="ortho", overwrite_x=True)
-        y = y[self.perm2]
-        y *= self.sgn2[:, None]
-        y = scipy.fft.dct(y, type=2, axis=0, norm="ortho", overwrite_x=True)
-        return y[self.coords]
 
     def materialize(self) -> np.ndarray:
         """The dense ``(in_dim, out_dim)`` map: the adjoint of the transform

@@ -5,9 +5,10 @@ the first index varying fastest (column-major).  Writers stream headers
 and payloads straight into a temporary file, which an atomic rename puts at
 the target path, so no file is built in memory and a crashed write never
 leaves a half-written file behind.  Every payload goes out through
-``_write_array`` and comes back through ``_read_into``, which fills an
-array in place.  Sizes are checked against the end of the file or archive
-member, without seeking, before anything is read.
+``_write_array`` and comes back through one piece reader, which fills
+arrays in place (a whole array is its one piece); both cut payloads along
+the last mode by one rule, ``_planes``.  Sizes are checked against the end
+of the file or archive member, without seeking, before anything is read.
 
 Tensor files and update streams are read through one piece reader, which
 cuts every payload along the last mode, where each range of planes is one
@@ -24,6 +25,8 @@ they contract each piece against k-column bases only, so their memory
 follows what they compute, not what they read.  A sketch file's core
 sketch is checked, and read for merging and one-pass recovery, in last-mode
 slabs of at most 256 KiB (``read_sketch_slabs``); ``read_sketch`` reads it whole.
+``read_sketch_slabs`` cuts a sketch in memory into the same slabs, as views,
+so a recovery opens every sketch, file or not, through it.
 
 ``TKTN1`` tensor file::
 
@@ -123,6 +126,12 @@ _SKETCH_SLAB_SCALARS = 1 << 15
 _READ_CHUNK_BYTES = 1 << 16
 
 
+def _planes(shape: tuple[int, ...], scalars: int) -> int:
+    """How many last-mode planes of a block of ``shape`` fit in ``scalars``
+    scalars, one at the least: the one cut of every payload."""
+    return max(1, scalars // (math.prod(shape[:-1]) or 1))
+
+
 def _write_array(fh, a: np.ndarray) -> None:
     """Write ``a`` to ``fh`` as a float64 payload, first index fastest.
 
@@ -134,7 +143,7 @@ def _write_array(fh, a: np.ndarray) -> None:
     if a.dtype == "<f8" and a.flags.f_contiguous:
         fh.write(memoryview(a.reshape(-1, order="F")).cast("B"))
         return
-    step = max(1, _WRITE_BLOCK_BYTES // (8 * math.prod(a.shape[:-1]) or 1))
+    step = _planes(a.shape, _WRITE_BLOCK_BYTES // 8)
     for j in range(0, a.shape[-1], step):
         _write_array(fh, np.asarray(a[..., j : j + step], dtype="<f8", order="F"))
 
@@ -201,16 +210,10 @@ def _read_into(fh, flat: np.ndarray, what: str) -> None:
 
 
 def _read_array(fh, shape: tuple[int, ...], end: int, what: str) -> np.ndarray:
-    """Read a payload of ``shape`` from ``fh`` straight into an F-order array.
-
-    The file must hold the whole payload before ``end`` before anything is
-    allocated, so a corrupt extent fails as a truncated file, not as a huge
-    allocation.
-    """
-    _need(fh, 8 * math.prod(shape), end, what)
-    out = np.empty(shape, dtype="<f8", order="F")
-    _read_into(fh, out.reshape(-1, order="F"), what)
-    return out.astype(np.float64, copy=False)
+    """Read a payload of ``shape`` from ``fh`` straight into an F-order array
+    of its own: the one piece of ``_PieceReader`` with no budget."""
+    (_, _, out), = _PieceReader(fh, shape, end, what, None).pieces(len(shape) - 1, 0, shape[-1])
+    return out
 
 
 class _PieceReader:
@@ -232,8 +235,7 @@ class _PieceReader:
         self.fh, self.shape, self.end, self.what = fh, shape, end, what
         self.scalars = scalars
         self.box = scalars if box is None or scalars is None else min(box, scalars)
-        plane = math.prod(shape[:-1])
-        self.capacity = 0 if scalars is None else plane * min(max(1, scalars // plane), shape[-1])
+        self.capacity = 0 if scalars is None else math.prod(shape[:-1]) * _planes(shape, scalars)
         # Grown to the largest piece read so far, so it never outgrows
         # what the file has been checked to hold.
         self.buf = np.empty(0, dtype="<f8")
@@ -249,7 +251,7 @@ class _PieceReader:
         plane = math.prod(dims[:-1])
         _need(self.fh, 8 * plane * dims[-1], self.end, self.what)
         budget = self.scalars if mode == last else self.box
-        step = dims[-1] if budget is None else max(1, budget // plane)
+        step = dims[-1] if budget is None else _planes(dims, budget)
         for j in range(0, dims[-1], step):
             c = min(step, dims[-1] - j)
             flat = self._flat(plane * c)
@@ -397,8 +399,9 @@ def read_sketch(path) -> TuckerSketch:
                         factor_sketches=head.factor_sketches, core_sketch=h, _owned=True)
 
 
-def read_sketch_slabs(path) -> tuple[SketchHead, Iterator[tuple[int, np.ndarray]]]:
-    """Open a TKSK1 file for reading its core sketch in last-mode slabs.
+def read_sketch_slabs(sk) -> tuple[SketchHead | TuckerSketch, Iterator[tuple[int, np.ndarray]]]:
+    """Open a TKSK1 file (or a sketch in memory) for reading its core sketch
+    in last-mode slabs.
 
     Every check of :func:`read_sketch` runs, in the same order, before this
     returns the parameters, shape and factor sketches: the core sketch is
@@ -407,16 +410,19 @@ def read_sketch_slabs(path) -> tuple[SketchHead, Iterator[tuple[int, np.ndarray]
     of the last mode, F-order arrays of at most ``_SKETCH_SLAB_SCALARS``
     scalars (256 KiB), one plane at the least, in one reused buffer, so a
     slab is valid only until the next is requested.  The file closes when
-    the iterator is exhausted or dropped.
+    the iterator is exhausted or dropped.  A sketch in memory comes back
+    itself, with the views :func:`sketch_core_slabs` cuts alike.
     """
-    slabs = _sketch_slabs(path, _SKETCH_SLAB_SCALARS)
+    if isinstance(sk, TuckerSketch):
+        return sk, sketch_core_slabs(sk.core_sketch)
+    slabs = _sketch_slabs(sk, _SKETCH_SLAB_SCALARS)
     return next(slabs), slabs
 
 
 def sketch_core_slabs(core: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """The slabs :func:`read_sketch_slabs` reads, as views of an F-order
     core sketch in memory."""
-    step = max(1, _SKETCH_SLAB_SCALARS // math.prod(core.shape[:-1]))
+    step = _planes(core.shape, _SKETCH_SLAB_SCALARS)
     return ((j, core[..., j : j + step]) for j in range(0, core.shape[-1], step))
 
 

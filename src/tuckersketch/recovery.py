@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import SketchHead, read_sketch_slabs, read_tensor_slabs, sketch_core_slabs
+from .io import SketchHead, read_sketch_slabs, read_tensor_slabs
 from .sketch import RankDeficientCoreError, RankInfeasibleError, SketchParams, TuckerSketch
 from .tensor import (
     TuckerFactorization,
@@ -93,7 +93,7 @@ class RecoveryReport:
     degenerate_modes: tuple[int, ...]
     qr_diag_ratios: tuple[float, ...]
     params: SketchParams
-    core_solver_residuals: tuple[float, ...] = ()
+    core_solver_residuals: tuple[float | None, ...] = ()
     core_conditions: tuple[float, ...] = ()
     tensor_sq_norm: float | None = None
     peak_aux_scalars: int = 0
@@ -115,14 +115,6 @@ def factor_bases(sk: TuckerSketch | SketchHead) -> FactorBases:
     )
 
 
-def _head_and_slabs(sk: TuckerSketch | str | os.PathLike):
-    """The parameters, shape and factor sketches of a sketch or of a TKSK1
-    file (checked whole first), and its core sketch's last-mode slabs."""
-    if isinstance(sk, (str, os.PathLike)):
-        return read_sketch_slabs(sk)
-    return sk, sketch_core_slabs(sk.core_sketch)
-
-
 def two_pass_recover(x, sk: TuckerSketch | str | os.PathLike) -> RecoveryReport:
     """Rank-``k`` recovery using one more pass over the tensor itself.
 
@@ -139,7 +131,7 @@ def two_pass_recover(x, sk: TuckerSketch | str | os.PathLike) -> RecoveryReport:
     Raises ``ValueError`` naming the slab after which the core is not
     finite (NaN or Inf in the data).
     """
-    sk = _head_and_slabs(sk)[0]
+    sk = read_sketch_slabs(sk)[0]
     if isinstance(x, (str, os.PathLike)):
         shape, slabs = read_tensor_slabs(x, recovery=True)
         where = f"{os.fspath(x)}: "
@@ -191,14 +183,15 @@ def one_pass_recover(sk: TuckerSketch | str | os.PathLike) -> RecoveryReport:
     views of a sketch's cut alike, so both give the same bits), the last
     mode on the small ``k_0 x ... x k_{N-2} x s_{N-1}`` array the slabs
     make up.  Each mode's residual ``||new x_n Z - H||`` sums the squares
-    of its back-projections in the largest unit of the factor sketches.
+    of its back-projections in the largest unit of the factor sketches; one
+    past the float range is None.
     ``peak_aux_scalars`` counts that array and the larger of a slab's step
     (the slab with its products, as :func:`_solve_scratch` counts them) and
     the last mode's.
     Raises :class:`RankDeficientCoreError` when a system is numerically
     singular (condition number past 1e12, or zero).
     """
-    sk, slabs = _head_and_slabs(sk)
+    sk, slabs = read_sketch_slabs(sk)
     bases = factor_bases(sk)
     solves = []
     conditions = []
@@ -228,6 +221,8 @@ def one_pass_recover(sk: TuckerSketch | str | os.PathLike) -> RecoveryReport:
     del slab, part  # the last slab, and with it the file's read buffer
     aux = core.size + max(step, _solve_scratch(core.shape, [last], k))
     core = _solve(core, last, solves[last], sq, unit)
+    with np.errstate(over="ignore"):
+        residuals = np.ldexp(np.sqrt(sq), unit).tolist()
     fact = TuckerFactorization(core=core, factors=bases.matrices)
     return RecoveryReport(
         factorization=fact,
@@ -235,7 +230,7 @@ def one_pass_recover(sk: TuckerSketch | str | os.PathLike) -> RecoveryReport:
         degenerate_modes=bases.degenerate_modes,
         qr_diag_ratios=bases.qr_diag_ratios,
         params=sk.params,
-        core_solver_residuals=tuple(np.ldexp(np.sqrt(sq), unit).tolist()),
+        core_solver_residuals=tuple(r if r < math.inf else None for r in residuals),
         core_conditions=tuple(conditions),
         peak_aux_scalars=aux,
     )
@@ -246,21 +241,22 @@ def _solve(cur: np.ndarray, n: int, solve, sq: list, unit: int) -> np.ndarray:
     pinv, z = solve
     new = mode_product(cur, n, pinv)
     back = mode_product(new, n, z)
-    back -= cur
-    sq[n] += sum_sq(np.ldexp(back, -unit, out=back))
+    np.ldexp(back, -unit, out=back)
+    back -= np.ldexp(cur, -unit)  # both sides in the unit first, so neither overflows
+    sq[n] += sum_sq(back)
     return new
 
 
 def _solve_scratch(shape, modes, k) -> int:
     """Scalars :func:`_solve` holds at its peak over ``modes`` of an input
-    of ``shape``, beyond the input: each mode's product and back-projection
-    beside the product of the mode before."""
+    of ``shape``, beyond the input: each mode's product, its back-projection
+    and its input in the unit, beside the product of the mode before."""
     dims, peak, held = list(shape), 0, 0
     for n in modes:
         cur = math.prod(dims)
         dims[n] = k[n]
         new = math.prod(dims)
-        peak = max(peak, held + new + cur)
+        peak = max(peak, held + new + 2 * cur)
         held = new
     return peak
 

@@ -56,6 +56,14 @@ def _rel_err(x, fact):
     return fro_norm(x - fact.to_dense()) / fro_norm(x)
 
 
+def _strict_json(text: str):
+    """``json.loads`` that refuses ``Infinity`` and ``NaN``, which are not JSON."""
+    def refuse(const):
+        raise ValueError(f"{const} is not strict JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestSketchCommand:
     def test_sketch_matches_library(self, tmp_path, exact_tensor):
         xfile = tmp_path / "x.tktn"
@@ -813,9 +821,6 @@ class TestStreamedInput:
         # The one-pass residuals of x * 2^530 are past the float range when
         # squared, those of x * 2^-560 underflow; in units they are those
         # of x times 2^e, strict JSON, and the archive's core scales alike.
-        def strict(const):
-            raise ValueError(f"{const} is not strict JSON")
-
         x = np.random.default_rng(0).standard_normal((20, 21, 22))
         xfile, skfile = tmp_path / "x.tktn", tmp_path / "x.tksk"
         out, report = tmp_path / "f.tkz", tmp_path / "r.json"
@@ -826,7 +831,7 @@ class TestStreamedInput:
                          "--out", str(skfile)]) == 0
             assert main(["recover", "--sketch", str(skfile), "--out", str(out),
                          "--report", str(report)]) == 0
-            summary = json.loads(report.read_text(), parse_constant=strict)
+            summary = _strict_json(report.read_text())
             got[exp] = summary["core_solver_residuals"], read_tucker(out)
         residuals, fact = got[0]
         assert residuals == pytest.approx(
@@ -836,6 +841,20 @@ class TestStreamedInput:
             np.testing.assert_array_equal(got[exp][1].core, np.ldexp(fact.core, exp))
             for a, b in zip(got[exp][1].factors, fact.factors):
                 np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("trunc", [[], ["--trunc", "1"]], ids=["rank-k", "trunc-1"])
+    def test_residuals_past_the_float_range_are_null(self, tmp_path, trunc):
+        # An 8^3 sketch of 1.5e308 entries: the back-projections are taken
+        # in the unit of the factor sketches, so nothing overflows (warnings
+        # are errors here), and the residuals, past the float range in any
+        # unit, are written as null.
+        params = SketchParams(k=(3,) * 3, s=(7,) * 3, master_seed=1)
+        skfile, report = tmp_path / "x.tksk", tmp_path / "r.json"
+        write_sketch(skfile, TuckerSketch(params, (8,) * 3, [np.full((8, 3), 1.5e308)] * 3,
+                                          np.full(params.s, 1.5e308)))
+        assert main(["recover", "--sketch", str(skfile), "--out", str(tmp_path / "f.tkz"),
+                     "--report", str(report), *trunc]) == 0
+        assert _strict_json(report.read_text())["core_solver_residuals"] == [None] * 3
 
     @pytest.mark.parametrize("damage", ["truncated", "trailing"])
     @pytest.mark.parametrize("command", ["sketch", "recover"])

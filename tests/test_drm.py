@@ -660,6 +660,16 @@ class TestSparseSign:
         assert abs(energies.mean() - 300) / 300 < 0.1
 
 
+def _transform_rows(d: SsrftTransform, b: np.ndarray) -> np.ndarray:
+    """The (out_dim, in_dim) SSRFT ``d`` applied to the rows of ``b`` by its
+    definition, the reference an SSRFT map's entries are checked against:
+    two rounds of (row permutation, sign flip, orthonormal DCT-II), then
+    the rows at ``coords``."""
+    y = scipy.fft.dct(d.sgn1[:, None] * b[d.perm1], type=2, axis=0, norm="ortho")
+    y = scipy.fft.dct(d.sgn2[:, None] * y[d.perm2], type=2, axis=0, norm="ortho")
+    return y[d.coords]
+
+
 class TestSsrft:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 160, 161, 199, 40000])
     def test_idct_matches_scipy(self, n):
@@ -674,7 +684,7 @@ class TestSsrft:
         omega = d.materialize()
         np.testing.assert_allclose(omega @ omega.T, np.eye(32), atol=1e-10)
         x = np.random.default_rng(2).normal(size=(32, 3))
-        y = d.transform_rows(x)
+        y = _transform_rows(d, x)
         np.testing.assert_allclose(
             np.linalg.norm(y, axis=0), np.linalg.norm(x, axis=0), rtol=1e-12
         )
@@ -683,7 +693,7 @@ class TestSsrft:
         spec = DrmSpec("ssrft", 20, 7, seed=7)
         d, realized = SsrftTransform(spec), make_drm(spec)
         m = np.random.default_rng(3).normal(size=(20, 4))
-        rows = d.transform_rows(m)
+        rows = _transform_rows(d, m)
         cols = realized.apply_right(m.T)
         np.testing.assert_allclose(rows, cols.T, atol=1e-12)
 
@@ -699,27 +709,7 @@ class TestSsrft:
             tracemalloc.stop()
         assert peak < 4 * omega.nbytes
         x = np.random.default_rng(4).normal(size=(20000, 2))
-        np.testing.assert_allclose(omega.T @ x, d.transform_rows(x), atol=1e-10)
-
-    def test_transform_matches_out_of_place_rounds(self):
-        d = SsrftTransform(DrmSpec("ssrft", 50, 9, seed=9))
-        b = np.random.default_rng(5).normal(size=(50, 6))
-        y = scipy.fft.dct(d.sgn1[:, None] * b[d.perm1], type=2, axis=0, norm="ortho")
-        y = scipy.fft.dct(d.sgn2[:, None] * y[d.perm2], type=2, axis=0, norm="ortho")
-        before = b.copy()
-        np.testing.assert_array_equal(d.transform_rows(b), y[d.coords])
-        np.testing.assert_array_equal(b, before)  # the operand is left alone
-
-    def test_transform_memory_is_two_operands(self):
-        d = SsrftTransform(DrmSpec("ssrft", 20000, 43, seed=8))
-        b = np.random.default_rng(6).normal(size=(20000, 30))
-        tracemalloc.start()
-        try:
-            d.transform_rows(b)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.1 * b.nbytes
+        np.testing.assert_allclose(omega.T @ x, _transform_rows(d, x), atol=1e-10)
 
     def test_subsample_energy_monte_carlo(self):
         # E ||Xi x||^2 = (out/in) ||x||^2; 2000 fresh seeds, 10% band
@@ -728,7 +718,7 @@ class TestSsrft:
         total = 0.0
         for trial in range(2000):
             d = SsrftTransform(DrmSpec("ssrft", 64, 16, seed=rng.mix64(808, trial)))
-            total += float((d.transform_rows(x[:, None]) ** 2).sum())
+            total += float((_transform_rows(d, x[:, None]) ** 2).sum())
         mean = total / 2000
         assert abs(mean - 0.25) <= 0.1 * 0.25
 
@@ -747,7 +737,7 @@ class TestSsrft:
             padded = np.zeros(shape)
             padded[sel] = x[sel]
             got = realized.apply_tensor(x[sel], mode, shape, _at(3, axis, rows.start))
-            want = ref.transform_rows(unfold(padded, mode).T).T
+            want = _transform_rows(ref, unfold(padded, mode).T).T
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 

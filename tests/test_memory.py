@@ -518,14 +518,18 @@ def test_cli_sketch_streams_its_input(tmp_path, tensor_file):
 
 def test_cli_sketch_streams_its_records(tmp_path):
     # One full record and a 100-plane last-mode slab record, both read in
-    # pieces into one buffer: neither is held whole.
+    # pieces into one buffer: neither is held whole.  The command compiles
+    # the map modules and, for its 25600 x 5 Gaussian maps (past
+    # rng.PHILOX_PORT_MAX words), loads numpy.random, so the baseline loads
+    # them too and the difference counts data alone: about 0.64 of the
+    # bound, where folding either record whole (32.8 or 20.5 MB) passes it.
     x = np.random.default_rng(10).normal(size=(160, 160, 160))
     path = tmp_path / "x.tkus"
     write_update_stream(path, x.shape, [
         FullUpdate(1.0, 1.0, x),
         SlabUpdate(0.5, 2.0, mode=2, offset=30, slab=x[..., 30:130]),
     ])
-    bare = _max_rss_bytes("-c", "import tuckersketch.cli")
+    bare = _max_rss_bytes("-c", "import tuckersketch.cli, tuckersketch.drm, numpy.random")
     sketch = _max_rss_bytes(
         "-m", "tuckersketch.cli", "sketch", "--stream", str(path), "--rank", "2",
         "--out", str(tmp_path / "x.tksk"),

@@ -325,16 +325,17 @@ class TestOnePassFromAFile:
 
     def test_peak_aux_scalars_counts_the_largest_step(self):
         # Order 4, k = 11, s = 23: slabs of 2 planes of 23^3.  A slab
-        # (24,334) with its mode-0 product (11,638) and back-projection
-        # (24,334) is the largest slab step, 60,306; the last mode's step
-        # on the 11^3 x 23 array (30,613) holds its product (14,641) and
-        # back-projection (30,613), 45,254.  So 30,613 + 60,306.
+        # (24,334) with its mode-0 product (11,638), back-projection
+        # (24,334) and the slab in the unit (24,334) is the largest slab
+        # step, 84,640; the last mode's step on the 11^3 x 23 array (30,613)
+        # holds its product (14,641), back-projection (30,613) and the array
+        # in the unit (30,613), 75,867.  So 30,613 + 84,640.
         shape = (30, 30, 30, 30)
         params = SketchParams.for_rank(5, master_seed=4, order=4)
         gen = np.random.default_rng(5)
         vs = tuple(gen.normal(size=(d, k)) for d, k in zip(shape, params.k))
         sk = TuckerSketch(params, shape, vs, gen.normal(size=params.s))
-        assert one_pass_recover(sk).peak_aux_scalars == 90_919
+        assert one_pass_recover(sk).peak_aux_scalars == 115_253
 
 
 class TestNormalizedError:

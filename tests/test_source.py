@@ -1,8 +1,9 @@
 """Source hygiene: no module keeps an import or a private helper it never uses,
 one function makes every BLAS product and one tests finiteness, commands
-read and sum sketch files one way and keep no numerics of their own, the
-maps import nothing from the sketch, and listing the package's names loads
-none of its modules.
+read and sum sketch files one way and keep no numerics of their own, one
+piece reader fills every payload and recovery opens every sketch through
+``io``, the maps import nothing from the sketch and no module scipy.fft,
+and listing the package's names loads none of its modules.
 
 Each module of the package (``__init__.py`` aside, which only re-exports)
 is parsed with ``ast``.  A name counts as used when the module loads it
@@ -156,14 +157,26 @@ def test_np_log_is_called_in_rng_libm_log_alone():
     # platform test decides which log the port gets.
     assert [s for s in _np_sites("log") if s.split(".")[0] == "rng"] == ["rng._libm_log"]
     assert _np_sites("longdouble") == []
-    imported = set()
+    assert "platform" not in {name.split(".")[0] for name in _imported()}
+
+
+def _imported() -> set[str]:
+    """Every absolute module the package's modules import, anywhere in them,
+    and ``module.name`` for each name of a ``from module import name``."""
+    got = set()
     for path in MODULES:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
-                imported |= {a.name.split(".")[0] for a in node.names}
+                got |= {a.name for a in node.names}
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                imported.add(node.module.split(".")[0])
-    assert "platform" not in imported
+                got |= {node.module} | {f"{node.module}.{a.name}" for a in node.names}
+    return got
+
+
+def test_src_imports_no_scipy_fft():
+    # SSRFT entries are made with numpy.fft; the transform applied by
+    # scipy.fft is the tests' reference for them, not package code.
+    assert [name for name in _imported() if name.startswith("scipy.fft")] == []
 
 
 def _tree(module: str) -> ast.Module:
@@ -209,6 +222,29 @@ def test_cli_keeps_no_numerics():
     assert _imports_from("cli", "tensor") == {"per_mode"}
     assert not _names("cli") & {"_projected_error", "_expanded_error",
                                 "_normalized_error", "_check_finite"}
+
+
+def _callers(module: str, name: str) -> set[str]:
+    """The module-level functions and classes of ``module`` that call ``name``."""
+    return {stmt.name for stmt in _tree(module).body
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            and any(isinstance(node, ast.Call) and ast.unparse(node.func) == name
+                    for node in ast.walk(stmt))}
+
+
+def test_payloads_are_read_by_the_piece_reader_alone():
+    # _PieceReader cuts every payload along the last mode, and a whole
+    # array is its one piece, so no other code fills an array from a file.
+    assert _callers("io", "_read_into") == {"_PieceReader"}
+
+
+def test_recovery_opens_every_sketch_through_io():
+    # io.read_sketch_slabs opens a sketch file or a sketch in memory and
+    # cuts its core sketch, so the recoveries call it directly and recovery
+    # keeps no opener or cut of its own.
+    assert "sketch_core_slabs" not in _names("recovery")
+    assert _callers("recovery", "read_sketch_slabs") == {"one_pass_recover",
+                                                         "two_pass_recover"}
 
 
 def test_drm_imports_nothing_from_sketch():
